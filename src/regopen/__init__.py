@@ -45,7 +45,7 @@ from .lattice import (
 )
 from .metric import FiniteMetric, combine_metric, dominates
 from .stone import StoneSpace, stone_space
-from .suites import CounterexamplePair, SuiteReport, counterexample_search, run_suite
+from .suites import CounterexamplePair, SpaceContext, SuiteReport, counterexample_search, run_suite
 from .topology import (
     PointSet,
     Topology,
@@ -84,6 +84,7 @@ __all__ = [
     "PointSet",
     "RLatticeReport",
     "RegularOpenLattice",
+    "SpaceContext",
     "StoneSpace",
     "SuiteReport",
     "SymbolicSet",

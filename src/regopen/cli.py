@@ -24,7 +24,7 @@ from .serialize import (
     space_to_dict,
 )
 from .stone import stone_space
-from .suites import SUITES, counterexample_search, run_suite
+from .suites import SUITES, SpaceContext, counterexample_search, run_suite
 from .topology import Topology, discrete, indiscrete, sierpinski, x3
 
 FIXTURES = {
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3, help="ground-size bound (default 3)")
     p.add_argument("--sample", type=int, help="check only a seeded random sample of instances")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--allow-n5", action="store_true")
     _add_common(p)
 
@@ -115,6 +114,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    context = SpaceContext()
     reports = []
     for name in names:
         report = run_suite(
@@ -122,8 +122,8 @@ def _cmd_verify(args) -> int:
             bound=args.n,
             sample=args.sample,
             seed=args.seed,
-            jobs=args.jobs,
             allow_n5=args.allow_n5,
+            context=context,
         )
         status = "pass" if report.passed else f"FAIL ({len(report.failures)} failures)"
         print(f"{name}: {status} [{report.instances} instances, {report.wall_time_s:.2f}s]")

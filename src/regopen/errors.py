@@ -92,6 +92,10 @@ class UnknownSuite(RegOpenError, ValueError):
     """run_suite was asked for a suite name that does not exist."""
 
 
+class BadSuiteArgument(RegOpenError, ValueError):
+    """run_suite was given a bound below 1 or a negative sample size."""
+
+
 class VerificationError(RegOpenError):
     """A verified mathematical claim failed; carries the counterexample."""
 

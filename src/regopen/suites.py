@@ -4,7 +4,8 @@ search for non-homeomorphic space pairs with isomorphic regular-open lattices.
 Each suite runs a named family of checks over every instance drawn from the
 labeled enumeration up to a ground-size bound, collecting failures rather
 than raising, and reports deterministically (instances are generated in a
-fixed order and failures keep that order regardless of worker count).
+fixed order and failures keep that order). Instances are generated lazily
+and checked as they come, so a suite never holds all of them at once.
 """
 
 from __future__ import annotations
@@ -12,23 +13,22 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 from . import cofinite as cof
 from .enumeration import (
     EnumerationSpec,
-    brute_force_topologies,
     canonical_classes,
     enumerate_dense_subsets,
     enumerate_topologies,
 )
-from .errors import RegOpenError, SizeGuardExceeded, UnknownSuite
+from .errors import BadSuiteArgument, NotABasis, RegOpenError, SizeGuardExceeded, UnknownSuite
 from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     PairRelation,
+    RegularOpenLattice,
     check_boolean_algebra,
     check_distributive,
     check_lattice_tables,
@@ -45,13 +45,15 @@ from .stone import stone_space
 from .topology import Topology, set_of
 from .transfer import (
     DenseEmbedding,
+    check_basis,
     closure_density_check,
     point_recovery,
     restriction_isomorphism,
     separating_witness,
 )
 
-Instance = tuple[tuple, Callable[[], dict | None]]
+# One instance: a check that returns a failure dict, or None when it holds.
+Instance = Callable[[], dict | None]
 
 
 @dataclass
@@ -65,7 +67,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        # A run that checked nothing has shown nothing.
+        return self.instances > 0 and not self.failures
 
     def to_dict(self, include_timing: bool = False) -> dict:
         d = {
@@ -85,36 +88,55 @@ class SuiteReport:
         return canonical_json(self.to_dict(include_timing))
 
 
-def _spaces(bound: int, allow_n5: bool) -> Iterable[Topology]:
-    for n in range(1, bound + 1):
-        yield from enumerate_topologies(EnumerationSpec(n, allow_n5=allow_n5))
+class SpaceContext:
+    """What the suites of one run share: the labeled spaces, enumerated once
+    per ground size, and one regular-open lattice per distinct space.
 
+    Both live as long as the context, which one ``regopen verify`` run
+    creates and hands to each ``run_suite`` call. It is not thread-safe.
+    """
 
-def _space_key(t: Topology) -> tuple:
-    return (t.n, len(t.open_masks), t.open_masks)
+    def __init__(self):
+        self._spaces: dict[int, tuple[Topology, ...]] = {}
+        self._lattices: dict[Topology, RegularOpenLattice] = {}
+
+    def spaces(self, bound: int, allow_n5: bool) -> Iterator[Topology]:
+        """The labeled spaces on 1..bound points, in enumeration order. Every
+        call checks the size guards before it returns the first space."""
+        specs = [EnumerationSpec(n, allow_n5=allow_n5) for n in range(1, bound + 1)]
+        for spec in specs:
+            if spec.n not in self._spaces:
+                self._spaces[spec.n] = tuple(enumerate_topologies(spec))
+        return itertools.chain.from_iterable(self._spaces[spec.n] for spec in specs)
+
+    def lattice(self, t: Topology) -> RegularOpenLattice:
+        """The regular-open lattice of ``t``, built on the first request for
+        a space equal to ``t`` (same n, same opens)."""
+        lat = self._lattices.get(t)
+        if lat is None:
+            lat = self._lattices[t] = regular_open_lattice(t)
+        return lat
 
 
 # -- individual suites ---------------------------------------------------------
 
 
-def _suite_ux0(bound: int, allow_n5: bool) -> list[Instance]:
-    out = []
-    for t in _spaces(bound, allow_n5):
+def _suite_ux0(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+    for t in ctx.spaces(bound, allow_n5):
         for y in enumerate_dense_subsets(t):
             def check(t=t, y=y):
                 try:
-                    restriction_isomorphism(DenseEmbedding(t, y))
+                    e = DenseEmbedding(t, y)
+                    restriction_isomorphism(e, ctx.lattice(t), ctx.lattice(e.sub))
                 except RegOpenError as exc:
                     return {"space": space_to_dict(t), "dense": sorted(y), "error": str(exc)}
                 return None
 
-            out.append(((*_space_key(t), tuple(sorted(y))), check))
-    return out
+            yield check
 
 
-def _suite_denso(bound: int, allow_n5: bool) -> list[Instance]:
-    out = []
-    for t in _spaces(bound, allow_n5):
+def _suite_denso(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+    for t in ctx.spaces(bound, allow_n5):
         for y in enumerate_dense_subsets(t):
             for u in t.open_masks:
                 def check(t=t, y=y, u=u):
@@ -127,13 +149,11 @@ def _suite_denso(bound: int, allow_n5: bool) -> list[Instance]:
                         }
                     return None
 
-                out.append(((*_space_key(t), tuple(sorted(y)), u), check))
-    return out
+                yield check
 
 
-def _suite_uvw(bound: int, allow_n5: bool) -> list[Instance]:
-    out = []
-    for t in _spaces(bound, allow_n5):
+def _suite_uvw(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+    for t in ctx.spaces(bound, allow_n5):
         regs = t.regular_open_masks()
         for u, v in itertools.product(regs, repeat=2):
             if u & ~v == 0:
@@ -150,16 +170,14 @@ def _suite_uvw(bound: int, allow_n5: bool) -> list[Instance]:
                     }
                 return None
 
-            out.append(((*_space_key(t), u, v), check))
-    return out
+            yield check
 
 
-def _suite_regularity(bound: int, allow_n5: bool) -> list[Instance]:
+def _suite_regularity(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
     """Both routes to 'regular open' agree on every subset of every space:
     the fixpoint definition versus openness plus 'every open inside the
     closure already sits inside the set'."""
-    out = []
-    for t in _spaces(bound, allow_n5):
+    for t in ctx.spaces(bound, allow_n5):
         for a in range(t.full_mask + 1):
             def check(t=t, a=a):
                 direct = t.is_regular_open_mask(a)
@@ -175,8 +193,7 @@ def _suite_regularity(bound: int, allow_n5: bool) -> list[Instance]:
                     }
                 return None
 
-            out.append(((*_space_key(t), a), check))
-    return out
+            yield check
 
 
 def _recovery_instance(t: Topology, y: frozenset[int]) -> dict | None:
@@ -195,20 +212,24 @@ def _recovery_instance(t: Topology, y: frozenset[int]) -> dict | None:
     return None
 
 
-def _suite_recovery(bound: int, allow_n5: bool) -> list[Instance]:
+def _regular_opens_form_basis(t: Topology) -> bool:
+    try:
+        check_basis(t, [m for m in t.regular_open_masks() if m])
+    except NotABasis:
+        return False
+    return True
+
+
+def _suite_recovery(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
     """Recovery from the basis isomorphism induced by dense restriction must
     send each recovered point to its own copy. Instances are limited to
     (space, dense set) pairs where the nonempty regular opens do form bases
     on both sides, since the construction quantifies over given bases."""
-    out = []
-    for t in _spaces(bound, allow_n5):
-        bx = [m for m in t.regular_open_masks() if m]
-        if not _is_basis(t, bx):
+    for t in ctx.spaces(bound, allow_n5):
+        if not _regular_opens_form_basis(t):
             continue
         for y in enumerate_dense_subsets(t):
-            emb = DenseEmbedding(t, y)
-            by = [m for m in emb.sub.regular_open_masks() if m]
-            if not _is_basis(emb.sub, by):
+            if not _regular_opens_form_basis(DenseEmbedding(t, y).sub):
                 continue
             def check(t=t, y=y):
                 try:
@@ -216,27 +237,14 @@ def _suite_recovery(bound: int, allow_n5: bool) -> list[Instance]:
                 except RegOpenError as exc:
                     return {"space": space_to_dict(t), "dense": sorted(y), "error": str(exc)}
 
-            out.append(((*_space_key(t), tuple(sorted(y))), check))
-    return out
+            yield check
 
 
-def _is_basis(t: Topology, masks: list[int]) -> bool:
-    for u in t.open_masks:
-        cover = 0
-        for b in masks:
-            if b & u == b:
-                cover |= b
-        if cover != u:
-            return False
-    return True
-
-
-def _suite_boolean(bound: int, allow_n5: bool) -> list[Instance]:
-    out = []
-    for t in _spaces(bound, allow_n5):
+def _suite_boolean(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+    for t in ctx.spaces(bound, allow_n5):
         def check(t=t):
             try:
-                lat = regular_open_lattice(t)
+                lat = ctx.lattice(t)
             except RegOpenError as exc:
                 return {"space": space_to_dict(t), "error": str(exc)}
             for name, result in (
@@ -249,15 +257,13 @@ def _suite_boolean(bound: int, allow_n5: bool) -> list[Instance]:
                     return {"space": space_to_dict(t), "check": name, "witness": list(witness)}
             return None
 
-        out.append((_space_key(t), check))
-    return out
+        yield check
 
 
-def _suite_rlattice(bound: int, allow_n5: bool) -> list[Instance]:
-    out = []
-    for t in _spaces(bound, allow_n5):
+def _suite_rlattice(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+    for t in ctx.spaces(bound, allow_n5):
         def check(t=t):
-            lat = regular_open_lattice(t)
+            lat = ctx.lattice(t)
             report = check_r_lattice(lat, ge_relation(lat))
             if not report.passed:
                 return {"space": space_to_dict(t), "report": report.to_dict()}
@@ -276,27 +282,25 @@ def _suite_rlattice(bound: int, allow_n5: bool) -> list[Instance]:
                         }
             return None
 
-        out.append((_space_key(t), check))
-    return out
+        yield check
 
 
-def _suite_stone(bound: int, allow_n5: bool) -> list[Instance]:
-    out = []
-    for t in _spaces(bound, allow_n5):
+def _suite_stone(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+    for t in ctx.spaces(bound, allow_n5):
         def check(t=t):
-            lat = regular_open_lattice(t)
+            lat = ctx.lattice(t)
             try:
                 st = stone_space(lat)
             except RegOpenError as exc:
                 return {"space": space_to_dict(t), "error": str(exc)}
             if len(st.atoms) != len(lat.atoms()) or st.space.n != len(st.atoms):
                 return {"space": space_to_dict(t), "error": "point count differs from atom count"}
-            clopen = regular_open_lattice(st.space)
+            clopen = ctx.lattice(st.space)
             if sorted(st.space.to_mask(s) for s in st.to_clopen) != list(clopen.payload_masks):
                 return {"space": space_to_dict(t), "error": "image is not the full clopen algebra"}
             return None
 
-        out.append((_space_key(t), check))
+        yield check
     for n in range(1, 6):
         def check_uf(n=n):
             ufs = ultrafilters(n)
@@ -304,8 +308,7 @@ def _suite_stone(bound: int, allow_n5: bool) -> list[Instance]:
                 return {"powerset": n, "error": f"expected {n} ultrafilters, found {len(ufs)}"}
             return None
 
-        out.append((("ultrafilters", n), check_uf))
-    return out
+        yield check_uf
 
 
 def _brute_force_ideals(n: int) -> set[frozenset]:
@@ -327,8 +330,7 @@ def _power(s: frozenset) -> list[frozenset]:
     return [frozenset(c) for r in range(len(pts) + 1) for c in itertools.combinations(pts, r)]
 
 
-def _suite_ideals(bound: int, allow_n5: bool) -> list[Instance]:
-    out = []
+def _suite_ideals(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
     for n in range(1, min(bound, 4) + 1):
         def check_enum(n=n):
             constructed = {i.members for i in ideals(n)}
@@ -337,7 +339,7 @@ def _suite_ideals(bound: int, allow_n5: bool) -> list[Instance]:
                 return {"powerset": n, "error": "principal construction disagrees with brute filter"}
             return None
 
-        out.append((("ideal-enumeration", n), check_enum))
+        yield check_enum
     for n in range(1, min(bound, 5) + 1):
         def check_corr(n=n):
             try:
@@ -346,8 +348,7 @@ def _suite_ideals(bound: int, allow_n5: bool) -> list[Instance]:
                 return {"powerset": n, "error": str(exc)}
             return None
 
-        out.append((("ideal-open-correspondence", n), check_corr))
-    return out
+        yield check_corr
 
 
 _COFINITE_TRIALS = 10_000
@@ -387,9 +388,7 @@ def _symbolic_identities(a, b, c) -> str | None:
     return None
 
 
-def _suite_cofinite(bound: int, allow_n5: bool, seed: int = 0) -> list[Instance]:
-    out = []
-
+def _suite_cofinite(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int = 0) -> Iterator[Instance]:
     def check_family():
         family, traces = cof.regular_opens()
         if set(family) != {cof.EMPTY, cof.FULL}:
@@ -399,7 +398,7 @@ def _suite_cofinite(bound: int, allow_n5: bool, seed: int = 0) -> list[Instance]
                 return {"error": f"nonempty proper open {tr.queried!r} did not regularize to the full set"}
         return None
 
-    out.append((("cofinite-regular-family",), check_family))
+    yield check_family
 
     def check_identities():
         rnd = random.Random(seed)
@@ -410,8 +409,7 @@ def _suite_cofinite(bound: int, allow_n5: bool, seed: int = 0) -> list[Instance]
                 return {"trial": trial, "error": f"identity failed: {failed}", "sets": [repr(a), repr(b), repr(c)]}
         return None
 
-    out.append((("cofinite-identities", _COFINITE_TRIALS, seed), check_identities))
-    return out
+    yield check_identities
 
 
 _METRIC_TRIALS = 1_000
@@ -427,7 +425,7 @@ def _random_metric(rnd: random.Random, n: int) -> FiniteMetric:
     return FiniteMetric(rows)
 
 
-def _suite_metric(bound: int, allow_n5: bool, seed: int = 0) -> list[Instance]:
+def _suite_metric(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int = 0) -> Iterator[Instance]:
     def check():
         rnd = random.Random(seed)
         for trial in range(_METRIC_TRIALS):
@@ -443,10 +441,10 @@ def _suite_metric(bound: int, allow_n5: bool, seed: int = 0) -> list[Instance]:
                 return {"trial": trial, "error": "combined metric does not dominate the first factor"}
         return None
 
-    return [(("metric-combination", _METRIC_TRIALS, seed), check)]
+    yield check
 
 
-SUITES: dict[str, Callable[..., list[Instance]]] = {
+SUITES: dict[str, Callable[..., Iterator[Instance]]] = {
     "ux0": _suite_ux0,
     "denso": _suite_denso,
     "uvw": _suite_uvw,
@@ -467,36 +465,38 @@ def run_suite(
     *,
     sample: int | None = None,
     seed: int = 0,
-    jobs: int = 1,
     allow_n5: bool = False,
+    context: SpaceContext | None = None,
 ) -> SuiteReport:
     """Run one named suite over the enumeration up to ``bound`` points.
 
     ``sample`` draws a deterministic random subset of instances (for the
-    gated n = 5 scale); ``jobs`` fans instances out to worker threads, with
-    failures merged back in instance order either way.
+    gated n = 5 scale). ``context`` shares spaces and lattices with other
+    suites of the same run; without one the suite makes its own.
+    ``wall_time_s`` covers generating the instances as well as checking them.
     """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    builder = SUITES[name]
-    if name in ("cofinite", "metric"):
-        instances = builder(bound, allow_n5, seed)
-    else:
-        instances = builder(bound, allow_n5)
-    if sample is not None and sample < len(instances):
-        rnd = random.Random(seed)
-        instances = [instances[i] for i in sorted(rnd.sample(range(len(instances)), sample))]
+    if bound < 1:
+        raise BadSuiteArgument(f"bound must be at least 1, not {bound}")
+    if sample is not None and sample < 0:
+        raise BadSuiteArgument(f"sample size must not be negative, not {sample}")
     start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda inst: inst[1](), instances))
-    else:
-        results = [check() for _, check in instances]
-    failures = [r for r in results if r is not None]
+    args = (context if context is not None else SpaceContext(), bound, allow_n5)
+    instances = SUITES[name](*args, seed) if name in ("cofinite", "metric") else SUITES[name](*args)
+    if sample is not None:
+        instances = list(instances)
+        if sample < len(instances):
+            rnd = random.Random(seed)
+            instances = [instances[i] for i in sorted(rnd.sample(range(len(instances)), sample))]
+    count, failures = 0, []
+    for count, check in enumerate(instances, 1):
+        if (result := check()) is not None:
+            failures.append(result)
     return SuiteReport(
         suite=name,
         bound=bound,
-        instances=len(instances),
+        instances=count,
         failures=failures,
         wall_time_s=time.perf_counter() - start,
     )

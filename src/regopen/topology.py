@@ -131,17 +131,25 @@ class Topology:
     def is_open_mask(self, m: int) -> bool:
         return m in self._open_set
 
+    # Finite spaces are Alexandrov (Stong, Trans. AMS 123, 1966): x is
+    # interior to a iff its least open neighborhood U_x fits in a, and x is in
+    # the closure of a iff U_x meets a. Each is O(n), not a scan of the opens.
+
     def interior_mask(self, a: int) -> int:
-        # Union of all opens contained in a.
-        acc = 0
-        for m in self.open_masks:
-            if m & a == m:
-                acc |= m
+        acc, bit = 0, 1
+        for u in self._min_nbhd:
+            if u & a == u:
+                acc |= bit
+            bit <<= 1
         return acc
 
     def closure_mask(self, a: int) -> int:
-        # Smallest closed superset, via the complement duality.
-        return self.full_mask ^ self.interior_mask(self.full_mask ^ a)
+        acc, bit = 0, 1
+        for u in self._min_nbhd:
+            if u & a:
+                acc |= bit
+            bit <<= 1
+        return acc
 
     def regularize_mask(self, a: int) -> int:
         return self.interior_mask(self.closure_mask(a))

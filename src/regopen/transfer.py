@@ -135,15 +135,23 @@ class LatticeIsoWitness:
         return LatticeIsoWitness(self.target, self.source, self.backward, self.forward)
 
 
-def restriction_isomorphism(e: DenseEmbedding) -> LatticeIsoWitness:
+def restriction_isomorphism(
+    e: DenseEmbedding,
+    upstairs: RegularOpenLattice | None = None,
+    downstairs: RegularOpenLattice | None = None,
+) -> LatticeIsoWitness:
     """Verify that U -> U & Y and V -> int(cl(V)) are mutually inverse
     order isomorphisms between the regular opens upstairs and downstairs.
 
+    ``upstairs`` and ``downstairs`` are the lattices of the ambient space
+    and of the subspace, built here unless the caller already has them.
     Raises CompositionNotIdentity / CompositionNotIso with the offending
     element if any part fails; a correct build never triggers either.
     """
-    upstairs = regular_open_lattice(e.ambient)
-    downstairs = regular_open_lattice(e.sub)
+    if upstairs is None:
+        upstairs = regular_open_lattice(e.ambient)
+    if downstairs is None:
+        downstairs = regular_open_lattice(e.sub)
     if upstairs.m != downstairs.m:
         raise CompositionNotIso(
             "regular-open counts differ across the dense embedding",
@@ -383,24 +391,3 @@ def point_recovery(
         {y: set_of(ry[y]) for y in range(ty.n)},
     )
 
-
-def recovery_via_minimal_members(
-    tx: Topology, bx_masks: tuple[int, ...], iso_masks: Mapping[int, int], full_target: int
-) -> list[int]:
-    """Recovery sets computed from only the minimal basis members at each point.
-
-    Equivalent to the literal all-members intersection because every basis
-    member containing x shrinks to a minimal one below it; kept as a
-    cross-checked acceleration.
-    """
-    out = []
-    for x in range(tx.n):
-        containing = [b for b in bx_masks if b >> x & 1]
-        minimal = [
-            b for b in containing if not any(c != b and c & b == c for c in containing)
-        ]
-        acc = full_target
-        for b in minimal:
-            acc &= iso_masks[b]
-        out.append(acc)
-    return out

@@ -1,10 +1,18 @@
 """Command-line surface: verbs, exit codes, and file outputs."""
 
+import hashlib
 import json
 
 import pytest
 
+from regopen import suites
 from regopen.cli import main
+from regopen.enumeration import EnumerationSpec, enumerate_topologies
+from regopen.lattice import RegularOpenLattice
+
+# sha256 of `regopen verify --suite all --n 4 --json`: the canonical reports
+# must stay byte-identical whatever the verifier does to get them faster.
+N4_REPORT_SHA256 = "7a1403676616ba4ed36c63e1fab144208d326f4b3e1b40606843cd18d5f73e86"
 
 
 def test_enumerate_prints_count(capsys):
@@ -31,6 +39,56 @@ def test_verify_pass_and_report(tmp_path, capsys):
     assert "ux0: pass" in capsys.readouterr().out
     report = json.loads(out.read_text())
     assert report["passed"] is True and report["suite"] == "ux0"
+
+
+def test_verify_all_n4_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--n", "4", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == N4_REPORT_SHA256
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(suites.SUITES)
+    assert all(": pass [" in line for line in lines)
+
+
+def test_verify_all_enumerates_once_and_builds_one_lattice_per_space(monkeypatch, capsys):
+    sizes = []
+    built = []
+    init = RegularOpenLattice.__init__
+
+    def counting_enumeration(spec):
+        sizes.append(spec.n)
+        return enumerate_topologies(spec)
+
+    def counting_init(self, topology):
+        built.append(topology)
+        init(self, topology)
+
+    monkeypatch.setattr(suites, "enumerate_topologies", counting_enumeration)
+    monkeypatch.setattr(RegularOpenLattice, "__init__", counting_init)
+    assert main(["verify", "--suite", "all", "--n", "3"]) == 0
+    assert sizes == [1, 2, 3]
+    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(EnumerationSpec(n))]
+    assert len(built) == len(set(built)) == len(spaces) == 34
+    assert set(built) == set(spaces)
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_verify_bound_below_one_is_usage_error(bound, capsys):
+    assert main(["verify", "--suite", "ux0", "--n", bound]) == 2
+    captured = capsys.readouterr()
+    assert "pass" not in captured.out and "bound must be at least 1" in captured.err
+
+
+def test_verify_negative_sample_is_usage_error(capsys):
+    assert main(["verify", "--suite", "boolean", "--n", "2", "--sample", "-1"]) == 2
+    assert "sample size must not be negative" in capsys.readouterr().err
+
+
+def test_verify_that_checked_nothing_fails(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "boolean", "--n", "2", "--sample", "0", "--json", str(out)]) == 1
+    assert "boolean: FAIL (0 failures) [0 instances" in capsys.readouterr().out
+    assert json.loads(out.read_text())["passed"] is False
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -3,11 +3,11 @@ and the counterexample gallery."""
 
 import pytest
 
-from regopen import counterexample_search, run_suite, sierpinski, x3
+from regopen import counterexample_search, run_suite, sierpinski, suites, x3
 from regopen.enumeration import EnumerationSpec, enumerate_dense_subsets, enumerate_topologies
-from regopen.errors import SizeGuardExceeded, UnknownSuite
+from regopen.errors import BadSuiteArgument, SizeGuardExceeded, UnknownSuite
 from regopen.lattice import find_order_isomorphisms, regular_open_lattice, transport_relation
-from regopen.suites import SUITES
+from regopen.suites import SUITES, SpaceContext
 from regopen.topology import canonical_open_masks, discrete
 
 
@@ -33,11 +33,36 @@ def test_ux0_instance_count_matches_dense_oracle():
     assert report.passed and report.instances == expected
 
 
-def test_reports_are_byte_identical_across_runs_and_jobs():
+def test_reports_are_byte_identical_across_runs():
     a = run_suite("uvw", bound=3).to_json()
     b = run_suite("uvw", bound=3).to_json()
-    c = run_suite("uvw", bound=3, jobs=4).to_json()
-    assert a == b == c
+    assert a == b
+
+
+def test_shared_context_reports_equal_lone_runs():
+    context = SpaceContext()
+    for name in sorted(SUITES):
+        shared = run_suite(name, bound=3, context=context)
+        assert shared.to_json() == run_suite(name, bound=3).to_json()
+
+
+def test_bound_below_one_is_refused_before_enumerating(monkeypatch):
+    monkeypatch.setattr(suites, "enumerate_topologies", None)  # enumerating would raise TypeError
+    for bound in (0, -1):
+        with pytest.raises(BadSuiteArgument):
+            run_suite("ux0", bound=bound)
+
+
+def test_negative_sample_is_refused():
+    with pytest.raises(BadSuiteArgument):
+        run_suite("boolean", bound=2, sample=-1)
+
+
+def test_run_that_checked_nothing_does_not_pass():
+    report = run_suite("boolean", bound=2, sample=0)
+    assert report.instances == 0 and report.failures == []
+    assert not report.passed
+    assert report.to_dict()["passed"] is False
 
 
 def test_sampling_is_deterministic():

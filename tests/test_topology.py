@@ -119,10 +119,10 @@ def test_discrete_all_regular_indiscrete_trivial():
         assert set(i.regular_opens()) == {frozenset(), frozenset(range(n))}
 
 
-# -- operators agree with the pointwise oracles over the full n<=3 gallery -----
+# -- operators agree with the pointwise oracles over the full n<=4 gallery -----
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_operators_match_oracles(n):
     for t in enumerate_topologies(EnumerationSpec(n)):
         for a in all_subsets(n):
