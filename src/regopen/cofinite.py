@@ -94,10 +94,6 @@ def is_open(a: SymbolicSet) -> bool:
     return a.kind == COFINITE or not a.support
 
 
-def is_closed(a: SymbolicSet) -> bool:
-    return a.kind == FINITE or not a.support
-
-
 def interior(a: SymbolicSet) -> SymbolicSet:
     # No nonempty open fits inside a finite set; every cofinite set is open.
     if a.kind == FINITE:

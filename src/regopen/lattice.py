@@ -187,41 +187,30 @@ class RegularOpenLattice(FiniteLattice):
     def __init__(self, topology: Topology):
         masks = topology.regular_open_masks()
         index = {mask: i for i, mask in enumerate(masks)}
-        m = len(masks)
         up = [
             sum(1 << j for j, b in enumerate(masks) if a & b == a)
             for a in masks
         ]
-        meet = [[index[a & b] for b in masks] for a in masks]
-        join = [
-            [index[topology.regularize_mask(a | b)] for b in masks] for a in masks
-        ]
-        comp = tuple(
-            index[topology.interior_mask(topology.full_mask ^ a)] for a in masks
-        )
+        try:
+            meet = [[index[a & b] for b in masks] for a in masks]
+            join = [
+                [index[topology.regularize_mask(a | b)] for b in masks] for a in masks
+            ]
+            comp = tuple(
+                index[topology.interior_mask(topology.full_mask ^ a)] for a in masks
+            )
+        except KeyError as exc:
+            raise VerificationError(
+                "a meet, join or complement is not a regular open", sorted(set_of(exc.args[0]))
+            ) from None
         super().__init__(up, meet, join, index[0], tuple(masks))
         self.topology = topology
         self.complement = comp
         self.top = index[topology.full_mask]
         self.index_of_mask = index
-        self._verify_boolean_laws()
-
-    def _verify_boolean_laws(self):
-        down, up, meet, join, comp = self.down, self.up, self.meet, self.join, self.complement
-        for i in range(self.m):
-            if comp[comp[i]] != i:
-                raise VerificationError("complement is not an involution", i)
-            if meet[i][comp[i]] != self.bottom or join[i][comp[i]] != self.top:
-                raise VerificationError("complement laws fail", i)
-            for j in range(self.m):
-                if down[meet[i][j]] != down[i] & down[j]:
-                    raise VerificationError("meet is not the inclusion inf", (i, j))
-                if up[join[i][j]] != up[i] & up[j]:
-                    raise VerificationError("join is not the inclusion sup", (i, j))
-                if comp[meet[i][j]] != join[comp[i]][comp[j]]:
-                    raise VerificationError("De Morgan (meet) fails", (i, j))
-                if comp[join[i][j]] != meet[comp[i]][comp[j]]:
-                    raise VerificationError("De Morgan (join) fails", (i, j))
+        ok, witness = check_boolean_algebra(self)
+        if not ok:
+            raise VerificationError("Boolean law fails", witness)
 
     def element(self, i: int) -> PointSet:
         return set_of(self.payload_masks[i])
@@ -248,18 +237,24 @@ def check_distributive(l: FiniteLattice) -> tuple[bool, tuple | None]:
 
 
 def check_boolean_algebra(l: RegularOpenLattice) -> tuple[bool, tuple | None]:
-    """Involution, complement laws and De Morgan, scanned over all pairs."""
+    """Meet and join are the inclusion inf and sup, and involution,
+    complement laws and De Morgan hold; scanned over all pairs."""
+    down, up, meet, join, comp = l.down, l.up, l.meet, l.join, l.complement
     for i in range(l.m):
-        if l.complement[l.complement[i]] != i:
+        if comp[comp[i]] != i:
             return False, ("involution", i)
-        if l.meet[i][l.complement[i]] != l.bottom:
+        if meet[i][comp[i]] != l.bottom:
             return False, ("meet-complement", i)
-        if l.join[i][l.complement[i]] != l.top:
+        if join[i][comp[i]] != l.top:
             return False, ("join-complement", i)
         for j in range(l.m):
-            if l.complement[l.meet[i][j]] != l.join[l.complement[i]][l.complement[j]]:
+            if down[meet[i][j]] != down[i] & down[j]:
+                return False, ("meet-not-inf", i, j)
+            if up[join[i][j]] != up[i] & up[j]:
+                return False, ("join-not-sup", i, j)
+            if comp[meet[i][j]] != join[comp[i]][comp[j]]:
                 return False, ("de-morgan-meet", i, j)
-            if l.complement[l.join[i][j]] != l.meet[l.complement[i]][l.complement[j]]:
+            if comp[join[i][j]] != meet[comp[i]][comp[j]]:
                 return False, ("de-morgan-join", i, j)
     return True, None
 

@@ -12,7 +12,6 @@ element ordering) so identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import json
-from typing import IO
 
 from .lattice import FiniteLattice, PairRelation
 from .topology import Topology, mask_of, set_of
@@ -40,14 +39,6 @@ def space_from_dict(d: dict) -> Topology:
     if labels is not None and len(labels) != n:
         raise ValueError("'labels' must have one entry per point")
     return Topology(n, [mask_of(o, n) for o in d["opens"]])
-
-
-def dump_space(t: Topology, fp: IO[str], labels: list[str] | None = None):
-    fp.write(canonical_json(space_to_dict(t, labels)))
-
-
-def load_space(fp: IO[str]) -> Topology:
-    return space_from_dict(json.load(fp))
 
 
 # -- lattices -----------------------------------------------------------------

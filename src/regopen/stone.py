@@ -23,9 +23,6 @@ class StoneSpace:
     atoms: tuple[int, ...]
     to_clopen: tuple[PointSet, ...]
 
-    def clopen_of(self, element: int) -> PointSet:
-        return self.to_clopen[element]
-
 
 def stone_space(b: RegularOpenLattice) -> StoneSpace:
     """Build the Stone space of ``b`` and verify the duality isomorphism.

@@ -1,11 +1,13 @@
 """Exhaustive verification suites over the small-space enumeration, plus the
 search for non-homeomorphic space pairs with isomorphic regular-open lattices.
 
-Each suite runs a named family of checks over every instance drawn from the
-labeled enumeration up to a ground-size bound, collecting failures rather
-than raising, and reports deterministically (instances are generated in a
-fixed order and failures keep that order). Instances are generated lazily
-and checked as they come, so a suite never holds all of them at once.
+A suite is data: a generator of instances drawn from the labeled
+enumeration up to a ground-size bound, each a pair of the fields that locate
+it and a module-level check. ``run_suite`` calls every check, counts a
+``RegOpenError`` raised inside one as a failure, and reports
+deterministically (instances are generated in a fixed order and failures
+keep that order). Instances are generated lazily and checked as they come,
+so a suite never holds all of them at once.
 """
 
 from __future__ import annotations
@@ -52,8 +54,11 @@ from .transfer import (
     separating_witness,
 )
 
-# One instance: a check that returns a failure dict, or None when it holds.
-Instance = Callable[[], dict | None]
+# One instance: its fields and a check called as ``check(ctx, **fields)``.
+# The check returns None when the claim holds, else a message or a dict of
+# report fields. Point-set fields are bitmasks; a failure lists their points.
+Instance = tuple[dict, Callable[..., "str | dict | None"]]
+_POINT_SET_FIELDS = frozenset({"dense", "open", "u", "v", "subset"})
 
 
 @dataclass
@@ -121,94 +126,72 @@ class SpaceContext:
 # -- individual suites ---------------------------------------------------------
 
 
-def _suite_ux0(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _check_ux0(ctx: SpaceContext, space: Topology, dense: int) -> None:
+    e = DenseEmbedding(space, dense)
+    restriction_isomorphism(e, ctx.lattice(space), ctx.lattice(e.sub))
+
+
+def _suite_ux0(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound, allow_n5):
         for y in enumerate_dense_subsets(t):
-            def check(t=t, y=y):
-                try:
-                    e = DenseEmbedding(t, y)
-                    restriction_isomorphism(e, ctx.lattice(t), ctx.lattice(e.sub))
-                except RegOpenError as exc:
-                    return {"space": space_to_dict(t), "dense": sorted(y), "error": str(exc)}
-                return None
-
-            yield check
+            yield {"space": t, "dense": t.to_mask(y)}, _check_ux0
 
 
-def _suite_denso(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _check_denso(ctx: SpaceContext, space: Topology, dense: int, open: int) -> str | None:
+    if not closure_density_check(space, dense, open):
+        return "closure of the open differs from closure of its dense trace"
+    return None
+
+
+def _suite_denso(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound, allow_n5):
         for y in enumerate_dense_subsets(t):
+            dense = t.to_mask(y)
             for u in t.open_masks:
-                def check(t=t, y=y, u=u):
-                    if not closure_density_check(t, y, set_of(u)):
-                        return {
-                            "space": space_to_dict(t),
-                            "dense": sorted(y),
-                            "open": sorted(set_of(u)),
-                            "error": "closure of the open differs from closure of its dense trace",
-                        }
-                    return None
-
-                yield check
+                yield {"space": t, "dense": dense, "open": u}, _check_denso
 
 
-def _suite_uvw(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _check_uvw(ctx: SpaceContext, space: Topology, u: int, v: int) -> None:
+    separating_witness(space, u, v)
+
+
+def _suite_uvw(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound, allow_n5):
         regs = t.regular_open_masks()
         for u, v in itertools.product(regs, repeat=2):
-            if u & ~v == 0:
-                continue
-            def check(t=t, u=u, v=v):
-                try:
-                    separating_witness(t, set_of(u), set_of(v))
-                except RegOpenError as exc:
-                    return {
-                        "space": space_to_dict(t),
-                        "u": sorted(set_of(u)),
-                        "v": sorted(set_of(v)),
-                        "error": str(exc),
-                    }
-                return None
-
-            yield check
+            if u & ~v:
+                yield {"space": t, "u": u, "v": v}, _check_uvw
 
 
-def _suite_regularity(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _check_regularity(ctx: SpaceContext, space: Topology, subset: int) -> str | None:
+    direct = space.is_regular_open_mask(subset)
+    cl = space.closure_mask(subset)
+    via_opens = space.is_open_mask(subset) and all(
+        v & ~subset == 0 for v in space.open_masks if v & ~cl == 0
+    )
+    if direct != via_opens:
+        return f"fixpoint route says {direct}, open-scan route says {via_opens}"
+    return None
+
+
+def _suite_regularity(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     """Both routes to 'regular open' agree on every subset of every space:
     the fixpoint definition versus openness plus 'every open inside the
     closure already sits inside the set'."""
     for t in ctx.spaces(bound, allow_n5):
         for a in range(t.full_mask + 1):
-            def check(t=t, a=a):
-                direct = t.is_regular_open_mask(a)
-                cl = t.closure_mask(a)
-                via_opens = t.is_open_mask(a) and all(
-                    v & ~a == 0 for v in t.open_masks if v & ~cl == 0
-                )
-                if direct != via_opens:
-                    return {
-                        "space": space_to_dict(t),
-                        "subset": sorted(set_of(a)),
-                        "error": f"fixpoint route says {direct}, open-scan route says {via_opens}",
-                    }
-                return None
-
-            yield check
+            yield {"space": t, "subset": a}, _check_regularity
 
 
-def _recovery_instance(t: Topology, y: frozenset[int]) -> dict | None:
-    emb = DenseEmbedding(t, y)
-    bx = [m for m in t.regular_open_masks() if m]
+def _check_recovery(ctx: SpaceContext, space: Topology, dense: int) -> str | None:
+    emb = DenseEmbedding(space, dense)
+    bx = [m for m in space.regular_open_masks() if m]
     by = [m for m in emb.sub.regular_open_masks() if m]
     iso = {set_of(u): set_of(emb.compress(u & emb.subset_mask)) for u in bx}
-    ph = point_recovery(t, [set_of(m) for m in bx], emb.sub, [set_of(m) for m in by], iso)
+    ph = point_recovery(space, [set_of(m) for m in bx], emb.sub, [set_of(m) for m in by], iso)
     for x, yy in ph.tau.items():
         if emb.index_map.get(x) != yy:
-            return {
-                "space": space_to_dict(t),
-                "dense": sorted(y),
-                "error": f"recovered {x} -> {yy}, expected the dense-set inclusion",
-            }
+            return f"recovered {x} -> {yy}, expected the dense-set inclusion"
     return None
 
 
@@ -220,7 +203,7 @@ def _regular_opens_form_basis(t: Topology) -> bool:
     return True
 
 
-def _suite_recovery(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _suite_recovery(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     """Recovery from the basis isomorphism induced by dense restriction must
     send each recovered point to its own copy. Instances are limited to
     (space, dense set) pairs where the nonempty regular opens do form bases
@@ -229,86 +212,71 @@ def _suite_recovery(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[I
         if not _regular_opens_form_basis(t):
             continue
         for y in enumerate_dense_subsets(t):
-            if not _regular_opens_form_basis(DenseEmbedding(t, y).sub):
-                continue
-            def check(t=t, y=y):
-                try:
-                    return _recovery_instance(t, y)
-                except RegOpenError as exc:
-                    return {"space": space_to_dict(t), "dense": sorted(y), "error": str(exc)}
-
-            yield check
+            if _regular_opens_form_basis(DenseEmbedding(t, y).sub):
+                yield {"space": t, "dense": t.to_mask(y)}, _check_recovery
 
 
-def _suite_boolean(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _check_boolean(ctx: SpaceContext, space: Topology) -> dict | None:
+    lat = ctx.lattice(space)
+    for name, check in (
+        ("boolean", check_boolean_algebra),
+        ("distributive", check_distributive),
+        ("lattice-tables", check_lattice_tables),
+    ):
+        ok, witness = check(lat)
+        if not ok:
+            return {"check": name, "witness": list(witness)}
+    return None
+
+
+def _suite_boolean(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound, allow_n5):
-        def check(t=t):
-            try:
-                lat = ctx.lattice(t)
-            except RegOpenError as exc:
-                return {"space": space_to_dict(t), "error": str(exc)}
-            for name, result in (
-                ("boolean", check_boolean_algebra(lat)),
-                ("distributive", check_distributive(lat)),
-                ("lattice-tables", check_lattice_tables(lat)),
-            ):
-                ok, witness = result
-                if not ok:
-                    return {"space": space_to_dict(t), "check": name, "witness": list(witness)}
-            return None
-
-        yield check
+        yield {"space": t}, _check_boolean
 
 
-def _suite_rlattice(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
+    lat = ctx.lattice(space)
+    report = check_r_lattice(lat, ge_relation(lat))
+    if not report.passed:
+        return {"report": report.to_dict()}
+    rel = well_inside(lat)
+    for f, g in rel:
+        for h in range(lat.m):
+            if lat.leq(f, h) and (h, g) not in rel:
+                return f"well-inside not upward monotone at ({h},{f},{g})"
+            if lat.leq(h, g) and (f, h) not in rel:
+                return f"well-inside not downward monotone at ({f},{g},{h})"
+    return None
+
+
+def _suite_rlattice(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound, allow_n5):
-        def check(t=t):
-            lat = ctx.lattice(t)
-            report = check_r_lattice(lat, ge_relation(lat))
-            if not report.passed:
-                return {"space": space_to_dict(t), "report": report.to_dict()}
-            rel = well_inside(lat)
-            for f, g in rel:
-                for h in range(lat.m):
-                    if lat.leq(f, h) and (h, g) not in rel:
-                        return {
-                            "space": space_to_dict(t),
-                            "error": f"well-inside not upward monotone at ({h},{f},{g})",
-                        }
-                    if lat.leq(h, g) and (f, h) not in rel:
-                        return {
-                            "space": space_to_dict(t),
-                            "error": f"well-inside not downward monotone at ({f},{g},{h})",
-                        }
-            return None
-
-        yield check
+        yield {"space": t}, _check_rlattice
 
 
-def _suite_stone(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _check_stone(ctx: SpaceContext, space: Topology) -> str | None:
+    lat = ctx.lattice(space)
+    st = stone_space(lat)
+    if len(st.atoms) != len(lat.atoms()) or st.space.n != len(st.atoms):
+        return "point count differs from atom count"
+    clopen = ctx.lattice(st.space)
+    if sorted(st.space.to_mask(s) for s in st.to_clopen) != list(clopen.payload_masks):
+        return "image is not the full clopen algebra"
+    return None
+
+
+def _check_ultrafilters(ctx: SpaceContext, powerset: int) -> str | None:
+    ufs = ultrafilters(powerset)
+    if len(ufs) != powerset:
+        return f"expected {powerset} ultrafilters, found {len(ufs)}"
+    return None
+
+
+def _suite_stone(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound, allow_n5):
-        def check(t=t):
-            lat = ctx.lattice(t)
-            try:
-                st = stone_space(lat)
-            except RegOpenError as exc:
-                return {"space": space_to_dict(t), "error": str(exc)}
-            if len(st.atoms) != len(lat.atoms()) or st.space.n != len(st.atoms):
-                return {"space": space_to_dict(t), "error": "point count differs from atom count"}
-            clopen = ctx.lattice(st.space)
-            if sorted(st.space.to_mask(s) for s in st.to_clopen) != list(clopen.payload_masks):
-                return {"space": space_to_dict(t), "error": "image is not the full clopen algebra"}
-            return None
-
-        yield check
+        yield {"space": t}, _check_stone
     for n in range(1, 6):
-        def check_uf(n=n):
-            ufs = ultrafilters(n)
-            if len(ufs) != n:
-                return {"powerset": n, "error": f"expected {n} ultrafilters, found {len(ufs)}"}
-            return None
-
-        yield check_uf
+        yield {"powerset": n}, _check_ultrafilters
 
 
 def _brute_force_ideals(n: int) -> set[frozenset]:
@@ -330,25 +298,21 @@ def _power(s: frozenset) -> list[frozenset]:
     return [frozenset(c) for r in range(len(pts) + 1) for c in itertools.combinations(pts, r)]
 
 
-def _suite_ideals(ctx: SpaceContext, bound: int, allow_n5: bool) -> Iterator[Instance]:
+def _check_ideal_enumeration(ctx: SpaceContext, powerset: int) -> str | None:
+    if {i.members for i in ideals(powerset)} != _brute_force_ideals(powerset):
+        return "principal construction disagrees with brute filter"
+    return None
+
+
+def _check_ideal_correspondence(ctx: SpaceContext, powerset: int) -> None:
+    ideal_open_correspondence(powerset)
+
+
+def _suite_ideals(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for n in range(1, min(bound, 4) + 1):
-        def check_enum(n=n):
-            constructed = {i.members for i in ideals(n)}
-            brute = _brute_force_ideals(n)
-            if constructed != brute:
-                return {"powerset": n, "error": "principal construction disagrees with brute filter"}
-            return None
-
-        yield check_enum
+        yield {"powerset": n}, _check_ideal_enumeration
     for n in range(1, min(bound, 5) + 1):
-        def check_corr(n=n):
-            try:
-                ideal_open_correspondence(n)
-            except RegOpenError as exc:
-                return {"powerset": n, "error": str(exc)}
-            return None
-
-        yield check_corr
+        yield {"powerset": n}, _check_ideal_correspondence
 
 
 _COFINITE_TRIALS = 10_000
@@ -388,28 +352,29 @@ def _symbolic_identities(a, b, c) -> str | None:
     return None
 
 
-def _suite_cofinite(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int = 0) -> Iterator[Instance]:
-    def check_family():
-        family, traces = cof.regular_opens()
-        if set(family) != {cof.EMPTY, cof.FULL}:
-            return {"error": "regular-open family is not the two-element algebra"}
-        for tr in traces:
-            if tr.queried not in family and tr.regularization != cof.FULL:
-                return {"error": f"nonempty proper open {tr.queried!r} did not regularize to the full set"}
-        return None
+def _check_cofinite_family(ctx: SpaceContext) -> str | None:
+    family, traces = cof.regular_opens()
+    if set(family) != {cof.EMPTY, cof.FULL}:
+        return "regular-open family is not the two-element algebra"
+    for tr in traces:
+        if tr.queried not in family and tr.regularization != cof.FULL:
+            return f"nonempty proper open {tr.queried!r} did not regularize to the full set"
+    return None
 
-    yield check_family
 
-    def check_identities():
-        rnd = random.Random(seed)
-        for trial in range(_COFINITE_TRIALS):
-            a, b, c = (_random_symbolic(rnd) for _ in range(3))
-            failed = _symbolic_identities(a, b, c)
-            if failed:
-                return {"trial": trial, "error": f"identity failed: {failed}", "sets": [repr(a), repr(b), repr(c)]}
-        return None
+def _check_cofinite_identities(ctx: SpaceContext, seed: int) -> dict | None:
+    rnd = random.Random(seed)
+    for trial in range(_COFINITE_TRIALS):
+        a, b, c = (_random_symbolic(rnd) for _ in range(3))
+        failed = _symbolic_identities(a, b, c)
+        if failed:
+            return {"trial": trial, "error": f"identity failed: {failed}", "sets": [repr(a), repr(b), repr(c)]}
+    return None
 
-    yield check_identities
+
+def _suite_cofinite(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
+    yield {}, _check_cofinite_family
+    yield {"seed": seed}, _check_cofinite_identities
 
 
 _METRIC_TRIALS = 1_000
@@ -425,26 +390,27 @@ def _random_metric(rnd: random.Random, n: int) -> FiniteMetric:
     return FiniteMetric(rows)
 
 
-def _suite_metric(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int = 0) -> Iterator[Instance]:
-    def check():
-        rnd = random.Random(seed)
-        for trial in range(_METRIC_TRIALS):
-            dx = _random_metric(rnd, 4)
-            dy = _random_metric(rnd, 4)
-            tau = list(range(4))
-            rnd.shuffle(tau)
-            try:
-                dz = combine_metric(dx, dy, tau)  # constructor scans all axioms
-            except RegOpenError as exc:
-                return {"trial": trial, "error": str(exc)}
-            if not dominates(dz, dx):
-                return {"trial": trial, "error": "combined metric does not dominate the first factor"}
-        return None
-
-    yield check
+def _check_metric(ctx: SpaceContext, seed: int) -> dict | None:
+    rnd = random.Random(seed)
+    for trial in range(_METRIC_TRIALS):
+        dx = _random_metric(rnd, 4)
+        dy = _random_metric(rnd, 4)
+        tau = list(range(4))
+        rnd.shuffle(tau)
+        try:
+            dz = combine_metric(dx, dy, tau)  # constructor scans all axioms
+        except RegOpenError as exc:
+            return {"trial": trial, "error": str(exc)}
+        if not dominates(dz, dx):
+            return {"trial": trial, "error": "combined metric does not dominate the first factor"}
+    return None
 
 
-SUITES: dict[str, Callable[..., Iterator[Instance]]] = {
+def _suite_metric(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
+    yield {"seed": seed}, _check_metric
+
+
+SUITES: dict[str, Callable[[SpaceContext, int, bool, int], Iterator[Instance]]] = {
     "ux0": _suite_ux0,
     "denso": _suite_denso,
     "uvw": _suite_uvw,
@@ -457,6 +423,19 @@ SUITES: dict[str, Callable[..., Iterator[Instance]]] = {
     "cofinite": _suite_cofinite,
     "metric": _suite_metric,
 }
+
+
+def _failure(fields: dict, result: str | dict) -> dict:
+    """The report of a failed instance: its fields, readable, and the result."""
+    failure = {}
+    for key, value in fields.items():
+        if isinstance(value, Topology):
+            value = space_to_dict(value)
+        elif key in _POINT_SET_FIELDS:
+            value = sorted(set_of(value))
+        failure[key] = value
+    failure.update({"error": result} if isinstance(result, str) else result)
+    return failure
 
 
 def run_suite(
@@ -474,6 +453,8 @@ def run_suite(
     gated n = 5 scale). ``context`` shares spaces and lattices with other
     suites of the same run; without one the suite makes its own.
     ``wall_time_s`` covers generating the instances as well as checking them.
+    A ``RegOpenError`` raised by a check is that instance's failure; one
+    raised while generating instances (a size guard) propagates.
     """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
@@ -482,17 +463,22 @@ def run_suite(
     if sample is not None and sample < 0:
         raise BadSuiteArgument(f"sample size must not be negative, not {sample}")
     start = time.perf_counter()
-    args = (context if context is not None else SpaceContext(), bound, allow_n5)
-    instances = SUITES[name](*args, seed) if name in ("cofinite", "metric") else SUITES[name](*args)
+    if context is None:
+        context = SpaceContext()
+    instances = SUITES[name](context, bound, allow_n5, seed)
     if sample is not None:
         instances = list(instances)
         if sample < len(instances):
             rnd = random.Random(seed)
             instances = [instances[i] for i in sorted(rnd.sample(range(len(instances)), sample))]
     count, failures = 0, []
-    for count, check in enumerate(instances, 1):
-        if (result := check()) is not None:
-            failures.append(result)
+    for count, (fields, check) in enumerate(instances, 1):
+        try:
+            result = check(context, **fields)
+        except RegOpenError as exc:
+            result = str(exc)
+        if result is not None:
+            failures.append(_failure(fields, result))
     return SuiteReport(
         suite=name,
         bound=bound,

@@ -192,11 +192,6 @@ class Topology:
             raise IndexOutOfRange(f"point {x} outside ground set of size {self.n}")
         return set_of(self._min_nbhd[x])
 
-    def minimal_neighborhood_mask(self, x: int) -> int:
-        if not 0 <= x < self.n:
-            raise IndexOutOfRange(f"point {x} outside ground set of size {self.n}")
-        return self._min_nbhd[x]
-
     def subspace(self, y: Iterable[int]) -> tuple["Topology", dict[int, int]]:
         """Inherited topology on ``y``, re-indexed to {0..|y|-1}.
 
@@ -254,60 +249,18 @@ def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _point_signature(t: Topology, x: int) -> tuple:
-    containing = [m for m in t.open_masks if m >> x & 1]
-    return (
-        t._min_nbhd[x].bit_count(),
-        len(containing),
-        tuple(sorted(m.bit_count() for m in containing)),
-        t.closure_mask(1 << x).bit_count(),
-    )
-
-
 def find_homeomorphism(t1: Topology, t2: Topology) -> dict[int, int] | None:
     """Point bijection carrying opens onto opens, or None if there is none.
 
-    Decision procedure: invariant pre-filters (open count, open-size
-    multiset, minimal-neighborhood size multiset), then backtracking over
-    point images restricted to matching point signatures. Returns the
-    lexicographically first bijection found.
+    Scans the relabelings in lexicographic order, as ``canonical_open_masks``
+    does, and returns the first that carries the opens of ``t1`` onto those
+    of ``t2``.
     """
     if t1.n != t2.n or len(t1.open_masks) != len(t2.open_masks):
         return None
-    if sorted(m.bit_count() for m in t1.open_masks) != sorted(
-        m.bit_count() for m in t2.open_masks
-    ):
-        return None
-    if sorted(m.bit_count() for m in t1._min_nbhd) != sorted(
-        m.bit_count() for m in t2._min_nbhd
-    ):
-        return None
-    n = t1.n
-    sig1 = [_point_signature(t1, x) for x in range(n)]
-    sig2 = [_point_signature(t2, x) for x in range(n)]
-    if sorted(sig1) != sorted(sig2):
-        return None
-    target_set = set(t2.open_masks)
-
-    perm: list[int] = [-1] * n
-    used = [False] * n
-
-    def backtrack(x: int) -> bool:
-        if x == n:
-            image = {permute_mask(m, tuple(perm)) for m in t1.open_masks}
-            return image == target_set
-        for y in range(n):
-            if not used[y] and sig1[x] == sig2[y]:
-                perm[x] = y
-                used[y] = True
-                if backtrack(x + 1):
-                    return True
-                used[y] = False
-                perm[x] = -1
-        return False
-
-    if backtrack(0):
-        return {i: perm[i] for i in range(n)}
+    for perm in itertools.permutations(range(t1.n)):
+        if tuple(sorted(permute_mask(m, perm) for m in t1.open_masks)) == t2.open_masks:
+            return dict(enumerate(perm))
     return None
 
 

@@ -131,9 +131,6 @@ class LatticeIsoWitness:
         i = self.source.index_of_mask[self.source.topology.to_mask(u)]
         return self.target.element(self.forward[i])
 
-    def invert(self) -> "LatticeIsoWitness":
-        return LatticeIsoWitness(self.target, self.source, self.backward, self.forward)
-
 
 def restriction_isomorphism(
     e: DenseEmbedding,

@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from regopen import suites
+from regopen import sierpinski, suites
 from regopen.cli import main
 from regopen.enumeration import EnumerationSpec, enumerate_topologies
-from regopen.lattice import RegularOpenLattice
+from regopen.errors import VerificationError
+from regopen.lattice import RegularOpenLattice, regular_open_lattice
+from regopen.topology import Topology
 
 # sha256 of `regopen verify --suite all --n 4 --json`: the canonical reports
 # must stay byte-identical whatever the verifier does to get them faster.
@@ -89,6 +91,33 @@ def test_verify_that_checked_nothing_fails(tmp_path, capsys):
     assert main(["verify", "--suite", "boolean", "--n", "2", "--sample", "0", "--json", str(out)]) == 1
     assert "boolean: FAIL (0 failures) [0 instances" in capsys.readouterr().out
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_verify_law_failure_is_a_suite_failure_not_a_usage_error(monkeypatch, tmp_path, capsys):
+    def build(t):
+        if t == sierpinski():
+            raise VerificationError("planted law failure")
+        return regular_open_lattice(t)
+
+    monkeypatch.setattr(suites, "regular_open_lattice", build)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--suite", "all", "--n", "2", "--json", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == sorted(suites.SUITES)
+    failing = [r["suite"] for r in json.loads(out.read_text()) if not r["passed"]]
+    assert failing == ["boolean", "rlattice", "stone", "ux0"]
+
+
+def test_verify_lattice_operation_outside_regular_opens_fails(monkeypatch, capsys):
+    regularize = Topology.regularize_mask
+
+    def drops_point_two(t, a):
+        r = regularize(t, a)
+        return r & ~0b100 if t.n == 3 and r != t.full_mask else r
+
+    monkeypatch.setattr(Topology, "regularize_mask", drops_point_two)
+    assert main(["verify", "--suite", "rlattice", "--n", "3"]) == 1
+    assert capsys.readouterr().out.startswith("rlattice: FAIL (")
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -21,7 +21,8 @@ from regopen import (
     well_inside,
     x3,
 )
-from regopen.errors import NotALattice
+from regopen.errors import NotALattice, VerificationError
+from regopen.topology import Topology
 
 from oracles import closure_oracle, interior_oracle, opens_as_sets
 
@@ -104,6 +105,31 @@ def test_boolean_check_reports_doctored_complement():
     lat.complement = tuple(lat.complement[0] for _ in range(lat.m))
     ok, witness = check_boolean_algebra(lat)
     assert not ok and witness is not None
+
+
+def test_boolean_check_reports_meet_that_is_not_the_inf():
+    lat = regular_open_lattice(discrete(2))
+    rows = [list(row) for row in lat.meet]
+    rows[1][1] = lat.bottom  # {0} & {0} is {0}, not the empty set
+    lat.meet = tuple(map(tuple, rows))
+    assert check_boolean_algebra(lat) == (False, ("meet-not-inf", 1, 1))
+
+
+def test_construction_refuses_an_operation_outside_the_regular_opens(monkeypatch):
+    regularize = Topology.regularize_mask
+
+    def drops_point_two(t, a):
+        r = regularize(t, a)
+        return r & ~0b100 if r != t.full_mask else r
+
+    monkeypatch.setattr(Topology, "regularize_mask", drops_point_two)
+    refused = 0
+    for t in enumerate_topologies(EnumerationSpec(3)):
+        try:
+            regular_open_lattice(t)
+        except VerificationError:
+            refused += 1
+    assert refused > 0
 
 
 def test_wallman_disjunction():

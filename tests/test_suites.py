@@ -3,12 +3,16 @@ and the counterexample gallery."""
 
 import pytest
 
+from regopen import cofinite as cof
 from regopen import counterexample_search, run_suite, sierpinski, suites, x3
 from regopen.enumeration import EnumerationSpec, enumerate_dense_subsets, enumerate_topologies
-from regopen.errors import BadSuiteArgument, SizeGuardExceeded, UnknownSuite
-from regopen.lattice import find_order_isomorphisms, regular_open_lattice, transport_relation
+from regopen.errors import BadSuiteArgument, SizeGuardExceeded, UnknownSuite, VerificationError
+from regopen.ideals import ideals, ultrafilters
+from regopen.lattice import find_order_isomorphisms, regular_open_lattice, transport_relation, well_inside
+from regopen.serialize import space_to_dict
 from regopen.suites import SUITES, SpaceContext
-from regopen.topology import canonical_open_masks, discrete
+from regopen.topology import Topology, canonical_open_masks, discrete
+from regopen.transfer import DenseEmbedding
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -91,6 +95,135 @@ def test_report_shape():
     assert d["passed"] is True and d["failures"] == []
     assert "wall_time_s" not in d  # volatile field excluded from canonical form
     assert "wall_time_s" in run_suite("boolean", bound=2).to_dict(include_timing=True)
+
+
+# -- planted bugs: every suite reports a subtly wrong operator ----------------------
+
+
+def _trace_losing_last_subspace_point(monkeypatch):
+    compress = DenseEmbedding.compress
+    monkeypatch.setattr(
+        DenseEmbedding, "compress", lambda e, mask: compress(e, mask) & ~(1 << (e.sub.n - 1))
+    )
+
+
+def _density_check_with_short_trace(monkeypatch):
+    # U & Y loses the lowest point of Y
+    monkeypatch.setattr(
+        suites,
+        "closure_density_check",
+        lambda t, y, u: t.closure_mask(u) == t.closure_mask(u & y & (y - 1)),
+    )
+
+
+def _closure_ignoring_last_point_neighborhood(monkeypatch):
+    closure = Topology.closure_mask
+
+    def wrong(t, a):
+        last = 1 << (t.n - 1)
+        return closure(t, a) & ~last | a & last
+
+    monkeypatch.setattr(Topology, "closure_mask", wrong)
+
+
+def _regularize_dropping_last_point(monkeypatch):
+    regularize = Topology.regularize_mask
+
+    def wrong(t, a):
+        r = regularize(t, a)
+        return r if r == t.full_mask else r & ~(1 << (t.n - 1))
+
+    monkeypatch.setattr(Topology, "regularize_mask", wrong)
+
+
+def _recovery_off_by_one(monkeypatch):
+    recover = suites.point_recovery
+
+    def wrong(*args):
+        ph = recover(*args)
+        ph.tau = {x: y ^ 1 for x, y in ph.tau.items()}
+        return ph
+
+    monkeypatch.setattr(suites, "point_recovery", wrong)
+
+
+def _join_as_plain_union(monkeypatch):
+    monkeypatch.setattr(Topology, "regularize_mask", lambda t, a: a)
+
+
+def _well_inside_missing_top_over_bottom(monkeypatch):
+    monkeypatch.setattr(
+        suites, "well_inside", lambda lat: well_inside(lat) - {(lat.top, lat.bottom)}
+    )
+
+
+def _ultrafilters_missing_one(monkeypatch):
+    monkeypatch.setattr(suites, "ultrafilters", lambda n: ultrafilters(n)[1:])
+
+
+def _ideals_missing_one(monkeypatch):
+    monkeypatch.setattr(suites, "ideals", lambda n: ideals(n)[:-1])
+
+
+def _complement_ignoring_label_zero(monkeypatch):
+    complement = cof.complement
+
+    def wrong(a):
+        return complement(cof.SymbolicSet(a.kind, a.support - {0}))
+
+    monkeypatch.setattr(cof, "complement", wrong)
+
+
+def _strict_dominates(monkeypatch):
+    monkeypatch.setattr(
+        suites,
+        "dominates",
+        lambda a, b: all(a(i, j) > b(i, j) for i in range(a.n) for j in range(a.n) if i != j),
+    )
+
+
+PLANTED = {
+    "ux0": (_trace_losing_last_subspace_point, {"space", "dense", "error"}),
+    "denso": (_density_check_with_short_trace, {"space", "dense", "open", "error"}),
+    "uvw": (_closure_ignoring_last_point_neighborhood, {"space", "u", "v", "error"}),
+    "regularity": (_regularize_dropping_last_point, {"space", "subset", "error"}),
+    "recovery": (_recovery_off_by_one, {"space", "dense", "error"}),
+    "boolean": (_join_as_plain_union, {"space", "error"}),
+    "rlattice": (_well_inside_missing_top_over_bottom, {"space", "error"}),
+    "stone": (_ultrafilters_missing_one, {"powerset", "error"}),
+    "ideals": (_ideals_missing_one, {"powerset", "error"}),
+    "cofinite": (_complement_ignoring_label_zero, {"seed", "trial", "error", "sets"}),
+    "metric": (_strict_dominates, {"seed", "trial", "error"}),
+}
+
+
+def test_every_suite_has_a_planted_bug():
+    assert sorted(PLANTED) == sorted(SUITES)
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_suite_reports_planted_bug(name, monkeypatch):
+    plant, keys = PLANTED[name]
+    plant(monkeypatch)
+    report = run_suite(name, bound=3)
+    assert report.failures and not report.passed
+    assert all(set(failure) == keys for failure in report.failures)
+
+
+def _lattice_law_failure_on_sierpinski(monkeypatch):
+    def build(t):
+        if t == sierpinski():
+            raise VerificationError("planted law failure")
+        return regular_open_lattice(t)
+
+    monkeypatch.setattr(suites, "regular_open_lattice", build)
+
+
+@pytest.mark.parametrize("name", ["boolean", "rlattice", "stone"])
+def test_lattice_construction_failure_is_a_suite_failure(name, monkeypatch):
+    _lattice_law_failure_on_sierpinski(monkeypatch)
+    report = run_suite(name, bound=2)
+    assert report.failures == [{"space": space_to_dict(sierpinski()), "error": "planted law failure"}]
 
 
 # -- counterexample gallery -------------------------------------------------------

@@ -213,6 +213,17 @@ def test_homeomorphism_found_maps_opens_onto_opens():
     assert image == set(t2.opens)
 
 
+def test_homeomorphism_decision_matches_canonical_forms_up_to_three_points():
+    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(EnumerationSpec(n))]
+    for t1 in spaces:
+        for t2 in spaces:
+            sigma = find_homeomorphism(t1, t2)
+            same = t1.n == t2.n and canonical_open_masks(t1) == canonical_open_masks(t2)
+            assert (sigma is not None) == same
+            if sigma is not None:
+                assert {frozenset(sigma[p] for p in u) for u in t1.opens} == set(t2.opens)
+
+
 def test_canonical_form_is_homeomorphism_invariant():
     t1 = Topology(3, [0b000, 0b001, 0b011, 0b111])
     t2 = Topology(3, [0b000, 0b100, 0b110, 0b111])
