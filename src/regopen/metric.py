@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotAMetric, SizeMismatch
+from .errors import NotABijection, NotAMetric, SizeMismatch
 
 Rational = Fraction | int
 
@@ -72,7 +72,7 @@ def combine_metric(
         raise SizeMismatch(f"point counts differ: {dx.n} vs {dy.n}")
     t = [tau[i] for i in range(dx.n)]
     if sorted(t) != list(range(dx.n)):
-        raise ValueError("tau must be a bijection of {0..n-1}")
+        raise NotABijection("tau must be a bijection of {0..n-1}")
     rows = [
         [max(dx.dist[i][j], dy.dist[t[i]][t[j]]) for j in range(dx.n)]
         for i in range(dx.n)

@@ -31,7 +31,6 @@ from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     PairRelation,
     RegularOpenLattice,
-    check_boolean_algebra,
     check_distributive,
     check_lattice_tables,
     check_r_lattice,
@@ -217,9 +216,9 @@ def _suite_recovery(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) ->
 
 
 def _check_boolean(ctx: SpaceContext, space: Topology) -> dict | None:
+    # Building the lattice already checked the Boolean laws.
     lat = ctx.lattice(space)
     for name, check in (
-        ("boolean", check_boolean_algebra),
         ("distributive", check_distributive),
         ("lattice-tables", check_lattice_tables),
     ):

@@ -11,7 +11,7 @@ share across threads.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptySubspace,
@@ -53,6 +53,15 @@ def iter_bits(mask: int) -> Iterator[int]:
             yield i
         mask >>= 1
         i += 1
+
+
+def compress_mask(mask: int, points: Sequence[int]) -> int:
+    """Trace ``mask`` on ``points`` (sorted), re-indexed so that points[i] is bit i."""
+    out = 0
+    for i, p in enumerate(points):
+        if mask >> p & 1:
+            out |= 1 << i
+    return out
 
 
 class Topology:
@@ -202,16 +211,8 @@ class Topology:
             raise EmptySubspace("cannot take the subspace on the empty set")
         points = sorted(iter_bits(ymask))
         index_map = {p: i for i, p in enumerate(points)}
-        traces = {self._compress(m & ymask, points) for m in self.open_masks}
+        traces = {compress_mask(m, points) for m in self.open_masks}
         return Topology(len(points), traces), index_map
-
-    @staticmethod
-    def _compress(mask: int, points: list[int]) -> int:
-        out = 0
-        for i, p in enumerate(points):
-            if mask >> p & 1:
-                out |= 1 << i
-        return out
 
 
 # -- standard fixtures used across tests, demos and docs ---------------------
@@ -240,7 +241,7 @@ def x3() -> Topology:
 # -- homeomorphism search -----------------------------------------------------
 
 
-def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
+def permute_mask(mask: int, perm: Sequence[int]) -> int:
     """Relabel the points of ``mask`` through ``perm`` (old index -> new index)."""
     out = 0
     for i, target in enumerate(perm):

@@ -21,7 +21,9 @@ from .errors import (
     CompositionNotIso,
     ContainmentHolds,
     CoresNotHomeomorphic,
+    LatticeMismatch,
     NotABasis,
+    NotABijection,
     NotDense,
     NotInclusionPreserving,
     NotOpen,
@@ -29,7 +31,7 @@ from .errors import (
     VerificationError,
 )
 from .lattice import RegularOpenLattice, regular_open_lattice
-from .topology import PointSet, Topology, iter_bits, set_of
+from .topology import PointSet, Topology, compress_mask, permute_mask, set_of
 
 
 class DenseEmbedding:
@@ -50,22 +52,11 @@ class DenseEmbedding:
         self.sub, self.index_map = ambient.subspace(mask)
         self.points = tuple(sorted(self.index_map, key=self.index_map.get))
 
-    @property
-    def subset(self) -> PointSet:
-        return set_of(self.subset_mask)
-
     def compress(self, ambient_mask: int) -> int:
-        out = 0
-        for p, i in self.index_map.items():
-            if ambient_mask >> p & 1:
-                out |= 1 << i
-        return out
+        return compress_mask(ambient_mask, self.points)
 
     def expand(self, sub_mask: int) -> int:
-        out = 0
-        for i in iter_bits(sub_mask):
-            out |= 1 << self.points[i]
-        return out
+        return permute_mask(sub_mask, self.points)
 
 
 def restrict_regular(e: DenseEmbedding, u: Iterable[int]) -> PointSet:
@@ -98,7 +89,8 @@ class LatticeIsoWitness:
     """A checked order isomorphism between two regular-open lattices.
 
     Construction verifies that forward and backward are mutually inverse
-    bijections preserving order in both directions.
+    bijections preserving order in both directions; a failure names the
+    offending element(s) by their sorted point sets.
     """
 
     __slots__ = ("source", "target", "forward", "backward")
@@ -114,14 +106,21 @@ class LatticeIsoWitness:
             raise CompositionNotIso("lattice sizes differ", (source.m, target.m))
         for i in range(source.m):
             if backward[forward[i]] != i:
-                raise CompositionNotIdentity("backward(forward(.)) is not the identity", i)
+                raise CompositionNotIdentity(
+                    "backward(forward(.)) moved a regular open", sorted(source.element(i))
+                )
         for j in range(target.m):
             if forward[backward[j]] != j:
-                raise CompositionNotIdentity("forward(backward(.)) is not the identity", j)
+                raise CompositionNotIdentity(
+                    "forward(backward(.)) moved a regular open", sorted(target.element(j))
+                )
         for i in range(source.m):
             for j in range(source.m):
                 if source.leq(i, j) != target.leq(forward[i], forward[j]):
-                    raise CompositionNotIso("order not preserved", (i, j))
+                    raise CompositionNotIso(
+                        "order not preserved",
+                        (sorted(source.element(i)), sorted(source.element(j))),
+                    )
         self.source = source
         self.target = target
         self.forward = forward
@@ -141,37 +140,34 @@ def restriction_isomorphism(
     order isomorphisms between the regular opens upstairs and downstairs.
 
     ``upstairs`` and ``downstairs`` are the lattices of the ambient space
-    and of the subspace, built here unless the caller already has them.
-    Raises CompositionNotIdentity / CompositionNotIso with the offending
-    element if any part fails; a correct build never triggers either.
+    and of the subspace, built here unless the caller already has them;
+    LatticeMismatch if one was built on another space. VerificationError
+    names a regular open whose image is not regular open on the other side;
+    LatticeIsoWitness then checks that the two maps are mutually inverse and
+    preserve order. A correct build never fails.
     """
     if upstairs is None:
         upstairs = regular_open_lattice(e.ambient)
     if downstairs is None:
         downstairs = regular_open_lattice(e.sub)
-    if upstairs.m != downstairs.m:
-        raise CompositionNotIso(
-            "regular-open counts differ across the dense embedding",
-            (upstairs.m, downstairs.m),
-        )
+    if upstairs.topology != e.ambient or downstairs.topology != e.sub:
+        raise LatticeMismatch("the lattices must be those of the ambient space and the subspace")
     forward = []
     for mask in upstairs.payload_masks:
-        traced = e.sub.to_mask(restrict_regular(e, set_of(mask)))
+        traced = e.compress(mask & e.subset_mask)
+        if traced not in downstairs.index_of_mask:
+            raise VerificationError(
+                "trace of a regular open is not regular open in the subspace", sorted(set_of(mask))
+            )
         forward.append(downstairs.index_of_mask[traced])
     backward = []
     for mask in downstairs.payload_masks:
-        lifted = e.ambient.to_mask(extend_regular(e, set_of(mask)))
+        lifted = e.ambient.regularize_mask(e.expand(mask))
+        if lifted not in upstairs.index_of_mask:
+            raise VerificationError(
+                "extension of a regular open is not regular open upstairs", sorted(set_of(mask))
+            )
         backward.append(upstairs.index_of_mask[lifted])
-    for i, mask in enumerate(upstairs.payload_masks):
-        if backward[forward[i]] != i:
-            raise CompositionNotIdentity(
-                "extension of the trace moved a regular open", sorted(set_of(mask))
-            )
-    for j, mask in enumerate(downstairs.payload_masks):
-        if forward[backward[j]] != j:
-            raise CompositionNotIdentity(
-                "trace of the extension moved a regular open", sorted(set_of(mask))
-            )
     return LatticeIsoWitness(upstairs, downstairs, tuple(forward), tuple(backward))
 
 
@@ -231,27 +227,18 @@ def transfer_isomorphism(
     perm = [core_map[i] for i in range(zx.n)]
     if sorted(perm) != list(range(zy.n)):
         raise CoresNotHomeomorphic("core map is not a bijection")
-
-    def push(sub_mask: int) -> int:
-        out = 0
-        for i in iter_bits(sub_mask):
-            out |= 1 << perm[i]
-        return out
-
-    if {push(m) for m in zx.open_masks} != set(zy.open_masks):
+    if {permute_mask(m, perm) for m in zx.open_masks} != set(zy.open_masks):
         raise CoresNotHomeomorphic("core map does not carry opens onto opens")
 
     lx = regular_open_lattice(ex.ambient)
     ly = regular_open_lattice(ey.ambient)
-    if lx.m != ly.m:
-        raise CompositionNotIso("regular-open counts differ", (lx.m, ly.m))
     forward = []
     for mask in lx.payload_masks:
-        through_core = push(ex.compress(mask & ex.subset_mask))
+        through_core = permute_mask(ex.compress(mask & ex.subset_mask), perm)
         image = ey.ambient.regularize_mask(ey.expand(through_core))
         # Same arrow, spelled as extension of the conjugated restriction.
         traced = zx.to_mask(restrict_regular(ex, set_of(mask)))
-        via_ops = ey.ambient.to_mask(extend_regular(ey, set_of(push(traced))))
+        via_ops = ey.ambient.to_mask(extend_regular(ey, set_of(permute_mask(traced, perm))))
         if image != via_ops:
             raise VerificationError(
                 "four-step composite disagrees with extension-after-restriction",
@@ -260,14 +247,6 @@ def transfer_isomorphism(
         if image not in ly.index_of_mask:
             raise CompositionNotIso("composite left the regular opens", sorted(set_of(mask)))
         forward.append(ly.index_of_mask[image])
-    if len(set(forward)) != lx.m:
-        dup = next(
-            (i, j)
-            for i in range(lx.m)
-            for j in range(i + 1, lx.m)
-            if forward[i] == forward[j]
-        )
-        raise CompositionNotIso("composite is not injective", dup)
     backward = [0] * ly.m
     for i, j in enumerate(forward):
         backward[j] = i
@@ -332,7 +311,7 @@ def point_recovery(
     by_masks = check_basis(ty, by)
     iso_masks = {tx.to_mask(u): ty.to_mask(v) for u, v in iso.items()}
     if sorted(iso_masks) != list(bx_masks) or sorted(iso_masks.values()) != list(by_masks):
-        raise ValueError("iso must be a bijection between the two bases")
+        raise NotABijection("iso must be a bijection between the two bases")
     for u1, u2 in ((a, b) for a in bx_masks for b in bx_masks):
         if (u1 & u2 == u1) != (iso_masks[u1] & iso_masks[u2] == iso_masks[u1]):
             raise NotInclusionPreserving(set_of(u1), set_of(u2))
@@ -368,16 +347,10 @@ def point_recovery(
                     (sorted(set_of(u)), x),
                 )
     if tau:
-        sub_x, map_x = tx.subspace(x0_mask)
+        sub_x, _ = tx.subspace(x0_mask)
         sub_y, map_y = ty.subspace(y0_mask)
-        relabel = {map_x[x]: map_y[y] for x, y in tau.items()}
-        carried = set()
-        for m in sub_x.open_masks:
-            out = 0
-            for i in iter_bits(m):
-                out |= 1 << relabel[i]
-            carried.add(out)
-        if carried != set(sub_y.open_masks):
+        perm = [map_y[tau[x]] for x in sorted(tau)]  # subspace indices follow point order
+        if {permute_mask(m, perm) for m in sub_x.open_masks} != set(sub_y.open_masks):
             raise VerificationError("recovered correspondence is not a subspace homeomorphism")
 
     return PartialHomeomorphism(

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
-from regopen import sierpinski, suites
+from regopen import lattice, sierpinski, suites
 from regopen.cli import main
 from regopen.enumeration import EnumerationSpec, enumerate_topologies
 from regopen.errors import VerificationError
@@ -72,6 +73,30 @@ def test_verify_all_enumerates_once_and_builds_one_lattice_per_space(monkeypatch
     spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(EnumerationSpec(n))]
     assert len(built) == len(set(built)) == len(spaces) == 34
     assert set(built) == set(spaces)
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` wherever a regopen module holds it; the list grows by one per call."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "regopen" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counting)
+    return calls
+
+
+def test_verify_all_checks_each_law_once_per_lattice(monkeypatch, capsys):
+    builds = []
+    init = RegularOpenLattice.__init__
+    monkeypatch.setattr(RegularOpenLattice, "__init__", lambda self, t: builds.append(t) or init(self, t))
+    boolean = _count_calls(monkeypatch, lattice.check_boolean_algebra)
+    distributive = _count_calls(monkeypatch, lattice.check_distributive)
+    assert main(["verify", "--suite", "all", "--n", "4"]) == 0
+    assert len(builds) == len(boolean) == len(distributive) == 389
 
 
 @pytest.mark.parametrize("bound", ["0", "-2"])

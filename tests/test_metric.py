@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regopen import FiniteMetric, combine_metric, dominates
-from regopen.errors import NotAMetric, SizeMismatch
+from regopen.errors import NotABijection, NotAMetric, SizeMismatch
 
 ZERO_ONE = FiniteMetric([[0, 1], [1, 0]])
 
@@ -49,7 +49,7 @@ def test_size_mismatch():
 
 
 def test_non_bijection_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotABijection):
         combine_metric(ZERO_ONE, ZERO_ONE, [0, 0])
 
 

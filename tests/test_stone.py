@@ -49,7 +49,9 @@ def test_stone_map_is_order_iso_onto_powerset(n):
 
 
 def test_doctored_lattice_rejected():
+    # stone_space reads the order only; make discrete(2)'s four elements a chain
     lat = regular_open_lattice(discrete(2))
-    lat.complement = tuple(lat.bottom for _ in range(lat.m))
+    lat.up = tuple(sum(1 << j for j in range(i, lat.m)) for i in range(lat.m))
+    lat.down = tuple((1 << i + 1) - 1 for i in range(lat.m))
     with pytest.raises(NotBoolean):
         stone_space(lat)

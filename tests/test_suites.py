@@ -11,7 +11,7 @@ from regopen.ideals import ideals, ultrafilters
 from regopen.lattice import find_order_isomorphisms, regular_open_lattice, transport_relation, well_inside
 from regopen.serialize import space_to_dict
 from regopen.suites import SUITES, SpaceContext
-from regopen.topology import Topology, canonical_open_masks, discrete
+from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask
 from regopen.transfer import DenseEmbedding
 
 
@@ -208,6 +208,19 @@ def test_suite_reports_planted_bug(name, monkeypatch):
     report = run_suite(name, bound=3)
     assert report.failures and not report.passed
     assert all(set(failure) == keys for failure in report.failures)
+
+
+def test_recovery_reports_a_basis_map_that_is_not_a_bijection(monkeypatch):
+    # a trace that lists the subspace's points in reverse order
+    compress = DenseEmbedding.compress
+    monkeypatch.setattr(
+        DenseEmbedding,
+        "compress",
+        lambda e, mask: permute_mask(compress(e, mask), range(e.sub.n - 1, -1, -1)),
+    )
+    report = run_suite("recovery", bound=3)
+    assert not report.passed
+    assert "iso must be a bijection between the two bases" in {f["error"] for f in report.failures}
 
 
 def _lattice_law_failure_on_sierpinski(monkeypatch):

@@ -6,12 +6,14 @@ import pytest
 from regopen import (
     DenseEmbedding,
     EnumerationSpec,
+    Topology,
     closure_density_check,
     discrete,
     enumerate_dense_subsets,
     enumerate_topologies,
     extend_regular,
     point_recovery,
+    regular_open_lattice,
     restrict_regular,
     restriction_isomorphism,
     separating_witness,
@@ -20,13 +22,17 @@ from regopen import (
     x3,
 )
 from regopen.errors import (
+    CompositionNotIdentity,
     ContainmentHolds,
     CoresNotHomeomorphic,
+    LatticeMismatch,
     NotABasis,
+    NotABijection,
     NotDense,
     NotInclusionPreserving,
     NotOpen,
     NotRegularOpen,
+    VerificationError,
 )
 
 from oracles import closure_oracle
@@ -67,8 +73,6 @@ def test_restrict_rejects_non_regular():
         restrict_regular(e, {0, 1})  # open but not regular in X3
     # chain space whose dense subspace is Sierpinski: {0} is open but not
     # regular down there
-    from regopen import Topology
-
     chain = Topology(3, [0b000, 0b001, 0b011, 0b111])
     e2 = DenseEmbedding(chain, {0, 1})
     with pytest.raises(NotRegularOpen):
@@ -96,6 +100,37 @@ def test_restriction_isomorphism_exhaustive_small():
                 w = restriction_isomorphism(DenseEmbedding(t, y))
                 for i in range(w.source.m):
                     assert w.backward[w.forward[i]] == i
+
+
+def test_restriction_isomorphism_refuses_another_spaces_lattice():
+    e = DenseEmbedding(X3, {0, 1})
+    with pytest.raises(LatticeMismatch):
+        restriction_isomorphism(e, regular_open_lattice(D2), regular_open_lattice(e.sub))
+    with pytest.raises(LatticeMismatch):
+        restriction_isomorphism(e, regular_open_lattice(X3), regular_open_lattice(X3))
+
+
+def test_trace_or_lift_outside_the_regular_opens_is_a_verification_error(monkeypatch):
+    e = DenseEmbedding(X3, {0, 1})
+    lattices = regular_open_lattice(X3), regular_open_lattice(e.sub)
+    with monkeypatch.context() as m:
+        m.setattr(DenseEmbedding, "compress", lambda e, mask: 0b100)  # not a subspace set
+        with pytest.raises(VerificationError, match="trace") as exc:
+            restriction_isomorphism(e, *lattices)
+        assert exc.value.witness == []
+    monkeypatch.setattr(Topology, "regularize_mask", lambda t, a: a)  # lift is plain expansion
+    with pytest.raises(VerificationError, match="extension") as exc:
+        restriction_isomorphism(e, *lattices)
+    assert exc.value.witness == [0, 1]
+
+
+def test_broken_round_trip_names_the_point_set(monkeypatch):
+    # a trace that loses the subspace's last point sends {1} to the empty set
+    compress = DenseEmbedding.compress
+    monkeypatch.setattr(DenseEmbedding, "compress", lambda e, mask: compress(e, mask) & ~0b10)
+    with pytest.raises(CompositionNotIdentity) as exc:
+        restriction_isomorphism(DenseEmbedding(X3, {0, 1}))
+    assert exc.value.witness == [1]
 
 
 # -- closure agreement over dense traces -------------------------------------------
@@ -189,8 +224,6 @@ def test_transfer_roundtrip_is_identity():
 
 
 def test_transfer_rejects_non_homeomorphic_cores():
-    from regopen import Topology
-
     chain = Topology(3, [0b000, 0b001, 0b011, 0b111])
     ex = DenseEmbedding(chain, {0, 1})  # subspace is Sierpinski, not discrete
     ey = DenseEmbedding(D2, {0, 1})
@@ -233,6 +266,12 @@ def test_point_recovery_validates_basis():
         point_recovery(X3, [fs({0, 1, 2})], D2, BY, {fs({0, 1, 2}): fs({0, 1})})
     with pytest.raises(NotABasis):
         point_recovery(X3, [fs({2}), fs({0}), fs({1}), fs({0, 1, 2})], D2, BY, {})
+
+
+def test_point_recovery_rejects_a_map_that_is_not_a_bijection():
+    not_onto = {fs({0}): fs({0}), fs({1}): fs({0}), fs({0, 1, 2}): fs({0, 1})}
+    with pytest.raises(NotABijection):
+        point_recovery(X3, BX, D2, BY, not_onto)
 
 
 def test_point_recovery_validates_inclusion_preservation():
