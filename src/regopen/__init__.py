@@ -14,11 +14,9 @@ non-homeomorphic pairs with isomorphic lattices.
 from .cofinite import SymbolicSet
 from .enumeration import (
     EnumerationSpec,
-    brute_force_topologies,
     canonical_classes,
     enumerate_dense_subsets,
     enumerate_topologies,
-    preorder_topologies,
 )
 from .ideals import (
     IdealFamily,
@@ -90,7 +88,6 @@ __all__ = [
     "SymbolicSet",
     "Topology",
     "Ultrafilter",
-    "brute_force_topologies",
     "canonical_classes",
     "canonical_open_masks",
     "check_boolean_algebra",
@@ -114,7 +111,6 @@ __all__ = [
     "indiscrete",
     "maximal_ideals",
     "point_recovery",
-    "preorder_topologies",
     "regular_open_lattice",
     "restrict_regular",
     "restriction_isomorphism",

@@ -14,7 +14,7 @@ import sys
 
 from . import cofinite as cof
 from .enumeration import EnumerationSpec, enumerate_topologies
-from .errors import RegOpenError
+from .errors import MalformedSpace, RegOpenError
 from .lattice import ge_relation, regular_open_lattice, well_inside
 from .serialize import (
     canonical_json,
@@ -42,12 +42,15 @@ def _load_space(token: str) -> Topology:
         return FIXTURES[token]()
     try:
         with open(token, encoding="utf-8") as fp:
-            return space_from_dict(json.load(fp))
+            doc = json.load(fp)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise MalformedSpace(f"{token!r} is not a JSON space file: {exc}")
     except FileNotFoundError:
         raise SystemExit(
             f"error: {token!r} is neither a fixture name "
             f"({', '.join(sorted(FIXTURES))}, discrete:N, indiscrete:N) nor a readable file"
         )
+    return space_from_dict(doc)
 
 
 def _write(path: str | None, text: str):

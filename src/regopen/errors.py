@@ -31,6 +31,10 @@ class NotClosedUnderIntersection(RegOpenError, ValueError):
         super().__init__(f"family lacks the intersection of {sorted(a)} and {sorted(b)}")
 
 
+class MalformedSpace(RegOpenError, ValueError):
+    """A space description is malformed: no points, a missing key or a wrong type."""
+
+
 class EmptySubspace(RegOpenError, ValueError):
     """Subspace construction requires a nonempty point set."""
 

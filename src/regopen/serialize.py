@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import MalformedSpace
 from .lattice import FiniteLattice, PairRelation
 from .topology import Topology, mask_of, set_of
 
@@ -32,13 +33,19 @@ def space_to_dict(t: Topology, labels: list[str] | None = None) -> dict:
 
 
 def space_from_dict(d: dict) -> Topology:
-    n = d["n"]
-    if not isinstance(n, int):
-        raise ValueError("'n' must be an integer")
-    labels = d.get("labels")
-    if labels is not None and len(labels) != n:
-        raise ValueError("'labels' must have one entry per point")
-    return Topology(n, [mask_of(o, n) for o in d["opens"]])
+    """Validate a space document and build its topology; MalformedSpace if it is not one."""
+    if not isinstance(d, dict) or "n" not in d or "opens" not in d:
+        raise MalformedSpace("a space is a JSON object with the keys 'n' and 'opens'")
+    n, opens, labels = d["n"], d["opens"], d.get("labels")
+    if type(n) is not int:  # bool is an int subclass and is refused here
+        raise MalformedSpace("'n' must be an integer")
+    if not isinstance(opens, list) or not all(
+        isinstance(o, list) and all(type(x) is int for x in o) for o in opens
+    ):
+        raise MalformedSpace("'opens' must be a list of lists of point indices")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != n):
+        raise MalformedSpace("'labels' must have one entry per point")
+    return Topology(n, [mask_of(o, n) for o in opens])
 
 
 # -- lattices -----------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     EmptySubspace,
     IndexOutOfRange,
+    MalformedSpace,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -77,7 +78,7 @@ class Topology:
 
     def __init__(self, n: int, opens: Iterable[Iterable[int]]):
         if n < 1:
-            raise ValueError("ground set must have at least one point")
+            raise MalformedSpace("ground set must have at least one point")
         self.n = n
         self.full_mask = (1 << n) - 1
         masks = sorted({m if isinstance(m, int) else mask_of(m, n) for m in opens})

@@ -9,7 +9,6 @@ import time
 from regopen import (
     DenseEmbedding,
     EnumerationSpec,
-    brute_force_topologies,
     canonical_open_masks,
     counterexample_search,
     discrete,
@@ -24,6 +23,8 @@ from regopen import (
     ultrafilters,
     x3,
 )
+
+from oracles import brute_force_topologies
 
 fs = frozenset
 N4_BOUND = 4

@@ -1,8 +1,11 @@
 """Command-line surface: verbs, exit codes, and file outputs."""
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,13 +47,6 @@ def test_verify_pass_and_report(tmp_path, capsys):
     assert report["passed"] is True and report["suite"] == "ux0"
 
 
-def test_verify_all_n4_report_is_pinned(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    assert main(["verify", "--suite", "all", "--n", "4", "--json", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == N4_REPORT_SHA256
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == sorted(suites.SUITES)
-    assert all(": pass [" in line for line in lines)
 
 
 def test_verify_all_enumerates_once_and_builds_one_lattice_per_space(monkeypatch, capsys):
@@ -89,14 +85,37 @@ def _count_calls(monkeypatch, fn) -> list:
     return calls
 
 
-def test_verify_all_checks_each_law_once_per_lattice(monkeypatch, capsys):
+@pytest.fixture(scope="module")
+def n4_verify_all(tmp_path_factory):
+    """One `verify --suite all --n 4 --json` run, counting lattice builds and
+    law checks; the tests below read its report, output and counts."""
+    out = tmp_path_factory.mktemp("n4") / "report.json"
     builds = []
     init = RegularOpenLattice.__init__
-    monkeypatch.setattr(RegularOpenLattice, "__init__", lambda self, t: builds.append(t) or init(self, t))
-    boolean = _count_calls(monkeypatch, lattice.check_boolean_algebra)
-    distributive = _count_calls(monkeypatch, lattice.check_distributive)
-    assert main(["verify", "--suite", "all", "--n", "4"]) == 0
-    assert len(builds) == len(boolean) == len(distributive) == 389
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as stdout:
+        mp.setattr(RegularOpenLattice, "__init__", lambda self, t: builds.append(t) or init(self, t))
+        boolean = _count_calls(mp, lattice.check_boolean_algebra)
+        distributive = _count_calls(mp, lattice.check_distributive)
+        code = main(["verify", "--suite", "all", "--n", "4", "--json", str(out)])
+    return SimpleNamespace(
+        code=code,
+        report=out.read_bytes(),
+        lines=stdout.getvalue().splitlines(),
+        counts=(len(builds), len(boolean), len(distributive)),
+    )
+
+
+def test_verify_all_n4_report_is_pinned(n4_verify_all):
+    assert n4_verify_all.code == 0
+    assert hashlib.sha256(n4_verify_all.report).hexdigest() == N4_REPORT_SHA256
+    lines = n4_verify_all.lines
+    assert [line.split(":")[0] for line in lines] == sorted(suites.SUITES)
+    assert all(": pass [" in line for line in lines)
+
+
+def test_verify_all_checks_each_law_once_per_lattice(n4_verify_all):
+    assert n4_verify_all.code == 0
+    assert n4_verify_all.counts == (389, 389, 389)
 
 
 @pytest.mark.parametrize("bound", ["0", "-2"])
@@ -177,6 +196,30 @@ def test_space_file_input(tmp_path, capsys):
     spath.write_text(json.dumps({"n": 2, "opens": [[], [0], [0, 1]]}))
     assert main(["regular-lattice", str(spath)]) == 0
     assert "regular opens (2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        '{"n": 3}',
+        "not json",
+        '{"n": true, "opens": [[], [0]]}',
+        '{"n": 2, "opens": [[], [0, 1]], "labels": ["a"]}',
+        '{"n": 2, "opens": [0, 3]}',
+        "discrete:0",
+        "indiscrete:0",
+    ],
+    ids=["no-opens", "not-json", "boolean-n", "short-labels", "opens-as-masks", "discrete-0", "indiscrete-0"],
+)
+def test_malformed_space_is_usage_error(space, tmp_path, capsys):
+    token = space
+    if not space.endswith("discrete:0"):
+        path = tmp_path / "space.json"
+        path.write_text(space)
+        token = str(path)
+    assert main(["regular-lattice", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_bad_space_token(capsys):

@@ -1,27 +1,38 @@
-"""Enumeration fidelity: three independent generation routes, canonical
-classes, dense subsets, and the size guards."""
+"""Enumeration fidelity: the one-point extension generator against the
+brute-force and preorder oracles, canonical classes, dense subsets, and the
+size guards."""
+
+import hashlib
+import itertools
+from math import factorial
 
 import pytest
 
 from regopen import (
     EnumerationSpec,
     Topology,
-    brute_force_topologies,
     canonical_classes,
     canonical_open_masks,
     discrete,
     enumerate_dense_subsets,
     enumerate_topologies,
     indiscrete,
-    preorder_topologies,
     sierpinski,
 )
+from regopen.cli import main as cli_main
 from regopen.errors import SizeGuardExceeded
+from regopen.topology import permute_mask
 
-from oracles import dense_oracle
+from oracles import brute_force_topologies, dense_oracle, preorder_topologies
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
 CLASS_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33}
+
+# sha256 of `regopen enumerate --n 4 --mode M --json`, one per mode.
+N4_ENUMERATE_SHA256 = {
+    "all": "562aebf6f22554f87834b221a8ce8dce2c85eaa5cc88927fa785ee11ef4235c6",
+    "up-to-homeomorphism": "eb644d1adc159d1c4e96518ac815a5dd42f3f1be1234cf1fc95fffc4476a1060",
+}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -44,6 +55,39 @@ def test_class_counts(n):
     keys = {canonical_open_masks(t) for t in classes}
     assert len(keys) == len(classes)
     assert all(t.open_masks == canonical_open_masks(t) for t in classes)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classes_are_the_distinct_canonical_forms_of_all_labeled_spaces(n):
+    classes = [t.open_masks for t in enumerate_topologies(EnumerationSpec(n, mode="up-to-homeomorphism"))]
+    labeled = {canonical_open_masks(t) for t in enumerate_topologies(EnumerationSpec(n))}
+    assert classes == sorted(labeled, key=lambda f: (len(f), f))
+
+
+def _automorphisms(t: Topology) -> int:
+    return sum(
+        tuple(sorted(permute_mask(m, perm) for m in t.open_masks)) == t.open_masks
+        for perm in itertools.permutations(range(t.n))
+    )
+
+
+def test_n5_classes_are_canonical_and_their_orbits_cover_the_labeled_spaces():
+    classes = list(enumerate_topologies(EnumerationSpec(5, mode="up-to-homeomorphism", allow_n5=True)))
+    assert len(classes) == 139
+    assert all(t.open_masks == canonical_open_masks(t) for t in classes)
+    assert sum(factorial(5) // _automorphisms(t) for t in classes) == 6942
+
+
+def test_n5_labeled_families_are_distinct():
+    families = {t.open_masks for t in enumerate_topologies(EnumerationSpec(5, allow_n5=True))}
+    assert len(families) == 6942
+
+
+@pytest.mark.parametrize("mode", sorted(N4_ENUMERATE_SHA256))
+def test_enumerate_n4_json_is_pinned(mode, tmp_path, capsys):
+    out = tmp_path / "spaces.json"
+    assert cli_main(["enumerate", "--n", "4", "--mode", mode, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == N4_ENUMERATE_SHA256[mode]
 
 
 def test_n2_families_explicitly():

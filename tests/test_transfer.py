@@ -133,6 +133,13 @@ def test_broken_round_trip_names_the_point_set(monkeypatch):
     assert exc.value.witness == [1]
 
 
+def test_apply_refuses_a_set_that_is_not_regular_open():
+    w = restriction_isomorphism(DenseEmbedding(X3, {0, 1}))
+    assert w.apply({0}) == fs({0})
+    with pytest.raises(NotRegularOpen):
+        w.apply({0, 1})  # open in X3, but int(cl({0, 1})) is the whole space
+
+
 # -- closure agreement over dense traces -------------------------------------------
 
 
@@ -231,6 +238,15 @@ def test_transfer_rejects_non_homeomorphic_cores():
         transfer_isomorphism(ex, ey, {0: 0, 1: 1})
     with pytest.raises(CoresNotHomeomorphic):
         transfer_isomorphism(DenseEmbedding(X3, {0, 1}), ey, {0: 0, 1: 0})
+
+
+def test_transfer_trace_outside_the_regular_opens_is_a_verification_error(monkeypatch):
+    ex = DenseEmbedding(X3, {0, 1})
+    ey = DenseEmbedding(D2, {0, 1})
+    monkeypatch.setattr(DenseEmbedding, "compress", lambda e, mask: 0b100)  # not a core set
+    with pytest.raises(VerificationError, match="trace") as exc:
+        transfer_isomorphism(ex, ey, {0: 0, 1: 1})
+    assert exc.value.witness == []
 
 
 # -- point recovery --------------------------------------------------------------------
