@@ -45,11 +45,11 @@ def _load_space(token: str) -> Topology:
             doc = json.load(fp)
     except ValueError as exc:  # not JSON, or not UTF-8
         raise MalformedSpace(f"{token!r} is not a JSON space file: {exc}")
-    except FileNotFoundError:
-        raise SystemExit(
-            f"error: {token!r} is neither a fixture name "
+    except OSError:
+        raise MalformedSpace(
+            f"{token!r} is neither a fixture name "
             f"({', '.join(sorted(FIXTURES))}, discrete:N, indiscrete:N) nor a readable file"
-        )
+        ) from None
     return space_from_dict(doc)
 
 

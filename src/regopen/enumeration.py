@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import SizeGuardExceeded
+from .errors import BadEnumerationSpec, SizeGuardExceeded
 from .topology import Topology, canonical_open_masks
 
 MODES = ("all", "up-to-homeomorphism")
@@ -38,9 +38,9 @@ class EnumerationSpec:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+            raise BadEnumerationSpec(f"mode must be one of {MODES}")
         if self.n < 1:
-            raise ValueError("ground set must have at least one point")
+            raise BadEnumerationSpec("ground set must have at least one point")
         if self.n > HARD_GUARD:
             raise SizeGuardExceeded(f"enumeration is guarded at n <= {HARD_GUARD}")
         if self.n == HARD_GUARD and not self.allow_n5:

@@ -32,7 +32,8 @@ class NotClosedUnderIntersection(RegOpenError, ValueError):
 
 
 class MalformedSpace(RegOpenError, ValueError):
-    """A space description is malformed: no points, a missing key or a wrong type."""
+    """A space description is malformed: no points, a missing key, a wrong
+    type, or a token that names neither a fixture nor a readable file."""
 
 
 class EmptySubspace(RegOpenError, ValueError):
@@ -98,6 +99,10 @@ class NotBoolean(RegOpenError, ValueError):
 
 class SizeGuardExceeded(RegOpenError, ValueError):
     """A combinatorial guard (ground-set size limit) was exceeded."""
+
+
+class BadEnumerationSpec(RegOpenError, ValueError):
+    """An enumeration was asked for fewer than one point or an unknown mode."""
 
 
 class UnknownSuite(RegOpenError, ValueError):

@@ -7,7 +7,8 @@ of V") is always explicit data: a frozenset of ordered element-index pairs.
 It is never inferred from the lattice order, because the whole point of the
 axioms is that the same order can carry different admissible relations.
 
-All axiom checks are exhaustive quantifier scans that report the
+All axiom checks are exhaustive: they test every instance of each
+quantifier, over bitmask rows where that is faster, and report the
 lexicographically first witness on failure.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotALattice, VerificationError
-from .topology import PointSet, Topology, set_of
+from .topology import PointSet, Topology, iter_bits, set_of
 
 PairRelation = frozenset[tuple[int, int]]
 
@@ -259,22 +260,26 @@ def check_boolean_algebra(l: RegularOpenLattice) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def _disjoint_rows(l: FiniteLattice) -> list[int]:
+    """Row g is the bitmask of the h with g & h = bottom."""
+    bot = l.bottom
+    return [sum(1 << h for h, k in enumerate(row) if k == bot) for row in l.meet]
+
+
 def wallman_disjunction(l: FiniteLattice) -> tuple[bool, tuple | None]:
     """For every a != b, some h meets exactly one of them at bottom.
 
     Read as exclusive-witness existence: there is h with a & h = 0 and
-    b & h != 0, or the other way round.
+    b & h != 0, or the other way round. No such h exists exactly when a and
+    b have the same row of disjoint elements, so the lexicographically first
+    witness is the first two indices of some shared row.
     """
-    bot = l.bottom
-    for a in range(l.m):
-        for b in range(a + 1, l.m):
-            ok = False
-            for h in range(l.m):
-                if (l.meet[a][h] == bot) != (l.meet[b][h] == bot):
-                    ok = True
-                    break
-            if not ok:
-                return False, (a, b)
+    sharing: dict[int, list[int]] = {}
+    for a, row in enumerate(_disjoint_rows(l)):
+        sharing.setdefault(row, []).append(a)
+    clashes = [tuple(ixs[:2]) for ixs in sharing.values() if len(ixs) > 1]
+    if clashes:
+        return False, min(clashes)
     return True, None
 
 
@@ -305,12 +310,32 @@ def well_inside(l: RegularOpenLattice) -> PairRelation:
     )
 
 
-def validate_relation(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> PairRelation:
-    rel = frozenset(rel)
-    for f, g in rel:
+def relation_rows(
+    l: FiniteLattice, rel: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """Bitmask rows of a pair relation: ``rows[f]`` holds the g with
+    (f, g) in rel and ``cols[g]`` the f with (f, g) in rel. ValueError names
+    a pair outside the lattice."""
+    rows = [0] * l.m
+    cols = [0] * l.m
+    for f, g in frozenset(rel):
         if not (0 <= f < l.m and 0 <= g < l.m):
             raise ValueError(f"relation pair ({f}, {g}) out of range for m={l.m}")
-    return rel
+        rows[f] |= 1 << g
+        cols[g] |= 1 << f
+    return rows, cols
+
+
+def upward_kept(l: FiniteLattice, rows: Sequence[int], f: int) -> int:
+    """The g in rows[f] with (h, g) in rel for every h >= f."""
+    kept = rows[f]
+    for h in iter_bits(l.up[f]):
+        kept &= rows[h]
+    return kept
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 # -- the six R-lattice axioms ---------------------------------------------------
@@ -368,67 +393,84 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
        (f, g2) in rel.
     6. (g1, f), (f, g2) in rel imply some h with h | f = g1 and h & g2 = 0.
 
-    Every quantifier is scanned exhaustively in index order, so reported
-    witnesses are lexicographically first.
+    Each axiom is a test on bitmask rows of the relation, of the order and
+    of the disjointness relation, never a scan over pairs of pairs. Every
+    quantifier is still exhaustive, and the reported witness is the
+    lexicographically first one, as a scan of the sorted pairs in index
+    order would find it. Besides the rows, the relation is held once more
+    as index lists, and each axiom holds at most O(m) further ints at a time.
     """
-    rel = validate_relation(l, rel)
-    pairs = sorted(rel)
-    bot = l.bottom
-    results = []
-
-    ok, w = wallman_disjunction(l)
-    results.append(AxiomResult(AXIOM_NAMES[0], ok, w))
+    rows, cols = relation_rows(l, rel)
+    m, bot, meet, join = l.m, l.bottom, l.meet, l.join
+    targets = [list(iter_bits(row)) for row in rows]
+    live = [f for f in range(m) if rows[f]]
+    results = [AxiomResult(AXIOM_NAMES[0], *wallman_disjunction(l))]
 
     witness = None
-    for f, g in pairs:
-        for h in range(l.m):
-            if l.leq(f, h) and (h, g) not in rel:
-                witness = (h, f, g)
-                break
-        if witness:
+    for f in live:
+        lost = rows[f] & ~upward_kept(l, rows, f)
+        if lost:
+            g = _lowest(lost)
+            h = next(h for h in iter_bits(l.up[f]) if not rows[h] >> g & 1)
+            witness = (h, f, g)
             break
     results.append(AxiomResult(AXIOM_NAMES[1], witness is None, witness))
 
+    # For each g1, good[k] holds the g2 with (k, g1 & g2) in rel; then
+    # (f1, g1) fails with (f2, g2) iff g2 in rows[f2] is missing from
+    # good[f1 & f2]. The sets meets_at[j] are disjoint, so a sum is their
+    # union. g1 ascends, so a later g1 can only win with a lower f1.
     witness = None
-    for f1, g1 in pairs:
-        for f2, g2 in pairs:
-            if (l.meet[f1][f2], l.meet[g1][g2]) not in rel:
-                witness = (f1, g1, f2, g2)
+    for g1 in range(m):
+        f1s = cols[g1] if witness is None else cols[g1] & ((1 << witness[0]) - 1)
+        if not f1s:
+            continue
+        meets_at = [0] * m
+        for g2, k in enumerate(meet[g1]):
+            meets_at[k] |= 1 << g2
+        good = [sum(map(meets_at.__getitem__, js)) for js in targets]
+        for f1 in iter_bits(f1s):
+            row = meet[f1]
+            f2 = next((f2 for f2 in live if rows[f2] & ~good[row[f2]]), None)
+            if f2 is not None:
+                witness = (f1, g1, f2, _lowest(rows[f2] & ~good[row[f2]]))
                 break
-        if witness:
-            break
     results.append(AxiomResult(AXIOM_NAMES[2], witness is None, witness))
 
     witness = None
-    for f, g in pairs:
-        if not any((f, h) in rel and (h, g) in rel for h in range(l.m)):
+    for f in live:
+        g = next((g for g in targets[f] if not rows[f] & cols[g]), None)
+        if g is not None:
             witness = (f, g)
             break
     results.append(AxiomResult(AXIOM_NAMES[3], witness is None, witness))
 
     witness = None
-    for f in range(l.m):
-        if f == bot:
-            continue
-        has_g1 = any((g1, f) in rel for g1 in range(l.m))
-        has_g2 = any(g2 != bot and (f, g2) in rel for g2 in range(l.m))
-        if not (has_g1 and has_g2):
+    not_bot = ~(1 << bot)
+    for f in range(m):
+        if f != bot and not (cols[f] and rows[f] & not_bot):
             witness = (f,)
             break
     results.append(AxiomResult(AXIOM_NAMES[4], witness is None, witness))
 
+    # For each f, joins_to[g1] holds the h with h | f = g1; (g1, f, g2)
+    # fails iff none of them is disjoint from g2. f ascends, so a later f
+    # can only win with a lower g1.
     witness = None
-    for g1, f in pairs:
-        for ff, g2 in pairs:
-            if ff != f:
-                continue
-            if not any(
-                l.join[h][f] == g1 and l.meet[h][g2] == bot for h in range(l.m)
-            ):
+    disjoint = _disjoint_rows(l)
+    for f in live:
+        g1s = cols[f] if witness is None else cols[f] & ((1 << witness[0]) - 1)
+        if not g1s:
+            continue
+        joins_to = [0] * m
+        for h in range(m):
+            joins_to[join[h][f]] |= 1 << h
+        for g1 in iter_bits(g1s):
+            hs = joins_to[g1]
+            g2 = next((g2 for g2 in targets[f] if not hs & disjoint[g2]), None)
+            if g2 is not None:
                 witness = (g1, f, g2)
                 break
-        if witness:
-            break
     results.append(AxiomResult(AXIOM_NAMES[5], witness is None, witness))
 
     return RLatticeReport(tuple(results))

@@ -37,7 +37,9 @@ from .lattice import (
     find_order_isomorphisms,
     ge_relation,
     regular_open_lattice,
+    relation_rows,
     transport_relation,
+    upward_kept,
     well_inside,
 )
 from .metric import FiniteMetric, combine_metric, dominates
@@ -239,7 +241,12 @@ def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
     if not report.passed:
         return {"report": report.to_dict()}
     rel = well_inside(lat)
+    rows, _ = relation_rows(lat, rel)
+    kept = [upward_kept(lat, rows, f) for f in range(lat.m)]
     for f, g in rel:
+        if kept[f] >> g & 1 and not lat.down[g] & ~rows[f]:
+            continue
+        # this pair fails: re-scan it for its first witness
         for h in range(lat.m):
             if lat.leq(f, h) and (h, g) not in rel:
                 return f"well-inside not upward monotone at ({h},{f},{g})"

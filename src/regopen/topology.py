@@ -20,9 +20,17 @@ from .errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
+    SizeGuardExceeded,
 )
 
 PointSet = frozenset[int]
+
+# Largest space accepted: validating k opens takes k^2 / 2 union and
+# intersection tests, and its regular-open lattice has up to k elements with
+# k x k meet and join tables, so discrete:10 (1024 opens) takes seconds and
+# discrete:18 would never finish.
+MAX_POINTS = 16
+MAX_OPENS = 1024
 
 
 def mask_of(points: Iterable[int], n: int) -> int:
@@ -48,12 +56,11 @@ def set_of(mask: int) -> PointSet:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    i = 0
+    """The set bits of ``mask``, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def compress_mask(mask: int, points: Sequence[int]) -> int:
@@ -71,7 +78,9 @@ class Topology:
     The family must contain the empty and full sets and be closed under
     pairwise union and intersection (at finite scale this is closure under
     arbitrary unions and intersections). Duplicates in the input family are
-    canonicalized away; the stored family is sorted by mask value.
+    canonicalized away; the stored family is sorted by mask value. A space
+    with more than MAX_POINTS points or MAX_OPENS opens is refused with
+    SizeGuardExceeded before it is validated.
     """
 
     __slots__ = ("n", "full_mask", "open_masks", "_open_set", "_min_nbhd")
@@ -79,13 +88,19 @@ class Topology:
     def __init__(self, n: int, opens: Iterable[Iterable[int]]):
         if n < 1:
             raise MalformedSpace("ground set must have at least one point")
+        if n > MAX_POINTS:
+            raise SizeGuardExceeded(f"a space has at most {MAX_POINTS} points, not {n}")
         self.n = n
         self.full_mask = (1 << n) - 1
-        masks = sorted({m if isinstance(m, int) else mask_of(m, n) for m in opens})
+        mask_set = frozenset(m if isinstance(m, int) else mask_of(m, n) for m in opens)
+        if len(mask_set) > MAX_OPENS:
+            raise SizeGuardExceeded(
+                f"a space has at most {MAX_OPENS} opens, not {len(mask_set)}"
+            )
+        masks = sorted(mask_set)
         for m in masks:
             if m < 0 or m > self.full_mask:
                 raise IndexOutOfRange(f"open {m:#x} outside ground set of size {n}")
-        mask_set = frozenset(masks)
         if 0 not in mask_set or self.full_mask not in mask_set:
             raise MissingEmptyOrFull(
                 f"open family on {n} points must contain the empty and full sets"
@@ -219,14 +234,20 @@ class Topology:
 # -- standard fixtures used across tests, demos and docs ---------------------
 
 
+def _all_masks(n: int) -> Iterator[int]:
+    """Every subset of n points, lazily: Topology reads the family only after
+    its size guard, so an oversized n is refused before 2^n is computed."""
+    yield from range(1 << n)
+
+
 def discrete(n: int) -> Topology:
     """Every subset open."""
-    return Topology(n, range(1 << n))
+    return Topology(n, _all_masks(n))
 
 
 def indiscrete(n: int) -> Topology:
     """Only the empty and full sets open."""
-    return Topology(n, (0, (1 << n) - 1))
+    return Topology(n, ((), range(n)))  # point sets, encoded after the size guard
 
 
 def sierpinski() -> Topology:

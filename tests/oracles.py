@@ -8,7 +8,8 @@ import itertools
 from itertools import combinations
 
 from regopen import Topology
-from regopen.errors import SizeGuardExceeded
+from regopen.errors import CompositionNotIso, SizeGuardExceeded
+from regopen.lattice import AXIOM_NAMES, AxiomResult, RLatticeReport
 
 
 def opens_as_sets(t: Topology) -> list[frozenset[int]]:
@@ -106,3 +107,112 @@ def preorder_topologies(n: int) -> list[Topology]:
         (Topology(n, f) for f in families),
         key=lambda t: (len(t.open_masks), t.open_masks),
     )
+
+
+def wallman_disjunction_oracle(l) -> tuple[bool, tuple | None]:
+    """Triple scan: every a < b has some h meeting exactly one of them at bottom."""
+    bot = l.bottom
+    for a in range(l.m):
+        for b in range(a + 1, l.m):
+            ok = False
+            for h in range(l.m):
+                if (l.meet[a][h] == bot) != (l.meet[b][h] == bot):
+                    ok = True
+                    break
+            if not ok:
+                return False, (a, b)
+    return True, None
+
+
+def check_r_lattice_oracle(l, rel) -> RLatticeReport:
+    """The six R-lattice axioms scanned over sorted pairs and pairs of pairs,
+    in index order, so each witness is the lexicographically first."""
+    rel = frozenset(rel)
+    for f, g in rel:
+        if not (0 <= f < l.m and 0 <= g < l.m):
+            raise ValueError(f"relation pair ({f}, {g}) out of range for m={l.m}")
+    pairs = sorted(rel)
+    bot = l.bottom
+    results = []
+
+    ok, w = wallman_disjunction_oracle(l)
+    results.append(AxiomResult(AXIOM_NAMES[0], ok, w))
+
+    witness = None
+    for f, g in pairs:
+        for h in range(l.m):
+            if l.leq(f, h) and (h, g) not in rel:
+                witness = (h, f, g)
+                break
+        if witness:
+            break
+    results.append(AxiomResult(AXIOM_NAMES[1], witness is None, witness))
+
+    witness = None
+    for f1, g1 in pairs:
+        for f2, g2 in pairs:
+            if (l.meet[f1][f2], l.meet[g1][g2]) not in rel:
+                witness = (f1, g1, f2, g2)
+                break
+        if witness:
+            break
+    results.append(AxiomResult(AXIOM_NAMES[2], witness is None, witness))
+
+    witness = None
+    for f, g in pairs:
+        if not any((f, h) in rel and (h, g) in rel for h in range(l.m)):
+            witness = (f, g)
+            break
+    results.append(AxiomResult(AXIOM_NAMES[3], witness is None, witness))
+
+    witness = None
+    for f in range(l.m):
+        if f == bot:
+            continue
+        has_g1 = any((g1, f) in rel for g1 in range(l.m))
+        has_g2 = any(g2 != bot and (f, g2) in rel for g2 in range(l.m))
+        if not (has_g1 and has_g2):
+            witness = (f,)
+            break
+    results.append(AxiomResult(AXIOM_NAMES[4], witness is None, witness))
+
+    witness = None
+    for g1, f in pairs:
+        for ff, g2 in pairs:
+            if ff != f:
+                continue
+            if not any(
+                l.join[h][f] == g1 and l.meet[h][g2] == bot for h in range(l.m)
+            ):
+                witness = (g1, f, g2)
+                break
+        if witness:
+            break
+    results.append(AxiomResult(AXIOM_NAMES[5], witness is None, witness))
+
+    return RLatticeReport(tuple(results))
+
+
+def order_preserved_oracle(source, target, forward) -> None:
+    """Pairwise scan: i <= j iff forward[i] <= forward[j], else
+    CompositionNotIso naming the first pair (i, j) by its point sets."""
+    for i in range(source.m):
+        for j in range(source.m):
+            if source.leq(i, j) != target.leq(forward[i], forward[j]):
+                raise CompositionNotIso(
+                    "order not preserved",
+                    (sorted(source.element(i)), sorted(source.element(j))),
+                )
+
+
+def well_inside_monotone_oracle(l, rel) -> str | None:
+    """Scan each pair of ``rel``, in its iteration order, against every h:
+    the rlattice suite's message for the first pair not upward or downward
+    monotone, else None."""
+    for f, g in rel:
+        for h in range(l.m):
+            if l.leq(f, h) and (h, g) not in rel:
+                return f"well-inside not upward monotone at ({h},{f},{g})"
+            if l.leq(h, g) and (f, h) not in rel:
+                return f"well-inside not downward monotone at ({f},{g},{h})"
+    return None

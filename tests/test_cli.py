@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -37,6 +38,14 @@ def test_enumerate_classes_with_json(tmp_path, capsys):
 def test_enumerate_guard_exit_code(capsys):
     assert main(["enumerate", "--n", "5"]) == 2
     assert "allow_n5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_enumerate_without_points_is_usage_error(n, capsys):
+    assert main(["enumerate", "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ground set must have at least one point\n"
 
 
 def test_verify_pass_and_report(tmp_path, capsys):
@@ -222,9 +231,37 @@ def test_malformed_space_is_usage_error(space, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def _assert_unreadable_token_is_usage_error(token, capsys):
+    assert main(["stone", token]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {token!r} is neither a fixture name "
+        "(sierpinski, x3, discrete:N, indiscrete:N) nor a readable file\n"
+    )
+
+
 def test_bad_space_token(capsys):
-    with pytest.raises(SystemExit):
-        main(["stone", "definitely-not-a-file"])
+    _assert_unreadable_token_is_usage_error("definitely-not-a-file", capsys)
+
+
+def test_directory_as_space_is_usage_error(tmp_path, capsys):
+    _assert_unreadable_token_is_usage_error(str(tmp_path), capsys)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("discrete:18", "a space has at most 16 points, not 18"),
+        ("indiscrete:99999999999", "a space has at most 16 points, not 99999999999"),
+        ("discrete:11", "a space has at most 1024 opens, not 2048"),
+    ],
+)
+def test_oversized_space_is_refused_at_once(token, message, capsys):
+    started = time.perf_counter()
+    assert main(["stone", token]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cofinite_demo(capsys):

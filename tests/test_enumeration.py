@@ -20,7 +20,7 @@ from regopen import (
     sierpinski,
 )
 from regopen.cli import main as cli_main
-from regopen.errors import SizeGuardExceeded
+from regopen.errors import BadEnumerationSpec, SizeGuardExceeded
 from regopen.topology import permute_mask
 
 from oracles import brute_force_topologies, dense_oracle, preorder_topologies
@@ -131,8 +131,15 @@ def test_guards():
 
 
 def test_bad_mode_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadEnumerationSpec, match="mode must be one of"):
         EnumerationSpec(2, mode="classes")
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_spec_without_points_rejected(n):
+    with pytest.raises(BadEnumerationSpec, match="at least one point") as exc:
+        EnumerationSpec(n)
+    assert isinstance(exc.value, ValueError)
 
 
 def test_dense_subsets_examples():

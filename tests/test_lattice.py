@@ -1,6 +1,8 @@
 """Regular-open algebras, lattice law checks, the explicit extra relation,
 and the six R-lattice axioms."""
 
+import random
+
 import pytest
 
 from regopen import (
@@ -22,9 +24,16 @@ from regopen import (
     x3,
 )
 from regopen.errors import NotALattice, VerificationError
+from regopen.lattice import AXIOM_NAMES
 from regopen.topology import Topology
 
-from oracles import closure_oracle, interior_oracle, opens_as_sets
+from oracles import (
+    check_r_lattice_oracle,
+    closure_oracle,
+    interior_oracle,
+    opens_as_sets,
+    wallman_disjunction_oracle,
+)
 
 LS = regular_open_lattice(sierpinski())
 LX3 = regular_open_lattice(x3())
@@ -213,6 +222,101 @@ def test_axiom_witnesses_are_reported():
 def test_relation_validation():
     with pytest.raises(ValueError):
         check_r_lattice(two_chain(), {(0, 5)})
+
+
+# -- the bit-row axiom checks against the pair-of-pairs oracle ------------------------
+
+
+def _relations(lat: FiniteLattice, rng: random.Random) -> list[frozenset]:
+    """ge, the empty relation, well-inside where the lattice has payloads, and
+    seeded variants: each base minus one pair, random sub-relations of each
+    base, and random sub-relations of all pairs."""
+    bases = [ge_relation(lat), frozenset()]
+    if lat.payload_masks is not None:
+        bases.append(well_inside(lat))
+    out = list(bases)
+    for base in bases:
+        pairs = sorted(base)
+        if pairs:
+            dropped = rng.choice(pairs)
+            out.append(frozenset(p for p in pairs if p != dropped))
+        for keep in (0.95, 0.7):
+            out.append(frozenset(p for p in pairs if rng.random() < keep))
+    every_pair = [(f, g) for f in range(lat.m) for g in range(lat.m)]
+    for keep in (0.9, 0.5):
+        out.append(frozenset(p for p in every_pair if rng.random() < keep))
+    return out
+
+
+def _assert_matches_oracle(lat: FiniteLattice, rng: random.Random) -> set[str]:
+    """Compare every relation's report, witnesses included; return the
+    names of the axioms some relation failed."""
+    assert wallman_disjunction(lat) == wallman_disjunction_oracle(lat)
+    failed = set()
+    for rel in _relations(lat, rng):
+        report = check_r_lattice(lat, rel)
+        assert report == check_r_lattice_oracle(lat, rel), (lat.m, sorted(rel))
+        failed |= {a.name for a in report.axioms if not a.passed}
+    return failed
+
+
+def _upset_space(n: int, rng: random.Random) -> Topology:
+    # a random preorder on n points, closed transitively; its up-sets are the opens
+    up = [1 << i for i in range(n)]
+    for _ in range(rng.randint(0, 12)):
+        i, j = rng.sample(range(n), 2)
+        up[i] |= 1 << j
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    opens = [u for u in range(1 << n) if all(up[i] & ~u == 0 for i in range(n) if u >> i & 1)]
+    return Topology(n, opens)
+
+
+def test_r_lattice_matches_oracle_on_every_lattice_up_to_four_points():
+    rng = random.Random(4)
+    failed = set()
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            failed |= _assert_matches_oracle(regular_open_lattice(t), rng)
+    assert failed == set(AXIOM_NAMES) - {"wallman_disjunction"}  # every lattice is Boolean
+
+
+def test_r_lattice_matches_oracle_on_chains_and_open_set_lattices():
+    # chains, and the lattices of all opens of the spaces on up to 3 points,
+    # which are distributive but mostly not Boolean
+    rng = random.Random(5)
+    lattices = [
+        FiniteLattice.from_leq(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
+        for m in range(1, 9)
+    ]
+    for n in (1, 2, 3):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            opens = t.open_masks
+            inclusions = [
+                (i, j) for i, a in enumerate(opens) for j, b in enumerate(opens) if a & ~b == 0
+            ]
+            lattices.append(FiniteLattice.from_leq(len(opens), inclusions))
+    failed = set()
+    for lat in lattices:
+        failed |= _assert_matches_oracle(lat, rng)
+    assert failed == set(AXIOM_NAMES)
+
+
+def test_r_lattice_matches_oracle_on_seven_point_spaces():
+    # spaces of the benchmark's lattices-n7 kind, one per (lattice size, open
+    # count); lattices above 32 elements would take the oracle seconds
+    rng = random.Random(7)
+    sizes = set()
+    failed = set()
+    while len(sizes) < 12:
+        lat = regular_open_lattice(_upset_space(7, rng))
+        if lat.m <= 32 and (lat.m, len(lat.topology.open_masks)) not in sizes:
+            failed |= _assert_matches_oracle(lat, rng)
+            sizes.add((lat.m, len(lat.topology.open_masks)))
+    assert {m for m, _ in sizes} == {2, 4, 8, 16, 32}
+    assert failed == set(AXIOM_NAMES) - {"wallman_disjunction"}
 
 
 # -- order isomorphism search -------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The suite driver: pass/fail behaviour, determinism, instance accounting,
 and the counterexample gallery."""
 
+import random
+
 import pytest
 
 from regopen import cofinite as cof
@@ -13,6 +15,8 @@ from regopen.serialize import space_to_dict
 from regopen.suites import SUITES, SpaceContext
 from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask
 from regopen.transfer import DenseEmbedding
+
+from oracles import well_inside_monotone_oracle
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -195,6 +199,35 @@ PLANTED = {
     "cofinite": (_complement_ignoring_label_zero, {"seed", "trial", "error", "sets"}),
     "metric": (_strict_dominates, {"seed", "trial", "error"}),
 }
+
+
+def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):
+    # well-inside, and seeded variants missing or gaining pairs: the suite
+    # reports the same first failing pair and message as the pairwise scan
+    rng = random.Random(11)
+    ctx = SpaceContext()
+    messages = set()
+    for t in ctx.spaces(3, allow_n5=False):
+        lat = ctx.lattice(t)
+        pairs = sorted(well_inside(lat))
+        every_pair = [(f, g) for f in range(lat.m) for g in range(lat.m)]
+        variants = [
+            frozenset(pairs),
+            frozenset(pairs) - {rng.choice(pairs)},
+            frozenset(pairs) | {rng.choice(every_pair)},
+            frozenset(p for p in every_pair if rng.random() < 0.7),
+            frozenset({(lat.top, lat.top)}),
+        ]
+        for rel in variants:
+            monkeypatch.setattr(suites, "well_inside", lambda lat, rel=rel: rel)
+            expected = well_inside_monotone_oracle(lat, rel)
+            assert suites._check_rlattice(ctx, t) == expected
+            messages.add(expected.split(" at ")[0] if expected else None)
+    assert messages == {
+        None,
+        "well-inside not upward monotone",
+        "well-inside not downward monotone",
+    }
 
 
 def test_every_suite_has_a_planted_bug():

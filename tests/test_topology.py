@@ -22,7 +22,9 @@ from regopen.errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
+    SizeGuardExceeded,
 )
+from regopen.topology import MAX_OPENS, MAX_POINTS
 
 from oracles import (
     all_subsets,
@@ -64,6 +66,26 @@ def test_intersection_closure_rejected():
 def test_out_of_range_point_rejected():
     with pytest.raises(IndexOutOfRange):
         Topology(2, [frozenset(), frozenset({2}), frozenset({0, 1})])
+
+
+def test_largest_spaces_load():
+    chain = Topology(MAX_POINTS, [(1 << k) - 1 for k in range(MAX_POINTS + 1)])
+    assert len(chain.open_masks) == MAX_POINTS + 1
+    assert discrete(10).open_masks == tuple(range(MAX_OPENS))
+
+
+def test_oversized_spaces_rejected():
+    with pytest.raises(SizeGuardExceeded, match=f"at most {MAX_POINTS} points, not 17"):
+        Topology(MAX_POINTS + 1, [0, (1 << MAX_POINTS + 1) - 1])
+    with pytest.raises(SizeGuardExceeded, match=f"at most {MAX_OPENS} opens, not 2048"):
+        discrete(11)
+    with pytest.raises(SizeGuardExceeded, match="not 1000000"):
+        indiscrete(10**6)
+
+
+def test_fixture_encodings():
+    assert discrete(3).open_masks == tuple(range(8))
+    assert indiscrete(3).open_masks == (0, 0b111)
 
 
 def test_duplicates_canonicalized():

@@ -1,11 +1,15 @@
 """Dense-subspace transfer: restriction/extension isomorphisms, separating
 witnesses, the common-core composite, and point recovery."""
 
+import itertools
+import random
+
 import pytest
 
 from regopen import (
     DenseEmbedding,
     EnumerationSpec,
+    LatticeIsoWitness,
     Topology,
     closure_density_check,
     discrete,
@@ -23,6 +27,7 @@ from regopen import (
 )
 from regopen.errors import (
     CompositionNotIdentity,
+    CompositionNotIso,
     ContainmentHolds,
     CoresNotHomeomorphic,
     LatticeMismatch,
@@ -35,7 +40,7 @@ from regopen.errors import (
     VerificationError,
 )
 
-from oracles import closure_oracle
+from oracles import closure_oracle, order_preserved_oracle
 
 fs = frozenset
 X3 = x3()
@@ -131,6 +136,30 @@ def test_broken_round_trip_names_the_point_set(monkeypatch):
     with pytest.raises(CompositionNotIdentity) as exc:
         restriction_isomorphism(DenseEmbedding(X3, {0, 1}))
     assert exc.value.witness == [1]
+
+
+def test_order_check_matches_the_pairwise_scan():
+    # every bijection of the 4-element algebra and a seeded sample of the
+    # 8-element one: each is accepted iff the pairwise scan accepts it, and a
+    # refused one names the scan's first pair
+    rng = random.Random(3)
+    cases = [(regular_open_lattice(D2), p) for p in itertools.permutations(range(4))]
+    d3 = regular_open_lattice(discrete(3))
+    cases += [(d3, tuple(rng.sample(range(8), 8))) for _ in range(200)]
+    refused = 0
+    for lat, forward in cases:
+        backward = tuple(sorted(range(lat.m), key=forward.__getitem__))
+        try:
+            order_preserved_oracle(lat, lat, forward)
+        except CompositionNotIso as expected:
+            with pytest.raises(CompositionNotIso) as exc:
+                LatticeIsoWitness(lat, lat, forward, backward)
+            assert str(exc.value) == str(expected)
+            assert exc.value.witness == expected.witness
+            refused += 1
+        else:
+            assert LatticeIsoWitness(lat, lat, forward, backward).forward == forward
+    assert 0 < refused < len(cases)
 
 
 def test_apply_refuses_a_set_that_is_not_regular_open():
