@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BadEnumerationSpec, SizeGuardExceeded
-from .topology import Topology, canonical_open_masks
+from .topology import Topology, canonical_open_masks, set_of
 
 MODES = ("all", "up-to-homeomorphism")
 HARD_GUARD = 5
@@ -92,13 +92,15 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
         yield Topology(spec.n, fam)
 
 
+def dense_masks(t: Topology) -> list[int]:
+    """The masks of all nonempty subsets with full closure, ascending."""
+    full = t.full_mask
+    return [y for y in range(1, full + 1) if t.closure_mask(y) == full]
+
+
 def enumerate_dense_subsets(t: Topology) -> list[frozenset[int]]:
     """All nonempty subsets with full closure, in ascending mask order."""
-    return [
-        frozenset(i for i in range(t.n) if y >> i & 1)
-        for y in range(1, t.full_mask + 1)
-        if t.closure_mask(y) == t.full_mask
-    ]
+    return [set_of(y) for y in dense_masks(t)]
 
 
 def canonical_classes(max_n: int, allow_n5: bool = False) -> list[Topology]:

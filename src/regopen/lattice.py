@@ -149,13 +149,28 @@ class FiniteLattice:
 def check_lattice_tables(l: FiniteLattice) -> tuple[bool, tuple | None]:
     """Exhaustively confirm meet/join are the inf/sup of the stored order and
     satisfy commutativity, associativity and absorption. Witness on failure."""
+    ok, witness = check_inf_sup(l)
+    return check_table_laws(l) if ok else (ok, witness)
+
+
+def check_inf_sup(l: FiniteLattice) -> tuple[bool, tuple | None]:
+    """Meet is the inf and join the sup of the stored order, on every pair."""
+    down, up, meet, join = l.down, l.up, l.meet, l.join
+    for i in range(l.m):
+        for j in range(l.m):
+            if down[meet[i][j]] != down[i] & down[j]:
+                return False, ("meet-not-inf", i, j)
+            if up[join[i][j]] != up[i] & up[j]:
+                return False, ("join-not-sup", i, j)
+    return True, None
+
+
+def check_table_laws(l: FiniteLattice) -> tuple[bool, tuple | None]:
+    """Commutativity, absorption and associativity of the meet and join
+    tables: ``check_lattice_tables`` without the inf/sup scan."""
     m = l.m
     for i in range(m):
         for j in range(m):
-            if l.down[l.meet[i][j]] != l.down[i] & l.down[j]:
-                return False, ("meet-not-inf", i, j)
-            if l.up[l.join[i][j]] != l.up[i] & l.up[j]:
-                return False, ("join-not-sup", i, j)
             if l.meet[i][j] != l.meet[j][i]:
                 return False, ("meet-commutativity", i, j)
             if l.join[i][j] != l.join[j][i]:
@@ -240,7 +255,10 @@ def check_distributive(l: FiniteLattice) -> tuple[bool, tuple | None]:
 def check_boolean_algebra(l: RegularOpenLattice) -> tuple[bool, tuple | None]:
     """Meet and join are the inclusion inf and sup, and involution,
     complement laws and De Morgan hold; scanned over all pairs."""
-    down, up, meet, join, comp = l.down, l.up, l.meet, l.join, l.complement
+    ok, witness = check_inf_sup(l)
+    if not ok:
+        return ok, witness
+    meet, join, comp = l.meet, l.join, l.complement
     for i in range(l.m):
         if comp[comp[i]] != i:
             return False, ("involution", i)
@@ -249,10 +267,6 @@ def check_boolean_algebra(l: RegularOpenLattice) -> tuple[bool, tuple | None]:
         if join[i][comp[i]] != l.top:
             return False, ("join-complement", i)
         for j in range(l.m):
-            if down[meet[i][j]] != down[i] & down[j]:
-                return False, ("meet-not-inf", i, j)
-            if up[join[i][j]] != up[i] & up[j]:
-                return False, ("join-not-sup", i, j)
             if comp[meet[i][j]] != join[comp[i]][comp[j]]:
                 return False, ("de-morgan-meet", i, j)
             if comp[join[i][j]] != meet[comp[i]][comp[j]]:

@@ -20,20 +20,15 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import cofinite as cof
-from .enumeration import (
-    EnumerationSpec,
-    canonical_classes,
-    enumerate_dense_subsets,
-    enumerate_topologies,
-)
+from .enumeration import EnumerationSpec, canonical_classes, dense_masks, enumerate_topologies
 from .errors import BadSuiteArgument, NotABasis, RegOpenError, SizeGuardExceeded, UnknownSuite
 from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     PairRelation,
     RegularOpenLattice,
     check_distributive,
-    check_lattice_tables,
     check_r_lattice,
+    check_table_laws,
     find_order_isomorphisms,
     ge_relation,
     regular_open_lattice,
@@ -49,10 +44,10 @@ from .topology import Topology, set_of
 from .transfer import (
     DenseEmbedding,
     check_basis,
-    closure_density_check,
     point_recovery,
     restriction_isomorphism,
     separating_witness,
+    trace_keeps_closure,
 )
 
 # One instance: its fields and a check called as ``check(ctx, **fields)``.
@@ -96,15 +91,24 @@ class SuiteReport:
 
 class SpaceContext:
     """What the suites of one run share: the labeled spaces, enumerated once
-    per ground size, and one regular-open lattice per distinct space.
+    per ground size, one regular-open lattice per distinct space, and what
+    the dense sets of the space a suite is at share.
 
-    Both live as long as the context, which one ``regopen verify`` run
-    creates and hands to each ``run_suite`` call. It is not thread-safe.
+    A finite space is determined by its least neighbourhoods (its opens are
+    their unions), so spaces and lattices are keyed by them, and the
+    subspace on a dense set is looked up among the enumerated spaces rather
+    than built again. Spaces and lattices live as long as the context, which
+    one ``regopen verify`` run creates and hands to each ``run_suite`` call.
+    Embeddings and closures of opens are kept for the current space only:
+    asking about another space drops them. It is not thread-safe.
     """
 
     def __init__(self):
-        self._spaces: dict[int, tuple[Topology, ...]] = {}
-        self._lattices: dict[Topology, RegularOpenLattice] = {}
+        self._spaces: dict[int, dict[tuple[int, ...], Topology]] = {}
+        self._lattices: dict[tuple[int, ...], RegularOpenLattice] = {}
+        self._current: Topology | None = None
+        self._embeddings: dict[int, DenseEmbedding] = {}
+        self._open_closures: dict[int, int] = {}
 
     def spaces(self, bound: int, allow_n5: bool) -> Iterator[Topology]:
         """The labeled spaces on 1..bound points, in enumeration order. Every
@@ -112,44 +116,67 @@ class SpaceContext:
         specs = [EnumerationSpec(n, allow_n5=allow_n5) for n in range(1, bound + 1)]
         for spec in specs:
             if spec.n not in self._spaces:
-                self._spaces[spec.n] = tuple(enumerate_topologies(spec))
-        return itertools.chain.from_iterable(self._spaces[spec.n] for spec in specs)
+                self._spaces[spec.n] = {t.min_nbhd_masks: t for t in enumerate_topologies(spec)}
+        return itertools.chain.from_iterable(self._spaces[spec.n].values() for spec in specs)
 
     def lattice(self, t: Topology) -> RegularOpenLattice:
         """The regular-open lattice of ``t``, built on the first request for
-        a space equal to ``t`` (same n, same opens)."""
-        lat = self._lattices.get(t)
+        a space equal to ``t`` (same least neighbourhoods, so same opens)."""
+        lat = self._lattices.get(t.min_nbhd_masks)
         if lat is None:
-            lat = self._lattices[t] = regular_open_lattice(t)
+            lat = self._lattices[t.min_nbhd_masks] = regular_open_lattice(t)
         return lat
+
+    def _move_to(self, t: Topology) -> None:
+        if t is not self._current:
+            self._current = t
+            self._embeddings = {}
+            self._open_closures = {}
+
+    def embedding(self, t: Topology, dense: int) -> DenseEmbedding:
+        """The embedding of ``dense``, a mask from ``dense_masks(t)``. Its
+        subspace is the context's own enumerated space where there is one."""
+        self._move_to(t)
+        e = self._embeddings.get(dense)
+        if e is None:
+            spaces = self._spaces.get(dense.bit_count(), {})
+            e = self._embeddings[dense] = DenseEmbedding.among(t, dense, spaces)
+        return e
+
+    def open_closure(self, t: Topology, u: int) -> int:
+        """cl(U) for an open U of ``t``."""
+        self._move_to(t)
+        if not self._open_closures:
+            self._open_closures = {o: t.closure_mask(o) for o in t.open_masks}
+        return self._open_closures[u]
 
 
 # -- individual suites ---------------------------------------------------------
 
 
 def _check_ux0(ctx: SpaceContext, space: Topology, dense: int) -> None:
-    e = DenseEmbedding(space, dense)
+    e = ctx.embedding(space, dense)
     restriction_isomorphism(e, ctx.lattice(space), ctx.lattice(e.sub))
 
 
 def _suite_ux0(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound, allow_n5):
-        for y in enumerate_dense_subsets(t):
-            yield {"space": t, "dense": t.to_mask(y)}, _check_ux0
+        for y in dense_masks(t):
+            yield {"space": t, "dense": y}, _check_ux0
 
 
 def _check_denso(ctx: SpaceContext, space: Topology, dense: int, open: int) -> str | None:
-    if not closure_density_check(space, dense, open):
+    # dense_masks checked the density, and the opens come from the space
+    if not trace_keeps_closure(space, dense, open, ctx.open_closure(space, open)):
         return "closure of the open differs from closure of its dense trace"
     return None
 
 
 def _suite_denso(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound, allow_n5):
-        for y in enumerate_dense_subsets(t):
-            dense = t.to_mask(y)
+        for y in dense_masks(t):
             for u in t.open_masks:
-                yield {"space": t, "dense": dense, "open": u}, _check_denso
+                yield {"space": t, "dense": y, "open": u}, _check_denso
 
 
 def _check_uvw(ctx: SpaceContext, space: Topology, u: int, v: int) -> None:
@@ -185,7 +212,7 @@ def _suite_regularity(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) 
 
 
 def _check_recovery(ctx: SpaceContext, space: Topology, dense: int) -> str | None:
-    emb = DenseEmbedding(space, dense)
+    emb = ctx.embedding(space, dense)
     bx = [m for m in space.regular_open_masks() if m]
     by = [m for m in emb.sub.regular_open_masks() if m]
     iso = {set_of(u): set_of(emb.compress(u & emb.subset_mask)) for u in bx}
@@ -212,17 +239,18 @@ def _suite_recovery(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) ->
     for t in ctx.spaces(bound, allow_n5):
         if not _regular_opens_form_basis(t):
             continue
-        for y in enumerate_dense_subsets(t):
-            if _regular_opens_form_basis(DenseEmbedding(t, y).sub):
-                yield {"space": t, "dense": t.to_mask(y)}, _check_recovery
+        for y in dense_masks(t):
+            if _regular_opens_form_basis(ctx.embedding(t, y).sub):
+                yield {"space": t, "dense": y}, _check_recovery
 
 
 def _check_boolean(ctx: SpaceContext, space: Topology) -> dict | None:
-    # Building the lattice already checked the Boolean laws.
+    # Building the lattice already checked the Boolean laws, meet as the
+    # inf and join as the sup among them.
     lat = ctx.lattice(space)
     for name, check in (
         ("distributive", check_distributive),
-        ("lattice-tables", check_lattice_tables),
+        ("lattice-tables", check_table_laws),
     ):
         ok, witness = check(lat)
         if not ok:
@@ -243,10 +271,10 @@ def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
     rel = well_inside(lat)
     rows, _ = relation_rows(lat, rel)
     kept = [upward_kept(lat, rows, f) for f in range(lat.m)]
-    for f, g in rel:
-        if kept[f] >> g & 1 and not lat.down[g] & ~rows[f]:
-            continue
-        # this pair fails: re-scan it for its first witness
+    failing = [(f, g) for f, g in rel if not kept[f] >> g & 1 or lat.down[g] & ~rows[f]]
+    if failing:
+        # re-scan the first failing pair for its first witness
+        f, g = min(failing)
         for h in range(lat.m):
             if lat.leq(f, h) and (h, g) not in rel:
                 return f"well-inside not upward monotone at ({h},{f},{g})"

@@ -83,7 +83,7 @@ class Topology:
     SizeGuardExceeded before it is validated.
     """
 
-    __slots__ = ("n", "full_mask", "open_masks", "_open_set", "_min_nbhd")
+    __slots__ = ("n", "full_mask", "open_masks", "min_nbhd_masks", "_open_set")
 
     def __init__(self, n: int, opens: Iterable[Iterable[int]]):
         if n < 1:
@@ -113,7 +113,8 @@ class Topology:
         self.open_masks: tuple[int, ...] = tuple(masks)
         self._open_set = mask_set
         # Finite spaces are Alexandrov: each point has a smallest open
-        # neighborhood, precomputed here to keep instances immutable.
+        # neighborhood, precomputed here to keep instances immutable. The
+        # opens are the unions of these n masks, so they determine the space.
         nbhd = []
         for x in range(n):
             bit = 1 << x
@@ -122,7 +123,7 @@ class Topology:
                 if m & bit:
                     acc &= m
             nbhd.append(acc)
-        self._min_nbhd = tuple(nbhd)
+        self.min_nbhd_masks: tuple[int, ...] = tuple(nbhd)
 
     # -- canonical identity -------------------------------------------------
 
@@ -162,7 +163,7 @@ class Topology:
 
     def interior_mask(self, a: int) -> int:
         acc, bit = 0, 1
-        for u in self._min_nbhd:
+        for u in self.min_nbhd_masks:
             if u & a == u:
                 acc |= bit
             bit <<= 1
@@ -170,7 +171,7 @@ class Topology:
 
     def closure_mask(self, a: int) -> int:
         acc, bit = 0, 1
-        for u in self._min_nbhd:
+        for u in self.min_nbhd_masks:
             if u & a:
                 acc |= bit
             bit <<= 1
@@ -215,7 +216,7 @@ class Topology:
         """Intersection of all opens containing ``x``: the least open around it."""
         if not 0 <= x < self.n:
             raise IndexOutOfRange(f"point {x} outside ground set of size {self.n}")
-        return set_of(self._min_nbhd[x])
+        return set_of(self.min_nbhd_masks[x])
 
     def subspace(self, y: Iterable[int]) -> tuple["Topology", dict[int, int]]:
         """Inherited topology on ``y``, re-indexed to {0..|y|-1}.

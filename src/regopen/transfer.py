@@ -52,6 +52,31 @@ class DenseEmbedding:
         self.sub, self.index_map = ambient.subspace(mask)
         self.points = tuple(sorted(self.index_map, key=self.index_map.get))
 
+    @classmethod
+    def among(
+        cls, ambient: Topology, mask: int, spaces: Mapping[tuple[int, ...], Topology]
+    ) -> "DenseEmbedding":
+        """The embedding of ``mask``, a set the caller knows to be dense,
+        with its subspace taken from ``spaces``, keyed by least neighbourhoods.
+
+        The least neighbourhood of y in the subspace on Y is the trace of
+        U_y on Y, re-indexed, and these determine the subspace, so no open is
+        traced and no family validated. Where ``spaces`` holds no such space,
+        this is ``DenseEmbedding(ambient, mask)``.
+        """
+        points = tuple(iter_bits(mask))
+        nbhds = ambient.min_nbhd_masks
+        sub = spaces.get(tuple(compress_mask(nbhds[p], points) for p in points))
+        if sub is None:
+            return cls(ambient, mask)
+        e = cls.__new__(cls)
+        e.ambient = ambient
+        e.subset_mask = mask
+        e.sub = sub
+        e.index_map = {p: i for i, p in enumerate(points)}
+        e.points = points
+        return e
+
     def compress(self, ambient_mask: int) -> int:
         return compress_mask(ambient_mask, self.points)
 
@@ -158,7 +183,7 @@ def restriction_isomorphism(
         upstairs = regular_open_lattice(e.ambient)
     if downstairs is None:
         downstairs = regular_open_lattice(e.sub)
-    if upstairs.topology != e.ambient or downstairs.topology != e.sub:
+    if not _same(upstairs.topology, e.ambient) or not _same(downstairs.topology, e.sub):
         raise LatticeMismatch("the lattices must be those of the ambient space and the subspace")
     forward = []
     for mask in upstairs.payload_masks:
@@ -179,6 +204,11 @@ def restriction_isomorphism(
     return LatticeIsoWitness(upstairs, downstairs, tuple(forward), tuple(backward))
 
 
+def _same(a: Topology, b: Topology) -> bool:
+    # identity first: comparing two open families is the slow way to say yes
+    return a is b or a == b
+
+
 def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bool:
     """Compare cl(U) with cl(U & Y) for dense Y and open U.
 
@@ -191,7 +221,13 @@ def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bo
         raise NotOpen(f"{sorted(set_of(umask))} is not open")
     if t.closure_mask(ymask) != t.full_mask:
         raise NotDense(f"{sorted(set_of(ymask))} is not dense")
-    return t.closure_mask(umask) == t.closure_mask(umask & ymask)
+    return trace_keeps_closure(t, ymask, umask, t.closure_mask(umask))
+
+
+def trace_keeps_closure(t: Topology, ymask: int, umask: int, closure_u: int) -> bool:
+    """cl(U & Y) == cl(U), given cl(U): the kernel of ``closure_density_check``
+    for a Y already known dense and a U already known open."""
+    return t.closure_mask(umask & ymask) == closure_u
 
 
 def separating_witness(t: Topology, u: Iterable[int], v: Iterable[int]) -> PointSet:
@@ -351,12 +387,8 @@ def point_recovery(
                     "recovered correspondence breaks basis compatibility",
                     (sorted(set_of(u)), x),
                 )
-    if tau:
-        sub_x, _ = tx.subspace(x0_mask)
-        sub_y, map_y = ty.subspace(y0_mask)
-        perm = [map_y[tau[x]] for x in sorted(tau)]  # subspace indices follow point order
-        if {permute_mask(m, perm) for m in sub_x.open_masks} != set(sub_y.open_masks):
-            raise VerificationError("recovered correspondence is not a subspace homeomorphism")
+    if not _carries_neighbourhoods(tx, ty, tau):
+        raise VerificationError("recovered correspondence is not a subspace homeomorphism")
 
     return PartialHomeomorphism(
         set_of(x0_mask),
@@ -366,3 +398,15 @@ def point_recovery(
         {y: set_of(ry[y]) for y in range(ty.n)},
     )
 
+
+def _carries_neighbourhoods(tx: Topology, ty: Topology, tau: Mapping[int, int]) -> bool:
+    """Whether the bijection ``tau`` from X0 in ``tx`` onto Y0 in ``ty`` is a
+    homeomorphism of the subspaces. The least neighbourhood of x in X0 is
+    U_x & X0, and a bijection of finite spaces is a homeomorphism iff it
+    carries each least neighbourhood onto that of the image point."""
+    x0 = sum(1 << x for x in tau)
+    y0 = sum(1 << y for y in tau.values())
+    return all(
+        sum(1 << tau[z] for z in iter_bits(tx.min_nbhd_masks[x] & x0)) == ty.min_nbhd_masks[y] & y0
+        for x, y in tau.items()
+    )

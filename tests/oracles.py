@@ -206,13 +206,25 @@ def order_preserved_oracle(source, target, forward) -> None:
 
 
 def well_inside_monotone_oracle(l, rel) -> str | None:
-    """Scan each pair of ``rel``, in its iteration order, against every h:
+    """Scan each pair of ``rel``, in lexicographic order, against every h:
     the rlattice suite's message for the first pair not upward or downward
     monotone, else None."""
-    for f, g in rel:
+    for f, g in sorted(rel):
         for h in range(l.m):
             if l.leq(f, h) and (h, g) not in rel:
                 return f"well-inside not upward monotone at ({h},{f},{g})"
             if l.leq(h, g) and (f, h) not in rel:
                 return f"well-inside not downward monotone at ({f},{g},{h})"
     return None
+
+
+def subspace_homeomorphism_oracle(tx: Topology, ty: Topology, tau: dict[int, int]) -> bool:
+    """Whether ``tau`` carries the opens of the subspace on its domain onto
+    those of the subspace on its image, building both subspaces."""
+    if not tau:
+        return True
+    sub_x, _ = tx.subspace(set(tau))
+    sub_y, index_y = ty.subspace(set(tau.values()))
+    images = [index_y[tau[x]] for x in sorted(tau)]  # subspace indices follow point order
+    relabeled = {sum(1 << images[i] for i in range(sub_x.n) if m >> i & 1) for m in sub_x.open_masks}
+    return relabeled == set(sub_y.open_masks)

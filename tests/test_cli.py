@@ -105,12 +105,14 @@ def n4_verify_all(tmp_path_factory):
         mp.setattr(RegularOpenLattice, "__init__", lambda self, t: builds.append(t) or init(self, t))
         boolean = _count_calls(mp, lattice.check_boolean_algebra)
         distributive = _count_calls(mp, lattice.check_distributive)
+        inf_sup = _count_calls(mp, lattice.check_inf_sup)
         code = main(["verify", "--suite", "all", "--n", "4", "--json", str(out)])
     return SimpleNamespace(
         code=code,
         report=out.read_bytes(),
         lines=stdout.getvalue().splitlines(),
         counts=(len(builds), len(boolean), len(distributive)),
+        inf_sup_scans=len(inf_sup),
     )
 
 
@@ -125,6 +127,12 @@ def test_verify_all_n4_report_is_pinned(n4_verify_all):
 def test_verify_all_checks_each_law_once_per_lattice(n4_verify_all):
     assert n4_verify_all.code == 0
     assert n4_verify_all.counts == (389, 389, 389)
+
+
+def test_verify_all_scans_inf_and_sup_once_per_lattice(n4_verify_all):
+    # the Boolean check inside each build; the boolean suite does not repeat it
+    assert n4_verify_all.code == 0
+    assert n4_verify_all.inf_sup_scans == 389
 
 
 @pytest.mark.parametrize("bound", ["0", "-2"])

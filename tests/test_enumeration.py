@@ -20,8 +20,9 @@ from regopen import (
     sierpinski,
 )
 from regopen.cli import main as cli_main
+from regopen.enumeration import dense_masks
 from regopen.errors import BadEnumerationSpec, SizeGuardExceeded
-from regopen.topology import permute_mask
+from regopen.topology import permute_mask, set_of
 
 from oracles import brute_force_topologies, dense_oracle, preorder_topologies
 
@@ -164,6 +165,14 @@ def test_dense_subsets_match_oracle(n):
         assert sorted(enumerate_dense_subsets(t), key=sorted) == sorted(
             expected, key=sorted
         )
+
+
+def test_dense_masks_are_the_dense_subsets_as_masks():
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            masks = dense_masks(t)
+            assert masks == [t.to_mask(y) for y in enumerate_dense_subsets(t)]
+            assert masks == [y for y in range(1, 1 << n) if dense_oracle(t, set_of(y))]
 
 
 def test_canonical_classes_ordering():

@@ -7,14 +7,14 @@ import pytest
 
 from regopen import cofinite as cof
 from regopen import counterexample_search, run_suite, sierpinski, suites, x3
-from regopen.enumeration import EnumerationSpec, enumerate_dense_subsets, enumerate_topologies
+from regopen.enumeration import EnumerationSpec, dense_masks, enumerate_dense_subsets, enumerate_topologies
 from regopen.errors import BadSuiteArgument, SizeGuardExceeded, UnknownSuite, VerificationError
 from regopen.ideals import ideals, ultrafilters
 from regopen.lattice import find_order_isomorphisms, regular_open_lattice, transport_relation, well_inside
 from regopen.serialize import space_to_dict
 from regopen.suites import SUITES, SpaceContext
 from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask
-from regopen.transfer import DenseEmbedding
+from regopen.transfer import DenseEmbedding, closure_density_check
 
 from oracles import well_inside_monotone_oracle
 
@@ -101,6 +101,32 @@ def test_report_shape():
     assert "wall_time_s" in run_suite("boolean", bound=2).to_dict(include_timing=True)
 
 
+# -- the context's dense-set kernels against the public routes ----------------------
+
+
+def test_context_embeddings_match_dense_embedding_on_own_spaces():
+    ctx = SpaceContext()
+    own = {t: t for t in ctx.spaces(4, allow_n5=False)}
+    for t in own:
+        for y in dense_masks(t):
+            e, built = ctx.embedding(t, y), DenseEmbedding(t, y)
+            assert (e.ambient, e.subset_mask) == (t, y)
+            assert (e.sub, e.index_map, e.points) == (built.sub, built.index_map, built.points)
+            assert e.sub is own[e.sub]
+            assert ctx.embedding(t, y) is e  # one embedding per (space, dense set)
+
+
+def test_denso_instances_agree_with_closure_density_check():
+    ctx = SpaceContext()
+    count = 0
+    for count, (fields, check) in enumerate(suites._suite_denso(ctx, 4, False, 0), 1):
+        expected = closure_density_check(fields["space"], fields["dense"], fields["open"])
+        assert (check(ctx, **fields) is None) == expected
+    assert count == sum(
+        len(dense_masks(t)) * len(t.open_masks) for t in ctx.spaces(4, allow_n5=False)
+    )
+
+
 # -- planted bugs: every suite reports a subtly wrong operator ----------------------
 
 
@@ -115,8 +141,8 @@ def _density_check_with_short_trace(monkeypatch):
     # U & Y loses the lowest point of Y
     monkeypatch.setattr(
         suites,
-        "closure_density_check",
-        lambda t, y, u: t.closure_mask(u) == t.closure_mask(u & y & (y - 1)),
+        "trace_keeps_closure",
+        lambda t, y, u, closure_u: t.closure_mask(u & y & (y - 1)) == closure_u,
     )
 
 

@@ -11,6 +11,7 @@ from regopen import (
     EnumerationSpec,
     LatticeIsoWitness,
     Topology,
+    canonical_classes,
     closure_density_check,
     discrete,
     enumerate_dense_subsets,
@@ -39,8 +40,9 @@ from regopen.errors import (
     NotRegularOpen,
     VerificationError,
 )
+from regopen.transfer import _carries_neighbourhoods
 
-from oracles import closure_oracle, order_preserved_oracle
+from oracles import closure_oracle, order_preserved_oracle, subspace_homeomorphism_oracle
 
 fs = frozenset
 X3 = x3()
@@ -113,6 +115,27 @@ def test_restriction_isomorphism_refuses_another_spaces_lattice():
         restriction_isomorphism(e, regular_open_lattice(D2), regular_open_lattice(e.sub))
     with pytest.raises(LatticeMismatch):
         restriction_isomorphism(e, regular_open_lattice(X3), regular_open_lattice(X3))
+
+
+def test_restriction_isomorphism_accepts_the_lattices_of_equal_spaces():
+    e = DenseEmbedding(X3, {0, 1})
+    twin, sub_twin = Topology(X3.n, X3.opens), Topology(e.sub.n, e.sub.opens)
+    assert twin == X3 and twin is not X3 and sub_twin == e.sub and sub_twin is not e.sub
+    w = restriction_isomorphism(e, regular_open_lattice(twin), regular_open_lattice(sub_twin))
+    assert w.forward == restriction_isomorphism(e).forward
+
+
+def test_embedding_among_known_spaces():
+    for t in enumerate_topologies(EnumerationSpec(3)):
+        for y in enumerate_dense_subsets(t):
+            built = DenseEmbedding(t, y)
+            mask = t.to_mask(y)
+            known = DenseEmbedding.among(t, mask, {built.sub.min_nbhd_masks: built.sub})
+            missed = DenseEmbedding.among(t, mask, {})  # built as DenseEmbedding(t, mask)
+            assert known.sub is built.sub and missed.sub == built.sub
+            for e in (known, missed):
+                assert (e.ambient, e.subset_mask) == (t, mask)
+                assert (e.index_map, e.points) == (built.index_map, built.points)
 
 
 def test_trace_or_lift_outside_the_regular_opens_is_a_verification_error(monkeypatch):
@@ -350,6 +373,21 @@ def test_point_recovery_compatibility_exhaustive():
                     assert emb.index_map[x] == yy
                     for u in bx:
                         assert (x in u) == (yy in iso[u])
+
+
+def test_subspace_homeomorphism_by_least_neighbourhoods_matches_oracle():
+    # every partial bijection between 3-point class representatives
+    reps = [t for t in canonical_classes(3) if t.n == 3]
+    verdicts = set()
+    for tx, ty in itertools.product(reps, repeat=2):
+        for k in range(4):
+            for xs in itertools.combinations(range(3), k):
+                for ys in itertools.permutations(range(3), k):
+                    tau = dict(zip(xs, ys))
+                    verdict = _carries_neighbourhoods(tx, ty, tau)
+                    assert verdict == subspace_homeomorphism_oracle(tx, ty, tau)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _covers(t, basis):
