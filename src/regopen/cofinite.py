@@ -21,7 +21,7 @@ FINITE = "finite"
 COFINITE = "cofinite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolicSet:
     kind: str
     support: frozenset[int]
@@ -29,8 +29,11 @@ class SymbolicSet:
     def __post_init__(self):
         if self.kind not in (FINITE, COFINITE):
             raise ValueError(f"kind must be {FINITE!r} or {COFINITE!r}")
-        object.__setattr__(self, "support", frozenset(self.support))
-        if any(x < 0 for x in self.support):
+        support = self.support
+        if type(support) is not frozenset:
+            support = frozenset(support)
+            object.__setattr__(self, "support", support)
+        if support and min(support) < 0:
             raise ValueError("support labels must be non-negative")
 
     def __repr__(self):
@@ -71,7 +74,12 @@ def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
 
 
 def intersect(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
-    return complement(union(complement(a), complement(b)))
+    if a.kind == FINITE and b.kind == FINITE:
+        return SymbolicSet(FINITE, a.support & b.support)
+    if a.kind == COFINITE and b.kind == COFINITE:
+        return SymbolicSet(COFINITE, a.support | b.support)
+    fin, cof = (a, b) if a.kind == FINITE else (b, a)
+    return SymbolicSet(FINITE, fin.support - cof.support)
 
 
 def is_subset(a: SymbolicSet, b: SymbolicSet) -> bool:

@@ -92,10 +92,31 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
         yield Topology(spec.n, fam)
 
 
+def _submasks(mask: int) -> list[int]:
+    """Every submask of ``mask``, the empty one included."""
+    out, s = [0], mask
+    while s:
+        out.append(s)
+        s = (s - 1) & mask
+    return out
+
+
 def dense_masks(t: Topology) -> list[int]:
-    """The masks of all nonempty subsets with full closure, ascending."""
-    full = t.full_mask
-    return [y for y in range(1, full + 1) if t.closure_mask(y) == full]
+    """The masks of all nonempty subsets with full closure, ascending.
+
+    A set is dense exactly when it meets every minimal nonempty open. Those
+    opens are the least neighbourhoods that hold no other least
+    neighbourhood, and they are pairwise disjoint. So a dense set is a
+    nonempty part of each of them plus any part of the points outside them,
+    and no closure is computed.
+    """
+    nbhds = set(t.min_nbhd_masks)
+    dense, rest = [0], t.full_mask
+    for u in nbhds:
+        if not any(v != u and v & u == v for v in nbhds):
+            rest &= ~u
+            dense = [y | s for y in dense for s in _submasks(u)[1:]]
+    return sorted(y | s for y in dense for s in _submasks(rest))
 
 
 def enumerate_dense_subsets(t: Topology) -> list[frozenset[int]]:

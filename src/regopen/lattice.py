@@ -207,14 +207,14 @@ class RegularOpenLattice(FiniteLattice):
             sum(1 << j for j, b in enumerate(masks) if a & b == a)
             for a in masks
         ]
+        # cl(A | B) = cl(A) | cl(B), so each join is one interior of two
+        # closures taken once per regular open.
+        closures = [topology.closure_mask(a) for a in masks]
+        interior = topology.interior_mask
         try:
             meet = [[index[a & b] for b in masks] for a in masks]
-            join = [
-                [index[topology.regularize_mask(a | b)] for b in masks] for a in masks
-            ]
-            comp = tuple(
-                index[topology.interior_mask(topology.full_mask ^ a)] for a in masks
-            )
+            join = [[index[interior(ca | cb)] for cb in closures] for ca in closures]
+            comp = tuple(index[interior(topology.full_mask ^ a)] for a in masks)
         except KeyError as exc:
             raise VerificationError(
                 "a meet, join or complement is not a regular open", sorted(set_of(exc.args[0]))

@@ -6,6 +6,7 @@ checked exactly, never within a floating tolerance.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,21 +29,29 @@ class FiniteMetric:
         n = len(dist)
         if n < 1:
             raise ValueError("a metric space needs at least one point")
-        rows = tuple(tuple(Fraction(v) for v in row) for row in dist)
+        rows = tuple(
+            tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in dist
+        )
         if any(len(row) != n for row in rows):
             raise SizeMismatch("distance matrix must be square")
+        # The axioms are checked over integers: every distance scaled by the
+        # lcm of the denominators, which keeps order, equality and sums exact.
+        scale = math.lcm(*(v.denominator for row in rows for v in row))
+        d = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
         for i in range(n):
-            if rows[i][i] != 0:
+            if d[i][i] != 0:
                 raise NotAMetric("identity", (i, i))
             for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
+                if d[i][j] != d[j][i]:
                     raise NotAMetric("symmetry", (i, j))
-                if rows[i][j] <= 0:
+                if d[i][j] <= 0:
                     raise NotAMetric("positivity", (i, j))
         for i in range(n):
+            di = d[i]
             for j in range(n):
+                dij, dj = di[j], d[j]
                 for k in range(n):
-                    if rows[i][k] > rows[i][j] + rows[j][k]:
+                    if di[k] > dij + dj[k]:
                         raise NotAMetric("triangle", (i, j, k))
         self.n = n
         self.dist = rows

@@ -8,10 +8,14 @@ atom, so the Stone space is the discrete space on the atoms and the clopen
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NotBoolean
 from .lattice import RegularOpenLattice
 from .topology import PointSet, Topology, discrete
+
+# One validated discrete space per atom count; MAX_OPENS keeps that to k <= 10.
+_discrete = lru_cache(maxsize=None)(discrete)
 
 
 @dataclass(frozen=True)
@@ -44,4 +48,4 @@ def stone_space(b: RegularOpenLattice) -> StoneSpace:
         for v in range(b.m):
             if b.leq(u, v) != (to_clopen[u] <= to_clopen[v]):
                 raise NotBoolean(f"atom map does not preserve order at {(u, v)}")
-    return StoneSpace(discrete(len(atoms)), atoms, to_clopen)
+    return StoneSpace(_discrete(len(atoms)), atoms, to_clopen)

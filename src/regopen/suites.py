@@ -419,7 +419,7 @@ def _random_metric(rnd: random.Random, n: int) -> FiniteMetric:
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = 1 + Fraction(rnd.randint(0, 16), 16)
+            d = Fraction(16 + rnd.randint(0, 16), 16)
             rows[i][j] = rows[j][i] = d
     return FiniteMetric(rows)
 

@@ -1,19 +1,26 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately naive and shares no code with the package:
-pointwise scans and literal set arithmetic over frozensets.
+pointwise scans and literal set arithmetic over frozensets. The one
+exception is ``intersect_oracle``, the older De Morgan spelling of symbolic
+intersection, built on the package's own complement and union.
 """
 
+import functools
 import itertools
+from fractions import Fraction
 from itertools import combinations
 
 from regopen import Topology
+from regopen.cofinite import SymbolicSet, complement, union
 from regopen.errors import CompositionNotIso, SizeGuardExceeded
 from regopen.lattice import AXIOM_NAMES, AxiomResult, RLatticeReport
 
 
-def opens_as_sets(t: Topology) -> list[frozenset[int]]:
-    return [frozenset(i for i in range(t.n) if m >> i & 1) for m in t.open_masks]
+@functools.lru_cache(maxsize=1)
+def opens_as_sets(t: Topology) -> tuple[frozenset[int], ...]:
+    # kept for the last space asked: the oracles ask for one space many times
+    return tuple(frozenset(i for i in range(t.n) if m >> i & 1) for m in t.open_masks)
 
 
 def interior_oracle(t: Topology, a: frozenset[int]) -> frozenset[int]:
@@ -228,3 +235,21 @@ def subspace_homeomorphism_oracle(tx: Topology, ty: Topology, tau: dict[int, int
     images = [index_y[tau[x]] for x in sorted(tau)]  # subspace indices follow point order
     relabeled = {sum(1 << images[i] for i in range(sub_x.n) if m >> i & 1) for m in sub_x.open_masks}
     return relabeled == set(sub_y.open_masks)
+
+
+def intersect_oracle(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
+    # the complement of the union of the complements
+    return complement(union(complement(a), complement(b)))
+
+
+def triangle_oracle(dist) -> tuple[int, int, int] | None:
+    """The first ordered triple (i, j, k) with d(i, k) > d(i, j) + d(j, k),
+    scanned over Fractions, or None."""
+    rows = [[Fraction(v) for v in row] for row in dist]
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[i][k] > rows[i][j] + rows[j][k]:
+                    return (i, j, k)
+    return None

@@ -168,8 +168,8 @@ def test_dense_subsets_match_oracle(n):
 
 
 def test_dense_masks_are_the_dense_subsets_as_masks():
-    for n in (1, 2, 3, 4):
-        for t in enumerate_topologies(EnumerationSpec(n)):
+    for n in (1, 2, 3, 4, 5):
+        for t in enumerate_topologies(EnumerationSpec(n, allow_n5=True)):
             masks = dense_masks(t)
             assert masks == [t.to_mask(y) for y in enumerate_dense_subsets(t)]
             assert masks == [y for y in range(1, 1 << n) if dense_oracle(t, set_of(y))]

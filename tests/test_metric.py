@@ -1,5 +1,6 @@
 """Exact rational metrics and their max-combination."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from regopen import FiniteMetric, combine_metric, dominates
 from regopen.errors import NotABijection, NotAMetric, SizeMismatch
+
+from oracles import triangle_oracle
 
 ZERO_ONE = FiniteMetric([[0, 1], [1, 0]])
 
@@ -22,6 +25,47 @@ def test_axioms_validated():
     with pytest.raises(NotAMetric) as exc:
         FiniteMetric([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     assert exc.value.axiom == "triangle"
+
+
+def _triangle_witness(rows):
+    """The witness FiniteMetric raises for ``rows``, or None if it accepts them."""
+    try:
+        FiniteMetric(rows)
+    except NotAMetric as exc:
+        assert exc.axiom == "triangle"
+        return exc.witness
+    return None
+
+
+def test_triangle_scan_matches_fraction_oracle():
+    # symmetric, positive 4- and 5-point matrices with denominators 3, 16 and 7
+    # mixed; distances in [1, 3] break the triangle inequality often
+    rnd = random.Random(23)
+    accepted = refused = 0
+    for trial in range(400):
+        n = 4 + trial % 2
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                den = rnd.choice((3, 16, 7))
+                rows[i][j] = rows[j][i] = Fraction(rnd.randint(den, 3 * den), den)
+        witness = triangle_oracle(rows)
+        assert _triangle_witness(rows) == witness
+        accepted += witness is None
+        refused += witness is not None
+    assert accepted > 100 and refused > 100
+
+
+def test_triangle_boundary_is_exact():
+    third, sixteenth = Fraction(1, 3), Fraction(1, 16)
+
+    def three_points(far):
+        return [[0, third, far], [third, 0, sixteenth], [far, sixteenth, 0]]
+
+    assert _triangle_witness(three_points(third + sixteenth)) is None  # equality holds
+    assert _triangle_witness(three_points(third + sixteenth + Fraction(1, 48))) == (0, 1, 2)
+    assert _triangle_witness(three_points(third + sixteenth + Fraction(1, 336))) == (0, 1, 2)
+    assert _triangle_witness([[0, 1, Fraction(15, 7)], [1, 0, 1], [Fraction(15, 7), 1, 0]]) == (0, 1, 2)
 
 
 def test_combine_equal_metrics_is_identity():

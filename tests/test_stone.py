@@ -26,6 +26,13 @@ def test_x3_has_two_point_stone_space():
     }
 
 
+def test_lattices_with_equal_atom_counts_share_one_stone_space():
+    a = stone_space(regular_open_lattice(x3()))
+    b = stone_space(regular_open_lattice(discrete(2)))
+    assert a.space is b.space
+    assert stone_space(regular_open_lattice(discrete(3))).space is not a.space
+
+
 def test_sierpinski_collapses_to_a_point():
     st = stone_space(regular_open_lattice(sierpinski()))
     assert st.space.n == 1

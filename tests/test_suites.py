@@ -178,7 +178,8 @@ def _recovery_off_by_one(monkeypatch):
 
 
 def _join_as_plain_union(monkeypatch):
-    monkeypatch.setattr(Topology, "regularize_mask", lambda t, a: a)
+    # joins are interiors of closures, so every open becomes regular too
+    monkeypatch.setattr(Topology, "closure_mask", lambda t, a: a)
 
 
 def _well_inside_missing_top_over_bottom(monkeypatch):
@@ -225,6 +226,23 @@ PLANTED = {
     "cofinite": (_complement_ignoring_label_zero, {"seed", "trial", "error", "sets"}),
     "metric": (_strict_dominates, {"seed", "trial", "error"}),
 }
+
+
+def test_cofinite_reports_an_intersection_that_keeps_label_zero(monkeypatch):
+    intersect = cof.intersect
+
+    def wrong(a, b):
+        # finite & cofinite keeps label 0 of the finite set, even where the cofinite set omits it
+        out = intersect(a, b)
+        fin = a if a.kind == cof.FINITE else b
+        if a.kind != b.kind and 0 in fin.support:
+            return cof.SymbolicSet(cof.FINITE, out.support | {0})
+        return out
+
+    monkeypatch.setattr(cof, "intersect", wrong)
+    report = run_suite("cofinite", bound=3)
+    assert report.failures and not report.passed
+    assert all(set(failure) == {"seed", "trial", "error", "sets"} for failure in report.failures)
 
 
 def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):

@@ -1,5 +1,7 @@
 """Finite/cofinite symbolic set algebra and the cofinite-topology operators."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -25,6 +27,8 @@ from regopen.cofinite import (
     union,
 )
 
+from oracles import intersect_oracle
+
 
 def test_algebra_examples():
     assert intersect(cofinite({1, 2}), cofinite({2, 3})) == cofinite({1, 2, 3})
@@ -32,6 +36,16 @@ def test_algebra_examples():
     assert complement(EMPTY) == FULL
     assert union(finite({1, 2}), finite({3})) == finite({1, 2, 3})
     assert intersect(finite({1, 2}), cofinite({2})) == finite({1})
+
+
+def test_intersect_matches_de_morgan_on_small_supports():
+    # every finite and cofinite set with support inside range(4): 32 sets, 1024 pairs
+    supports = [frozenset(c) for r in range(5) for c in itertools.combinations(range(4), r)]
+    sets = [SymbolicSet(kind, s) for kind in (FINITE, COFINITE) for s in supports]
+    assert len(sets) == 32
+    for a in sets:
+        for b in sets:
+            assert intersect(a, b) == intersect_oracle(a, b)
 
 
 def test_interior_closure_examples():
@@ -87,6 +101,9 @@ def test_kind_validation():
         SymbolicSet("open", frozenset())
     with pytest.raises(ValueError):
         SymbolicSet(FINITE, frozenset({-1}))
+    with pytest.raises(ValueError):
+        SymbolicSet(COFINITE, [3, -2])
+    assert SymbolicSet(FINITE, [2, 0]).support == frozenset({0, 2})
 
 
 symbolic_sets = st.builds(
