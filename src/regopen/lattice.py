@@ -288,8 +288,13 @@ def wallman_disjunction(l: FiniteLattice) -> tuple[bool, tuple | None]:
     b have the same row of disjoint elements, so the lexicographically first
     witness is the first two indices of some shared row.
     """
+    return _wallman_on_rows(_disjoint_rows(l))
+
+
+def _wallman_on_rows(disjoint: list[int]) -> tuple[bool, tuple | None]:
+    """``wallman_disjunction`` on the rows of ``_disjoint_rows``."""
     sharing: dict[int, list[int]] = {}
-    for a, row in enumerate(_disjoint_rows(l)):
+    for a, row in enumerate(disjoint):
         sharing.setdefault(row, []).append(a)
     clashes = [tuple(ixs[:2]) for ixs in sharing.values() if len(ixs) > 1]
     if clashes:
@@ -418,7 +423,8 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
     m, bot, meet, join = l.m, l.bottom, l.meet, l.join
     targets = [list(iter_bits(row)) for row in rows]
     live = [f for f in range(m) if rows[f]]
-    results = [AxiomResult(AXIOM_NAMES[0], *wallman_disjunction(l))]
+    disjoint = _disjoint_rows(l)
+    results = [AxiomResult(AXIOM_NAMES[0], *_wallman_on_rows(disjoint))]
 
     witness = None
     for f in live:
@@ -471,7 +477,6 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
     # fails iff none of them is disjoint from g2. f ascends, so a later f
     # can only win with a lower g1.
     witness = None
-    disjoint = _disjoint_rows(l)
     for f in live:
         g1s = cols[f] if witness is None else cols[f] & ((1 << witness[0]) - 1)
         if not g1s:

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 from . import cofinite as cof
 from .enumeration import EnumerationSpec, canonical_classes, dense_masks, enumerate_topologies
 from .errors import BadSuiteArgument, NotABasis, RegOpenError, SizeGuardExceeded, UnknownSuite
-from .ideals import ideal_open_correspondence, ideals, ultrafilters
+from .ideals import _subsets, ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     PairRelation,
     RegularOpenLattice,
@@ -91,24 +91,20 @@ class SuiteReport:
 
 class SpaceContext:
     """What the suites of one run share: the labeled spaces, enumerated once
-    per ground size, one regular-open lattice per distinct space, and what
-    the dense sets of the space a suite is at share.
+    per ground size, and one regular-open lattice per distinct space.
 
     A finite space is determined by its least neighbourhoods (its opens are
     their unions), so spaces and lattices are keyed by them, and the
     subspace on a dense set is looked up among the enumerated spaces rather
     than built again. Spaces and lattices live as long as the context, which
     one ``regopen verify`` run creates and hands to each ``run_suite`` call.
-    Embeddings and closures of opens are kept for the current space only:
-    asking about another space drops them. It is not thread-safe.
+    Values of one space alone, such as closures, are left to the checks. It
+    is not thread-safe.
     """
 
     def __init__(self):
         self._spaces: dict[int, dict[tuple[int, ...], Topology]] = {}
         self._lattices: dict[tuple[int, ...], RegularOpenLattice] = {}
-        self._current: Topology | None = None
-        self._embeddings: dict[int, DenseEmbedding] = {}
-        self._open_closures: dict[int, int] = {}
 
     def spaces(self, bound: int, allow_n5: bool) -> Iterator[Topology]:
         """The labeled spaces on 1..bound points, in enumeration order. Every
@@ -127,28 +123,10 @@ class SpaceContext:
             lat = self._lattices[t.min_nbhd_masks] = regular_open_lattice(t)
         return lat
 
-    def _move_to(self, t: Topology) -> None:
-        if t is not self._current:
-            self._current = t
-            self._embeddings = {}
-            self._open_closures = {}
-
     def embedding(self, t: Topology, dense: int) -> DenseEmbedding:
         """The embedding of ``dense``, a mask from ``dense_masks(t)``. Its
         subspace is the context's own enumerated space where there is one."""
-        self._move_to(t)
-        e = self._embeddings.get(dense)
-        if e is None:
-            spaces = self._spaces.get(dense.bit_count(), {})
-            e = self._embeddings[dense] = DenseEmbedding.among(t, dense, spaces)
-        return e
-
-    def open_closure(self, t: Topology, u: int) -> int:
-        """cl(U) for an open U of ``t``."""
-        self._move_to(t)
-        if not self._open_closures:
-            self._open_closures = {o: t.closure_mask(o) for o in t.open_masks}
-        return self._open_closures[u]
+        return DenseEmbedding.among(t, dense, self._spaces.get(dense.bit_count(), {}))
 
 
 # -- individual suites ---------------------------------------------------------
@@ -167,7 +145,7 @@ def _suite_ux0(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iter
 
 def _check_denso(ctx: SpaceContext, space: Topology, dense: int, open: int) -> str | None:
     # dense_masks checked the density, and the opens come from the space
-    if not trace_keeps_closure(space, dense, open, ctx.open_closure(space, open)):
+    if not trace_keeps_closure(space, dense, open):
         return "closure of the open differs from closure of its dense trace"
     return None
 
@@ -314,22 +292,16 @@ def _suite_stone(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> It
 
 
 def _brute_force_ideals(n: int) -> set[frozenset]:
-    subsets = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(range(n), r)]
     found = set()
-    middle = [s for s in subsets if s]
+    middle = [s for s in _subsets(frozenset(range(n))) if s]
     for picks in range(1 << len(middle)):
         fam = {frozenset()} | {s for i, s in enumerate(middle) if picks >> i & 1}
         ok = all(a | b in fam for a in fam for b in fam) and all(
-            sub in fam for a in fam for sub in _power(a)
+            sub in fam for a in fam for sub in _subsets(a)
         )
         if ok:
             found.add(frozenset(fam))
     return found
-
-
-def _power(s: frozenset) -> list[frozenset]:
-    pts = sorted(s)
-    return [frozenset(c) for r in range(len(pts) + 1) for c in itertools.combinations(pts, r)]
 
 
 def _check_ideal_enumeration(ctx: SpaceContext, powerset: int) -> str | None:

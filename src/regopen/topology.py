@@ -11,7 +11,7 @@ share across threads.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptySubspace,
@@ -273,23 +273,39 @@ def permute_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
+def _carries_neighbourhoods(tx: Topology, ty: Topology, tau: Mapping[int, int]) -> bool:
+    """Whether the bijection ``tau`` from X0 in ``tx`` onto Y0 in ``ty`` is a
+    homeomorphism of the subspaces, or of the spaces when X0 and Y0 hold
+    every point. The least neighbourhood of x in X0 is U_x & X0, and a
+    bijection of finite spaces is a homeomorphism iff it carries each least
+    neighbourhood onto that of the image point."""
+    x0 = sum(1 << x for x in tau)
+    y0 = sum(1 << y for y in tau.values())
+    return all(
+        sum(1 << tau[z] for z in iter_bits(tx.min_nbhd_masks[x] & x0)) == ty.min_nbhd_masks[y] & y0
+        for x, y in tau.items()
+    )
+
+
 def find_homeomorphism(t1: Topology, t2: Topology) -> dict[int, int] | None:
     """Point bijection carrying opens onto opens, or None if there is none.
 
     Scans the relabelings in lexicographic order, as ``canonical_open_masks``
-    does, and returns the first that carries the opens of ``t1`` onto those
-    of ``t2``.
+    does, and returns the first that carries each least neighbourhood of
+    ``t1`` onto that of the image point in ``t2``.
     """
     if t1.n != t2.n or len(t1.open_masks) != len(t2.open_masks):
         return None
     for perm in itertools.permutations(range(t1.n)):
-        if tuple(sorted(permute_mask(m, perm) for m in t1.open_masks)) == t2.open_masks:
-            return dict(enumerate(perm))
+        sigma = dict(enumerate(perm))
+        if _carries_neighbourhoods(t1, t2, sigma):
+            return sigma
     return None
 
 
 def homeomorphic(t1: Topology, t2: Topology) -> bool:
-    return find_homeomorphism(t1, t2) is not None
+    """Same size and the same canonical open family."""
+    return t1.n == t2.n and canonical_open_masks(t1) == canonical_open_masks(t2)
 
 
 def canonical_open_masks(t: Topology) -> tuple[int, ...]:

@@ -31,7 +31,15 @@ from .errors import (
     VerificationError,
 )
 from .lattice import RegularOpenLattice, regular_open_lattice
-from .topology import PointSet, Topology, compress_mask, iter_bits, permute_mask, set_of
+from .topology import (
+    PointSet,
+    Topology,
+    _carries_neighbourhoods,
+    compress_mask,
+    iter_bits,
+    permute_mask,
+    set_of,
+)
 
 
 class DenseEmbedding:
@@ -221,13 +229,13 @@ def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bo
         raise NotOpen(f"{sorted(set_of(umask))} is not open")
     if t.closure_mask(ymask) != t.full_mask:
         raise NotDense(f"{sorted(set_of(ymask))} is not dense")
-    return trace_keeps_closure(t, ymask, umask, t.closure_mask(umask))
+    return trace_keeps_closure(t, ymask, umask)
 
 
-def trace_keeps_closure(t: Topology, ymask: int, umask: int, closure_u: int) -> bool:
-    """cl(U & Y) == cl(U), given cl(U): the kernel of ``closure_density_check``
-    for a Y already known dense and a U already known open."""
-    return t.closure_mask(umask & ymask) == closure_u
+def trace_keeps_closure(t: Topology, ymask: int, umask: int) -> bool:
+    """cl(U & Y) == cl(U): the kernel of ``closure_density_check`` for a Y
+    already known dense and a U already known open."""
+    return t.closure_mask(umask & ymask) == t.closure_mask(umask)
 
 
 def separating_witness(t: Topology, u: Iterable[int], v: Iterable[int]) -> PointSet:
@@ -271,7 +279,7 @@ def transfer_isomorphism(
     perm = [core_map[i] for i in range(zx.n)]
     if sorted(perm) != list(range(zy.n)):
         raise CoresNotHomeomorphic("core map is not a bijection")
-    if {permute_mask(m, perm) for m in zx.open_masks} != set(zy.open_masks):
+    if not _carries_neighbourhoods(zx, zy, dict(enumerate(perm))):
         raise CoresNotHomeomorphic("core map does not carry opens onto opens")
 
     lx = regular_open_lattice(ex.ambient)
@@ -398,15 +406,3 @@ def point_recovery(
         {y: set_of(ry[y]) for y in range(ty.n)},
     )
 
-
-def _carries_neighbourhoods(tx: Topology, ty: Topology, tau: Mapping[int, int]) -> bool:
-    """Whether the bijection ``tau`` from X0 in ``tx`` onto Y0 in ``ty`` is a
-    homeomorphism of the subspaces. The least neighbourhood of x in X0 is
-    U_x & X0, and a bijection of finite spaces is a homeomorphism iff it
-    carries each least neighbourhood onto that of the image point."""
-    x0 = sum(1 << x for x in tau)
-    y0 = sum(1 << y for y in tau.values())
-    return all(
-        sum(1 << tau[z] for z in iter_bits(tx.min_nbhd_masks[x] & x0)) == ty.min_nbhd_masks[y] & y0
-        for x, y in tau.items()
-    )

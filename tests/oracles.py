@@ -116,6 +116,18 @@ def preorder_topologies(n: int) -> list[Topology]:
     )
 
 
+def find_homeomorphism_oracle(t1: Topology, t2: Topology) -> dict[int, int] | None:
+    """The first relabeling, in lexicographic order, whose image of the
+    sorted open family of ``t1`` is that of ``t2``."""
+    if t1.n != t2.n or len(t1.open_masks) != len(t2.open_masks):
+        return None
+    for perm in itertools.permutations(range(t1.n)):
+        image = (sum(1 << perm[i] for i in range(t1.n) if m >> i & 1) for m in t1.open_masks)
+        if tuple(sorted(image)) == t2.open_masks:
+            return dict(enumerate(perm))
+    return None
+
+
 def wallman_disjunction_oracle(l) -> tuple[bool, tuple | None]:
     """Triple scan: every a < b has some h meeting exactly one of them at bottom."""
     bot = l.bottom

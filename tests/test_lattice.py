@@ -23,6 +23,7 @@ from regopen import (
     well_inside,
     x3,
 )
+from regopen.enumeration import canonical_classes
 from regopen.errors import NotALattice, VerificationError
 from regopen.lattice import AXIOM_NAMES
 from regopen.topology import Topology
@@ -342,6 +343,50 @@ def test_self_isomorphisms_contain_identity_and_close_under_inverse():
         for phi in autos:
             inverse = tuple(phi.index(i) for i in range(lat.m))
             assert inverse in autos
+
+
+def _assert_isomorphisms_match_networkx(lattices) -> int:
+    """Compare ``find_order_isomorphisms`` with networkx's matcher on the
+    strict-order digraphs, over every same-size pair; return the pair count."""
+    nx = pytest.importorskip("networkx")
+    graphs = []
+    for l in lattices:
+        g = nx.DiGraph()
+        g.add_nodes_from(range(l.m))
+        g.add_edges_from((i, j) for i in range(l.m) for j in range(l.m) if i != j and l.leq(i, j))
+        graphs.append(g)
+    pairs = 0
+    for l1, g1 in zip(lattices, graphs):
+        for l2, g2 in zip(lattices, graphs):
+            if l1.m != l2.m:
+                continue
+            pairs += 1
+            matcher = nx.algorithms.isomorphism.DiGraphMatcher(g1, g2)
+            expected = sorted(tuple(p[i] for i in range(l1.m)) for p in matcher.isomorphisms_iter())
+            assert find_order_isomorphisms(l1, l2) == expected
+    return pairs
+
+
+def test_order_isomorphisms_match_networkx_on_class_lattices_up_to_four_points():
+    lattices = [regular_open_lattice(t) for t in canonical_classes(4)]
+    assert _assert_isomorphisms_match_networkx(lattices) == 834
+
+
+def test_order_isomorphisms_match_networkx_on_non_boolean_lattices():
+    chains = [
+        FiniteLattice.from_leq(k, [(i, j) for i in range(k) for j in range(i, k)])
+        for k in range(1, 6)
+    ]
+    pentagon = FiniteLattice.from_leq(
+        5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]
+    )
+    open_set_lattices = []
+    for t in enumerate_topologies(EnumerationSpec(3)):
+        opens = list(enumerate(t.open_masks))
+        inclusions = [(i, j) for i, a in opens for j, b in opens if a & ~b == 0]
+        open_set_lattices.append(FiniteLattice.from_leq(len(opens), inclusions))
+    lattices = chains + [diamond_m3(), pentagon] + open_set_lattices
+    assert _assert_isomorphisms_match_networkx(lattices) > len(lattices)
 
 
 def test_transport_relation():

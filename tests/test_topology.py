@@ -30,6 +30,7 @@ from oracles import (
     all_subsets,
     closure_oracle,
     dense_oracle,
+    find_homeomorphism_oracle,
     interior_oracle,
     regular_open_oracle,
 )
@@ -240,8 +241,9 @@ def test_homeomorphism_decision_matches_canonical_forms_up_to_three_points():
     for t1 in spaces:
         for t2 in spaces:
             sigma = find_homeomorphism(t1, t2)
+            assert sigma == find_homeomorphism_oracle(t1, t2)
             same = t1.n == t2.n and canonical_open_masks(t1) == canonical_open_masks(t2)
-            assert (sigma is not None) == same
+            assert (sigma is not None) == same == homeomorphic(t1, t2)
             if sigma is not None:
                 assert {frozenset(sigma[p] for p in u) for u in t1.opens} == set(t2.opens)
 

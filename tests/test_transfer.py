@@ -40,7 +40,8 @@ from regopen.errors import (
     NotRegularOpen,
     VerificationError,
 )
-from regopen.transfer import _carries_neighbourhoods
+from regopen.topology import _carries_neighbourhoods
+from regopen.transfer import trace_keeps_closure
 
 from oracles import closure_oracle, order_preserved_oracle, subspace_homeomorphism_oracle
 
@@ -199,6 +200,8 @@ def test_closure_density_frozen_values():
     assert closure_density_check(S, {0}, {0, 1})
     assert closure_density_check(X3, {0, 1}, {0})
     assert closure_density_check(X3, {0, 1}, fs())
+    # the kernel trusts that Y is dense: {1} is not, and misses cl({0}) = {0, 2}
+    assert not trace_keeps_closure(X3, 0b010, 0b001)
 
 
 def test_closure_density_validates_arguments():
