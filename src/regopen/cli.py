@@ -1,14 +1,15 @@
 """Command-line surface.
 
 Verbs: enumerate, verify, counterexamples, stone, regular-lattice,
-cofinite-demo. Exit codes: 0 success / suite passed, 1 suite failures or
-counterexample output requested checks failed, 2 usage errors.
+cofinite-demo. Exit codes: 0 success / suite passed, 1 suite failures, 2
+usage errors, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -121,12 +122,7 @@ def _cmd_verify(args) -> int:
     reports = []
     for name in names:
         report = run_suite(
-            name,
-            bound=args.n,
-            sample=args.sample,
-            seed=args.seed,
-            allow_n5=args.allow_n5,
-            context=context,
+            name, args.n, sample=args.sample, seed=args.seed, allow_n5=args.allow_n5, context=context
         )
         status = "pass" if report.passed else f"FAIL ({len(report.failures)} failures)"
         print(f"{name}: {status} [{report.instances} instances, {report.wall_time_s:.2f}s]")
@@ -237,10 +233,16 @@ def main(argv: list[str] | None = None) -> int:
         "cofinite-demo": _cmd_cofinite_demo,
     }
     try:
-        return handlers[args.verb](args)
+        code = handlers[args.verb](args)
+        sys.stdout.flush()
+        return code
     except RegOpenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left; flushing stdout at exit must not raise again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -20,15 +20,33 @@ from .errors import BadEnumerationSpec, SizeGuardExceeded
 from .topology import Topology, canonical_open_masks, set_of
 
 MODES = ("all", "up-to-homeomorphism")
-HARD_GUARD = 5
+
+# Every size limit of a run, enforced by ``check_budget`` alone: per entry
+# point, the largest n and the n from which allow_n5 is needed (None: never).
+# A space from outside input is bounded by topology.MAX_POINTS and MAX_OPENS.
+BUDGETS: dict[str, tuple[int, int | None]] = {
+    "enumerate": (5, 5),
+    "verify": (5, 5),
+    "counterexamples": (4, None),
+    "ideals": (5, None),
+}
+
+
+def check_budget(entry: str, n: int, allow_n5: bool = False) -> None:
+    """SizeGuardExceeded if the ``entry`` row of BUDGETS refuses ``n``."""
+    largest, opt_in = BUDGETS[entry]
+    if n > largest:
+        raise SizeGuardExceeded(f"{entry} is guarded at n <= {largest}")
+    if opt_in is not None and n >= opt_in and not allow_n5:
+        raise SizeGuardExceeded(f"{entry} at n = {n} requires the explicit allow_n5 flag")
 
 
 @dataclass(frozen=True)
 class EnumerationSpec:
     """What to enumerate: ground size, labeled-vs-classes, optional cap.
 
-    n = 5 costs seconds and is allowed only with the explicit flag; n > 5 is
-    refused outright.
+    The sizes allowed, and the one from which ``allow_n5`` is needed, are
+    the "enumerate" row of BUDGETS.
     """
 
     n: int
@@ -41,10 +59,7 @@ class EnumerationSpec:
             raise BadEnumerationSpec(f"mode must be one of {MODES}")
         if self.n < 1:
             raise BadEnumerationSpec("ground set must have at least one point")
-        if self.n > HARD_GUARD:
-            raise SizeGuardExceeded(f"enumeration is guarded at n <= {HARD_GUARD}")
-        if self.n == HARD_GUARD and not self.allow_n5:
-            raise SizeGuardExceeded("n = 5 enumeration requires the explicit allow_n5 flag")
+        check_budget("enumerate", self.n, self.allow_n5)
 
 
 def _extensions(n: int, opens: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -124,11 +139,10 @@ def enumerate_dense_subsets(t: Topology) -> list[frozenset[int]]:
     return [set_of(y) for y in dense_masks(t)]
 
 
-def canonical_classes(max_n: int, allow_n5: bool = False) -> list[Topology]:
+def canonical_classes(max_n: int) -> list[Topology]:
     """Canonical representatives of all homeomorphism classes with n <= max_n,
     ordered by (n, open count, family encoding)."""
     out = []
     for n in range(1, max_n + 1):
-        spec = EnumerationSpec(n, mode="up-to-homeomorphism", allow_n5=allow_n5)
-        out.extend(enumerate_topologies(spec))
+        out.extend(enumerate_topologies(EnumerationSpec(n, mode="up-to-homeomorphism")))
     return out

@@ -1,12 +1,12 @@
 """Ideals and ultrafilters of finite powerset lattices, and the
 correspondence between ideals and open subsets of a finite discrete space.
 
-Enumeration is guarded at n <= 5: the brute-force search space of candidate
-families is doubly exponential, and at n = 5 only the principal construction
-below is feasible. That construction is complete: a family closed downward
-and under pairwise union contains the union of all its members, hence equals
-the down-set of that union. Tests cross-check it against a literal filter
-over all families at small n.
+The sizes allowed are the "ideals" row of ``enumeration.BUDGETS``. A brute
+force over candidate families is doubly exponential, so only the principal
+construction below is feasible at the larger of them. That construction is
+complete: a family closed downward and under pairwise union contains the
+union of all its members, hence equals the down-set of that union. Tests
+cross-check it against a literal filter over all families at small n.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import SizeGuardExceeded, VerificationError
+from .enumeration import check_budget
+from .errors import VerificationError
 from .topology import PointSet
-
-SIZE_GUARD = 5
 
 
 def _subsets(points: PointSet) -> list[PointSet]:
@@ -83,8 +82,7 @@ class Ultrafilter:
 def _guard(n: int):
     if n < 1:
         raise ValueError("powerset size must be at least 1")
-    if n > SIZE_GUARD:
-        raise SizeGuardExceeded(f"ideal enumeration is guarded at n <= {SIZE_GUARD}")
+    check_budget("ideals", n)
 
 
 def ideals(n: int) -> list[IdealFamily]:

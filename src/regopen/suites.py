@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import cofinite as cof
-from .enumeration import EnumerationSpec, canonical_classes, dense_masks, enumerate_topologies
-from .errors import BadSuiteArgument, NotABasis, RegOpenError, SizeGuardExceeded, UnknownSuite
+from .enumeration import EnumerationSpec, canonical_classes, check_budget, dense_masks, enumerate_topologies
+from .errors import BadSuiteArgument, NotABasis, RegOpenError, UnknownSuite
 from .ideals import _subsets, ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     PairRelation,
@@ -106,10 +106,10 @@ class SpaceContext:
         self._spaces: dict[int, dict[tuple[int, ...], Topology]] = {}
         self._lattices: dict[tuple[int, ...], RegularOpenLattice] = {}
 
-    def spaces(self, bound: int, allow_n5: bool) -> Iterator[Topology]:
-        """The labeled spaces on 1..bound points, in enumeration order. Every
-        call checks the size guards before it returns the first space."""
-        specs = [EnumerationSpec(n, allow_n5=allow_n5) for n in range(1, bound + 1)]
+    def spaces(self, bound: int) -> Iterator[Topology]:
+        """The labeled spaces on 1..bound points, in enumeration order. The
+        specs opt in: ``run_suite`` checked ``bound`` against ``enumeration.BUDGETS``."""
+        specs = [EnumerationSpec(n, allow_n5=True) for n in range(1, bound + 1)]
         for spec in specs:
             if spec.n not in self._spaces:
                 self._spaces[spec.n] = {t.min_nbhd_masks: t for t in enumerate_topologies(spec)}
@@ -126,7 +126,7 @@ class SpaceContext:
     def embedding(self, t: Topology, dense: int) -> DenseEmbedding:
         """The embedding of ``dense``, a mask from ``dense_masks(t)``. Its
         subspace is the context's own enumerated space where there is one."""
-        return DenseEmbedding.among(t, dense, self._spaces.get(dense.bit_count(), {}))
+        return DenseEmbedding(t, dense, self._spaces.get(dense.bit_count()))
 
 
 # -- individual suites ---------------------------------------------------------
@@ -137,8 +137,8 @@ def _check_ux0(ctx: SpaceContext, space: Topology, dense: int) -> None:
     restriction_isomorphism(e, ctx.lattice(space), ctx.lattice(e.sub))
 
 
-def _suite_ux0(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
-    for t in ctx.spaces(bound, allow_n5):
+def _suite_ux0(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+    for t in ctx.spaces(bound):
         for y in dense_masks(t):
             yield {"space": t, "dense": y}, _check_ux0
 
@@ -150,8 +150,8 @@ def _check_denso(ctx: SpaceContext, space: Topology, dense: int, open: int) -> s
     return None
 
 
-def _suite_denso(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
-    for t in ctx.spaces(bound, allow_n5):
+def _suite_denso(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+    for t in ctx.spaces(bound):
         for y in dense_masks(t):
             for u in t.open_masks:
                 yield {"space": t, "dense": y, "open": u}, _check_denso
@@ -161,8 +161,8 @@ def _check_uvw(ctx: SpaceContext, space: Topology, u: int, v: int) -> None:
     separating_witness(space, u, v)
 
 
-def _suite_uvw(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
-    for t in ctx.spaces(bound, allow_n5):
+def _suite_uvw(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+    for t in ctx.spaces(bound):
         regs = t.regular_open_masks()
         for u, v in itertools.product(regs, repeat=2):
             if u & ~v:
@@ -180,11 +180,11 @@ def _check_regularity(ctx: SpaceContext, space: Topology, subset: int) -> str | 
     return None
 
 
-def _suite_regularity(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
+def _suite_regularity(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
     """Both routes to 'regular open' agree on every subset of every space:
     the fixpoint definition versus openness plus 'every open inside the
     closure already sits inside the set'."""
-    for t in ctx.spaces(bound, allow_n5):
+    for t in ctx.spaces(bound):
         for a in range(t.full_mask + 1):
             yield {"space": t, "subset": a}, _check_regularity
 
@@ -209,12 +209,12 @@ def _regular_opens_form_basis(t: Topology) -> bool:
     return True
 
 
-def _suite_recovery(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
+def _suite_recovery(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
     """Recovery from the basis isomorphism induced by dense restriction must
     send each recovered point to its own copy. Instances are limited to
     (space, dense set) pairs where the nonempty regular opens do form bases
     on both sides, since the construction quantifies over given bases."""
-    for t in ctx.spaces(bound, allow_n5):
+    for t in ctx.spaces(bound):
         if not _regular_opens_form_basis(t):
             continue
         for y in dense_masks(t):
@@ -236,8 +236,8 @@ def _check_boolean(ctx: SpaceContext, space: Topology) -> dict | None:
     return None
 
 
-def _suite_boolean(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
-    for t in ctx.spaces(bound, allow_n5):
+def _suite_boolean(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+    for t in ctx.spaces(bound):
         yield {"space": t}, _check_boolean
 
 
@@ -261,8 +261,8 @@ def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
     return None
 
 
-def _suite_rlattice(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
-    for t in ctx.spaces(bound, allow_n5):
+def _suite_rlattice(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+    for t in ctx.spaces(bound):
         yield {"space": t}, _check_rlattice
 
 
@@ -284,8 +284,8 @@ def _check_ultrafilters(ctx: SpaceContext, powerset: int) -> str | None:
     return None
 
 
-def _suite_stone(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
-    for t in ctx.spaces(bound, allow_n5):
+def _suite_stone(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+    for t in ctx.spaces(bound):
         yield {"space": t}, _check_stone
     for n in range(1, 6):
         yield {"powerset": n}, _check_ultrafilters
@@ -314,10 +314,10 @@ def _check_ideal_correspondence(ctx: SpaceContext, powerset: int) -> None:
     ideal_open_correspondence(powerset)
 
 
-def _suite_ideals(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
+def _suite_ideals(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
     for n in range(1, min(bound, 4) + 1):
         yield {"powerset": n}, _check_ideal_enumeration
-    for n in range(1, min(bound, 5) + 1):
+    for n in range(1, bound + 1):
         yield {"powerset": n}, _check_ideal_correspondence
 
 
@@ -378,7 +378,7 @@ def _check_cofinite_identities(ctx: SpaceContext, seed: int) -> dict | None:
     return None
 
 
-def _suite_cofinite(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
+def _suite_cofinite(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
     yield {}, _check_cofinite_family
     yield {"seed": seed}, _check_cofinite_identities
 
@@ -412,11 +412,11 @@ def _check_metric(ctx: SpaceContext, seed: int) -> dict | None:
     return None
 
 
-def _suite_metric(ctx: SpaceContext, bound: int, allow_n5: bool, seed: int) -> Iterator[Instance]:
+def _suite_metric(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
     yield {"seed": seed}, _check_metric
 
 
-SUITES: dict[str, Callable[[SpaceContext, int, bool, int], Iterator[Instance]]] = {
+SUITES: dict[str, Callable[[SpaceContext, int, int], Iterator[Instance]]] = {
     "ux0": _suite_ux0,
     "denso": _suite_denso,
     "uvw": _suite_uvw,
@@ -455,12 +455,13 @@ def run_suite(
 ) -> SuiteReport:
     """Run one named suite over the enumeration up to ``bound`` points.
 
-    ``sample`` draws a deterministic random subset of instances (for the
-    gated n = 5 scale). ``context`` shares spaces and lattices with other
+    Every suite first checks ``bound`` and ``allow_n5`` against the "verify"
+    row of ``enumeration.BUDGETS``. ``sample`` draws a deterministic random
+    subset of instances. ``context`` shares spaces and lattices with other
     suites of the same run; without one the suite makes its own.
     ``wall_time_s`` covers generating the instances as well as checking them.
     A ``RegOpenError`` raised by a check is that instance's failure; one
-    raised while generating instances (a size guard) propagates.
+    raised while generating instances propagates.
     """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
@@ -468,10 +469,11 @@ def run_suite(
         raise BadSuiteArgument(f"bound must be at least 1, not {bound}")
     if sample is not None and sample < 0:
         raise BadSuiteArgument(f"sample size must not be negative, not {sample}")
+    check_budget("verify", bound, allow_n5)
     start = time.perf_counter()
     if context is None:
         context = SpaceContext()
-    instances = SUITES[name](context, bound, allow_n5, seed)
+    instances = SUITES[name](context, bound, seed)
     if sample is not None:
         instances = list(instances)
         if sample < len(instances):
@@ -529,8 +531,7 @@ class CounterexamplePair:
 def counterexample_search(max_n: int) -> list[CounterexamplePair]:
     """All pairs of homeomorphism-class representatives (n <= max_n) whose
     regular-open lattices are order isomorphic, in canonical order."""
-    if max_n > 4:
-        raise SizeGuardExceeded("counterexample search is guarded at n <= 4")
+    check_budget("counterexamples", max_n)
     reps = canonical_classes(max_n)
     lats = [regular_open_lattice(t) for t in reps]
     rels = [well_inside(lat) for lat in lats]

@@ -46,44 +46,29 @@ class DenseEmbedding:
     """A dense subset of an ambient space together with its subspace.
 
     ``index_map`` sends ambient points of the subset to subspace indices;
-    ``points`` lists ambient points in subspace-index order.
+    ``points`` lists ambient points in subspace-index order. The subspace is
+    taken from ``spaces``, known spaces keyed by least neighbourhoods, when
+    it is there, else built: the least neighbourhood of y in the subspace on
+    Y is the trace of U_y on Y, re-indexed, and these determine it.
     """
 
     __slots__ = ("ambient", "subset_mask", "sub", "index_map", "points")
 
-    def __init__(self, ambient: Topology, subset: Iterable[int]):
+    def __init__(
+        self,
+        ambient: Topology,
+        subset: Iterable[int] | int,
+        spaces: Mapping[tuple[int, ...], Topology] | None = None,
+    ):
         mask = ambient.to_mask(subset)
         if ambient.closure_mask(mask) != ambient.full_mask:
             raise NotDense(f"{sorted(set_of(mask))} is not dense in the ambient space")
         self.ambient = ambient
         self.subset_mask = mask
-        self.sub, self.index_map = ambient.subspace(mask)
-        self.points = tuple(sorted(self.index_map, key=self.index_map.get))
-
-    @classmethod
-    def among(
-        cls, ambient: Topology, mask: int, spaces: Mapping[tuple[int, ...], Topology]
-    ) -> "DenseEmbedding":
-        """The embedding of ``mask``, a set the caller knows to be dense,
-        with its subspace taken from ``spaces``, keyed by least neighbourhoods.
-
-        The least neighbourhood of y in the subspace on Y is the trace of
-        U_y on Y, re-indexed, and these determine the subspace, so no open is
-        traced and no family validated. Where ``spaces`` holds no such space,
-        this is ``DenseEmbedding(ambient, mask)``.
-        """
-        points = tuple(iter_bits(mask))
-        nbhds = ambient.min_nbhd_masks
-        sub = spaces.get(tuple(compress_mask(nbhds[p], points) for p in points))
-        if sub is None:
-            return cls(ambient, mask)
-        e = cls.__new__(cls)
-        e.ambient = ambient
-        e.subset_mask = mask
-        e.sub = sub
-        e.index_map = {p: i for i, p in enumerate(points)}
-        e.points = points
-        return e
+        self.points = tuple(iter_bits(mask))
+        self.index_map = {p: i for i, p in enumerate(self.points)}
+        key = tuple(compress_mask(ambient.min_nbhd_masks[p], self.points) for p in self.points)
+        self.sub = (spaces or {}).get(key) or ambient.subspace(mask)[0]
 
     def compress(self, ambient_mask: int) -> int:
         return compress_mask(ambient_mask, self.points)

@@ -4,8 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +23,8 @@ from regopen.topology import Topology
 # sha256 of `regopen verify --suite all --n 4 --json`: the canonical reports
 # must stay byte-identical whatever the verifier does to get them faster.
 N4_REPORT_SHA256 = "7a1403676616ba4ed36c63e1fab144208d326f4b3e1b40606843cd18d5f73e86"
+# sha256 of `regopen counterexamples --n 4 --json`, the pinned gallery.
+N4_GALLERY_SHA256 = "5882ab1fca64a2e4f2561cc4987db2ce66663cde257bcdef2a0f280724638aa1"
 
 
 def test_enumerate_prints_count(capsys):
@@ -38,6 +43,22 @@ def test_enumerate_classes_with_json(tmp_path, capsys):
 def test_enumerate_guard_exit_code(capsys):
     assert main(["enumerate", "--n", "5"]) == 2
     assert "allow_n5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "enumerate --n 6",
+        "counterexamples --n 5",
+        "verify --suite ideals --n 9",
+        "verify --suite metric --n 6",
+        "verify --suite cofinite --n 5",
+    ],
+)
+def test_size_guards_are_usage_errors(argv, capsys):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -192,6 +213,31 @@ def test_counterexamples_json(tmp_path, capsys):
     assert main(["counterexamples", "--n", "2", "--json", str(out)]) == 0
     gallery = json.loads(out.read_text())
     assert gallery and all("well_inside_1" in p for p in gallery)
+
+
+def test_counterexamples_n4_gallery_is_pinned(tmp_path, capsys):
+    out = tmp_path / "gallery.json"
+    assert main(["counterexamples", "--n", "4", "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == N4_GALLERY_SHA256
+    assert len(json.loads(out.read_text())) == 394
+
+
+def test_closed_stdout_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "regopen.cli", "counterexamples", "--n", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert b"Traceback" not in done.stderr
 
 
 def test_stone_verb(capsys):

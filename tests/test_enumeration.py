@@ -126,6 +126,8 @@ def test_guards():
         EnumerationSpec(5)  # n = 5 needs the explicit flag
     EnumerationSpec(5, allow_n5=True)
     with pytest.raises(SizeGuardExceeded):
+        canonical_classes(5)  # classes need the flag too, and canonical_classes never opts in
+    with pytest.raises(SizeGuardExceeded):
         brute_force_topologies(5)
     with pytest.raises(SizeGuardExceeded):
         preorder_topologies(5)

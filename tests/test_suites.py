@@ -6,8 +6,14 @@ import random
 import pytest
 
 from regopen import cofinite as cof
-from regopen import counterexample_search, run_suite, sierpinski, suites, x3
-from regopen.enumeration import EnumerationSpec, dense_masks, enumerate_dense_subsets, enumerate_topologies
+from regopen import counterexample_search, enumeration, run_suite, sierpinski, suites, x3
+from regopen.enumeration import (
+    BUDGETS,
+    EnumerationSpec,
+    dense_masks,
+    enumerate_dense_subsets,
+    enumerate_topologies,
+)
 from regopen.errors import BadSuiteArgument, SizeGuardExceeded, UnknownSuite, VerificationError
 from regopen.ideals import ideals, ultrafilters
 from regopen.lattice import find_order_isomorphisms, regular_open_lattice, transport_relation, well_inside
@@ -93,6 +99,29 @@ def test_gated_five_point_scale_with_sampling():
         run_suite("boolean", bound=5, sample=5)
 
 
+# The entry point that each row of the budget table guards, called at n.
+BUDGET_ENTRY_POINTS = {
+    "enumerate": lambda n, allow_n5: EnumerationSpec(n, allow_n5=allow_n5),
+    "verify": lambda n, allow_n5: run_suite("ideals", bound=n, allow_n5=allow_n5),
+    "counterexamples": lambda n, allow_n5: counterexample_search(n),
+    "ideals": lambda n, allow_n5: ideals(n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BUDGETS))
+def test_budget_row(entry, monkeypatch):
+    call = BUDGET_ENTRY_POINTS[entry]
+    largest, opt_in = BUDGETS[entry]
+    call(largest, allow_n5=opt_in is not None)
+    monkeypatch.setattr(suites, "enumerate_topologies", None)  # enumerating would raise TypeError
+    monkeypatch.setattr(enumeration, "enumerate_topologies", None)
+    if opt_in is not None:
+        with pytest.raises(SizeGuardExceeded, match="requires the explicit allow_n5 flag"):
+            call(opt_in, allow_n5=False)
+    with pytest.raises(SizeGuardExceeded, match=f"{entry} is guarded at n <= {largest}"):
+        call(largest + 1, allow_n5=True)
+
+
 def test_report_shape():
     d = run_suite("boolean", bound=2).to_dict()
     assert d["schema"] == 1
@@ -106,7 +135,7 @@ def test_report_shape():
 
 def test_context_embeddings_match_dense_embedding_on_own_spaces():
     ctx = SpaceContext()
-    own = {t: t for t in ctx.spaces(4, allow_n5=False)}
+    own = {t: t for t in ctx.spaces(4)}
     for t in own:
         for y in dense_masks(t):
             e, built = ctx.embedding(t, y), DenseEmbedding(t, y)
@@ -118,12 +147,10 @@ def test_context_embeddings_match_dense_embedding_on_own_spaces():
 def test_denso_instances_agree_with_closure_density_check():
     ctx = SpaceContext()
     count = 0
-    for count, (fields, check) in enumerate(suites._suite_denso(ctx, 4, False, 0), 1):
+    for count, (fields, check) in enumerate(suites._suite_denso(ctx, 4, 0), 1):
         expected = closure_density_check(fields["space"], fields["dense"], fields["open"])
         assert (check(ctx, **fields) is None) == expected
-    assert count == sum(
-        len(dense_masks(t)) * len(t.open_masks) for t in ctx.spaces(4, allow_n5=False)
-    )
+    assert count == sum(len(dense_masks(t)) * len(t.open_masks) for t in ctx.spaces(4))
 
 
 # -- planted bugs: every suite reports a subtly wrong operator ----------------------
@@ -250,7 +277,7 @@ def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):
     rng = random.Random(11)
     ctx = SpaceContext()
     messages = set()
-    for t in ctx.spaces(3, allow_n5=False):
+    for t in ctx.spaces(3):
         lat = ctx.lattice(t)
         pairs = sorted(well_inside(lat))
         every_pair = [(f, g) for f in range(lat.m) for g in range(lat.m)]
@@ -363,6 +390,9 @@ def test_gallery_contains_differing_relations_pair():
     assert (canonical_open_masks(discrete(2)), canonical_open_masks(x3())) in keys
 
 
-def test_gallery_guard():
+def test_gallery_guard(monkeypatch):
+    with pytest.raises(SizeGuardExceeded):
+        counterexample_search(5)
+    monkeypatch.setattr(suites, "canonical_classes", None)  # refused before enumerating
     with pytest.raises(SizeGuardExceeded):
         counterexample_search(5)

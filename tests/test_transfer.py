@@ -131,12 +131,14 @@ def test_embedding_among_known_spaces():
         for y in enumerate_dense_subsets(t):
             built = DenseEmbedding(t, y)
             mask = t.to_mask(y)
-            known = DenseEmbedding.among(t, mask, {built.sub.min_nbhd_masks: built.sub})
-            missed = DenseEmbedding.among(t, mask, {})  # built as DenseEmbedding(t, mask)
+            known = DenseEmbedding(t, mask, {built.sub.min_nbhd_masks: built.sub})
+            missed = DenseEmbedding(t, mask, {})  # not found, so the subspace is built
             assert known.sub is built.sub and missed.sub == built.sub
             for e in (known, missed):
                 assert (e.ambient, e.subset_mask) == (t, mask)
                 assert (e.index_map, e.points) == (built.index_map, built.points)
+    with pytest.raises(NotDense):  # known spaces do not skip the density check
+        DenseEmbedding(X3, {2}, {(1,): discrete(1)})
 
 
 def test_trace_or_lift_outside_the_regular_opens_is_a_verification_error(monkeypatch):
