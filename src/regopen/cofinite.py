@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .errors import NotOpen, VerificationError
+
 FINITE = "finite"
 COFINITE = "cofinite"
 
@@ -161,9 +163,9 @@ def regular_opens(
     traces = []
     for a in sample_opens:
         if not is_open(a):
-            raise ValueError(f"{a!r} is not open in the cofinite topology")
+            raise NotOpen(f"{a!r} is not open in the cofinite topology")
         traces.append(trace_regularize(a))
     for tr in traces:
         if tr.regular != (tr.queried in (EMPTY, FULL)):
-            raise RuntimeError(f"regularity of {tr.queried!r} disagrees with the two-element family")
+            raise VerificationError(f"regularity of {tr.queried!r} disagrees with the two-element family")
     return (EMPTY, FULL), tuple(traces)

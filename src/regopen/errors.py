@@ -89,10 +89,6 @@ class NotABijection(RegOpenError, ValueError):
     """A map required to be a bijection is not one."""
 
 
-class LatticeMismatch(RegOpenError, ValueError):
-    """A lattice passed in was built on another space than the one it is used for."""
-
-
 class NotBoolean(RegOpenError, ValueError):
     """A lattice expected to be a Boolean algebra fails a Boolean law."""
 

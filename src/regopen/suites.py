@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from . import cofinite as cof
-from .enumeration import EnumerationSpec, canonical_classes, check_budget, dense_masks, enumerate_topologies
-from .errors import BadSuiteArgument, NotABasis, RegOpenError, UnknownSuite
+from .enumeration import BUDGETS, EnumerationSpec, canonical_classes, check_budget, dense_masks, enumerate_topologies
+from .errors import BadEnumerationSpec, BadSuiteArgument, NotABasis, RegOpenError, UnknownSuite
 from .ideals import _subsets, ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     PairRelation,
@@ -133,8 +133,7 @@ class SpaceContext:
 
 
 def _check_ux0(ctx: SpaceContext, space: Topology, dense: int) -> None:
-    e = ctx.embedding(space, dense)
-    restriction_isomorphism(e, ctx.lattice(space), ctx.lattice(e.sub))
+    restriction_isomorphism(ctx.embedding(space, dense), ctx.lattice)
 
 
 def _suite_ux0(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
@@ -193,8 +192,7 @@ def _check_recovery(ctx: SpaceContext, space: Topology, dense: int) -> str | Non
     emb = ctx.embedding(space, dense)
     bx = [m for m in space.regular_open_masks() if m]
     by = [m for m in emb.sub.regular_open_masks() if m]
-    iso = {set_of(u): set_of(emb.compress(u & emb.subset_mask)) for u in bx}
-    ph = point_recovery(space, [set_of(m) for m in bx], emb.sub, [set_of(m) for m in by], iso)
+    ph = point_recovery(space, bx, emb.sub, by, {u: emb.compress(u) for u in bx})
     for x, yy in ph.tau.items():
         if emb.index_map.get(x) != yy:
             return f"recovered {x} -> {yy}, expected the dense-set inclusion"
@@ -287,7 +285,7 @@ def _check_ultrafilters(ctx: SpaceContext, powerset: int) -> str | None:
 def _suite_stone(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
     for t in ctx.spaces(bound):
         yield {"space": t}, _check_stone
-    for n in range(1, 6):
+    for n in range(1, BUDGETS["ideals"][0] + 1):
         yield {"powerset": n}, _check_ultrafilters
 
 
@@ -531,6 +529,8 @@ class CounterexamplePair:
 def counterexample_search(max_n: int) -> list[CounterexamplePair]:
     """All pairs of homeomorphism-class representatives (n <= max_n) whose
     regular-open lattices are order isomorphic, in canonical order."""
+    if max_n < 1:
+        raise BadEnumerationSpec(f"the search needs at least one point, not {max_n}")
     check_budget("counterexamples", max_n)
     reps = canonical_classes(max_n)
     lats = [regular_open_lattice(t) for t in reps]

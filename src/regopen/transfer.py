@@ -5,11 +5,15 @@ The central facts made executable here, each verified instance by instance:
 * restriction U -> U & Y is a lattice isomorphism from the regular opens of
   a space onto those of any dense subspace, with inverse V -> int(cl(V));
 * two spaces densely containing homeomorphic copies of a common core have
-  isomorphic regular-open lattices, via an explicit four-step composite;
+  isomorphic regular-open lattices: one restriction, the core relabeling,
+  and the inverse of the other restriction;
 * an inclusion-preserving bijection between bases recovers a partial point
   correspondence: each point maps to the intersection of the images of its
   basic neighborhoods, and the points with mutually-singleton recovery sets
   form subspaces on which the correspondence is a homeomorphism.
+
+Every map between regular-open lattices here is built from the one trace and
+the one lift of ``DenseEmbedding``, on lattices taken from one source.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .errors import (
     CompositionNotIso,
     ContainmentHolds,
     CoresNotHomeomorphic,
-    LatticeMismatch,
     NotABasis,
     NotABijection,
     NotDense,
@@ -52,7 +55,7 @@ class DenseEmbedding:
     Y is the trace of U_y on Y, re-indexed, and these determine it.
     """
 
-    __slots__ = ("ambient", "subset_mask", "sub", "index_map", "points")
+    __slots__ = ("ambient", "sub", "index_map", "points")
 
     def __init__(
         self,
@@ -64,17 +67,18 @@ class DenseEmbedding:
         if ambient.closure_mask(mask) != ambient.full_mask:
             raise NotDense(f"{sorted(set_of(mask))} is not dense in the ambient space")
         self.ambient = ambient
-        self.subset_mask = mask
         self.points = tuple(iter_bits(mask))
         self.index_map = {p: i for i, p in enumerate(self.points)}
         key = tuple(compress_mask(ambient.min_nbhd_masks[p], self.points) for p in self.points)
         self.sub = (spaces or {}).get(key) or ambient.subspace(mask)[0]
 
     def compress(self, ambient_mask: int) -> int:
+        """The trace U & Y of an ambient set, as a subspace mask."""
         return compress_mask(ambient_mask, self.points)
 
-    def expand(self, sub_mask: int) -> int:
-        return permute_mask(sub_mask, self.points)
+    def lift(self, sub_mask: int) -> int:
+        """int(cl(V)) upstairs of a subspace set V."""
+        return self.ambient.regularize_mask(permute_mask(sub_mask, self.points))
 
 
 def restrict_regular(e: DenseEmbedding, u: Iterable[int]) -> PointSet:
@@ -86,11 +90,10 @@ def restrict_regular(e: DenseEmbedding, u: Iterable[int]) -> PointSet:
     mask = e.ambient.to_mask(u)
     if not e.ambient.is_regular_open_mask(mask):
         raise NotRegularOpen(f"{sorted(set_of(mask))} is not regular open in the ambient space")
-    traced = e.compress(mask & e.subset_mask)
+    traced = e.compress(mask)
     if not e.sub.is_regular_open_mask(traced):
         raise VerificationError(
-            "trace of a regular open is not regular open in the subspace",
-            sorted(set_of(mask)),
+            "trace of a regular open is not regular open in the subspace", sorted(set_of(mask))
         )
     return set_of(traced)
 
@@ -100,7 +103,7 @@ def extend_regular(e: DenseEmbedding, v: Iterable[int]) -> PointSet:
     sub_mask = e.sub.to_mask(v)
     if not e.sub.is_regular_open_mask(sub_mask):
         raise NotRegularOpen(f"{sorted(set_of(sub_mask))} is not regular open in the subspace")
-    return set_of(e.ambient.regularize_mask(e.expand(sub_mask)))
+    return set_of(e.lift(sub_mask))
 
 
 class LatticeIsoWitness:
@@ -157,49 +160,35 @@ class LatticeIsoWitness:
         return self.target.element(self.forward[self.source.index_of_mask[mask]])
 
 
-def restriction_isomorphism(
-    e: DenseEmbedding,
-    upstairs: RegularOpenLattice | None = None,
-    downstairs: RegularOpenLattice | None = None,
-) -> LatticeIsoWitness:
+def restriction_isomorphism(e: DenseEmbedding, lattice=regular_open_lattice) -> LatticeIsoWitness:
     """Verify that U -> U & Y and V -> int(cl(V)) are mutually inverse
     order isomorphisms between the regular opens upstairs and downstairs.
 
-    ``upstairs`` and ``downstairs`` are the lattices of the ambient space
-    and of the subspace, built here unless the caller already has them;
-    LatticeMismatch if one was built on another space. VerificationError
-    names a regular open whose image is not regular open on the other side;
+    ``lattice`` maps a space to its regular-open lattice; a caller that
+    keeps one lattice per space passes its lookup. VerificationError names a
+    regular open whose image is not regular open on the other side;
     LatticeIsoWitness then checks that the two maps are mutually inverse and
     preserve order. A correct build never fails.
     """
-    if upstairs is None:
-        upstairs = regular_open_lattice(e.ambient)
-    if downstairs is None:
-        downstairs = regular_open_lattice(e.sub)
-    if not _same(upstairs.topology, e.ambient) or not _same(downstairs.topology, e.sub):
-        raise LatticeMismatch("the lattices must be those of the ambient space and the subspace")
-    forward = []
-    for mask in upstairs.payload_masks:
-        traced = e.compress(mask & e.subset_mask)
-        if traced not in downstairs.index_of_mask:
-            raise VerificationError(
-                "trace of a regular open is not regular open in the subspace", sorted(set_of(mask))
-            )
-        forward.append(downstairs.index_of_mask[traced])
-    backward = []
-    for mask in downstairs.payload_masks:
-        lifted = e.ambient.regularize_mask(e.expand(mask))
-        if lifted not in upstairs.index_of_mask:
-            raise VerificationError(
-                "extension of a regular open is not regular open upstairs", sorted(set_of(mask))
-            )
-        backward.append(upstairs.index_of_mask[lifted])
-    return LatticeIsoWitness(upstairs, downstairs, tuple(forward), tuple(backward))
+    up, down = lattice(e.ambient), lattice(e.sub)
+    forward = _map_elements(
+        up, e.compress, down, "trace of a regular open is not regular open in the subspace"
+    )
+    backward = _map_elements(
+        down, e.lift, up, "extension of a regular open is not regular open upstairs"
+    )
+    return LatticeIsoWitness(up, down, forward, backward)
 
 
-def _same(a: Topology, b: Topology) -> bool:
-    # identity first: comparing two open families is the slow way to say yes
-    return a is b or a == b
+def _map_elements(source, image, target, message: str) -> tuple[int, ...]:
+    """The index in lattice ``target`` of ``image`` of each element of lattice
+    ``source``; VerificationError(message) names the first miss by its points."""
+    index = target.index_of_mask
+    try:
+        return tuple([index[image(mask)] for mask in source.payload_masks])
+    except KeyError:
+        miss = next(mask for mask in source.payload_masks if image(mask) not in index)
+        raise VerificationError(message, sorted(set_of(miss))) from None
 
 
 def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bool:
@@ -254,8 +243,9 @@ def transfer_isomorphism(
 
     ``core_map`` identifies the subspace of ``ex`` with the subspace of
     ``ey`` and must be a homeomorphism. Each regular open U upstairs in X is
-    sent along U -> U & X0 -> core -> Y0 -> int(cl(.)); the trace U & X0 is
-    verified to be regular open in the core, and the composite to be an
+    sent along U -> U & X0 -> core -> Y0 -> int(cl(.)): the verified
+    restriction onto X0, the core relabeling, and the inverse of the
+    verified restriction onto Y0. The composite is checked again as an
     order isomorphism.
     """
     zx, zy = ex.sub, ey.sub
@@ -267,30 +257,19 @@ def transfer_isomorphism(
     if not _carries_neighbourhoods(zx, zy, dict(enumerate(perm))):
         raise CoresNotHomeomorphic("core map does not carry opens onto opens")
 
-    lx = regular_open_lattice(ex.ambient)
-    ly = regular_open_lattice(ey.ambient)
-    forward = []
-    for mask in lx.payload_masks:
-        traced = ex.compress(mask & ex.subset_mask)
-        if not zx.is_regular_open_mask(traced):
-            raise VerificationError(
-                "trace of a regular open is not regular open in the subspace",
-                sorted(set_of(mask)),
-            )
-        image = ey.ambient.regularize_mask(ey.expand(permute_mask(traced, perm)))
-        if image not in ly.index_of_mask:
-            raise CompositionNotIso("composite left the regular opens", sorted(set_of(mask)))
-        forward.append(ly.index_of_mask[image])
-    backward = [0] * ly.m
-    for i, j in enumerate(forward):
-        backward[j] = i
-    return LatticeIsoWitness(lx, ly, tuple(forward), tuple(backward))
+    to_x0, to_y0 = restriction_isomorphism(ex), restriction_isomorphism(ey)
+    core = _map_elements(
+        to_x0.target, lambda m: permute_mask(m, perm), to_y0.target, "core map left the regular opens"
+    )
+    forward = tuple(to_y0.backward[core[k]] for k in to_x0.forward)
+    backward = tuple(sorted(range(len(forward)), key=forward.__getitem__))
+    return LatticeIsoWitness(to_x0.source, to_y0.source, forward, backward)
 
 
 # -- point recovery from a basis isomorphism ----------------------------------
 
 
-def check_basis(t: Topology, basis: Iterable[Iterable[int]]) -> tuple[int, ...]:
+def check_basis(t: Topology, basis: Iterable[Iterable[int] | int]) -> tuple[int, ...]:
     """Validate that every open of ``t`` is a union of basis members.
 
     Returns the basis as masks, sorted. Raises NotABasis with an offending
@@ -326,10 +305,10 @@ class PartialHomeomorphism:
 
 def point_recovery(
     tx: Topology,
-    bx: Iterable[Iterable[int]],
+    bx: Iterable[Iterable[int] | int],
     ty: Topology,
-    by: Iterable[Iterable[int]],
-    iso: Mapping[PointSet, PointSet],
+    by: Iterable[Iterable[int] | int],
+    iso: Mapping[PointSet | int, PointSet | int],
 ) -> PartialHomeomorphism:
     """Recover a partial point correspondence from a basis isomorphism.
 
@@ -370,8 +349,6 @@ def point_recovery(
             y = rx[x].bit_length() - 1
             if ry[y] == 1 << x:
                 tau[x] = y
-    x0_mask = sum(1 << x for x in tau)
-    y0_mask = sum(1 << y for y in tau.values())
 
     for u in bx_masks:
         for x, y in tau.items():
@@ -384,8 +361,8 @@ def point_recovery(
         raise VerificationError("recovered correspondence is not a subspace homeomorphism")
 
     return PartialHomeomorphism(
-        set_of(x0_mask),
-        set_of(y0_mask),
+        frozenset(tau),
+        frozenset(tau.values()),
         tau,
         {x: set_of(rx[x]) for x in range(tx.n)},
         {y: set_of(ry[y]) for y in range(ty.n)},

@@ -249,6 +249,20 @@ def subspace_homeomorphism_oracle(tx: Topology, ty: Topology, tau: dict[int, int
     return relabeled == set(sub_y.open_masks)
 
 
+def transfer_oracle(ex, ey, core_map: dict[int, int]) -> dict[frozenset[int], frozenset[int]]:
+    """The common-core transfer one regular open at a time, on point sets:
+    U -> U & X0, re-indexed onto the core, relabeled by ``core_map``, placed
+    in Y by ``ey`` and sent to int(cl(.)) there. Reference for
+    ``transfer_isomorphism``, which composes two verified restrictions."""
+    out = {}
+    for u in opens_as_sets(ex.ambient):
+        if regular_open_oracle(ex.ambient, u):
+            core = frozenset(core_map[i] for i, p in enumerate(ex.points) if p in u)
+            upstairs = frozenset(ey.points[j] for j in core)
+            out[u] = interior_oracle(ey.ambient, closure_oracle(ey.ambient, upstairs))
+    return out
+
+
 def intersect_oracle(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     # the complement of the union of the complements
     return complement(union(complement(a), complement(b)))

@@ -163,6 +163,14 @@ def test_verify_bound_below_one_is_usage_error(bound, capsys):
     assert "pass" not in captured.out and "bound must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_counterexamples_bound_below_one_is_usage_error(bound, capsys, monkeypatch):
+    monkeypatch.setattr(suites, "canonical_classes", None)  # refused before enumerating
+    assert main(["counterexamples", "--n", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least one point" in captured.err
+
+
 def test_verify_negative_sample_is_usage_error(capsys):
     assert main(["verify", "--suite", "boolean", "--n", "2", "--sample", "-1"]) == 2
     assert "sample size must not be negative" in capsys.readouterr().err

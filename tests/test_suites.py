@@ -18,6 +18,7 @@ from regopen.errors import BadSuiteArgument, SizeGuardExceeded, UnknownSuite, Ve
 from regopen.ideals import ideals, ultrafilters
 from regopen.lattice import find_order_isomorphisms, regular_open_lattice, transport_relation, well_inside
 from regopen.serialize import space_to_dict
+from regopen.stone import StoneSpace, stone_space
 from regopen.suites import SUITES, SpaceContext
 from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask
 from regopen.transfer import DenseEmbedding, closure_density_check
@@ -139,7 +140,7 @@ def test_context_embeddings_match_dense_embedding_on_own_spaces():
     for t in own:
         for y in dense_masks(t):
             e, built = ctx.embedding(t, y), DenseEmbedding(t, y)
-            assert (e.ambient, e.subset_mask) == (t, y)
+            assert e.ambient is t and sum(1 << p for p in e.points) == y
             assert (e.sub, e.index_map, e.points) == (built.sub, built.index_map, built.points)
             assert e.sub is own[e.sub]
 
@@ -311,6 +312,34 @@ def test_suite_reports_planted_bug(name, monkeypatch):
     report = run_suite(name, bound=3)
     assert report.failures and not report.passed
     assert all(set(failure) == keys for failure in report.failures)
+
+
+def test_stone_reports_a_space_with_a_point_more_than_atoms(monkeypatch):
+    def wrong(lat):
+        st = stone_space(lat)
+        return StoneSpace(discrete(st.space.n + 1), st.atoms, st.to_clopen)
+
+    monkeypatch.setattr(suites, "stone_space", wrong)
+    report = run_suite("stone", bound=3)
+    assert len(report.failures) == 1 + 4 + 29  # every space, no ultrafilter instance
+    assert all(set(failure) == {"space", "error"} for failure in report.failures)
+    assert {failure["error"] for failure in report.failures} == {"point count differs from atom count"}
+
+
+def test_stone_suite_checks_ultrafilters_up_to_the_ideals_row(monkeypatch):
+    assert BUDGETS["ideals"][0] == 5
+    assert run_suite("stone", bound=1).instances == 1 + 5
+    monkeypatch.setitem(BUDGETS, "ideals", (3, None))
+    assert run_suite("stone", bound=1).instances == 1 + 3
+
+
+def test_cofinite_self_check_failure_is_a_suite_failure(monkeypatch):
+    monkeypatch.setattr(cof, "closure", lambda a: a)  # every cofinite set becomes regular open
+    report = run_suite("cofinite", bound=2)
+    assert not report.passed
+    assert report.failures[0] == {
+        "error": "regularity of Cofinite({0}) disagrees with the two-element family"
+    }
 
 
 def test_recovery_reports_a_basis_map_that_is_not_a_bijection(monkeypatch):

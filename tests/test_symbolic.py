@@ -26,6 +26,7 @@ from regopen.cofinite import (
     regularize,
     union,
 )
+from regopen.errors import NotOpen
 
 from oracles import intersect_oracle
 
@@ -77,6 +78,11 @@ def test_queried_regularization():
     assert is_regular_open(FULL) and is_regular_open(EMPTY)
     with pytest.raises(ValueError):
         regular_opens([finite({1})])  # not open
+
+
+def test_a_sample_that_is_not_open_is_refused_as_not_open():
+    with pytest.raises(NotOpen):
+        regular_opens([cofinite({1}), finite({1})])
 
 
 def test_subset_table():

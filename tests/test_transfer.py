@@ -31,7 +31,6 @@ from regopen.errors import (
     CompositionNotIso,
     ContainmentHolds,
     CoresNotHomeomorphic,
-    LatticeMismatch,
     NotABasis,
     NotABijection,
     NotDense,
@@ -40,10 +39,19 @@ from regopen.errors import (
     NotRegularOpen,
     VerificationError,
 )
-from regopen.topology import _carries_neighbourhoods
+from regopen.enumeration import dense_masks
+from regopen.suites import SpaceContext
+from regopen.topology import _carries_neighbourhoods, set_of
 from regopen.transfer import trace_keeps_closure
 
-from oracles import closure_oracle, order_preserved_oracle, subspace_homeomorphism_oracle
+from oracles import (
+    closure_oracle,
+    find_homeomorphism_oracle,
+    interior_oracle,
+    order_preserved_oracle,
+    subspace_homeomorphism_oracle,
+    transfer_oracle,
+)
 
 fs = frozenset
 X3 = x3()
@@ -110,20 +118,26 @@ def test_restriction_isomorphism_exhaustive_small():
                     assert w.backward[w.forward[i]] == i
 
 
-def test_restriction_isomorphism_refuses_another_spaces_lattice():
-    e = DenseEmbedding(X3, {0, 1})
-    with pytest.raises(LatticeMismatch):
-        restriction_isomorphism(e, regular_open_lattice(D2), regular_open_lattice(e.sub))
-    with pytest.raises(LatticeMismatch):
-        restriction_isomorphism(e, regular_open_lattice(X3), regular_open_lattice(X3))
+def test_restriction_isomorphism_takes_both_lattices_from_its_source():
+    ctx = SpaceContext()
+    for t in ctx.spaces(3):
+        for y in dense_masks(t):
+            e = ctx.embedding(t, y)
+            w = restriction_isomorphism(e, ctx.lattice)
+            assert w.source is ctx.lattice(t) and w.target is ctx.lattice(e.sub)
+            assert w.forward == restriction_isomorphism(e).forward
 
 
-def test_restriction_isomorphism_accepts_the_lattices_of_equal_spaces():
-    e = DenseEmbedding(X3, {0, 1})
-    twin, sub_twin = Topology(X3.n, X3.opens), Topology(e.sub.n, e.sub.opens)
-    assert twin == X3 and twin is not X3 and sub_twin == e.sub and sub_twin is not e.sub
-    w = restriction_isomorphism(e, regular_open_lattice(twin), regular_open_lattice(sub_twin))
-    assert w.forward == restriction_isomorphism(e).forward
+def test_trace_reads_only_the_dense_points_and_lift_is_int_cl():
+    for n in (1, 2, 3):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            for y in dense_masks(t):
+                e = DenseEmbedding(t, y)
+                for mask in range(t.full_mask + 1):
+                    assert e.compress(mask) == e.compress(mask & y)
+                for v in range(e.sub.full_mask + 1):
+                    upstairs = frozenset(e.points[i] for i in set_of(v))
+                    assert set_of(e.lift(v)) == interior_oracle(t, closure_oracle(t, upstairs))
 
 
 def test_embedding_among_known_spaces():
@@ -135,7 +149,7 @@ def test_embedding_among_known_spaces():
             missed = DenseEmbedding(t, mask, {})  # not found, so the subspace is built
             assert known.sub is built.sub and missed.sub == built.sub
             for e in (known, missed):
-                assert (e.ambient, e.subset_mask) == (t, mask)
+                assert e.ambient is t and sum(1 << p for p in e.points) == mask
                 assert (e.index_map, e.points) == (built.index_map, built.points)
     with pytest.raises(NotDense):  # known spaces do not skip the density check
         DenseEmbedding(X3, {2}, {(1,): discrete(1)})
@@ -143,15 +157,16 @@ def test_embedding_among_known_spaces():
 
 def test_trace_or_lift_outside_the_regular_opens_is_a_verification_error(monkeypatch):
     e = DenseEmbedding(X3, {0, 1})
-    lattices = regular_open_lattice(X3), regular_open_lattice(e.sub)
+    # built before the plants below, which would break their construction
+    lattices = {t: regular_open_lattice(t) for t in (X3, e.sub)}
     with monkeypatch.context() as m:
         m.setattr(DenseEmbedding, "compress", lambda e, mask: 0b100)  # not a subspace set
         with pytest.raises(VerificationError, match="trace") as exc:
-            restriction_isomorphism(e, *lattices)
+            restriction_isomorphism(e, lattices.__getitem__)
         assert exc.value.witness == []
     monkeypatch.setattr(Topology, "regularize_mask", lambda t, a: a)  # lift is plain expansion
     with pytest.raises(VerificationError, match="extension") as exc:
-        restriction_isomorphism(e, *lattices)
+        restriction_isomorphism(e, lattices.__getitem__)
     assert exc.value.witness == [0, 1]
 
 
@@ -295,6 +310,26 @@ def test_transfer_rejects_non_homeomorphic_cores():
         transfer_isomorphism(ex, ey, {0: 0, 1: 1})
     with pytest.raises(CoresNotHomeomorphic):
         transfer_isomorphism(DenseEmbedding(X3, {0, 1}), ey, {0: 0, 1: 0})
+
+
+def test_transfer_matches_the_pointwise_oracle():
+    # every pair of embeddings on up to 3 points whose cores are homeomorphic
+    embeddings = [
+        DenseEmbedding(t, y)
+        for n in (1, 2, 3)
+        for t in enumerate_topologies(EnumerationSpec(n))
+        for y in dense_masks(t)
+    ]
+    pairs = 0
+    for ex, ey in itertools.product(embeddings, repeat=2):
+        core_map = find_homeomorphism_oracle(ex.sub, ey.sub)
+        if core_map is None:
+            continue
+        w = transfer_isomorphism(ex, ey, core_map)
+        images = {w.source.element(i): w.target.element(j) for i, j in enumerate(w.forward)}
+        assert images == transfer_oracle(ex, ey, core_map)
+        pairs += 1
+    assert (len(embeddings), pairs) == (110, 2124)
 
 
 def test_transfer_trace_outside_the_regular_opens_is_a_verification_error(monkeypatch):
