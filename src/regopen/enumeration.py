@@ -59,6 +59,8 @@ class EnumerationSpec:
             raise BadEnumerationSpec(f"mode must be one of {MODES}")
         if self.n < 1:
             raise BadEnumerationSpec("ground set must have at least one point")
+        if self.limit is not None and self.limit < 0:
+            raise BadEnumerationSpec(f"limit must not be negative, not {self.limit}")
         check_budget("enumerate", self.n, self.allow_n5)
 
 
@@ -102,7 +104,7 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
             families = set(grown)
     families = sorted(families, key=lambda f: (len(f), f))
     if spec.limit is not None:
-        families = families[: max(spec.limit, 0)]
+        families = families[: spec.limit]
     for fam in families:
         yield Topology(spec.n, fam)
 

@@ -36,6 +36,11 @@ class MalformedSpace(RegOpenError, ValueError):
     type, or a token that names neither a fixture nor a readable file."""
 
 
+class MalformedLattice(RegOpenError, ValueError):
+    """A lattice description is malformed: a missing key, a wrong type, or
+    a payload count or relation pair that does not fit its elements."""
+
+
 class EmptySubspace(RegOpenError, ValueError):
     """Subspace construction requires a nonempty point set."""
 
@@ -74,7 +79,8 @@ class ContainmentHolds(RegOpenError, ValueError):
 
 
 class NotABasis(RegOpenError, ValueError):
-    """A family fails the basis property (some open is not a union of members)."""
+    """A family fails the basis property: a member is not open, or some
+    point's least neighbourhood is not a member."""
 
 
 class NotInclusionPreserving(RegOpenError, ValueError):
@@ -98,7 +104,8 @@ class SizeGuardExceeded(RegOpenError, ValueError):
 
 
 class BadEnumerationSpec(RegOpenError, ValueError):
-    """An enumeration was asked for fewer than one point or an unknown mode."""
+    """An enumeration was asked for fewer than one point, a negative limit
+    or an unknown mode."""
 
 
 class UnknownSuite(RegOpenError, ValueError):

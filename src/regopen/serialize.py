@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import MalformedSpace
+from .errors import MalformedLattice, MalformedSpace
 from .lattice import FiniteLattice, PairRelation
 from .topology import Topology, mask_of, set_of
 
@@ -25,11 +25,8 @@ def canonical_json(obj) -> str:
 # -- spaces -------------------------------------------------------------------
 
 
-def space_to_dict(t: Topology, labels: list[str] | None = None) -> dict:
-    d = {"n": t.n, "opens": [sorted(set_of(m)) for m in t.open_masks]}
-    if labels is not None:
-        d["labels"] = list(labels)
-    return d
+def space_to_dict(t: Topology) -> dict:
+    return {"n": t.n, "opens": [sorted(set_of(m)) for m in t.open_masks]}
 
 
 def space_from_dict(d: dict) -> Topology:
@@ -64,12 +61,15 @@ def lattice_to_dict(l: FiniteLattice, gg: PairRelation | None = None) -> dict:
 
 
 def lattice_from_dict(d: dict) -> tuple[FiniteLattice, PairRelation | None]:
+    """Validate a lattice document and build its lattice; MalformedLattice if it is not one."""
+    if not isinstance(d, dict) or type(d.get("elements")) is not int or "leq" not in d:
+        raise MalformedLattice("a lattice is a JSON object with an integer 'elements' and a 'leq' list")
     m = d["elements"]
     payloads = d.get("payloads")
     masks = None
     if payloads is not None:
         if len(payloads) != m:
-            raise ValueError("'payloads' must have one entry per element")
+            raise MalformedLattice("'payloads' must have one entry per element")
         width = 1 + max((max(p, default=0) for p in payloads), default=0)
         masks = [mask_of(p, width) for p in payloads]
     lat = FiniteLattice.from_leq(m, [(i, j) for i, j in d["leq"]], masks)
@@ -78,7 +78,7 @@ def lattice_from_dict(d: dict) -> tuple[FiniteLattice, PairRelation | None]:
         rel = frozenset((f, g) for f, g in gg)
         for f, g in rel:
             if not (0 <= f < m and 0 <= g < m):
-                raise ValueError(f"gg pair ({f}, {g}) out of range")
+                raise MalformedLattice(f"gg pair ({f}, {g}) out of range")
         return lat, rel
     return lat, None
 

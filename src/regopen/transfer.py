@@ -125,15 +125,12 @@ class LatticeIsoWitness:
     ):
         if source.m != target.m:
             raise CompositionNotIso("lattice sizes differ", (source.m, target.m))
+        # With equal sizes, backward(forward(i)) == i for every i makes forward
+        # a bijection with inverse backward, so no second round trip is owed.
         for i in range(source.m):
             if backward[forward[i]] != i:
                 raise CompositionNotIdentity(
                     "backward(forward(.)) moved a regular open", sorted(source.element(i))
-                )
-        for j in range(target.m):
-            if forward[backward[j]] != j:
-                raise CompositionNotIdentity(
-                    "forward(backward(.)) moved a regular open", sorted(target.element(j))
                 )
         # A bijection preserves order both ways iff it maps each up-set onto
         # the up-set of the image (its images are distinct, so the sum is
@@ -270,23 +267,23 @@ def transfer_isomorphism(
 
 
 def check_basis(t: Topology, basis: Iterable[Iterable[int] | int]) -> tuple[int, ...]:
-    """Validate that every open of ``t`` is a union of basis members.
+    """Validate that ``basis`` is a family of opens holding every least
+    neighbourhood U_x of ``t``.
 
-    Returns the basis as masks, sorted. Raises NotABasis with an offending
-    member or an uncoverable open.
+    In a finite space that is the basis property: a basic set around x
+    inside U_x is U_x itself, and every open is the union of the U_x of its
+    points. Returns the basis as masks, sorted. Raises NotABasis naming a
+    member that is not open or a point whose U_x is not a member.
     """
-    masks = sorted({t.to_mask(b) for b in basis})
+    members = {t.to_mask(b) for b in basis}
+    masks = tuple(sorted(members))
     for b in masks:
         if not t.is_open_mask(b):
             raise NotABasis(f"basis member {sorted(set_of(b))} is not open")
-    for u in t.open_masks:
-        cover = 0
-        for b in masks:
-            if b & u == b:
-                cover |= b
-        if cover != u:
-            raise NotABasis(f"open {sorted(set_of(u))} is not a union of basis members")
-    return tuple(masks)
+    for x, u in enumerate(t.min_nbhd_masks):
+        if u not in members:
+            raise NotABasis(f"least neighbourhood {sorted(set_of(u))} of point {x} is not a basis member")
+    return masks
 
 
 class PartialHomeomorphism:
@@ -314,7 +311,9 @@ def point_recovery(
 
     For each x, the recovery set is the intersection of iso(U) over all
     basis members U containing x (and symmetrically with the inverse
-    bijection on the other side). X0 collects the x whose recovery set is a
+    bijection on the other side). In a finite space that is iso(U_x): U_x
+    is a member and lies inside every member containing x, and iso
+    preserves inclusion. X0 collects the x whose recovery set is a
     singleton {y} with recovery set {x} in return; tau maps each such x to
     its y. The compatibility tau(x) in iso(U) iff x in U is verified for
     every basis member and every recovered point, and tau is verified to be
@@ -330,18 +329,8 @@ def point_recovery(
             raise NotInclusionPreserving(set_of(u1), set_of(u2))
     inv_masks = {v: u for u, v in iso_masks.items()}
 
-    def recover(n: int, basis: tuple[int, ...], image, full: int) -> list[int]:
-        out = []
-        for x in range(n):
-            acc = full
-            for b in basis:
-                if b >> x & 1:
-                    acc &= image[b]
-            out.append(acc)
-        return out
-
-    rx = recover(tx.n, bx_masks, iso_masks, ty.full_mask)
-    ry = recover(ty.n, by_masks, inv_masks, tx.full_mask)
+    rx = [iso_masks[u] for u in tx.min_nbhd_masks]
+    ry = [inv_masks[v] for v in ty.min_nbhd_masks]
 
     tau: dict[int, int] = {}
     for x in range(tx.n):

@@ -263,6 +263,30 @@ def transfer_oracle(ex, ey, core_map: dict[int, int]) -> dict[frozenset[int], fr
     return out
 
 
+def basis_oracle(t: Topology, family) -> bool:
+    """Whether every open of ``t`` is the union of the members of ``family``
+    inside it."""
+    members = [frozenset(b) for b in family]
+    return all(
+        frozenset().union(*(b for b in members if b <= u)) == u for u in opens_as_sets(t)
+    )
+
+
+def recovery_oracle(n: int, iso: dict, target_n: int) -> dict[int, frozenset[int]]:
+    """For each of the ``n`` points x, the intersection of iso(U) over the
+    basis members U (the keys of ``iso``, as point sets) containing x,
+    starting from the ``target_n`` points of the other side. Reference for
+    ``point_recovery``'s recovery sets."""
+    out = {}
+    for x in range(n):
+        acc = frozenset(range(target_n))
+        for u, image in iso.items():
+            if x in u:
+                acc &= image
+        out[x] = acc
+    return out
+
+
 def intersect_oracle(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     # the complement of the union of the complements
     return complement(union(complement(a), complement(b)))

@@ -69,6 +69,14 @@ def test_enumerate_without_points_is_usage_error(n, capsys):
     assert captured.err == "error: ground set must have at least one point\n"
 
 
+def test_enumerate_negative_limit_is_usage_error(capsys):
+    assert main(["enumerate", "--n", "3", "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "limit must not be negative" in captured.err
+    assert main(["enumerate", "--n", "3", "--limit", "0"]) == 0
+    assert capsys.readouterr().out == "0 topologies on 3 points (all)\n"
+
+
 def test_verify_pass_and_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "ux0", "--n", "2", "--json", str(out)]) == 0

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from regopen import discrete, regular_open_lattice, well_inside, x3
-from regopen.errors import MissingEmptyOrFull
+from regopen.errors import MalformedLattice, MissingEmptyOrFull
 from regopen.lattice import FiniteLattice, ge_relation
 from regopen.serialize import (
     canonical_json,
@@ -32,8 +32,7 @@ def test_space_validation_on_load():
 
 
 def test_space_labels_carried():
-    d = space_to_dict(discrete(2), labels=["p", "q"])
-    assert d["labels"] == ["p", "q"]
+    d = {**space_to_dict(discrete(2)), "labels": ["p", "q"]}
     assert space_from_dict(d) == discrete(2)
 
 
@@ -66,6 +65,23 @@ def test_lattice_without_payloads_supports_order_checks():
 def test_lattice_dict_gg_range_checked():
     with pytest.raises(ValueError):
         lattice_from_dict({"elements": 2, "leq": [[0, 1]], "gg": [[0, 5]]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {},
+        {"elements": "2", "leq": [[0, 1]]},
+        {"elements": True, "leq": [[0, 1]]},
+        {"elements": 2},
+        {"elements": 2, "leq": [[0, 1]], "payloads": [[0]]},
+        {"elements": 2, "leq": [[0, 1]], "gg": [[0, 5]]},
+    ],
+)
+def test_malformed_lattice_document_is_refused(doc):
+    with pytest.raises(MalformedLattice):
+        lattice_from_dict(doc)
 
 
 def test_canonical_json_is_stable():

@@ -333,6 +333,34 @@ def test_stone_suite_checks_ultrafilters_up_to_the_ideals_row(monkeypatch):
     assert run_suite("stone", bound=1).instances == 1 + 3
 
 
+def test_ideals_suite_stops_at_the_ideals_row(monkeypatch):
+    assert run_suite("ideals", bound=5, allow_n5=True).instances == 4 + 5
+    monkeypatch.setitem(BUDGETS, "ideals", (3, None))
+    report = run_suite("ideals", bound=5, allow_n5=True)
+    assert report.passed and report.instances == 3 + 3
+
+
+def test_recovery_reports_a_dense_subspace_without_a_basis(monkeypatch):
+    # every 2-point dense subspace becomes the Sierpinski space, whose one
+    # nonempty regular open misses the least neighbourhood {0}
+    embedding = SpaceContext.embedding
+
+    def wrong(ctx, t, dense):
+        e = embedding(ctx, t, dense)
+        if e.sub.n == 2:
+            e.sub = sierpinski()
+        return e
+
+    monkeypatch.setattr(SpaceContext, "embedding", wrong)
+    report = run_suite("recovery", bound=3)
+    assert report.failures and not report.passed
+    assert all(set(failure) == {"space", "dense", "error"} for failure in report.failures)
+    assert {failure["error"] for failure in report.failures} == {
+        "least neighbourhood [0] of point 0 is not a basis member"
+    }
+    assert {len(failure["dense"]) for failure in report.failures} == {2}
+
+
 def test_cofinite_self_check_failure_is_a_suite_failure(monkeypatch):
     monkeypatch.setattr(cof, "closure", lambda a: a)  # every cofinite set becomes regular open
     report = run_suite("cofinite", bound=2)

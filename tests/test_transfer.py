@@ -41,14 +41,16 @@ from regopen.errors import (
 )
 from regopen.enumeration import dense_masks
 from regopen.suites import SpaceContext
-from regopen.topology import _carries_neighbourhoods, set_of
-from regopen.transfer import trace_keeps_closure
+from regopen.topology import _carries_neighbourhoods, permute_mask, set_of
+from regopen.transfer import check_basis, trace_keeps_closure
 
 from oracles import (
+    basis_oracle,
     closure_oracle,
     find_homeomorphism_oracle,
     interior_oracle,
     order_preserved_oracle,
+    recovery_oracle,
     subspace_homeomorphism_oracle,
     transfer_oracle,
 )
@@ -370,9 +372,9 @@ def test_point_recovery_identity_on_discrete():
 
 
 def test_point_recovery_validates_basis():
-    with pytest.raises(NotABasis):
+    with pytest.raises(NotABasis, match=r"least neighbourhood \[0\] of point 0 is not a basis member"):
         point_recovery(X3, [fs({0, 1, 2})], D2, BY, {fs({0, 1, 2}): fs({0, 1})})
-    with pytest.raises(NotABasis):
+    with pytest.raises(NotABasis, match=r"basis member \[2\] is not open"):
         point_recovery(X3, [fs({2}), fs({0}), fs({1}), fs({0, 1, 2})], D2, BY, {})
 
 
@@ -400,12 +402,12 @@ def test_point_recovery_compatibility_exhaustive():
     for n in (1, 2, 3):
         for t in enumerate_topologies(EnumerationSpec(n)):
             bx = [s for s in t.regular_opens() if s]
-            if any(not t.is_open(u) for u in bx) or not _covers(t, bx):
+            if not basis_oracle(t, bx):
                 continue
             for y in enumerate_dense_subsets(t):
                 emb = DenseEmbedding(t, y)
                 by = [s for s in emb.sub.regular_opens() if s]
-                if not _covers(emb.sub, by):
+                if not basis_oracle(emb.sub, by):
                     continue
                 iso = {u: restrict_regular(emb, u) for u in bx}
                 ph = point_recovery(t, bx, emb.sub, by, iso)
@@ -430,12 +432,63 @@ def test_subspace_homeomorphism_by_least_neighbourhoods_matches_oracle():
     assert verdicts == {True, False}
 
 
-def _covers(t, basis):
-    for u in t.opens:
-        cover = frozenset()
-        for b in basis:
-            if b <= u:
-                cover |= b
-        if cover != frozenset(u):
-            return False
-    return True
+def _basis_spaces(max_n):
+    """The spaces on up to ``max_n`` points whose nonempty regular opens form
+    a basis by the cover test, each with that basis."""
+    for n in range(1, max_n + 1):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            basis = [s for s in t.regular_opens() if s]
+            if basis_oracle(t, basis):
+                yield t, basis
+
+
+def test_check_basis_matches_the_cover_test():
+    # every family of opens of every space on up to 3 points
+    verdicts = {True: 0, False: 0}
+    for n in (1, 2, 3):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            for k in range(len(t.opens) + 1):
+                for family in itertools.combinations(t.opens, k):
+                    try:
+                        assert check_basis(t, family) == tuple(sorted(t.to_mask(b) for b in family))
+                        accepted = True
+                    except NotABasis:
+                        accepted = False
+                    assert accepted == basis_oracle(t, family)
+                    verdicts[accepted] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_recovery_sets_are_the_literal_intersections():
+    # every restriction iso and every automorphism-induced iso of the spaces
+    # on up to 4 points whose nonempty regular opens form a basis
+    cases = 0
+    for t, bx in _basis_spaces(4):
+        isos = []
+        for y in dense_masks(t):
+            emb = DenseEmbedding(t, y)
+            by = [s for s in emb.sub.regular_opens() if s]
+            isos.append((emb.sub, by, {u: restrict_regular(emb, u) for u in bx}))
+        for perm in itertools.permutations(range(t.n)):
+            if sorted(permute_mask(m, perm) for m in t.open_masks) == list(t.open_masks):
+                isos.append((t, bx, {u: fs(perm[i] for i in u) for u in bx}))
+        for ty, by, iso in isos:
+            ph = point_recovery(t, bx, ty, by, iso)
+            assert ph.recovery_x == recovery_oracle(t.n, iso, ty.n)
+            assert ph.recovery_y == recovery_oracle(ty.n, {v: u for u, v in iso.items()}, t.n)
+            cases += 1
+    assert cases == 490
+
+
+def test_dense_subspaces_of_basis_spaces_have_regular_open_bases():
+    # the recovery suite filters the ambient space only; these are its
+    # instances at bound 4
+    count = 0
+    for t, _ in _basis_spaces(4):
+        for y in dense_masks(t):
+            sub = DenseEmbedding(t, y).sub
+            by = [s for s in sub.regular_opens() if s]
+            assert basis_oracle(sub, by)
+            check_basis(sub, by)
+            count += 1
+    assert count == 245
