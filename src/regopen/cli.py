@@ -2,7 +2,8 @@
 
 Verbs: enumerate, verify, counterexamples, stone, regular-lattice,
 cofinite-demo. Exit codes: 0 success / suite passed, 1 suite failures, 2
-usage errors, 141 (128 + SIGPIPE) stdout closed by its reader.
+usage errors (an output path that cannot be written among them), 141
+(128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -243,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 141
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

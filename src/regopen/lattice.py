@@ -150,7 +150,26 @@ def check_lattice_tables(l: FiniteLattice) -> tuple[bool, tuple | None]:
     """Exhaustively confirm meet/join are the inf/sup of the stored order and
     satisfy commutativity, associativity and absorption. Witness on failure."""
     ok, witness = check_inf_sup(l)
-    return check_table_laws(l) if ok else (ok, witness)
+    if not ok:
+        return ok, witness
+    for i in range(l.m):
+        for j in range(l.m):
+            if l.meet[i][j] != l.meet[j][i]:
+                return False, ("meet-commutativity", i, j)
+            if l.join[i][j] != l.join[j][i]:
+                return False, ("join-commutativity", i, j)
+            if l.join[i][l.meet[i][j]] != i:
+                return False, ("absorption", i, j)
+            if l.meet[i][l.join[i][j]] != i:
+                return False, ("absorption-dual", i, j)
+    for i in range(l.m):
+        for j in range(l.m):
+            for k in range(l.m):
+                if l.meet[l.meet[i][j]][k] != l.meet[i][l.meet[j][k]]:
+                    return False, ("meet-associativity", i, j, k)
+                if l.join[l.join[i][j]][k] != l.join[i][l.join[j][k]]:
+                    return False, ("join-associativity", i, j, k)
+    return True, None
 
 
 def check_inf_sup(l: FiniteLattice) -> tuple[bool, tuple | None]:
@@ -165,28 +184,25 @@ def check_inf_sup(l: FiniteLattice) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def check_table_laws(l: FiniteLattice) -> tuple[bool, tuple | None]:
-    """Commutativity, absorption and associativity of the meet and join
-    tables: ``check_lattice_tables`` without the inf/sup scan."""
-    m = l.m
-    for i in range(m):
-        for j in range(m):
-            if l.meet[i][j] != l.meet[j][i]:
-                return False, ("meet-commutativity", i, j)
-            if l.join[i][j] != l.join[j][i]:
-                return False, ("join-commutativity", i, j)
-            if l.join[i][l.meet[i][j]] != i:
-                return False, ("absorption", i, j)
-            if l.meet[i][l.join[i][j]] != i:
-                return False, ("absorption-dual", i, j)
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                if l.meet[l.meet[i][j]][k] != l.meet[i][l.meet[j][k]]:
-                    return False, ("meet-associativity", i, j, k)
-                if l.join[l.join[i][j]][k] != l.join[i][l.join[j][k]]:
-                    return False, ("join-associativity", i, j, k)
-    return True, None
+def _atom_sets(l: FiniteLattice) -> tuple[list[int], tuple | None]:
+    """Each element's atoms as a bitmask, bit p for ``l.atoms()[p]``, and
+    None if that map is a bijection onto the 2^k masks carrying each
+    ``l.up[u]`` onto the supersets of u's mask, else a witness."""
+    atoms = l.atoms()
+    masks = [sum(1 << p for p, a in enumerate(atoms) if l.down[u] >> a & 1) for u in range(l.m)]
+    index = {mask: u for u, mask in enumerate(masks)}
+    if len(index) != l.m or l.m != 1 << len(atoms):
+        return masks, ("atom-map-not-bijective", l.m, len(atoms))
+    for u, mask in enumerate(masks):
+        # walk the supersets of u's mask: 3^k steps over all u, not m^2
+        rest = l.m - 1 ^ mask
+        sub, above = rest, 1 << u
+        while sub:
+            above |= 1 << index[mask | sub]
+            sub = sub - 1 & rest
+        if above != l.up[u]:
+            return masks, ("atom-map-not-monotone", u, _lowest(above ^ l.up[u]))
+    return masks, None
 
 
 class RegularOpenLattice(FiniteLattice):
@@ -253,24 +269,24 @@ def check_distributive(l: FiniteLattice) -> tuple[bool, tuple | None]:
 
 
 def check_boolean_algebra(l: RegularOpenLattice) -> tuple[bool, tuple | None]:
-    """Meet and join are the inclusion inf and sup, and involution,
-    complement laws and De Morgan hold; scanned over all pairs."""
+    """Meet and join are the inf and sup of the order, and ``l`` is Boolean:
+    the map from each element to the atoms below it is an order isomorphism
+    onto the powerset of the atoms (Stone, Trans. AMS 40, 1936) that sends
+    ``l.top`` to every atom and ``l.complement[i]`` to the atoms not below
+    i. The operations are then those of the powerset, so distributivity,
+    involution, the complement laws and De Morgan need no scan of their own."""
     ok, witness = check_inf_sup(l)
     if not ok:
         return ok, witness
-    meet, join, comp = l.meet, l.join, l.complement
-    for i in range(l.m):
-        if comp[comp[i]] != i:
-            return False, ("involution", i)
-        if meet[i][comp[i]] != l.bottom:
-            return False, ("meet-complement", i)
-        if join[i][comp[i]] != l.top:
-            return False, ("join-complement", i)
-        for j in range(l.m):
-            if comp[meet[i][j]] != join[comp[i]][comp[j]]:
-                return False, ("de-morgan-meet", i, j)
-            if comp[join[i][j]] != meet[comp[i]][comp[j]]:
-                return False, ("de-morgan-join", i, j)
+    masks, witness = _atom_sets(l)
+    if witness is not None:
+        return False, witness
+    full = l.m - 1
+    if masks[l.top] != full:
+        return False, ("top", l.top)
+    for i, c in enumerate(l.complement):
+        if masks[c] != masks[i] ^ full:
+            return False, ("complement", i)
     return True, None
 
 

@@ -22,6 +22,15 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _int_lists(value, length: int | None = None) -> bool:
+    """Whether ``value`` is a list of lists of ints (bools refused), each
+    of ``length`` entries when that is given."""
+    return isinstance(value, list) and all(
+        isinstance(v, list) and length in (None, len(v)) and all(type(x) is int for x in v)
+        for v in value
+    )
+
+
 # -- spaces -------------------------------------------------------------------
 
 
@@ -36,9 +45,7 @@ def space_from_dict(d: dict) -> Topology:
     n, opens, labels = d["n"], d["opens"], d.get("labels")
     if type(n) is not int:  # bool is an int subclass and is refused here
         raise MalformedSpace("'n' must be an integer")
-    if not isinstance(opens, list) or not all(
-        isinstance(o, list) and all(type(x) is int for x in o) for o in opens
-    ):
+    if not _int_lists(opens):
         raise MalformedSpace("'opens' must be a list of lists of point indices")
     if labels is not None and (not isinstance(labels, list) or len(labels) != n):
         raise MalformedSpace("'labels' must have one entry per point")
@@ -64,8 +71,11 @@ def lattice_from_dict(d: dict) -> tuple[FiniteLattice, PairRelation | None]:
     """Validate a lattice document and build its lattice; MalformedLattice if it is not one."""
     if not isinstance(d, dict) or type(d.get("elements")) is not int or "leq" not in d:
         raise MalformedLattice("a lattice is a JSON object with an integer 'elements' and a 'leq' list")
-    m = d["elements"]
-    payloads = d.get("payloads")
+    m, payloads, gg = d["elements"], d.get("payloads"), d.get("gg")
+    if not _int_lists(d["leq"], 2) or not (gg is None or _int_lists(gg, 2)):
+        raise MalformedLattice("'leq' and 'gg' must be lists of [i, j] index pairs")
+    if not (payloads is None or _int_lists(payloads)):
+        raise MalformedLattice("'payloads' must be a list of lists of point indices")
     masks = None
     if payloads is not None:
         if len(payloads) != m:
@@ -73,7 +83,6 @@ def lattice_from_dict(d: dict) -> tuple[FiniteLattice, PairRelation | None]:
         width = 1 + max((max(p, default=0) for p in payloads), default=0)
         masks = [mask_of(p, width) for p in payloads]
     lat = FiniteLattice.from_leq(m, [(i, j) for i, j in d["leq"]], masks)
-    gg = d.get("gg")
     if gg is not None:
         rel = frozenset((f, g) for f, g in gg)
         for f, g in rel:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NotBoolean
-from .lattice import RegularOpenLattice
-from .topology import PointSet, Topology, discrete
+from .lattice import RegularOpenLattice, _atom_sets
+from .topology import PointSet, Topology, discrete, set_of
 
 # One validated discrete space per atom count; MAX_OPENS keeps that to k <= 10.
 _discrete = lru_cache(maxsize=None)(discrete)
@@ -29,23 +29,12 @@ class StoneSpace:
 
 
 def stone_space(b: RegularOpenLattice) -> StoneSpace:
-    """Build the Stone space of ``b`` and verify the duality isomorphism.
-
-    The returned map sends each element to the set of atoms below it. A
-    finite lattice is Boolean exactly when this map is an order isomorphism
-    onto the full powerset of atoms (Stone, Trans. AMS 40, 1936), so that is
-    the one Boolean test made here: NotBoolean unless the map is a bijection
-    onto the powerset that preserves order both ways.
-    """
+    """Build the Stone space of ``b`` and verify the duality isomorphism,
+    which sends each element to the set of atoms below it: NotBoolean, with
+    the witness of ``check_boolean_algebra``'s test, unless it is an order
+    isomorphism onto the powerset of the atoms. It reads the order only."""
+    masks, witness = _atom_sets(b)
+    if witness is not None:
+        raise NotBoolean(f"atom map is not an order isomorphism onto the powerset: {witness}")
     atoms = b.atoms()
-    positions = {a: i for i, a in enumerate(atoms)}
-    to_clopen = tuple(
-        frozenset(positions[a] for a in atoms if b.leq(a, u)) for u in range(b.m)
-    )
-    if len(set(to_clopen)) != b.m or b.m != 1 << len(atoms):
-        raise NotBoolean("atom map is not a bijection onto the powerset")
-    for u in range(b.m):
-        for v in range(b.m):
-            if b.leq(u, v) != (to_clopen[u] <= to_clopen[v]):
-                raise NotBoolean(f"atom map does not preserve order at {(u, v)}")
-    return StoneSpace(_discrete(len(atoms)), atoms, to_clopen)
+    return StoneSpace(_discrete(len(atoms)), atoms, tuple(map(set_of, masks)))

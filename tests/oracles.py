@@ -8,6 +8,7 @@ intersection, built on the package's own complement and union.
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -140,6 +141,33 @@ def wallman_disjunction_oracle(l) -> tuple[bool, tuple | None]:
                     break
             if not ok:
                 return False, (a, b)
+    return True, None
+
+
+def boolean_algebra_oracle(l) -> tuple[bool, tuple | None]:
+    """The pairwise Boolean-law scan: meet and join are the inf and sup of
+    the stored order, and involution, the complement laws and De Morgan
+    hold, each over every element or pair. It accepts MO2, so it is a
+    reference for those laws, not a Boolean test."""
+    down, up, meet, join, comp = l.down, l.up, l.meet, l.join, l.complement
+    for i in range(l.m):
+        for j in range(l.m):
+            if down[meet[i][j]] != down[i] & down[j]:
+                return False, ("meet-not-inf", i, j)
+            if up[join[i][j]] != up[i] & up[j]:
+                return False, ("join-not-sup", i, j)
+    for i in range(l.m):
+        if comp[comp[i]] != i:
+            return False, ("involution", i)
+        if meet[i][comp[i]] != l.bottom:
+            return False, ("meet-complement", i)
+        if join[i][comp[i]] != l.top:
+            return False, ("join-complement", i)
+        for j in range(l.m):
+            if comp[meet[i][j]] != join[comp[i]][comp[j]]:
+                return False, ("de-morgan-meet", i, j)
+            if comp[join[i][j]] != meet[comp[i]][comp[j]]:
+                return False, ("de-morgan-join", i, j)
     return True, None
 
 
@@ -285,6 +313,18 @@ def recovery_oracle(n: int, iso: dict, target_n: int) -> dict[int, frozenset[int
                 acc &= image
         out[x] = acc
     return out
+
+
+def sample_oracle(instances, sample: int, seed: int) -> list:
+    """The list-based draw: list every instance, then keep those at the
+    sorted indices of ``random.Random(seed).sample(range(count), sample)``,
+    or all of them when there are no more than ``sample``. Reference for
+    ``run_suite``'s two-pass sampling."""
+    instances = list(instances)
+    if sample < len(instances):
+        drawn = random.Random(seed).sample(range(len(instances)), sample)
+        instances = [instances[i] for i in sorted(drawn)]
+    return instances
 
 
 def intersect_oracle(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:

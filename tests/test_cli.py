@@ -135,6 +135,7 @@ def n4_verify_all(tmp_path_factory):
         boolean = _count_calls(mp, lattice.check_boolean_algebra)
         distributive = _count_calls(mp, lattice.check_distributive)
         inf_sup = _count_calls(mp, lattice.check_inf_sup)
+        tables = _count_calls(mp, lattice.check_lattice_tables)
         code = main(["verify", "--suite", "all", "--n", "4", "--json", str(out)])
     return SimpleNamespace(
         code=code,
@@ -142,6 +143,7 @@ def n4_verify_all(tmp_path_factory):
         lines=stdout.getvalue().splitlines(),
         counts=(len(builds), len(boolean), len(distributive)),
         inf_sup_scans=len(inf_sup),
+        table_scans=len(tables),
     )
 
 
@@ -154,14 +156,21 @@ def test_verify_all_n4_report_is_pinned(n4_verify_all):
 
 
 def test_verify_all_checks_each_law_once_per_lattice(n4_verify_all):
+    # one Boolean test per build; the O(m^3) distributivity scan is not in verify
     assert n4_verify_all.code == 0
-    assert n4_verify_all.counts == (389, 389, 389)
+    assert n4_verify_all.counts == (389, 389, 0)
 
 
 def test_verify_all_scans_inf_and_sup_once_per_lattice(n4_verify_all):
     # the Boolean check inside each build; the boolean suite does not repeat it
     assert n4_verify_all.code == 0
     assert n4_verify_all.inf_sup_scans == 389
+
+
+def test_verify_all_runs_no_table_law_scan(n4_verify_all):
+    # the O(m^3) table laws serve any FiniteLattice; the atom-map test needs none
+    assert n4_verify_all.code == 0
+    assert n4_verify_all.table_scans == 0
 
 
 @pytest.mark.parametrize("bound", ["0", "-2"])
@@ -254,6 +263,19 @@ def test_closed_stdout_ends_quietly():
         os.close(write_end)
     assert done.returncode == 141
     assert b"Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["enumerate --n 3 --json", "verify --suite boolean --n 2 --json", "stone x3 --dot"],
+    ids=["enumerate", "verify", "stone-dot"],
+)
+def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    assert main(argv.split() + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert str(path) in err
 
 
 def test_stone_verb(capsys):

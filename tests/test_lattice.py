@@ -18,17 +18,19 @@ from regopen import (
     ge_relation,
     regular_open_lattice,
     sierpinski,
+    stone_space,
     transport_relation,
     wallman_disjunction,
     well_inside,
     x3,
 )
 from regopen.enumeration import canonical_classes
-from regopen.errors import NotALattice, VerificationError
+from regopen.errors import NotALattice, NotBoolean, VerificationError
 from regopen.lattice import AXIOM_NAMES
 from regopen.topology import Topology
 
 from oracles import (
+    boolean_algebra_oracle,
     check_r_lattice_oracle,
     closure_oracle,
     interior_oracle,
@@ -123,6 +125,75 @@ def test_boolean_check_reports_meet_that_is_not_the_inf():
     rows[1][1] = lat.bottom  # {0} & {0} is {0}, not the empty set
     lat.meet = tuple(map(tuple, rows))
     assert check_boolean_algebra(lat) == (False, ("meet-not-inf", 1, 1))
+
+
+def test_boolean_checks_pass_on_every_lattice_up_to_four_points():
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            lat = regular_open_lattice(t)
+            assert check_boolean_algebra(lat) == (True, None)
+            assert boolean_algebra_oracle(lat) == (True, None)
+            assert check_distributive(lat) == (True, None)
+            assert check_lattice_tables(lat) == (True, None)
+
+
+def _doctored(lat, rng: random.Random) -> str:
+    """Change the top, one complement entry, one symmetric pair of join
+    entries, or one bit of the order (with ``down`` recomputed); return which."""
+    kind = rng.choice(("top", "complement", "join", "order"))
+    i, j = rng.randrange(lat.m), rng.randrange(lat.m)
+    if kind == "top":
+        lat.top = rng.choice([k for k in range(lat.m) if k != lat.top])
+    elif kind == "complement":
+        comp = list(lat.complement)
+        comp[i] = rng.choice([k for k in range(lat.m) if k != comp[i]])
+        lat.complement = tuple(comp)
+    elif kind == "join":
+        rows = [list(row) for row in lat.join]
+        rows[i][j] = rows[j][i] = rng.choice([k for k in range(lat.m) if k != rows[i][j]])
+        lat.join = tuple(map(tuple, rows))
+    else:
+        lat.up = tuple(row ^ (1 << j if k == i else 0) for k, row in enumerate(lat.up))
+        lat.down = tuple(
+            sum(1 << k for k in range(lat.m) if lat.up[k] >> col & 1) for col in range(lat.m)
+        )
+    return kind
+
+
+def test_boolean_check_rejects_whatever_the_law_scans_reject():
+    # the atom-map test is never weaker than the pairwise oracle, the
+    # distributivity scan or the table laws, and it rejects every doctoring
+    rng = random.Random(14)
+    spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(EnumerationSpec(n))]
+    seen, only_new = set(), set()
+    for _ in range(10000):
+        lat = regular_open_lattice(rng.choice(spaces))
+        kind = _doctored(lat, rng)
+        others = (boolean_algebra_oracle(lat), check_distributive(lat), check_lattice_tables(lat))
+        ok, witness = check_boolean_algebra(lat)
+        assert not ok and witness is not None, kind
+        seen.add(kind)
+        if all(other == (True, None) for other in others):
+            only_new.add(kind)
+    assert seen == {"top", "complement", "join", "order"}
+    assert only_new == {"order"}
+
+
+class _OrthoLattice(FiniteLattice):
+    __slots__ = ("complement", "top")
+
+
+def test_mo2_passes_the_pairwise_laws_but_is_not_boolean():
+    # bottom 0, atoms a = 1, a' = 2, b = 3, b' = 4, top 5, with a' the
+    # complement of a and b' that of b: an ortholattice that is not distributive
+    mo2 = _OrthoLattice.from_leq(6, [(0, i) for i in range(1, 6)] + [(i, 5) for i in range(1, 5)])
+    mo2.complement, mo2.top = (5, 2, 1, 4, 3, 0), 5
+    assert boolean_algebra_oracle(mo2) == (True, None)
+    assert check_lattice_tables(mo2) == (True, None)
+    assert check_distributive(mo2)[0] is False
+    assert check_boolean_algebra(mo2) == (False, ("atom-map-not-bijective", 6, 4))
+    with pytest.raises(NotBoolean, match="atom-map-not-bijective"):
+        stone_space(mo2)
 
 
 def test_construction_refuses_an_operation_outside_the_regular_opens(monkeypatch):

@@ -77,6 +77,16 @@ def test_lattice_dict_gg_range_checked():
         {"elements": 2},
         {"elements": 2, "leq": [[0, 1]], "payloads": [[0]]},
         {"elements": 2, "leq": [[0, 1]], "gg": [[0, 5]]},
+        {"elements": 2, "leq": 5},
+        {"elements": 2, "leq": [[0, 1]], "gg": 3},
+        {"elements": 2, "leq": [[0, 1]], "payloads": 7},
+        {"elements": 2, "leq": [["a", 1]]},
+        {"elements": 2, "leq": [[0, 1.0]]},
+        {"elements": 2, "leq": [[0, 1]], "payloads": [[0], "x"]},
+        {"elements": 2, "leq": [[0]]},
+        {"elements": 2, "leq": [[0, 1]], "gg": [[0]]},
+        {"elements": 2, "leq": [[0, True]]},
+        {"elements": 2, "leq": [[0, 1]], "gg": [[0, 1, 1]]},
     ],
 )
 def test_malformed_lattice_document_is_refused(doc):

@@ -23,7 +23,7 @@ from regopen.suites import SUITES, SpaceContext
 from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask
 from regopen.transfer import DenseEmbedding, closure_density_check
 
-from oracles import well_inside_monotone_oracle
+from oracles import sample_oracle, well_inside_monotone_oracle
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -85,6 +85,42 @@ def test_sampling_is_deterministic():
     b = run_suite("denso", bound=3, sample=50, seed=7)
     assert a.instances == b.instances == 50
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize(
+    "name, bound, seed, sample, planted",
+    [
+        ("denso", 3, 7, 50, True),
+        ("denso", 3, 1, 0, False),
+        ("ux0", 3, 2, 10**6, True),  # more than there are: every instance, in order
+        ("regularity", 3, 5, 31, True),
+        ("recovery", 4, 3, 40, True),
+        ("uvw", 3, 0, 12, True),
+        ("stone", 3, 4, 36, False),
+        ("boolean", 2, 0, 5, False),  # exactly as many as there are
+        ("cofinite", 1, 9, 1, True),  # draws the identities, where the bug shows
+    ],
+)
+def test_sampled_report_matches_the_list_based_draw(name, bound, seed, sample, planted, monkeypatch):
+    # with a planted bug the reports carry failures, so they show which
+    # instances were drawn; the recorded fields show it for every suite
+    if planted:
+        PLANTED[name][0](monkeypatch)
+    generate = SUITES[name]
+    drawn = sample_oracle(generate(SpaceContext(), bound, seed), sample, seed)
+    monkeypatch.setitem(SUITES, name, lambda ctx, b, s: iter(drawn))
+    expected = run_suite(name, bound, seed=seed)
+    checked = []
+
+    def recording(ctx, b, s):
+        for fields, check in generate(ctx, b, s):
+            yield fields, lambda ctx, check=check, **kw: checked.append(kw) or check(ctx, **kw)
+
+    monkeypatch.setitem(SUITES, name, recording)
+    report = run_suite(name, bound, sample=sample, seed=seed)
+    assert checked == [fields for fields, _ in drawn]
+    assert report.to_json() == expected.to_json()
+    assert bool(report.failures) == (planted and bool(drawn))
 
 
 def test_recovery_suite_sampled_at_four_points():
