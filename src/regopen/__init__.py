@@ -52,6 +52,7 @@ from .topology import (
     find_homeomorphism,
     homeomorphic,
     indiscrete,
+    refined_open_masks,
     sierpinski,
     x3,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "indiscrete",
     "maximal_ideals",
     "point_recovery",
+    "refined_open_masks",
     "regular_open_lattice",
     "restrict_regular",
     "restriction_isomorphism",

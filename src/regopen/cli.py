@@ -9,6 +9,7 @@ usage errors (an output path that cannot be written among them), 141
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -53,14 +54,6 @@ def _load_space(token: str) -> Topology:
             f"({', '.join(sorted(FIXTURES))}, discrete:N, indiscrete:N) nor a readable file"
         ) from None
     return space_from_dict(doc)
-
-
-def _write(path: str | None, text: str):
-    if path:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _add_common(p: argparse.ArgumentParser, dot: bool = False):
@@ -113,7 +106,7 @@ def _cmd_enumerate(args) -> int:
     spaces = list(enumerate_topologies(spec))
     print(f"{len(spaces)} topologies on {args.n} points ({args.mode})")
     if args.json:
-        _write(args.json, canonical_json([space_to_dict(t) for t in spaces]))
+        args.json.write(canonical_json([space_to_dict(t) for t in spaces]))
     return 0
 
 
@@ -130,7 +123,7 @@ def _cmd_verify(args) -> int:
         reports.append(report)
     if args.json:
         payload = [r.to_dict() for r in reports]
-        _write(args.json, canonical_json(payload[0] if len(payload) == 1 else payload))
+        args.json.write(canonical_json(payload[0] if len(payload) == 1 else payload))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -144,7 +137,7 @@ def _cmd_counterexamples(args) -> int:
             f"{p.t1!r}  ~  {p.t2!r}  [well-inside {tag} under reported iso]"
         )
     if args.json:
-        _write(args.json, canonical_json([p.to_dict() for p in pairs]))
+        args.json.write(canonical_json([p.to_dict() for p in pairs]))
     return 0
 
 
@@ -164,9 +157,9 @@ def _cmd_stone(args) -> int:
             "atoms": list(st.atoms),
             "to_clopen": [sorted(s) for s in st.to_clopen],
         }
-        _write(args.json, canonical_json(payload))
+        args.json.write(canonical_json(payload))
     if args.dot:
-        _write(args.dot, lattice_to_dot(regular_open_lattice(st.space), "clopen"))
+        args.dot.write(lattice_to_dot(regular_open_lattice(st.space), "clopen"))
     return 0
 
 
@@ -189,9 +182,9 @@ def _cmd_regular_lattice(args) -> int:
     print(f"well-inside pairs: {sorted(rel)}")
     print(f"ge pairs:          {sorted(ge_relation(lat))}")
     if args.json:
-        _write(args.json, canonical_json(lattice_to_dict(lat, rel)))
+        args.json.write(canonical_json(lattice_to_dict(lat, rel)))
     if args.dot:
-        _write(args.dot, lattice_to_dot(lat))
+        args.dot.write(lattice_to_dot(lat))
     return 0
 
 
@@ -219,7 +212,7 @@ def _cmd_cofinite_demo(args) -> int:
                 for tr in traces
             ],
         }
-        _write(args.json, canonical_json(payload))
+        args.json.write(canonical_json(payload))
     return 0
 
 
@@ -234,7 +227,14 @@ def main(argv: list[str] | None = None) -> int:
         "cofinite-demo": _cmd_cofinite_demo,
     }
     try:
-        code = handlers[args.verb](args)
+        # Output paths are opened before the work starts, so one that cannot
+        # be written is refused at once, not after a long run.
+        with contextlib.ExitStack() as outputs:
+            for name in ("json", "dot"):
+                path = getattr(args, name, None)
+                if path:
+                    setattr(args, name, outputs.enter_context(open(path, "w", encoding="utf-8")))
+            code = handlers[args.verb](args)
         sys.stdout.flush()
         return code
     except RegOpenError as exc:

@@ -25,6 +25,9 @@ COFINITE = "cofinite"
 
 @dataclass(frozen=True, slots=True)
 class SymbolicSet:
+    """A set of the symbolic ground set. The constructor validates its
+    arguments; the set operations build their results through ``_trusted``."""
+
     kind: str
     support: frozenset[int]
 
@@ -33,10 +36,13 @@ class SymbolicSet:
             raise ValueError(f"kind must be {FINITE!r} or {COFINITE!r}")
         support = self.support
         if type(support) is not frozenset:
-            support = frozenset(support)
+            try:
+                support = frozenset(support)
+            except TypeError:
+                raise ValueError(f"support must be a set of labels, not {support!r}") from None
             object.__setattr__(self, "support", support)
-        if support and min(support) < 0:
-            raise ValueError("support labels must be non-negative")
+        if not all(type(x) is int and x >= 0 for x in support):
+            raise ValueError("support labels must be non-negative integers")
 
     def __repr__(self):
         body = "{" + ",".join(map(str, sorted(self.support))) + "}"
@@ -47,7 +53,22 @@ class SymbolicSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SymbolicSet":
-        return cls(d["kind"], frozenset(d["support"]))
+        return cls(d["kind"], d["support"])
+
+
+_new = object.__new__
+_set_kind = SymbolicSet.kind.__set__
+_set_support = SymbolicSet.support.__set__
+
+
+def _trusted(kind: str, support: frozenset[int]) -> SymbolicSet:
+    """A SymbolicSet built without the constructor's checks. The set
+    operations alone call it: their results' kinds and supports come from
+    valid sets, and a cofinite-identities run builds some 380000 of them."""
+    s = _new(SymbolicSet)
+    _set_kind(s, kind)
+    _set_support(s, support)
+    return s
 
 
 def finite(labels: Iterable[int] = ()) -> SymbolicSet:
@@ -63,25 +84,25 @@ FULL = cofinite()
 
 
 def complement(a: SymbolicSet) -> SymbolicSet:
-    return SymbolicSet(COFINITE if a.kind == FINITE else FINITE, a.support)
+    return _trusted(COFINITE if a.kind == FINITE else FINITE, a.support)
 
 
 def union(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     if a.kind == FINITE and b.kind == FINITE:
-        return SymbolicSet(FINITE, a.support | b.support)
+        return _trusted(FINITE, a.support | b.support)
     if a.kind == COFINITE and b.kind == COFINITE:
-        return SymbolicSet(COFINITE, a.support & b.support)
+        return _trusted(COFINITE, a.support & b.support)
     fin, cof = (a, b) if a.kind == FINITE else (b, a)
-    return SymbolicSet(COFINITE, cof.support - fin.support)
+    return _trusted(COFINITE, cof.support - fin.support)
 
 
 def intersect(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     if a.kind == FINITE and b.kind == FINITE:
-        return SymbolicSet(FINITE, a.support & b.support)
+        return _trusted(FINITE, a.support & b.support)
     if a.kind == COFINITE and b.kind == COFINITE:
-        return SymbolicSet(COFINITE, a.support | b.support)
+        return _trusted(COFINITE, a.support | b.support)
     fin, cof = (a, b) if a.kind == FINITE else (b, a)
-    return SymbolicSet(FINITE, fin.support - cof.support)
+    return _trusted(FINITE, fin.support - cof.support)
 
 
 def is_subset(a: SymbolicSet, b: SymbolicSet) -> bool:

@@ -5,7 +5,8 @@ Trans. AMS 123, 1966). So every space on n + 1 points is a space on n points
 with one point added, and ``enumerate_topologies`` grows the open families
 one point at a time, as Brinkmann & McKay do for posets ("Posets on up to 16
 points", Order 19, 2002). Up to homeomorphism it extends only the class
-representatives and keeps the distinct canonical forms.
+representatives and keeps one family per class, told apart by the refined
+form; after the last point, each class is named by its canonical form.
 
 Labeled counts are 1, 4, 29, 355, 6942 for n = 1..5; counts up to
 homeomorphism are 1, 3, 9, 33, 139.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BadEnumerationSpec, SizeGuardExceeded
-from .topology import Topology, canonical_open_masks, set_of
+from .topology import Topology, canonical_open_masks, refined_open_masks, set_of
 
 MODES = ("all", "up-to-homeomorphism")
 
@@ -93,15 +94,19 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
 
     Both modes grow the families one point at a time from the one family on
     no points. Class mode extends only the class representatives: deleting
-    the last point of a space leaves a subspace homeomorphic to one of them."""
+    the last point of a space leaves a subspace homeomorphic to one of them.
+    It keeps the distinct refined forms at every step and runs the n! scan of
+    ``canonical_open_masks`` only once per class, at the end."""
     classes = spec.mode == "up-to-homeomorphism"
     families = {(0,)}
     for k in range(spec.n):
         grown = (f for fam in families for f in _extensions(k, fam))
         if classes:
-            families = {canonical_open_masks(Topology(k + 1, f)) for f in grown}
+            families = {refined_open_masks(Topology(k + 1, f)) for f in grown}
         else:
             families = set(grown)
+    if classes:
+        families = {canonical_open_masks(Topology(spec.n, f)) for f in families}
     families = sorted(families, key=lambda f: (len(f), f))
     if spec.limit is not None:
         families = families[: spec.limit]

@@ -304,20 +304,52 @@ def find_homeomorphism(t1: Topology, t2: Topology) -> dict[int, int] | None:
 
 
 def homeomorphic(t1: Topology, t2: Topology) -> bool:
-    """Same size and the same canonical open family."""
-    return t1.n == t2.n and canonical_open_masks(t1) == canonical_open_masks(t2)
+    """Same size and the same refined open family."""
+    return t1.n == t2.n and refined_open_masks(t1) == refined_open_masks(t2)
+
+
+def _least_encoding(t: Topology, perms: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """Least sorted open family of ``t`` over the relabelings ``perms``."""
+    return min(tuple(sorted(permute_mask(m, perm) for m in t.open_masks)) for perm in perms)
 
 
 def canonical_open_masks(t: Topology) -> tuple[int, ...]:
     """Minimum lexicographic encoding of the open family over all relabelings.
 
-    Two spaces are homeomorphic iff their canonical encodings agree; the
-    n! scan is affordable at the n <= 5 scale this package targets.
+    Two spaces are homeomorphic iff their canonical encodings agree. The n!
+    scan names the class representatives; ``refined_open_masks`` decides
+    homeomorphism with far fewer relabelings.
     """
-    best = None
-    for perm in itertools.permutations(range(t.n)):
-        enc = tuple(sorted(permute_mask(m, perm) for m in t.open_masks))
-        if best is None or enc < best:
-            best = enc
-    assert best is not None
-    return best
+    return _least_encoding(t, itertools.permutations(range(t.n)))
+
+
+def signature_blocks(t: Topology) -> list[tuple[int, ...]]:
+    """The points grouped by signature (|U_x|, |cl{x}|), in ascending order of
+    signature. U_x is the least neighbourhood of x, and cl{x} holds the y
+    whose U_y holds x. A homeomorphism keeps each point's signature."""
+    nbhd = t.min_nbhd_masks
+    sig = [(u.bit_count(), sum(v >> x & 1 for v in nbhd)) for x, u in enumerate(nbhd)]
+    order = sorted(range(t.n), key=sig.__getitem__)
+    return [tuple(block) for _, block in itertools.groupby(order, key=sig.__getitem__)]
+
+
+def refined_open_masks(t: Topology) -> tuple[int, ...]:
+    """Least encoding of the open family over the relabelings that put the
+    points in order of signature: the points of the i-th signature block
+    take the i-th run of new indices, in every order within the run.
+
+    A homeomorphism carries these relabelings of one space onto those of the
+    other, so two spaces are homeomorphic iff their refined encodings agree
+    (the first refinement step of McKay & Piperno, "Practical graph
+    isomorphism II", J. Symb. Comput. 2014). It is not the encoding of
+    ``canonical_open_masks``, which scans all n! relabelings.
+    """
+
+    def perms():
+        for arrangement in itertools.product(*map(itertools.permutations, signature_blocks(t))):
+            perm = [0] * t.n
+            for i, x in enumerate(itertools.chain.from_iterable(arrangement)):
+                perm[x] = i
+            yield perm
+
+    return _least_encoding(t, perms())

@@ -278,6 +278,27 @@ def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
     assert str(path) in err
 
 
+def test_unwritable_output_path_is_refused_before_the_work(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert main(["verify", "--suite", "ideals", "--n", "3", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "regopen", "enumerate", "--n", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "4 topologies on 2 points (all)\n"
+
+
 def test_stone_verb(capsys):
     assert main(["stone", "x3"]) == 0
     assert "discrete on 2 points" in capsys.readouterr().out

@@ -17,8 +17,10 @@ from regopen import (
     enumerate_dense_subsets,
     enumerate_topologies,
     indiscrete,
+    refined_open_masks,
     sierpinski,
 )
+from regopen import enumeration
 from regopen.cli import main as cli_main
 from regopen.enumeration import dense_masks
 from regopen.errors import BadEnumerationSpec, SizeGuardExceeded
@@ -53,7 +55,7 @@ def test_class_counts(n):
     classes = list(enumerate_topologies(EnumerationSpec(n, mode="up-to-homeomorphism")))
     assert len(classes) == CLASS_COUNTS[n]
     # representatives are canonical and pairwise non-homeomorphic
-    keys = {canonical_open_masks(t) for t in classes}
+    keys = {refined_open_masks(t) for t in classes}
     assert len(keys) == len(classes)
     assert all(t.open_masks == canonical_open_masks(t) for t in classes)
 
@@ -77,6 +79,25 @@ def test_n5_classes_are_canonical_and_their_orbits_cover_the_labeled_spaces():
     assert len(classes) == 139
     assert all(t.open_masks == canonical_open_masks(t) for t in classes)
     assert sum(factorial(5) // _automorphisms(t) for t in classes) == 6942
+
+
+def test_class_mode_runs_the_n_factorial_scan_once_per_class(monkeypatch):
+    # 736 candidates over the five growth steps, 605 of them on 5 points
+    calls = {"canonical": 0, "refined": 0}
+
+    def counting_canonical(t):
+        calls["canonical"] += 1
+        return canonical_open_masks(t)
+
+    def counting_refined(t):
+        calls["refined"] += 1
+        return refined_open_masks(t)
+
+    monkeypatch.setattr(enumeration, "canonical_open_masks", counting_canonical)
+    monkeypatch.setattr(enumeration, "refined_open_masks", counting_refined)
+    classes = list(enumerate_topologies(EnumerationSpec(5, mode="up-to-homeomorphism", allow_n5=True)))
+    assert len(classes) == 139
+    assert calls == {"canonical": 139, "refined": 736}
 
 
 def test_n5_labeled_families_are_distinct():

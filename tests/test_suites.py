@@ -20,7 +20,7 @@ from regopen.lattice import find_order_isomorphisms, regular_open_lattice, trans
 from regopen.serialize import space_to_dict
 from regopen.stone import StoneSpace, stone_space
 from regopen.suites import SUITES, SpaceContext
-from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask
+from regopen.topology import Topology, discrete, permute_mask, refined_open_masks
 from regopen.transfer import DenseEmbedding, closure_density_check
 
 from oracles import sample_oracle, well_inside_monotone_oracle
@@ -441,17 +441,17 @@ def test_lattice_construction_failure_is_a_suite_failure(name, monkeypatch):
 def test_gallery_contains_point_and_sierpinski():
     pairs = counterexample_search(2)
     keys = {
-        (p.t1.n, canonical_open_masks(p.t1), p.t2.n, canonical_open_masks(p.t2))
+        (p.t1.n, refined_open_masks(p.t1), p.t2.n, refined_open_masks(p.t2))
         for p in pairs
     }
     point = discrete(1)
     s = sierpinski()
-    assert (1, canonical_open_masks(point), 2, canonical_open_masks(s)) in keys
+    assert (1, refined_open_masks(point), 2, refined_open_masks(s)) in keys
 
 
 def test_gallery_never_pairs_homeomorphic_spaces():
     for p in counterexample_search(3):
-        assert canonical_open_masks(p.t1) != canonical_open_masks(p.t2) or p.t1.n != p.t2.n
+        assert refined_open_masks(p.t1) != refined_open_masks(p.t2) or p.t1.n != p.t2.n
 
 
 def test_gallery_isos_verify_and_relations_transport():
@@ -478,9 +478,9 @@ def test_gallery_contains_differing_relations_pair():
     # the four-element flagship: the discrete pair against the space with a
     # shared boundary point
     keys = {
-        (canonical_open_masks(p.t1), canonical_open_masks(p.t2)) for p in differing
+        (refined_open_masks(p.t1), refined_open_masks(p.t2)) for p in differing
     }
-    assert (canonical_open_masks(discrete(2)), canonical_open_masks(x3())) in keys
+    assert (refined_open_masks(discrete(2)), refined_open_masks(x3())) in keys
 
 
 def test_gallery_guard(monkeypatch):

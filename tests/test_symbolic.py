@@ -112,6 +112,21 @@ def test_kind_validation():
     assert SymbolicSet(FINITE, [2, 0]).support == frozenset({0, 2})
 
 
+def test_public_constructors_refuse_bad_sets():
+    bad = [
+        ("open", frozenset()),  # no such kind
+        (FINITE, 5),  # not a set of labels
+        (FINITE, frozenset({"a"})),
+        (COFINITE, frozenset({1.5})),
+        (COFINITE, frozenset({0, -3})),  # negative label
+    ]
+    for kind, support in bad:
+        with pytest.raises(ValueError):
+            SymbolicSet(kind, support)
+        with pytest.raises(ValueError):
+            SymbolicSet.from_dict({"kind": kind, "support": support})
+
+
 symbolic_sets = st.builds(
     SymbolicSet,
     st.sampled_from([FINITE, COFINITE]),
@@ -130,6 +145,13 @@ def test_boolean_identities(a, b, c):
     assert complement(intersect(a, b)) == union(complement(a), complement(b))
     assert union(a, intersect(a, b)) == a
     assert intersect(a, union(b, c)) == union(intersect(a, b), intersect(a, c))
+
+
+@given(symbolic_sets, symbolic_sets)
+def test_operation_results_pass_the_public_checks(a, b):
+    for r in (union(a, b), intersect(a, b), complement(a), interior(a), closure(a)):
+        assert type(r.support) is frozenset
+        assert SymbolicSet(r.kind, r.support) == r
 
 
 @given(symbolic_sets)

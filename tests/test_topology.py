@@ -1,5 +1,7 @@
 """Core space operators against frozen values and the pointwise oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from regopen import (
     find_homeomorphism,
     homeomorphic,
     indiscrete,
+    refined_open_masks,
     sierpinski,
     x3,
 )
@@ -24,7 +27,7 @@ from regopen.errors import (
     NotClosedUnderUnion,
     SizeGuardExceeded,
 )
-from regopen.topology import MAX_OPENS, MAX_POINTS
+from regopen.topology import MAX_OPENS, MAX_POINTS, permute_mask, signature_blocks
 
 from oracles import (
     all_subsets,
@@ -254,6 +257,60 @@ def test_canonical_form_is_homeomorphism_invariant():
     assert canonical_open_masks(t1) == canonical_open_masks(t2)
     assert homeomorphic(t1, t2)
     assert canonical_open_masks(S) != canonical_open_masks(D2)
+
+
+# -- the refined form classes spaces as the n! canonical form does ---------------
+
+
+def _same_classes(spaces, key) -> bool:
+    """Whether ``key`` splits ``spaces`` into the classes canonical_open_masks does."""
+    pairs = {(key(t), canonical_open_masks(t)) for t in spaces}
+    return len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
+
+
+def _labeled_up_to_four():
+    return [t for n in (1, 2, 3, 4) for t in enumerate_topologies(EnumerationSpec(n))]
+
+
+def _n5_sample(seed=5, size=300):
+    """A seeded sample of the labeled 5-point spaces, each with a randomly
+    relabeled copy, so that every sampled class has two members."""
+    rng = random.Random(seed)
+    labeled = list(enumerate_topologies(EnumerationSpec(5, allow_n5=True)))
+    out = []
+    for t in rng.sample(labeled, size):
+        perm = rng.sample(range(5), 5)
+        out += [t, Topology(5, [permute_mask(m, perm) for m in t.open_masks])]
+    return out
+
+
+def _ties_by_index(t):
+    """A planted bug: signature order with ties broken by point index, so one
+    relabeling only, which is not invariant under homeomorphism."""
+    perm = [0] * t.n
+    for i, x in enumerate(x for block in signature_blocks(t) for x in block):
+        perm[x] = i
+    return tuple(sorted(permute_mask(m, perm) for m in t.open_masks))
+
+
+def test_refined_form_classes_every_space_up_to_four_points_as_the_oracle():
+    assert _same_classes(_labeled_up_to_four(), refined_open_masks)
+
+
+def test_refined_form_classes_a_sample_of_five_point_spaces_as_the_oracle():
+    assert _same_classes(_n5_sample(), refined_open_masks)
+
+
+def test_cross_check_catches_ties_broken_by_point_index():
+    assert not _same_classes(_labeled_up_to_four(), _ties_by_index)
+    assert not _same_classes(_n5_sample(), _ties_by_index)
+
+
+def test_signature_blocks_of_fixtures():
+    # S: point 0 has (|U_0|, |cl{0}|) = (1, 2), which sorts before point 1's (2, 1)
+    assert signature_blocks(S) == [(0,), (1,)]
+    assert signature_blocks(X3) == [(0, 1), (2,)]
+    assert signature_blocks(discrete(3)) == [(0, 1, 2)]
 
 
 # -- randomized: closing any family yields a space satisfying the laws -----------
