@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import re
+import stat
 import sys
 
 from . import cofinite as cof
@@ -118,7 +120,12 @@ def _cmd_verify(args) -> int:
         report = run_suite(
             name, args.n, sample=args.sample, seed=args.seed, allow_n5=args.allow_n5, context=context
         )
-        status = "pass" if report.passed else f"FAIL ({len(report.failures)} failures)"
+        if report.passed:
+            status = "pass"
+        elif report.instances == 0:
+            status = "FAIL (no instances checked)"
+        else:
+            status = f"FAIL ({len(report.failures)} failures)"
         print(f"{name}: {status} [{report.instances} instances, {report.wall_time_s:.2f}s]")
         reports.append(report)
     if args.json:
@@ -216,6 +223,31 @@ def _cmd_cofinite_demo(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """A buffer for the output file at ``path``, written there only when the
+    work ends without an exception.
+
+    The file is opened at once, for appending so that nothing is truncated,
+    and an output path that cannot be written is refused before the work
+    starts. After a failed run an existing file is left as it was, and a
+    file made here is removed.
+    """
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8") as fp:
+        buffer = io.StringIO()
+        try:
+            yield buffer
+        except BaseException:
+            if not existed:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
+        if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):  # not a pipe or a device
+            fp.truncate(0)
+        fp.write(buffer.getvalue())
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
@@ -233,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in ("json", "dot"):
                 path = getattr(args, name, None)
                 if path:
-                    setattr(args, name, outputs.enter_context(open(path, "w", encoding="utf-8")))
+                    setattr(args, name, outputs.enter_context(_output(path)))
             code = handlers[args.verb](args)
         sys.stdout.flush()
         return code

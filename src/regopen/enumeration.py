@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BadEnumerationSpec, SizeGuardExceeded
-from .topology import Topology, canonical_open_masks, refined_open_masks, set_of
+from .topology import Topology, canonical_open_masks, refined_open_masks, set_of, submasks
 
 MODES = ("all", "up-to-homeomorphism")
 
@@ -114,15 +114,6 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
         yield Topology(spec.n, fam)
 
 
-def _submasks(mask: int) -> list[int]:
-    """Every submask of ``mask``, the empty one included."""
-    out, s = [0], mask
-    while s:
-        out.append(s)
-        s = (s - 1) & mask
-    return out
-
-
 def dense_masks(t: Topology) -> list[int]:
     """The masks of all nonempty subsets with full closure, ascending.
 
@@ -137,8 +128,8 @@ def dense_masks(t: Topology) -> list[int]:
     for u in nbhds:
         if not any(v != u and v & u == v for v in nbhds):
             rest &= ~u
-            dense = [y | s for y in dense for s in _submasks(u)[1:]]
-    return sorted(y | s for y in dense for s in _submasks(rest))
+            dense = [y | s for y in dense for s in submasks(u)[1:]]
+    return sorted(y | s for y in dense for s in submasks(rest))
 
 
 def enumerate_dense_subsets(t: Topology) -> list[frozenset[int]]:

@@ -1,23 +1,24 @@
 """Exhaustive verification suites over the small-space enumeration, plus the
 search for non-homeomorphic space pairs with isomorphic regular-open lattices.
 
-A suite is data: a generator of instances drawn from the labeled
-enumeration up to a ground-size bound, each a pair of the fields that locate
-it and a module-level check. ``run_suite`` calls every check, counts a
-``RegOpenError`` raised inside one as a failure, and reports
-deterministically (instances are generated in a fixed order and failures
-keep that order). Instances are generated lazily and checked as they come,
-so a suite never holds all of them at once.
+A suite is data: a generator of groups of instances drawn from the labeled
+enumeration up to a ground-size bound, one group per space, each checked in
+one call. ``run_suite`` counts every instance, counts a ``RegOpenError``
+raised inside a check as a failure, and reports deterministically (groups
+are generated in a fixed order, and failures keep the order of the
+instances). Groups are generated lazily and checked as they come, so a
+suite holds one space's instances at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import cofinite as cof
 from .enumeration import BUDGETS, EnumerationSpec, canonical_classes, check_budget, dense_masks, enumerate_topologies
@@ -45,14 +46,62 @@ from .transfer import (
     point_recovery,
     restriction_isomorphism,
     separating_witness,
-    trace_keeps_closure,
+    traces_losing_closure,
 )
 
-# One instance: its fields and a check called as ``check(ctx, **fields)``.
-# The check returns None when the claim holds, else a message or a dict of
-# report fields. Point-set fields are bitmasks; a failure lists their points.
-Instance = tuple[dict, Callable[..., "str | dict | None"]]
+# A failed instance's result: a message or a dict of report fields.
+Result = str | dict
 _POINT_SET_FIELDS = frozenset({"dense", "open", "u", "v", "subset"})
+
+
+class Group(NamedTuple):
+    """Instances that share fields, usually those of one space, checked in
+    one call as ``check(ctx, group)``.
+
+    ``shared`` holds the fields they share, ``names`` the names of each
+    instance's own fields and ``items`` their values, one tuple per
+    instance, in order. The check returns the failing items as (position in
+    ``items``, result) pairs, positions ascending. Point-set fields are
+    bitmasks; a failure lists their points.
+    """
+
+    shared: dict
+    names: tuple[str, ...]
+    items: Sequence[tuple]
+    check: GroupCheck
+
+    def fields(self, item: tuple) -> dict:
+        return {**self.shared, **dict(zip(self.names, item))}
+
+
+GroupCheck = Callable[["SpaceContext", Group], list[tuple[int, Result]]]
+
+
+def _each(check: Callable[..., Result | None]) -> GroupCheck:
+    """The group check that calls ``check(ctx, *item, **shared)`` on each
+    item: the item's own fields by position, in the order of ``names``, and
+    the shared fields by name. ``check`` returns None when the claim holds,
+    else a result; a ``RegOpenError`` it raises is the failure of that item
+    alone."""
+
+    def check_each(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
+        failed = []
+        shared = group.shared
+        for pos, item in enumerate(group.items):
+            try:
+                result = check(ctx, *item, **shared)
+            except RegOpenError as exc:
+                result = str(exc)
+            if result is not None:
+                failed.append((pos, result))
+        return failed
+
+    return check_each
+
+
+def _one(check: Callable[..., Result | None], **shared) -> Group:
+    """A group of the single instance with fields ``shared``."""
+    return Group(shared, (), [()], _each(check))
 
 
 @dataclass
@@ -130,43 +179,40 @@ class SpaceContext:
 # -- individual suites ---------------------------------------------------------
 
 
-def _check_ux0(ctx: SpaceContext, space: Topology, dense: int) -> None:
+def _check_ux0(ctx: SpaceContext, dense: int, space: Topology) -> None:
     restriction_isomorphism(ctx.embedding(space, dense), ctx.lattice)
 
 
-def _suite_ux0(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_ux0(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     for t in ctx.spaces(bound):
-        for y in dense_masks(t):
-            yield {"space": t, "dense": y}, _check_ux0
+        yield Group({"space": t}, ("dense",), [(y,) for y in dense_masks(t)], _each(_check_ux0))
 
 
-def _check_denso(ctx: SpaceContext, space: Topology, dense: int, open: int) -> str | None:
+def _check_denso(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
     # dense_masks checked the density, and the opens come from the space
-    if not trace_keeps_closure(space, dense, open):
-        return "closure of the open differs from closure of its dense trace"
-    return None
+    return [
+        (pos, "closure of the open differs from closure of its dense trace")
+        for pos in traces_losing_closure(group.shared["space"], group.items)
+    ]
 
 
-def _suite_denso(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_denso(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     for t in ctx.spaces(bound):
-        for y in dense_masks(t):
-            for u in t.open_masks:
-                yield {"space": t, "dense": y, "open": u}, _check_denso
+        pairs = list(itertools.product(dense_masks(t), t.open_masks))
+        yield Group({"space": t}, ("dense", "open"), pairs, _check_denso)
 
 
-def _check_uvw(ctx: SpaceContext, space: Topology, u: int, v: int) -> None:
+def _check_uvw(ctx: SpaceContext, u: int, v: int, space: Topology) -> None:
     separating_witness(space, u, v)
 
 
-def _suite_uvw(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_uvw(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     for t in ctx.spaces(bound):
-        regs = t.regular_open_masks()
-        for u, v in itertools.product(regs, repeat=2):
-            if u & ~v:
-                yield {"space": t, "u": u, "v": v}, _check_uvw
+        pairs = [(u, v) for u, v in itertools.product(t.regular_open_masks(), repeat=2) if u & ~v]
+        yield Group({"space": t}, ("u", "v"), pairs, _each(_check_uvw))
 
 
-def _check_regularity(ctx: SpaceContext, space: Topology, subset: int) -> str | None:
+def _check_regularity(ctx: SpaceContext, subset: int, space: Topology) -> str | None:
     direct = space.is_regular_open_mask(subset)
     cl = space.closure_mask(subset)
     via_opens = space.is_open_mask(subset) and all(
@@ -177,16 +223,16 @@ def _check_regularity(ctx: SpaceContext, space: Topology, subset: int) -> str | 
     return None
 
 
-def _suite_regularity(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_regularity(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     """Both routes to 'regular open' agree on every subset of every space:
     the fixpoint definition versus openness plus 'every open inside the
     closure already sits inside the set'."""
     for t in ctx.spaces(bound):
-        for a in range(t.full_mask + 1):
-            yield {"space": t, "subset": a}, _check_regularity
+        subsets = [(a,) for a in range(t.full_mask + 1)]
+        yield Group({"space": t}, ("subset",), subsets, _each(_check_regularity))
 
 
-def _check_recovery(ctx: SpaceContext, space: Topology, dense: int) -> str | None:
+def _check_recovery(ctx: SpaceContext, dense: int, space: Topology) -> str | None:
     emb = ctx.embedding(space, dense)
     bx = [m for m in space.regular_open_masks() if m]
     by = [m for m in emb.sub.regular_open_masks() if m]
@@ -197,7 +243,7 @@ def _check_recovery(ctx: SpaceContext, space: Topology, dense: int) -> str | Non
     return None
 
 
-def _suite_recovery(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_recovery(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     """Recovery from the basis isomorphism induced by dense restriction must
     send each recovered point to its own copy. The construction quantifies
     over given bases, so the spaces are those whose nonempty regular opens
@@ -209,8 +255,7 @@ def _suite_recovery(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instan
             check_basis(t, [m for m in t.regular_open_masks() if m])
         except NotABasis:
             continue
-        for y in dense_masks(t):
-            yield {"space": t, "dense": y}, _check_recovery
+        yield Group({"space": t}, ("dense",), [(y,) for y in dense_masks(t)], _each(_check_recovery))
 
 
 def _check_boolean(ctx: SpaceContext, space: Topology) -> None:
@@ -218,9 +263,9 @@ def _check_boolean(ctx: SpaceContext, space: Topology) -> None:
     ctx.lattice(space)
 
 
-def _suite_boolean(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_boolean(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     for t in ctx.spaces(bound):
-        yield {"space": t}, _check_boolean
+        yield _one(_check_boolean, space=t)
 
 
 def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
@@ -243,9 +288,9 @@ def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
     return None
 
 
-def _suite_rlattice(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_rlattice(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     for t in ctx.spaces(bound):
-        yield {"space": t}, _check_rlattice
+        yield _one(_check_rlattice, space=t)
 
 
 def _check_stone(ctx: SpaceContext, space: Topology) -> str | None:
@@ -266,11 +311,11 @@ def _check_ultrafilters(ctx: SpaceContext, powerset: int) -> str | None:
     return None
 
 
-def _suite_stone(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_stone(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     for t in ctx.spaces(bound):
-        yield {"space": t}, _check_stone
-    for n in range(1, BUDGETS["ideals"][0] + 1):
-        yield {"powerset": n}, _check_ultrafilters
+        yield _one(_check_stone, space=t)
+    powersets = [(n,) for n in range(1, BUDGETS["ideals"][0] + 1)]
+    yield Group({}, ("powerset",), powersets, _each(_check_ultrafilters))
 
 
 # The brute-force cross-check filters all 2^(2^n - 1) families of nonempty
@@ -301,12 +346,12 @@ def _check_ideal_correspondence(ctx: SpaceContext, powerset: int) -> None:
     ideal_open_correspondence(powerset)
 
 
-def _suite_ideals(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
+def _suite_ideals(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     largest = min(bound, BUDGETS["ideals"][0])
-    for n in range(1, min(largest, _BRUTE_FORCE_IDEALS_MAX) + 1):
-        yield {"powerset": n}, _check_ideal_enumeration
-    for n in range(1, largest + 1):
-        yield {"powerset": n}, _check_ideal_correspondence
+    brute = [(n,) for n in range(1, min(largest, _BRUTE_FORCE_IDEALS_MAX) + 1)]
+    yield Group({}, ("powerset",), brute, _each(_check_ideal_enumeration))
+    powersets = [(n,) for n in range(1, largest + 1)]
+    yield Group({}, ("powerset",), powersets, _each(_check_ideal_correspondence))
 
 
 _COFINITE_TRIALS = 10_000
@@ -366,9 +411,9 @@ def _check_cofinite_identities(ctx: SpaceContext, seed: int) -> dict | None:
     return None
 
 
-def _suite_cofinite(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
-    yield {}, _check_cofinite_family
-    yield {"seed": seed}, _check_cofinite_identities
+def _suite_cofinite(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+    yield _one(_check_cofinite_family)
+    yield _one(_check_cofinite_identities, seed=seed)
 
 
 _METRIC_TRIALS = 1_000
@@ -400,11 +445,11 @@ def _check_metric(ctx: SpaceContext, seed: int) -> dict | None:
     return None
 
 
-def _suite_metric(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Instance]:
-    yield {"seed": seed}, _check_metric
+def _suite_metric(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+    yield _one(_check_metric, seed=seed)
 
 
-SUITES: dict[str, Callable[[SpaceContext, int, int], Iterator[Instance]]] = {
+SUITES: dict[str, Callable[[SpaceContext, int, int], Iterator[Group]]] = {
     "ux0": _suite_ux0,
     "denso": _suite_denso,
     "uvw": _suite_uvw,
@@ -419,7 +464,7 @@ SUITES: dict[str, Callable[[SpaceContext, int, int], Iterator[Instance]]] = {
 }
 
 
-def _failure(fields: dict, result: str | dict) -> dict:
+def _failure(fields: dict, result: Result) -> dict:
     """The report of a failed instance: its fields, readable, and the result."""
     failure = {}
     for key, value in fields.items():
@@ -445,13 +490,14 @@ def run_suite(
 
     Every suite first checks ``bound`` and ``allow_n5`` against the "verify"
     row of ``enumeration.BUDGETS``. ``sample`` draws a deterministic random
-    subset of instances: they are generated twice, once to count them and
-    once to keep the drawn ones in order. ``context`` shares spaces and
-    lattices with other suites of the same run; without one the suite makes
-    its own.
+    subset of instances: the groups are generated twice, once to count their
+    instances and once to hand each group's check the drawn ones, in order.
+    ``context`` shares spaces and lattices with other suites of the same
+    run; without one the suite makes its own.
     ``wall_time_s`` covers generating the instances as well as checking them.
-    A ``RegOpenError`` raised by a check is that instance's failure; one
-    raised while generating instances propagates.
+    A ``RegOpenError`` that escapes a group's check fails every instance the
+    check was given, with its message; one raised while generating groups
+    propagates.
     """
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
@@ -463,19 +509,30 @@ def run_suite(
     start = time.perf_counter()
     if context is None:
         context = SpaceContext()
-    instances = SUITES[name](context, bound, seed)
+    groups = SUITES[name](context, bound, seed)
+    drawn = None
     if sample is not None:
-        total = sum(1 for _ in instances)
-        drawn = set(random.Random(seed).sample(range(total), sample)) if sample < total else range(total)
-        instances = (inst for i, inst in enumerate(SUITES[name](context, bound, seed)) if i in drawn)
-    count, failures = 0, []
-    for count, (fields, check) in enumerate(instances, 1):
+        total = sum(len(group.items) for group in groups)
+        if sample < total:
+            drawn = sorted(random.Random(seed).sample(range(total), sample))
+        groups = SUITES[name](context, bound, seed)
+    count, offset, failures = 0, 0, []
+    for group in groups:
+        if drawn is not None:
+            # the drawn global indices that fall in this group's range
+            size = len(group.items)
+            first, stop = bisect.bisect_left(drawn, offset), bisect.bisect_left(drawn, offset + size)
+            group = group._replace(items=[group.items[i - offset] for i in drawn[first:stop]])
+            offset += size
+        items = group.items
+        if not items:
+            continue
+        count += len(items)
         try:
-            result = check(context, **fields)
+            failed = group.check(context, group)
         except RegOpenError as exc:
-            result = str(exc)
-        if result is not None:
-            failures.append(_failure(fields, result))
+            failed = [(pos, str(exc)) for pos in range(len(items))]
+        failures.extend(_failure(group.fields(items[pos]), result) for pos, result in failed)
     return SuiteReport(
         suite=name,
         bound=bound,

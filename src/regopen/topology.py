@@ -63,6 +63,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def submasks(mask: int) -> list[int]:
+    """Every submask of ``mask``, ascending, the empty one first. The i-th is
+    the set whose j-th point, in ascending order, is in it when bit j of i is."""
+    out = [0]
+    for p in iter_bits(mask):
+        bit = 1 << p
+        out += [s | bit for s in out]
+    return out
+
+
 def compress_mask(mask: int, points: Sequence[int]) -> int:
     """Trace ``mask`` on ``points`` (sorted), re-indexed so that points[i] is bit i."""
     out = 0
@@ -176,6 +186,16 @@ class Topology:
                 acc |= bit
             bit <<= 1
         return acc
+
+    def closure_table(self) -> list[int]:
+        """cl(a) for every mask a, indexed by a: 2^n entries. Closure is
+        additive, cl(a | b) = cl(a) | cl(b), so the entries for the masks
+        holding point x are those below 1 << x joined with cl{x}."""
+        table = [0]
+        for x in range(self.n):
+            cl_x = self.closure_mask(1 << x)
+            table += [c | cl_x for c in table]
+        return table
 
     def regularize_mask(self, a: int) -> int:
         return self.interior_mask(self.closure_mask(a))

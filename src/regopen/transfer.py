@@ -18,7 +18,8 @@ the one lift of ``DenseEmbedding``, on lattices taken from one source.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import functools
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CompositionNotIdentity,
@@ -38,10 +39,10 @@ from .topology import (
     PointSet,
     Topology,
     _carries_neighbourhoods,
-    compress_mask,
     iter_bits,
     permute_mask,
     set_of,
+    submasks,
 )
 
 
@@ -52,10 +53,11 @@ class DenseEmbedding:
     ``points`` lists ambient points in subspace-index order. The subspace is
     taken from ``spaces``, known spaces keyed by least neighbourhoods, when
     it is there, else built: the least neighbourhood of y in the subspace on
-    Y is the trace of U_y on Y, re-indexed, and these determine it.
+    Y is the trace of U_y on Y, re-indexed, and these determine it. The trace
+    and the lift read the rows of Y, which ``dense_rows`` keeps per Y.
     """
 
-    __slots__ = ("ambient", "sub", "index_map", "points")
+    __slots__ = ("ambient", "sub", "index_map", "points", "_mask", "_lift", "_trace")
 
     def __init__(
         self,
@@ -67,18 +69,36 @@ class DenseEmbedding:
         if ambient.closure_mask(mask) != ambient.full_mask:
             raise NotDense(f"{sorted(set_of(mask))} is not dense in the ambient space")
         self.ambient = ambient
-        self.points = tuple(iter_bits(mask))
+        self.points, self._lift, self._trace = dense_rows(mask)
         self.index_map = {p: i for i, p in enumerate(self.points)}
-        key = tuple(compress_mask(ambient.min_nbhd_masks[p], self.points) for p in self.points)
+        self._mask = mask
+        nbhd, trace = ambient.min_nbhd_masks, self._trace
+        key = tuple([trace[nbhd[p] & mask] for p in self.points])
         self.sub = (spaces or {}).get(key) or ambient.subspace(mask)[0]
 
     def compress(self, ambient_mask: int) -> int:
         """The trace U & Y of an ambient set, as a subspace mask."""
-        return compress_mask(ambient_mask, self.points)
+        return self._trace[ambient_mask & self._mask]
 
     def lift(self, sub_mask: int) -> int:
         """int(cl(V)) upstairs of a subspace set V."""
-        return self.ambient.regularize_mask(permute_mask(sub_mask, self.points))
+        return self.ambient.regularize_mask(self._lift[sub_mask])
+
+
+# Holds the rows of every mask on up to 6 points (63 nonempty masks); the
+# rows of a 16-point mask have 65536 entries each.
+@functools.lru_cache(maxsize=64)
+def dense_rows(mask: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    """The points of ``mask`` ascending, its lift row and its trace row.
+
+    The lift row lists the submasks of Y = ``mask`` in ascending order; the
+    i-th of them holds the j-th point of Y exactly when bit j of i is set,
+    so it is subspace mask i placed in the ambient space. The trace row
+    sends each submask to its index there, so the trace of an ambient set m
+    on Y is ``trace[m & Y]``. Shared between embeddings: read, never write.
+    """
+    lift = tuple(submasks(mask))
+    return tuple(iter_bits(mask)), lift, {s: i for i, s in enumerate(lift)}
 
 
 def restrict_regular(e: DenseEmbedding, u: Iterable[int]) -> PointSet:
@@ -191,8 +211,9 @@ def _map_elements(source, image, target, message: str) -> tuple[int, ...]:
 def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bool:
     """Compare cl(U) with cl(U & Y) for dense Y and open U.
 
-    Both closures are computed independently; the equality is a theorem, so
-    a False return is a bug detector, not an expected outcome.
+    The equality is a theorem, so a False return is a bug detector, not an
+    expected outcome. Y and U are validated, then handed to
+    ``traces_losing_closure``.
     """
     ymask = t.to_mask(y)
     umask = t.to_mask(u)
@@ -200,13 +221,16 @@ def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bo
         raise NotOpen(f"{sorted(set_of(umask))} is not open")
     if t.closure_mask(ymask) != t.full_mask:
         raise NotDense(f"{sorted(set_of(ymask))} is not dense")
-    return trace_keeps_closure(t, ymask, umask)
+    return not traces_losing_closure(t, [(ymask, umask)])
 
 
-def trace_keeps_closure(t: Topology, ymask: int, umask: int) -> bool:
-    """cl(U & Y) == cl(U): the kernel of ``closure_density_check`` for a Y
-    already known dense and a U already known open."""
-    return t.closure_mask(umask & ymask) == t.closure_mask(umask)
+def traces_losing_closure(t: Topology, pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """The positions, ascending, of the (Y, U) in ``pairs`` with
+    cl(U & Y) != cl(U): the density kernel, for masks Y already known dense
+    and U already known open. Both closures are read from one table of cl
+    over all 2^n subsets of ``t``."""
+    cl = t.closure_table()
+    return [i for i, (y, u) in enumerate(pairs) if cl[u & y] != cl[u]]
 
 
 def separating_witness(t: Topology, u: Iterable[int], v: Iterable[int]) -> PointSet:

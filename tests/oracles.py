@@ -315,16 +315,25 @@ def recovery_oracle(n: int, iso: dict, target_n: int) -> dict[int, frozenset[int
     return out
 
 
-def sample_oracle(instances, sample: int, seed: int) -> list:
-    """The list-based draw: list every instance, then keep those at the
-    sorted indices of ``random.Random(seed).sample(range(count), sample)``,
-    or all of them when there are no more than ``sample``. Reference for
-    ``run_suite``'s two-pass sampling."""
-    instances = list(instances)
-    if sample < len(instances):
-        drawn = random.Random(seed).sample(range(len(instances)), sample)
-        instances = [instances[i] for i in sorted(drawn)]
-    return instances
+def sample_oracle(groups, sample: int, seed: int) -> list:
+    """The list-based draw over a suite's groups: list every group, number
+    their instances in order, and keep the (group, item) pairs at the
+    indices of ``random.Random(seed).sample(range(count), sample)``, in
+    order, or all of them when there are no more than ``sample``. Reference
+    for ``run_suite``'s two-pass sampling."""
+    groups = list(groups)
+    count = sum(len(group.items) for group in groups)
+    keep = set(random.Random(seed).sample(range(count), sample)) if sample < count else range(count)
+    instances = ((group, item) for group in groups for item in group.items)
+    return [instance for i, instance in enumerate(instances) if i in keep]
+
+
+def trace_keeps_closure_oracle(t: Topology, y: int, u: int) -> bool:
+    """The per-instance density check: cl(U & Y) == cl(U) for the masks Y
+    and U, each closure a scan of the closed sets. Reference for the density
+    kernel, which reads both closures from one table per space."""
+    ys, us = (frozenset(i for i in range(t.n) if m >> i & 1) for m in (y, u))
+    return closure_oracle(t, us & ys) == closure_oracle(t, us)
 
 
 def intersect_oracle(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:

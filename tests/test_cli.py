@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from regopen import lattice, sierpinski, suites
+from regopen import lattice, run_suite, sierpinski, suites
 from regopen.cli import main
 from regopen.enumeration import EnumerationSpec, enumerate_topologies
 from regopen.errors import VerificationError
@@ -23,6 +23,9 @@ from regopen.topology import Topology
 # sha256 of `regopen verify --suite all --n 4 --json`: the canonical reports
 # must stay byte-identical whatever the verifier does to get them faster.
 N4_REPORT_SHA256 = "7a1403676616ba4ed36c63e1fab144208d326f4b3e1b40606843cd18d5f73e86"
+# sha256 of `regopen verify --suite all --n 5 --allow-n5 --sample 500 --seed 1
+# --json`: each suite's draw of 500 instances from the n = 5 enumeration.
+N5_SAMPLE_REPORT_SHA256 = "84b7e2d3731cb8d151ddd6b184c0c2c9a8bc316b581c3f5b5f8096e8da2ecd7a"
 # sha256 of `regopen counterexamples --n 4 --json`, the pinned gallery.
 N4_GALLERY_SHA256 = "5882ab1fca64a2e4f2561cc4987db2ce66663cde257bcdef2a0f280724638aa1"
 
@@ -155,6 +158,15 @@ def test_verify_all_n4_report_is_pinned(n4_verify_all):
     assert all(": pass [" in line for line in lines)
 
 
+def test_verify_all_n5_sample_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "all", "--n", "5", "--allow-n5", "--sample", "500", "--seed", "1"]
+    assert main(argv + ["--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == N5_SAMPLE_REPORT_SHA256
+    instances = {r["suite"]: r["instances"] for r in json.loads(out.read_text())}
+    assert instances == {name: 500 for name in suites.SUITES} | {"cofinite": 2, "ideals": 9, "metric": 1}
+
+
 def test_verify_all_checks_each_law_once_per_lattice(n4_verify_all):
     # one Boolean test per build; the O(m^3) distributivity scan is not in verify
     assert n4_verify_all.code == 0
@@ -193,11 +205,22 @@ def test_verify_negative_sample_is_usage_error(capsys):
     assert "sample size must not be negative" in capsys.readouterr().err
 
 
-def test_verify_that_checked_nothing_fails(tmp_path, capsys):
+def _assert_checked_nothing_fails(suite, tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main(["verify", "--suite", "boolean", "--n", "2", "--sample", "0", "--json", str(out)]) == 1
-    assert "boolean: FAIL (0 failures) [0 instances" in capsys.readouterr().out
-    assert json.loads(out.read_text())["passed"] is False
+    assert main(["verify", "--suite", suite, "--n", "2", "--sample", "0", "--json", str(out)]) == 1
+    assert f"{suite}: FAIL (no instances checked) [0 instances" in capsys.readouterr().out
+    assert out.read_text() == (
+        f'{{"bound":2,"failures":[],"instances":0,"passed":false,"schema":1,"suite":"{suite}"}}\n'
+    )
+
+
+def test_verify_that_checked_nothing_fails(tmp_path, capsys):
+    _assert_checked_nothing_fails("boolean", tmp_path, capsys)
+
+
+def test_verify_denso_that_checked_nothing_fails(tmp_path, capsys):
+    # a suite checked in groups of many instances per space
+    _assert_checked_nothing_fails("denso", tmp_path, capsys)
 
 
 def test_verify_law_failure_is_a_suite_failure_not_a_usage_error(monkeypatch, tmp_path, capsys):
@@ -284,6 +307,30 @@ def test_unwritable_output_path_is_refused_before_the_work(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(path) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["verify --suite all --n 9 --json", "stone nofile --json", "enumerate --n 0 --json"],
+    ids=["verify-refused", "stone-bad-space", "enumerate-refused"],
+)
+def test_refused_run_leaves_output_paths_as_they_were(argv, tmp_path, capsys):
+    # an existing file keeps its bytes, and a new path is not left behind empty
+    keep = tmp_path / "keep.json"
+    keep.write_bytes(b'{"kept": "an earlier report"}\n')
+    fresh = tmp_path / "fresh.json"
+    for path in (keep, fresh):
+        assert main(argv.split() + [str(path)]) == 2
+    assert keep.read_bytes() == b'{"kept": "an earlier report"}\n'
+    assert not fresh.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_finished_run_replaces_a_longer_output_file(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("x" * 4096)
+    assert main(["verify", "--suite", "boolean", "--n", "2", "--json", str(out)]) == 0
+    assert out.read_text() == run_suite("boolean", 2).to_json()
 
 
 def test_python_dash_m_runs_the_cli():

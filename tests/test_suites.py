@@ -20,10 +20,15 @@ from regopen.lattice import find_order_isomorphisms, regular_open_lattice, trans
 from regopen.serialize import space_to_dict
 from regopen.stone import StoneSpace, stone_space
 from regopen.suites import SUITES, SpaceContext
-from regopen.topology import Topology, discrete, permute_mask, refined_open_masks
-from regopen.transfer import DenseEmbedding, closure_density_check
+from regopen.topology import Topology, discrete, permute_mask, refined_open_masks, set_of
+from regopen.transfer import DenseEmbedding, closure_density_check, traces_losing_closure
 
-from oracles import sample_oracle, well_inside_monotone_oracle
+from oracles import (
+    closure_oracle,
+    sample_oracle,
+    trace_keeps_closure_oracle,
+    well_inside_monotone_oracle,
+)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -99,6 +104,8 @@ def test_sampling_is_deterministic():
         ("stone", 3, 4, 36, False),
         ("boolean", 2, 0, 5, False),  # exactly as many as there are
         ("cofinite", 1, 9, 1, True),  # draws the identities, where the bug shows
+        ("denso", 5, 1, 400, True),
+        ("ux0", 5, 1, 200, True),
     ],
 )
 def test_sampled_report_matches_the_list_based_draw(name, bound, seed, sample, planted, monkeypatch):
@@ -108,18 +115,27 @@ def test_sampled_report_matches_the_list_based_draw(name, bound, seed, sample, p
         PLANTED[name][0](monkeypatch)
     generate = SUITES[name]
     drawn = sample_oracle(generate(SpaceContext(), bound, seed), sample, seed)
-    monkeypatch.setitem(SUITES, name, lambda ctx, b, s: iter(drawn))
-    expected = run_suite(name, bound, seed=seed)
+    # the expected report checks each drawn instance as a group of its own
+    monkeypatch.setitem(
+        SUITES, name, lambda ctx, b, s: (group._replace(items=[item]) for group, item in drawn)
+    )
+    expected = run_suite(name, bound, seed=seed, allow_n5=True)
     checked = []
 
     def recording(ctx, b, s):
-        for fields, check in generate(ctx, b, s):
-            yield fields, lambda ctx, check=check, **kw: checked.append(kw) or check(ctx, **kw)
+        for group in generate(ctx, b, s):
+
+            def check(ctx, g, check=group.check):
+                checked.extend(g.fields(item) for item in g.items)
+                return check(ctx, g)
+
+            yield group._replace(check=check)
 
     monkeypatch.setitem(SUITES, name, recording)
-    report = run_suite(name, bound, sample=sample, seed=seed)
-    assert checked == [fields for fields, _ in drawn]
+    report = run_suite(name, bound, sample=sample, seed=seed, allow_n5=True)
+    assert checked == [group.fields(item) for group, item in drawn]
     assert report.to_json() == expected.to_json()
+    assert report.instances == len(drawn)
     assert bool(report.failures) == (planted and bool(drawn))
 
 
@@ -184,10 +200,62 @@ def test_context_embeddings_match_dense_embedding_on_own_spaces():
 def test_denso_instances_agree_with_closure_density_check():
     ctx = SpaceContext()
     count = 0
-    for count, (fields, check) in enumerate(suites._suite_denso(ctx, 4, 0), 1):
-        expected = closure_density_check(fields["space"], fields["dense"], fields["open"])
-        assert (check(ctx, **fields) is None) == expected
+    for group in suites._suite_denso(ctx, 4, 0):
+        failing = {pos for pos, _ in group.check(ctx, group)}
+        for pos, item in enumerate(group.items):
+            fields = group.fields(item)
+            expected = closure_density_check(fields["space"], fields["dense"], fields["open"])
+            assert (pos not in failing) == expected
+        count += len(group.items)
     assert count == sum(len(dense_masks(t)) * len(t.open_masks) for t in ctx.spaces(4))
+
+
+def test_denso_group_check_matches_the_per_instance_oracle(monkeypatch):
+    # the group check against one closure scan per instance, on every denso
+    # instance with n <= 4, correct and under the planted short trace
+    ctx = SpaceContext()
+    for plant in (None, _density_check_with_short_trace):
+        if plant:
+            plant(monkeypatch)
+        failing = []
+        for group in suites._suite_denso(ctx, 4, 0):
+            space = group.shared["space"]
+            expected = [
+                pos for pos, (y, u) in enumerate(group.items)
+                if not trace_keeps_closure_oracle(space, y & (y - 1) if plant else y, u)
+            ]
+            assert [pos for pos, _ in group.check(ctx, group)] == expected
+            failing += expected
+        assert bool(failing) == bool(plant)
+
+
+def test_density_kernel_matches_the_per_instance_oracle():
+    # any Y, dense or not, so that the kernel has pairs to report: every
+    # (subset, open) pair with n <= 4, then a seeded sample of n = 5 pairs
+    ctx = SpaceContext()
+    reported = 0
+    for t in ctx.spaces(4):
+        pairs = [(y, u) for y in range(t.full_mask + 1) for u in t.open_masks]
+        expected = [i for i, (y, u) in enumerate(pairs) if not trace_keeps_closure_oracle(t, y, u)]
+        assert traces_losing_closure(t, pairs) == expected
+        reported += len(expected)
+    assert reported
+    rng = random.Random(5)
+    spaces = list(enumerate_topologies(EnumerationSpec(5, allow_n5=True)))
+    for t in rng.sample(spaces, 300):
+        pairs = [(rng.randrange(32), rng.choice(t.open_masks)) for _ in range(20)]
+        expected = [i for i, (y, u) in enumerate(pairs) if not trace_keeps_closure_oracle(t, y, u)]
+        assert traces_losing_closure(t, pairs) == expected
+
+
+def test_closure_table_matches_closure_of_every_subset():
+    for t in SpaceContext().spaces(4):
+        table = t.closure_table()
+        assert len(table) == 1 << t.n
+        for a, cl in enumerate(table):
+            assert cl == t.closure_mask(a)
+            points = frozenset(i for i in range(t.n) if a >> i & 1)
+            assert cl == sum(1 << x for x in closure_oracle(t, points))
 
 
 # -- planted bugs: every suite reports a subtly wrong operator ----------------------
@@ -204,8 +272,8 @@ def _density_check_with_short_trace(monkeypatch):
     # U & Y loses the lowest point of Y
     monkeypatch.setattr(
         suites,
-        "trace_keeps_closure",
-        lambda t, y, u: t.closure_mask(u & y & (y - 1)) == t.closure_mask(u),
+        "traces_losing_closure",
+        lambda t, pairs: traces_losing_closure(t, [(y & (y - 1), u) for y, u in pairs]),
     )
 
 
@@ -433,6 +501,32 @@ def test_lattice_construction_failure_is_a_suite_failure(name, monkeypatch):
     _lattice_law_failure_on_sierpinski(monkeypatch)
     report = run_suite(name, bound=2)
     assert report.failures == [{"space": space_to_dict(sierpinski()), "error": "planted law failure"}]
+
+
+def test_error_escaping_a_group_check_fails_each_instance_it_was_given(monkeypatch):
+    def kernel(t, pairs):
+        if t == sierpinski():
+            raise VerificationError("planted kernel failure")
+        return traces_losing_closure(t, pairs)
+
+    monkeypatch.setattr(suites, "traces_losing_closure", kernel)
+    s = sierpinski()
+
+    def failure(y, u):
+        return {
+            "space": space_to_dict(s),
+            "dense": sorted(set_of(y)),
+            "open": sorted(set_of(u)),
+            "error": "planted kernel failure",
+        }
+
+    every = [failure(y, u) for y in dense_masks(s) for u in s.open_masks]
+    assert run_suite("denso", bound=2).failures == every
+    # sampled, the check is given only the drawn instances of its space
+    drawn = sample_oracle(SUITES["denso"](SpaceContext(), 2, 3), 6, 3)
+    expected = [failure(*item) for group, item in drawn if group.shared["space"] == s]
+    assert 0 < len(expected) < len(every)
+    assert run_suite("denso", bound=2, sample=6, seed=3).failures == expected
 
 
 # -- counterexample gallery -------------------------------------------------------

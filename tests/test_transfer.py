@@ -41,8 +41,8 @@ from regopen.errors import (
 )
 from regopen.enumeration import dense_masks
 from regopen.suites import SpaceContext
-from regopen.topology import _carries_neighbourhoods, permute_mask, set_of
-from regopen.transfer import check_basis, trace_keeps_closure
+from regopen.topology import _carries_neighbourhoods, compress_mask, permute_mask, set_of
+from regopen.transfer import check_basis, dense_rows, traces_losing_closure
 
 from oracles import (
     basis_oracle,
@@ -142,6 +142,25 @@ def test_trace_reads_only_the_dense_points_and_lift_is_int_cl():
                     assert set_of(e.lift(v)) == interior_oracle(t, closure_oracle(t, upstairs))
 
 
+def _assert_rows_match_the_bit_loops(y: int, ambient_masks) -> None:
+    points, lift, trace = dense_rows(y)
+    assert points == tuple(sorted(set_of(y)))
+    assert lift == tuple(permute_mask(i, points) for i in range(1 << len(points)))
+    for m in ambient_masks:
+        assert trace[m & y] == compress_mask(m, points)
+
+
+def test_cached_rows_match_compress_and_permute():
+    # every mask Y on up to 6 points against every ambient mask there, and
+    # one 12-point Y of a 16-point space against a seeded sample of masks
+    for y in range(1, 1 << 6):
+        _assert_rows_match_the_bit_loops(y, range(1 << 6))
+    y = 0b1011_0111_1101_1011
+    assert y.bit_count() == 12
+    rng = random.Random(12)
+    _assert_rows_match_the_bit_loops(y, [rng.randrange(1 << 16) for _ in range(5000)])
+
+
 def test_embedding_among_known_spaces():
     for t in enumerate_topologies(EnumerationSpec(3)):
         for y in enumerate_dense_subsets(t):
@@ -220,7 +239,7 @@ def test_closure_density_frozen_values():
     assert closure_density_check(X3, {0, 1}, {0})
     assert closure_density_check(X3, {0, 1}, fs())
     # the kernel trusts that Y is dense: {1} is not, and misses cl({0}) = {0, 2}
-    assert not trace_keeps_closure(X3, 0b010, 0b001)
+    assert traces_losing_closure(X3, [(0b011, 0b001), (0b010, 0b001), (0b011, 0)]) == [1]
 
 
 def test_closure_density_validates_arguments():
