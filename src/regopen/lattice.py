@@ -217,7 +217,9 @@ class RegularOpenLattice(FiniteLattice):
     __slots__ = ("topology", "complement", "top", "index_of_mask")
 
     def __init__(self, topology: Topology):
-        masks = topology.regular_open_masks()
+        # one read of the operator tables per space, dropped with the build
+        cl, interior, reg = topology.operator_tables()
+        masks = tuple([m for m in topology.open_masks if reg[m] == m])
         index = {mask: i for i, mask in enumerate(masks)}
         up = [
             sum(1 << j for j, b in enumerate(masks) if a & b == a)
@@ -225,12 +227,11 @@ class RegularOpenLattice(FiniteLattice):
         ]
         # cl(A | B) = cl(A) | cl(B), so each join is one interior of two
         # closures taken once per regular open.
-        closures = [topology.closure_mask(a) for a in masks]
-        interior = topology.interior_mask
+        closures = [cl[a] for a in masks]
         try:
             meet = [[index[a & b] for b in masks] for a in masks]
-            join = [[index[interior(ca | cb)] for cb in closures] for ca in closures]
-            comp = tuple(index[interior(topology.full_mask ^ a)] for a in masks)
+            join = [[index[interior[ca | cb]] for cb in closures] for ca in closures]
+            comp = tuple([index[interior[topology.full_mask ^ a]] for a in masks])
         except KeyError as exc:
             raise VerificationError(
                 "a meet, join or complement is not a regular open", sorted(set_of(exc.args[0]))

@@ -44,8 +44,9 @@ from .transfer import (
     DenseEmbedding,
     check_basis,
     point_recovery,
-    restriction_isomorphism,
-    separating_witness,
+    restrictions_failing,
+    separations_failing,
+    subspace_on,
     traces_losing_closure,
 )
 
@@ -175,17 +176,22 @@ class SpaceContext:
         subspace is the context's own enumerated space where there is one."""
         return DenseEmbedding(t, dense, self._spaces.get(dense.bit_count()))
 
+    def subspace(self, t: Topology, dense: int) -> Topology:
+        """The subspace of ``t`` on ``dense``, as ``embedding`` finds it."""
+        return subspace_on(t, dense, self._spaces.get(dense.bit_count()))
+
 
 # -- individual suites ---------------------------------------------------------
 
 
-def _check_ux0(ctx: SpaceContext, dense: int, space: Topology) -> None:
-    restriction_isomorphism(ctx.embedding(space, dense), ctx.lattice)
+def _check_ux0(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
+    dense = [y for (y,) in group.items]
+    return restrictions_failing(group.shared["space"], dense, ctx.lattice, ctx.subspace)
 
 
 def _suite_ux0(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     for t in ctx.spaces(bound):
-        yield Group({"space": t}, ("dense",), [(y,) for y in dense_masks(t)], _each(_check_ux0))
+        yield Group({"space": t}, ("dense",), [(y,) for y in dense_masks(t)], _check_ux0)
 
 
 def _check_denso(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
@@ -202,40 +208,46 @@ def _suite_denso(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
         yield Group({"space": t}, ("dense", "open"), pairs, _check_denso)
 
 
-def _check_uvw(ctx: SpaceContext, u: int, v: int, space: Topology) -> None:
-    separating_witness(space, u, v)
+def _check_uvw(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
+    return separations_failing(group.shared["space"], group.items)
 
 
 def _suite_uvw(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     for t in ctx.spaces(bound):
         pairs = [(u, v) for u, v in itertools.product(t.regular_open_masks(), repeat=2) if u & ~v]
-        yield Group({"space": t}, ("u", "v"), pairs, _each(_check_uvw))
+        yield Group({"space": t}, ("u", "v"), pairs, _check_uvw)
 
 
-def _check_regularity(ctx: SpaceContext, subset: int, space: Topology) -> str | None:
-    direct = space.is_regular_open_mask(subset)
-    cl = space.closure_mask(subset)
-    via_opens = space.is_open_mask(subset) and all(
-        v & ~subset == 0 for v in space.open_masks if v & ~cl == 0
-    )
-    if direct != via_opens:
-        return f"fixpoint route says {direct}, open-scan route says {via_opens}"
-    return None
+def _check_regularity(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
+    t = group.shared["space"]
+    cl, _, reg = t.operator_tables()
+    opens, is_open = t.open_masks, t.is_open_mask
+    failed = []
+    for pos, (a,) in enumerate(group.items):
+        if not is_open(a):
+            continue  # both routes ask for an open set first
+        direct = reg[a] == a
+        c = cl[a]
+        via_opens = all(v & ~a == 0 for v in opens if v & ~c == 0)
+        if direct != via_opens:
+            failed.append((pos, f"fixpoint route says {direct}, open-scan route says {via_opens}"))
+    return failed
 
 
 def _suite_regularity(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     """Both routes to 'regular open' agree on every subset of every space:
-    the fixpoint definition versus openness plus 'every open inside the
-    closure already sits inside the set'."""
+    the fixpoint definition, reg(A) = A for an open A, read from the
+    space's reg table, versus openness plus 'every open inside the closure
+    already sits inside the set', a scan of the opens."""
     for t in ctx.spaces(bound):
         subsets = [(a,) for a in range(t.full_mask + 1)]
-        yield Group({"space": t}, ("subset",), subsets, _each(_check_regularity))
+        yield Group({"space": t}, ("subset",), subsets, _check_regularity)
 
 
 def _check_recovery(ctx: SpaceContext, dense: int, space: Topology) -> str | None:
     emb = ctx.embedding(space, dense)
-    bx = [m for m in space.regular_open_masks() if m]
-    by = [m for m in emb.sub.regular_open_masks() if m]
+    bx = [m for m in ctx.lattice(space).payload_masks if m]
+    by = [m for m in ctx.lattice(emb.sub).payload_masks if m]
     ph = point_recovery(space, bx, emb.sub, by, {u: emb.compress(u) for u in bx})
     for x, yy in ph.tau.items():
         if emb.index_map.get(x) != yy:

@@ -197,6 +197,17 @@ class Topology:
             table += [c | cl_x for c in table]
         return table
 
+    def operator_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """cl, int and reg = int∘cl of every mask, each indexed by the mask:
+        three lists of 2^n entries. int(a) is the complement of cl of the
+        complement, and the complements of 0, 1, 2, … are the masks from
+        ``full_mask`` down. The tables are not kept: a caller builds them
+        for one space, reads them for that space's instances, and drops them."""
+        cl = self.closure_table()
+        full = self.full_mask
+        interior = [full ^ c for c in reversed(cl)]
+        return cl, interior, [interior[c] for c in cl]
+
     def regularize_mask(self, a: int) -> int:
         return self.interior_mask(self.closure_mask(a))
 

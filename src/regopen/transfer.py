@@ -13,13 +13,17 @@ The central facts made executable here, each verified instance by instance:
   form subspaces on which the correspondence is a homeomorphism.
 
 Every map between regular-open lattices here is built from the one trace and
-the one lift of ``DenseEmbedding``, on lattices taken from one source.
+the one lift of a dense set Y, on lattices taken from one source: the rows
+of Y that ``dense_rows`` keeps, which ``DenseEmbedding`` reads one set at a
+time, and which the kernels (``restrictions_failing``,
+``separations_failing``, ``traces_losing_closure``) read together with
+tables of cl and reg built once per space.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     CompositionNotIdentity,
@@ -32,6 +36,7 @@ from .errors import (
     NotInclusionPreserving,
     NotOpen,
     NotRegularOpen,
+    RegOpenError,
     VerificationError,
 )
 from .lattice import RegularOpenLattice, regular_open_lattice
@@ -51,10 +56,8 @@ class DenseEmbedding:
 
     ``index_map`` sends ambient points of the subset to subspace indices;
     ``points`` lists ambient points in subspace-index order. The subspace is
-    taken from ``spaces``, known spaces keyed by least neighbourhoods, when
-    it is there, else built: the least neighbourhood of y in the subspace on
-    Y is the trace of U_y on Y, re-indexed, and these determine it. The trace
-    and the lift read the rows of Y, which ``dense_rows`` keeps per Y.
+    ``subspace_on(ambient, subset, spaces)``. The trace and the lift read
+    the rows of Y, which ``dense_rows`` keeps per Y.
     """
 
     __slots__ = ("ambient", "sub", "index_map", "points", "_mask", "_lift", "_trace")
@@ -72,9 +75,7 @@ class DenseEmbedding:
         self.points, self._lift, self._trace = dense_rows(mask)
         self.index_map = {p: i for i, p in enumerate(self.points)}
         self._mask = mask
-        nbhd, trace = ambient.min_nbhd_masks, self._trace
-        key = tuple([trace[nbhd[p] & mask] for p in self.points])
-        self.sub = (spaces or {}).get(key) or ambient.subspace(mask)[0]
+        self.sub = subspace_on(ambient, mask, spaces)
 
     def compress(self, ambient_mask: int) -> int:
         """The trace U & Y of an ambient set, as a subspace mask."""
@@ -99,6 +100,19 @@ def dense_rows(mask: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, i
     """
     lift = tuple(submasks(mask))
     return tuple(iter_bits(mask)), lift, {s: i for i, s in enumerate(lift)}
+
+
+def subspace_on(
+    ambient: Topology, mask: int, spaces: Mapping[tuple[int, ...], Topology] | None = None
+) -> Topology:
+    """The subspace of ``ambient`` on the nonempty ``mask``, taken from
+    ``spaces``, known spaces keyed by least neighbourhoods, when it is
+    there, else built. The least neighbourhood of y in the subspace on Y is
+    the trace of U_y on Y, re-indexed, and these determine it."""
+    points, _, trace = dense_rows(mask)
+    nbhd = ambient.min_nbhd_masks
+    key = tuple([trace[nbhd[p] & mask] for p in points])
+    return (spaces or {}).get(key) or ambient.subspace(mask)[0]
 
 
 def restrict_regular(e: DenseEmbedding, u: Iterable[int]) -> PointSet:
@@ -153,11 +167,17 @@ class LatticeIsoWitness:
                     "backward(forward(.)) moved a regular open", sorted(source.element(i))
                 )
         # A bijection preserves order both ways iff it maps each up-set onto
-        # the up-set of the image (its images are distinct, so the sum is
-        # their union). A failing row is re-scanned for its first witness.
-        for i in range(source.m):
-            fi = forward[i]
-            if sum(1 << forward[j] for j in iter_bits(source.up[i])) == target.up[fi]:
+        # the up-set of the image; the image of a row is the union of the
+        # bits of its members' images. A failing row is re-scanned for its
+        # first witness.
+        bits = [1 << f for f in forward]
+        for i, row in enumerate(source.up):
+            fi, image = forward[i], 0
+            while row:
+                low = row & -row
+                image |= bits[low.bit_length() - 1]
+                row ^= low
+            if image == target.up[fi]:
                 continue
             j = next(
                 j for j in range(source.m) if source.leq(i, j) != target.leq(fi, forward[j])
@@ -188,24 +208,66 @@ def restriction_isomorphism(e: DenseEmbedding, lattice=regular_open_lattice) -> 
     preserve order. A correct build never fails.
     """
     up, down = lattice(e.ambient), lattice(e.sub)
-    forward = _map_elements(
-        up, e.compress, down, "trace of a regular open is not regular open in the subspace"
-    )
-    backward = _map_elements(
-        down, e.lift, up, "extension of a regular open is not regular open upstairs"
-    )
+    forward = _map_elements(up, [e.compress(u) for u in up.payload_masks], down, _TRACE_MISSED)
+    backward = _map_elements(down, [e.lift(v) for v in down.payload_masks], up, _LIFT_MISSED)
     return LatticeIsoWitness(up, down, forward, backward)
 
 
-def _map_elements(source, image, target, message: str) -> tuple[int, ...]:
-    """The index in lattice ``target`` of ``image`` of each element of lattice
-    ``source``; VerificationError(message) names the first miss by its points."""
+_TRACE_MISSED = "trace of a regular open is not regular open in the subspace"
+_LIFT_MISSED = "extension of a regular open is not regular open upstairs"
+
+
+def _map_elements(source, images: list[int], target, message: str) -> tuple[int, ...]:
+    """The index in lattice ``target`` of each of ``images``, the images of
+    the elements of lattice ``source`` in order; VerificationError(message)
+    names the element of the first image that is not in ``target`` by its
+    points."""
     index = target.index_of_mask
     try:
-        return tuple([index[image(mask)] for mask in source.payload_masks])
+        return tuple([index[image] for image in images])
     except KeyError:
-        miss = next(mask for mask in source.payload_masks if image(mask) not in index)
+        miss = next(m for m, image in zip(source.payload_masks, images) if image not in index)
         raise VerificationError(message, sorted(set_of(miss))) from None
+
+
+def restriction_maps(
+    up: RegularOpenLattice, down: RegularOpenLattice, y: int, reg: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The forward and backward maps of ``restriction_isomorphism`` onto the
+    dense mask Y = ``y``, as element indices, between ``up``, the lattice of
+    the ambient space, and ``down``, that of its subspace on Y. The trace of
+    U is read from Y's trace row, and the lift of V is ``reg``, the ambient
+    space's regularize table, at V's entry in Y's lift row. Raises
+    VerificationError as ``restriction_isomorphism`` does."""
+    _, lift, trace = dense_rows(y)
+    forward = _map_elements(up, [trace[u & y] for u in up.payload_masks], down, _TRACE_MISSED)
+    backward = _map_elements(down, [reg[lift[v]] for v in down.payload_masks], up, _LIFT_MISSED)
+    return forward, backward
+
+
+def restrictions_failing(
+    t: Topology,
+    dense: Sequence[int],
+    lattice: Callable[[Topology], RegularOpenLattice],
+    subspace: Callable[[Topology, int], Topology],
+) -> list[tuple[int, str]]:
+    """The restriction kernel: ``restriction_isomorphism`` for every mask Y
+    in ``dense``, each already known dense in ``t``, in one call. The maps
+    come from ``restriction_maps`` over one regularize table of ``t``, and
+    ``LatticeIsoWitness`` checks each pair. ``lattice`` maps a space to its
+    lattice, and ``subspace(t, Y)`` gives the subspace on Y, as
+    ``subspace_on`` does. Returns the positions, ascending, of the Y whose
+    check raised a RegOpenError, each with its message."""
+    up = lattice(t)
+    reg = t.operator_tables()[2]
+    failed = []
+    for pos, y in enumerate(dense):
+        try:
+            down = lattice(subspace(t, y))
+            LatticeIsoWitness(up, down, *restriction_maps(up, down, y, reg))
+        except RegOpenError as exc:
+            failed.append((pos, str(exc)))
+    return failed
 
 
 def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bool:
@@ -242,19 +304,52 @@ def separating_witness(t: Topology, u: Iterable[int], v: Iterable[int]) -> Point
     """
     umask = t.to_mask(u)
     vmask = t.to_mask(v)
-    for name, mask in (("U", umask), ("V", vmask)):
-        if not t.is_regular_open_mask(mask):
-            raise NotRegularOpen(f"{name}={sorted(set_of(mask))} is not regular open")
-    if umask & ~vmask == 0:
-        raise ContainmentHolds("U is contained in V; no separating witness exists")
-    w = umask & (t.full_mask ^ t.closure_mask(vmask))
+    error = _separation_error(umask, vmask, t.is_open_mask, t.closure_mask, t.regularize_mask)
+    if error is not None:
+        raise error
+    return set_of(umask & ~t.closure_mask(vmask))
+
+
+def separations_failing(t: Topology, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, str]]:
+    """The separation kernel: the positions, ascending, of the (U, V) in
+    ``pairs`` for which ``separating_witness`` raises, each with the
+    message it raises. It checks the same conditions, reading cl and reg
+    from one pair of tables of ``t`` for all the pairs."""
+    cl, _, reg = t.operator_tables()
+    is_open, cl_of, reg_of = t.is_open_mask, cl.__getitem__, reg.__getitem__
+    failed = []
+    for pos, (u, v) in enumerate(pairs):
+        error = _separation_error(u, v, is_open, cl_of, reg_of)
+        if error is not None:
+            failed.append((pos, str(error)))
+    return failed
+
+
+def _separation_error(
+    u: int,
+    v: int,
+    is_open: Callable[[int], bool],
+    cl: Callable[[int], int],
+    reg: Callable[[int], int],
+) -> RegOpenError | None:
+    """What ``separating_witness`` raises for the masks U and V, or None,
+    with ``is_open``, ``cl`` and ``reg`` the space's operators on masks:
+    U and V must be regular open and U not inside V, and W = U - cl(V) is
+    then verified nonempty, regular open, inside U and disjoint from V."""
+    if not (is_open(u) and reg(u) == u):
+        return NotRegularOpen(f"U={sorted(set_of(u))} is not regular open")
+    if not (is_open(v) and reg(v) == v):
+        return NotRegularOpen(f"V={sorted(set_of(v))} is not regular open")
+    if u & ~v == 0:
+        return ContainmentHolds("U is contained in V; no separating witness exists")
+    w = u & ~cl(v)
     if w == 0:
-        raise VerificationError("separating witness is empty", (sorted(set_of(umask)), sorted(set_of(vmask))))
-    if not t.is_regular_open_mask(w):
-        raise VerificationError("separating witness is not regular open", sorted(set_of(w)))
-    if w & ~umask or w & vmask:
-        raise VerificationError("separating witness violates containment/disjointness", sorted(set_of(w)))
-    return set_of(w)
+        return VerificationError("separating witness is empty", (sorted(set_of(u)), sorted(set_of(v))))
+    if not (is_open(w) and reg(w) == w):
+        return VerificationError("separating witness is not regular open", sorted(set_of(w)))
+    if w & ~u or w & v:
+        return VerificationError("separating witness violates containment/disjointness", sorted(set_of(w)))
+    return None
 
 
 def transfer_isomorphism(
@@ -279,9 +374,9 @@ def transfer_isomorphism(
         raise CoresNotHomeomorphic("core map does not carry opens onto opens")
 
     to_x0, to_y0 = restriction_isomorphism(ex), restriction_isomorphism(ey)
-    core = _map_elements(
-        to_x0.target, lambda m: permute_mask(m, perm), to_y0.target, "core map left the regular opens"
-    )
+    x0 = to_x0.target
+    images = [permute_mask(m, perm) for m in x0.payload_masks]
+    core = _map_elements(x0, images, to_y0.target, "core map left the regular opens")
     forward = tuple(to_y0.backward[core[k]] for k in to_x0.forward)
     backward = tuple(sorted(range(len(forward)), key=forward.__getitem__))
     return LatticeIsoWitness(to_x0.source, to_y0.source, forward, backward)

@@ -239,13 +239,16 @@ def test_verify_law_failure_is_a_suite_failure_not_a_usage_error(monkeypatch, tm
 
 
 def test_verify_lattice_operation_outside_regular_opens_fails(monkeypatch, capsys):
-    regularize = Topology.regularize_mask
+    # the reg table the lattice construction reads drops point two
+    tables = Topology.operator_tables
 
-    def drops_point_two(t, a):
-        r = regularize(t, a)
-        return r & ~0b100 if t.n == 3 and r != t.full_mask else r
+    def drops_point_two(t):
+        cl, interior, reg = tables(t)
+        if t.n == 3:
+            reg = [r & ~0b100 if r != t.full_mask else r for r in reg]
+        return cl, interior, reg
 
-    monkeypatch.setattr(Topology, "regularize_mask", drops_point_two)
+    monkeypatch.setattr(Topology, "operator_tables", drops_point_two)
     assert main(["verify", "--suite", "rlattice", "--n", "3"]) == 1
     assert capsys.readouterr().out.startswith("rlattice: FAIL (")
 

@@ -197,13 +197,14 @@ def test_mo2_passes_the_pairwise_laws_but_is_not_boolean():
 
 
 def test_construction_refuses_an_operation_outside_the_regular_opens(monkeypatch):
-    regularize = Topology.regularize_mask
+    # the reg table the construction reads drops point two
+    tables = Topology.operator_tables
 
-    def drops_point_two(t, a):
-        r = regularize(t, a)
-        return r & ~0b100 if r != t.full_mask else r
+    def drops_point_two(t):
+        cl, interior, reg = tables(t)
+        return cl, interior, [r & ~0b100 if r != t.full_mask else r for r in reg]
 
-    monkeypatch.setattr(Topology, "regularize_mask", drops_point_two)
+    monkeypatch.setattr(Topology, "operator_tables", drops_point_two)
     refused = 0
     for t in enumerate_topologies(EnumerationSpec(3)):
         try:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from regopen import cofinite as cof
-from regopen import counterexample_search, enumeration, run_suite, sierpinski, suites, x3
+from regopen import counterexample_search, enumeration, run_suite, sierpinski, suites, transfer, x3
 from regopen.enumeration import (
     BUDGETS,
     EnumerationSpec,
@@ -194,7 +194,7 @@ def test_context_embeddings_match_dense_embedding_on_own_spaces():
             e, built = ctx.embedding(t, y), DenseEmbedding(t, y)
             assert e.ambient is t and sum(1 << p for p in e.points) == y
             assert (e.sub, e.index_map, e.points) == (built.sub, built.index_map, built.points)
-            assert e.sub is own[e.sub]
+            assert e.sub is own[e.sub] is ctx.subspace(t, y)
 
 
 def test_denso_instances_agree_with_closure_density_check():
@@ -262,10 +262,15 @@ def test_closure_table_matches_closure_of_every_subset():
 
 
 def _trace_losing_last_subspace_point(monkeypatch):
-    compress = DenseEmbedding.compress
-    monkeypatch.setattr(
-        DenseEmbedding, "compress", lambda e, mask: compress(e, mask) & ~(1 << (e.sub.n - 1))
-    )
+    # the trace row of Y, which the restriction kernel reads, loses Y's last point
+    rows = transfer.dense_rows
+
+    def wrong(mask):
+        points, lift, trace = rows(mask)
+        last = 1 << (len(points) - 1)
+        return points, lift, {s: i & ~last for s, i in trace.items()}
+
+    monkeypatch.setattr(transfer, "dense_rows", wrong)
 
 
 def _density_check_with_short_trace(monkeypatch):
@@ -288,13 +293,15 @@ def _closure_ignoring_last_point_neighborhood(monkeypatch):
 
 
 def _regularize_dropping_last_point(monkeypatch):
-    regularize = Topology.regularize_mask
+    # the reg table, which the fixpoint route reads, loses the last point
+    tables = Topology.operator_tables
 
-    def wrong(t, a):
-        r = regularize(t, a)
-        return r if r == t.full_mask else r & ~(1 << (t.n - 1))
+    def wrong(t):
+        cl, interior, reg = tables(t)
+        last = 1 << (t.n - 1)
+        return cl, interior, [r if r == t.full_mask else r & ~last for r in reg]
 
-    monkeypatch.setattr(Topology, "regularize_mask", wrong)
+    monkeypatch.setattr(Topology, "operator_tables", wrong)
 
 
 def _recovery_off_by_one(monkeypatch):

@@ -27,7 +27,7 @@ from regopen.errors import (
     NotClosedUnderUnion,
     SizeGuardExceeded,
 )
-from regopen.topology import MAX_OPENS, MAX_POINTS, permute_mask, signature_blocks
+from regopen.topology import MAX_OPENS, MAX_POINTS, permute_mask, set_of, signature_blocks
 
 from oracles import (
     all_subsets,
@@ -156,6 +156,35 @@ def test_operators_match_oracles(n):
             assert t.closure(a) == closure_oracle(t, a)
             assert t.is_regular_open(a) == regular_open_oracle(t, a)
             assert t.is_dense(a) == dense_oracle(t, a)
+
+
+def _assert_tables_match_the_operators(t: Topology, oracles: bool) -> None:
+    cl, interior, reg = t.operator_tables()
+    assert len(cl) == len(interior) == len(reg) == 1 << t.n
+    for a in range(t.full_mask + 1):
+        assert (cl[a], interior[a], reg[a]) == (
+            t.closure_mask(a),
+            t.interior_mask(a),
+            t.regularize_mask(a),
+        )
+        points = frozenset(i for i in range(t.n) if a >> i & 1)
+        assert set_of(cl[a]) == closure_oracle(t, points)
+        if oracles:
+            assert set_of(interior[a]) == interior_oracle(t, points)
+            assert set_of(reg[a]) == interior_oracle(t, closure_oracle(t, points))
+
+
+def test_operator_tables_match_the_operators_and_oracles():
+    # every space on up to 4 points, a seeded sample of 5-point spaces, and
+    # the largest spaces, whose interior oracle scans are left out
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            _assert_tables_match_the_operators(t, oracles=True)
+    spaces = list(enumerate_topologies(EnumerationSpec(5, allow_n5=True)))
+    for t in random.Random(17).sample(spaces, 300):
+        _assert_tables_match_the_operators(t, oracles=True)
+    for t in (discrete(10), indiscrete(MAX_POINTS)):
+        _assert_tables_match_the_operators(t, oracles=False)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -37,12 +37,21 @@ from regopen.errors import (
     NotInclusionPreserving,
     NotOpen,
     NotRegularOpen,
+    RegOpenError,
     VerificationError,
 )
 from regopen.enumeration import dense_masks
 from regopen.suites import SpaceContext
 from regopen.topology import _carries_neighbourhoods, compress_mask, permute_mask, set_of
-from regopen.transfer import check_basis, dense_rows, traces_losing_closure
+from regopen import transfer
+from regopen.transfer import (
+    check_basis,
+    dense_rows,
+    restriction_maps,
+    restrictions_failing,
+    separations_failing,
+    traces_losing_closure,
+)
 
 from oracles import (
     basis_oracle,
@@ -128,6 +137,61 @@ def test_restriction_isomorphism_takes_both_lattices_from_its_source():
             w = restriction_isomorphism(e, ctx.lattice)
             assert w.source is ctx.lattice(t) and w.target is ctx.lattice(e.sub)
             assert w.forward == restriction_isomorphism(e).forward
+
+
+def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
+    # every (space, dense set) with n <= 4: the same forward and backward
+    # tuples, over the same lattices, and no failure
+    ctx = SpaceContext()
+    for t in ctx.spaces(4):
+        up, reg = ctx.lattice(t), t.operator_tables()[2]
+        dense = dense_masks(t)
+        for y in dense:
+            witness = restriction_isomorphism(DenseEmbedding(t, y))
+            down = ctx.lattice(ctx.subspace(t, y))
+            assert down.topology == witness.target.topology
+            maps = restriction_maps(up, down, y, reg)
+            assert maps == (witness.forward, witness.backward)
+        assert restrictions_failing(t, dense, ctx.lattice, ctx.subspace) == []
+        assert restrictions_failing(t, dense, regular_open_lattice, transfer.subspace_on) == []
+
+
+def _swapping_first_two_images(monkeypatch, keep_inverse: bool) -> None:
+    maps = transfer.restriction_maps
+
+    def doctored(up, down, y, reg):
+        forward, backward = maps(up, down, y, reg)
+        if up.m < 2:
+            return forward, backward
+        f = list(forward)
+        f[0], f[1] = f[1], f[0]
+        b = [f.index(j) for j in range(len(f))] if keep_inverse else backward
+        return tuple(f), tuple(b)
+
+    monkeypatch.setattr(transfer, "restriction_maps", doctored)
+
+
+@pytest.mark.parametrize(
+    "keep_inverse, message",
+    [(False, "backward(forward(.)) moved a regular open"), (True, "order not preserved")],
+)
+def test_restriction_kernel_refuses_a_forward_map_with_two_images_swapped(
+    monkeypatch, keep_inverse, message
+):
+    # the images of the bottom and of element 1 trade places; kept mutually
+    # inverse, the maps still break the order, since only the bottom lies
+    # below everything
+    _swapping_first_two_images(monkeypatch, keep_inverse)
+    ctx = SpaceContext()
+    refused = 0
+    for t in ctx.spaces(3):
+        dense = dense_masks(t)
+        failed = restrictions_failing(t, dense, ctx.lattice, ctx.subspace)
+        doctored = list(range(len(dense))) if ctx.lattice(t).m >= 2 else []
+        assert [pos for pos, _ in failed] == doctored
+        assert all(text.startswith(message) for _, text in failed)
+        refused += len(failed)
+    assert refused
 
 
 def test_trace_reads_only_the_dense_points_and_lift_is_int_cl():
@@ -285,6 +349,36 @@ def test_separating_witness_postconditions_exhaustive():
                     w = separating_witness(t, u, v)
                     assert w and w <= u and not (w & v)
                     assert t.is_regular_open(w)
+
+
+def _separation_raises(t, pairs) -> list[tuple[int, str]]:
+    failed = []
+    for pos, (u, v) in enumerate(pairs):
+        try:
+            separating_witness(t, u, v)
+        except RegOpenError as exc:
+            failed.append((pos, str(exc)))
+    return failed
+
+
+def test_separation_kernel_fails_where_separating_witness_raises():
+    # every pair of opens with n <= 4, regular or not, nested or not, and
+    # a seeded sample of pairs of 5-point subsets
+    messages = set()
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            pairs = list(itertools.product(t.open_masks, repeat=2))
+            expected = _separation_raises(t, pairs)
+            assert separations_failing(t, pairs) == expected
+            messages |= {message.split("=")[0] for _, message in expected}
+    assert messages == {"U", "V", "U is contained in V; no separating witness exists"}
+    rng = random.Random(23)
+    spaces = list(enumerate_topologies(EnumerationSpec(5, allow_n5=True)))
+    for t in rng.sample(spaces, 300):
+        regs = t.regular_open_masks()
+        pairs = [(rng.choice(regs), rng.choice(regs)) for _ in range(10)]
+        pairs += [(rng.randrange(32), rng.randrange(32)) for _ in range(10)]
+        assert separations_failing(t, pairs) == _separation_raises(t, pairs)
 
 
 # -- transfer through a common core --------------------------------------------------
