@@ -43,7 +43,14 @@ from .lattice import (
 )
 from .metric import FiniteMetric, combine_metric, dominates
 from .stone import StoneSpace, stone_space
-from .suites import CounterexamplePair, SpaceContext, SuiteReport, counterexample_search, run_suite
+from .suites import (
+    CounterexamplePair,
+    SpaceContext,
+    SuiteReport,
+    counterexample_search,
+    run_suite,
+    run_suites,
+)
 from .topology import (
     PointSet,
     Topology,
@@ -117,6 +124,7 @@ __all__ = [
     "restrict_regular",
     "restriction_isomorphism",
     "run_suite",
+    "run_suites",
     "separating_witness",
     "sierpinski",
     "stone_space",

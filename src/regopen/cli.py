@@ -29,7 +29,7 @@ from .serialize import (
     space_to_dict,
 )
 from .stone import stone_space
-from .suites import SUITES, SpaceContext, counterexample_search, run_suite
+from .suites import SUITES, counterexample_search, run_suites
 from .topology import Topology, discrete, indiscrete, sierpinski, x3
 
 FIXTURES = {
@@ -114,20 +114,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    context = SpaceContext()
-    reports = []
-    for name in names:
-        report = run_suite(
-            name, args.n, sample=args.sample, seed=args.seed, allow_n5=args.allow_n5, context=context
-        )
+    reports = run_suites(names, args.n, sample=args.sample, seed=args.seed, allow_n5=args.allow_n5)
+    for report in reports:
         if report.passed:
             status = "pass"
         elif report.instances == 0:
             status = "FAIL (no instances checked)"
         else:
             status = f"FAIL ({len(report.failures)} failures)"
-        print(f"{name}: {status} [{report.instances} instances, {report.wall_time_s:.2f}s]")
-        reports.append(report)
+        print(f"{report.suite}: {status} [{report.instances} instances, {report.wall_time_s:.2f}s]")
     if args.json:
         payload = [r.to_dict() for r in reports]
         args.json.write(canonical_json(payload[0] if len(payload) == 1 else payload))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import NotALattice, VerificationError
-from .topology import PointSet, Topology, iter_bits, set_of
+from .topology import OperatorTables, PointSet, Topology, iter_bits, set_of
 
 PairRelation = frozenset[tuple[int, int]]
 
@@ -217,8 +217,19 @@ class RegularOpenLattice(FiniteLattice):
     __slots__ = ("topology", "complement", "top", "index_of_mask")
 
     def __init__(self, topology: Topology):
-        # one read of the operator tables per space, dropped with the build
-        cl, interior, reg = topology.operator_tables()
+        self._build(topology, topology.operator_tables())
+
+    @classmethod
+    def from_tables(cls, topology: Topology, tables: OperatorTables) -> "RegularOpenLattice":
+        """The lattice of ``topology`` built from its cl, int and reg tables,
+        as ``Topology.operator_tables()`` returns them, for a caller that
+        holds them already. The lattice keeps no table."""
+        lat = cls.__new__(cls)
+        lat._build(topology, tables)
+        return lat
+
+    def _build(self, topology: Topology, tables: OperatorTables) -> None:
+        cl, interior, reg = tables
         masks = tuple([m for m in topology.open_masks if reg[m] == m])
         index = {mask: i for i, mask in enumerate(masks)}
         up = [
@@ -252,8 +263,11 @@ class RegularOpenLattice(FiniteLattice):
         return tuple(set_of(mask) for mask in self.payload_masks)
 
 
-def regular_open_lattice(t: Topology) -> RegularOpenLattice:
-    return RegularOpenLattice(t)
+def regular_open_lattice(t: Topology, tables: OperatorTables | None = None) -> RegularOpenLattice:
+    """The lattice of ``t``, from ``tables`` (cl, int, reg) when given."""
+    if tables is None:
+        return RegularOpenLattice(t)
+    return RegularOpenLattice.from_tables(t, tables)
 
 
 # -- structure checks ---------------------------------------------------------

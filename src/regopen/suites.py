@@ -1,13 +1,16 @@
 """Exhaustive verification suites over the small-space enumeration, plus the
 search for non-homeomorphic space pairs with isomorphic regular-open lattices.
 
-A suite is data: a generator of groups of instances drawn from the labeled
-enumeration up to a ground-size bound, one group per space, each checked in
-one call. ``run_suite`` counts every instance, counts a ``RegOpenError``
-raised inside a check as a failure, and reports deterministically (groups
-are generated in a fixed order, and failures keep the order of the
-instances). Groups are generated lazily and checked as they come, so a
-suite holds one space's instances at a time.
+A suite is data: a function from a labeled space to its group of instances,
+checked in one call, and the groups that need no space. ``run_suites`` runs
+several suites in one pass over the enumeration up to a ground-size bound:
+for each space in turn it runs every suite's group for that space, sharing
+the space's operator tables, dense sets and lattice among them, and then
+drops those; the groups without a space run after the walk. It counts every
+instance, counts a ``RegOpenError`` raised inside a check as a failure, and
+reports each suite deterministically: its groups come in a fixed order, and
+its failures keep the order of its instances. ``run_suite`` runs one suite
+the same way.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cofinite as cof
 from .enumeration import BUDGETS, EnumerationSpec, canonical_classes, check_budget, dense_masks, enumerate_topologies
 from .errors import BadEnumerationSpec, BadSuiteArgument, NotABasis, RegOpenError, UnknownSuite
-from .ideals import _subsets, ideal_open_correspondence, ideals, ultrafilters
+from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     PairRelation,
     RegularOpenLattice,
@@ -39,7 +42,7 @@ from .lattice import (
 from .metric import FiniteMetric, combine_metric, dominates
 from .serialize import canonical_json, space_to_dict
 from .stone import stone_space
-from .topology import Topology, set_of
+from .topology import OperatorTables, Topology, iter_bits, set_of, submasks
 from .transfer import (
     DenseEmbedding,
     check_basis,
@@ -105,6 +108,16 @@ def _one(check: Callable[..., Result | None], **shared) -> Group:
     return Group(shared, (), [()], _each(check))
 
 
+class Suite(NamedTuple):
+    """A suite as data. ``space(ctx, t)`` gives the group of instances of
+    the space ``t``, or None when it has none; ``rest(ctx, bound, seed)``
+    gives the groups that need no space. A run checks each space's group
+    when its walk reaches the space, and the rest after the walk."""
+
+    space: Callable[[SpaceContext, Topology], Group | None] | None = None
+    rest: Callable[[SpaceContext, int, int], Iterable[Group]] | None = None
+
+
 @dataclass
 class SuiteReport:
     suite: str
@@ -138,89 +151,145 @@ class SuiteReport:
 
 
 class SpaceContext:
-    """What the suites of one run share: the labeled spaces, enumerated once
-    per ground size, and one regular-open lattice per distinct space.
+    """What the suites of a run share while it walks the labeled spaces.
 
-    A finite space is determined by its least neighbourhoods (its opens are
-    their unions), so spaces and lattices are keyed by them, and the
-    subspace on a dense set is looked up among the enumerated spaces rather
-    than built again. Spaces and lattices live as long as the context, which
-    one ``regopen verify`` run creates and hands to each ``run_suite`` call.
-    Values of one space alone, such as closures, are left to the checks. It
-    is not thread-safe.
+    ``spaces(bound)`` walks the spaces on 1..bound points in enumeration
+    order, and the space it has yielded last is the current one. The values
+    of the current space are built on first request and dropped when the
+    walk moves on: its operator tables (``tables``), its dense masks
+    (``dense``) and its lattice (``lattice``). Asked for another space, each
+    is built again and not kept.
+
+    The context holds the spaces with fewer points than the bound, and
+    their lattices, for the dense-subspace lookups: the subspace on a dense
+    set of fewer points is one of them, and that on every point is the
+    current space. So it holds one space of the largest size at a time, and
+    a context may serve several runs. A finite space is determined by its
+    least neighbourhoods, so spaces and lattices are keyed by them. It is
+    not thread-safe.
     """
 
     def __init__(self):
         self._spaces: dict[int, dict[tuple[int, ...], Topology]] = {}
         self._lattices: dict[tuple[int, ...], RegularOpenLattice] = {}
+        self._current: tuple[int, ...] | None = None
+        self._values: dict[str, object] = {}
 
     def spaces(self, bound: int) -> Iterator[Topology]:
-        """The labeled spaces on 1..bound points, in enumeration order. The
-        specs opt in: ``run_suite`` checked ``bound`` against ``enumeration.BUDGETS``."""
-        specs = [EnumerationSpec(n, allow_n5=True) for n in range(1, bound + 1)]
-        for spec in specs:
-            if spec.n not in self._spaces:
-                self._spaces[spec.n] = {t.min_nbhd_masks: t for t in enumerate_topologies(spec)}
-        return itertools.chain.from_iterable(self._spaces[spec.n].values() for spec in specs)
+        """The labeled spaces on 1..bound points, in enumeration order, each
+        the current space until the next is yielded. Those on fewer than
+        ``bound`` points are held; those on ``bound`` points are enumerated
+        as they are walked. The specs opt in: ``run_suites`` checked
+        ``bound`` against ``enumeration.BUDGETS``."""
+        for n in range(1, bound + 1):
+            layer = self._spaces.get(n)
+            if layer is None:
+                layer = enumerate_topologies(EnumerationSpec(n, allow_n5=True))
+                if n < bound:
+                    layer = self._spaces[n] = {t.min_nbhd_masks: t for t in layer}
+            for t in layer.values() if isinstance(layer, dict) else layer:
+                self._visit(t.min_nbhd_masks)
+                yield t
+        self._visit(None)
+
+    def _visit(self, key: tuple[int, ...] | None) -> None:
+        self._current = key
+        self._values = {}
+
+    def _own(self, t: Topology, name: str, build: Callable[[], object]):
+        """``build()``, kept under ``name`` while ``t`` is the current space."""
+        if t.min_nbhd_masks != self._current:
+            return build()
+        value = self._values.get(name)
+        if value is None:
+            value = self._values[name] = build()
+        return value
+
+    def tables(self, t: Topology) -> OperatorTables:
+        """cl, int and reg of every mask of ``t``: ``Topology.operator_tables()``."""
+        return self._own(t, "tables", t.operator_tables)
+
+    def dense(self, t: Topology) -> list[int]:
+        """The dense masks of ``t``: ``enumeration.dense_masks``."""
+        return self._own(t, "dense", lambda: dense_masks(t))
 
     def lattice(self, t: Topology) -> RegularOpenLattice:
-        """The regular-open lattice of ``t``, built on the first request for
-        a space equal to ``t`` (same least neighbourhoods, so same opens)."""
-        lat = self._lattices.get(t.min_nbhd_masks)
+        """The regular-open lattice of ``t``, built from ``tables(t)``; that
+        of a held space is kept with it. A build that fails is not kept, so
+        each request raises again."""
+        key = t.min_nbhd_masks
+        lat = self._lattices.get(key)
         if lat is None:
-            lat = self._lattices[t.min_nbhd_masks] = regular_open_lattice(t)
+            lat = self._own(t, "lattice", lambda: regular_open_lattice(t, self.tables(t)))
+            if key in self._spaces.get(t.n, ()):
+                self._lattices[key] = lat
         return lat
+
+    def _known(self, t: Topology, dense: int) -> dict[tuple[int, ...], Topology] | None:
+        """The spaces among which the subspace of ``t`` on ``dense`` is found."""
+        if dense == t.full_mask:
+            return {t.min_nbhd_masks: t}
+        return self._spaces.get(dense.bit_count())
 
     def embedding(self, t: Topology, dense: int) -> DenseEmbedding:
         """The embedding of ``dense``, a mask from ``dense_masks(t)``. Its
-        subspace is the context's own enumerated space where there is one."""
-        return DenseEmbedding(t, dense, self._spaces.get(dense.bit_count()))
+        subspace is a held space or ``t`` itself where there is one."""
+        return DenseEmbedding(t, dense, self._known(t, dense))
 
     def subspace(self, t: Topology, dense: int) -> Topology:
         """The subspace of ``t`` on ``dense``, as ``embedding`` finds it."""
-        return subspace_on(t, dense, self._spaces.get(dense.bit_count()))
+        return subspace_on(t, dense, self._known(t, dense))
 
 
 # -- individual suites ---------------------------------------------------------
 
 
+def _regular_opens(ctx: SpaceContext, t: Topology) -> list[int]:
+    """The regular opens of ``t``, read from its reg table: not from its
+    lattice, so that a failed lattice build fails only the suites that use
+    the lattice."""
+    reg = ctx.tables(t)[2]
+    return [m for m in t.open_masks if reg[m] == m]
+
+
 def _check_ux0(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
+    t = group.shared["space"]
     dense = [y for (y,) in group.items]
-    return restrictions_failing(group.shared["space"], dense, ctx.lattice, ctx.subspace)
+    return restrictions_failing(t, ctx.tables(t)[2], dense, ctx.lattice, ctx.subspace)
 
 
-def _suite_ux0(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
-    for t in ctx.spaces(bound):
-        yield Group({"space": t}, ("dense",), [(y,) for y in dense_masks(t)], _check_ux0)
+def _space_ux0(ctx: SpaceContext, t: Topology) -> Group:
+    return Group({"space": t}, ("dense",), [(y,) for y in ctx.dense(t)], _check_ux0)
 
 
 def _check_denso(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
     # dense_masks checked the density, and the opens come from the space
+    cl = ctx.tables(group.shared["space"])[0]
     return [
         (pos, "closure of the open differs from closure of its dense trace")
-        for pos in traces_losing_closure(group.shared["space"], group.items)
+        for pos in traces_losing_closure(cl, group.items)
     ]
 
 
-def _suite_denso(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
-    for t in ctx.spaces(bound):
-        pairs = list(itertools.product(dense_masks(t), t.open_masks))
-        yield Group({"space": t}, ("dense", "open"), pairs, _check_denso)
+def _space_denso(ctx: SpaceContext, t: Topology) -> Group:
+    pairs = list(itertools.product(ctx.dense(t), t.open_masks))
+    return Group({"space": t}, ("dense", "open"), pairs, _check_denso)
 
 
 def _check_uvw(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
-    return separations_failing(group.shared["space"], group.items)
+    t = group.shared["space"]
+    cl, _, reg = ctx.tables(t)
+    return separations_failing(t, cl, reg, group.items)
 
 
-def _suite_uvw(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
-    for t in ctx.spaces(bound):
-        pairs = [(u, v) for u, v in itertools.product(t.regular_open_masks(), repeat=2) if u & ~v]
-        yield Group({"space": t}, ("u", "v"), pairs, _check_uvw)
+def _space_uvw(ctx: SpaceContext, t: Topology) -> Group:
+    pairs = [(u, v) for u, v in itertools.product(_regular_opens(ctx, t), repeat=2) if u & ~v]
+    return Group({"space": t}, ("u", "v"), pairs, _check_uvw)
 
 
 def _check_regularity(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
     t = group.shared["space"]
-    cl, _, reg = t.operator_tables()
+    cl, _, reg = ctx.tables(t)
     opens, is_open = t.open_masks, t.is_open_mask
     failed = []
     for pos, (a,) in enumerate(group.items):
@@ -234,14 +303,13 @@ def _check_regularity(ctx: SpaceContext, group: Group) -> list[tuple[int, Result
     return failed
 
 
-def _suite_regularity(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
-    """Both routes to 'regular open' agree on every subset of every space:
+def _space_regularity(ctx: SpaceContext, t: Topology) -> Group:
+    """Both routes to 'regular open' agree on every subset of the space:
     the fixpoint definition, reg(A) = A for an open A, read from the
     space's reg table, versus openness plus 'every open inside the closure
     already sits inside the set', a scan of the opens."""
-    for t in ctx.spaces(bound):
-        subsets = [(a,) for a in range(t.full_mask + 1)]
-        yield Group({"space": t}, ("subset",), subsets, _check_regularity)
+    subsets = [(a,) for a in range(t.full_mask + 1)]
+    return Group({"space": t}, ("subset",), subsets, _check_regularity)
 
 
 def _check_recovery(ctx: SpaceContext, dense: int, space: Topology) -> str | None:
@@ -255,29 +323,28 @@ def _check_recovery(ctx: SpaceContext, dense: int, space: Topology) -> str | Non
     return None
 
 
-def _suite_recovery(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+def _space_recovery(ctx: SpaceContext, t: Topology) -> Group | None:
     """Recovery from the basis isomorphism induced by dense restriction must
     send each recovered point to its own copy. The construction quantifies
     over given bases, so the spaces are those whose nonempty regular opens
     form a basis; then so do those of each dense subspace, whose least
     neighbourhoods are traces of regular opens, and ``point_recovery``
     checks both bases again."""
-    for t in ctx.spaces(bound):
-        try:
-            check_basis(t, [m for m in t.regular_open_masks() if m])
-        except NotABasis:
-            continue
-        yield Group({"space": t}, ("dense",), [(y,) for y in dense_masks(t)], _each(_check_recovery))
+    try:
+        check_basis(t, [m for m in _regular_opens(ctx, t) if m])
+    except NotABasis:
+        return None
+    return Group({"space": t}, ("dense",), [(y,) for y in ctx.dense(t)], _each(_check_recovery))
+
+
+def _one_per_space(check: Callable[..., Result | None]) -> Callable[[SpaceContext, Topology], Group]:
+    """The ``Suite.space`` whose group is the one instance ``check(ctx, space=t)``."""
+    return lambda ctx, t: _one(check, space=t)
 
 
 def _check_boolean(ctx: SpaceContext, space: Topology) -> None:
     # Building the lattice is the Boolean test: check_boolean_algebra.
     ctx.lattice(space)
-
-
-def _suite_boolean(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
-    for t in ctx.spaces(bound):
-        yield _one(_check_boolean, space=t)
 
 
 def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
@@ -300,11 +367,6 @@ def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
     return None
 
 
-def _suite_rlattice(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
-    for t in ctx.spaces(bound):
-        yield _one(_check_rlattice, space=t)
-
-
 def _check_stone(ctx: SpaceContext, space: Topology) -> str | None:
     lat = ctx.lattice(space)
     st = stone_space(lat)
@@ -323,9 +385,7 @@ def _check_ultrafilters(ctx: SpaceContext, powerset: int) -> str | None:
     return None
 
 
-def _suite_stone(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
-    for t in ctx.spaces(bound):
-        yield _one(_check_stone, space=t)
+def _ultrafilter_groups(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     powersets = [(n,) for n in range(1, BUDGETS["ideals"][0] + 1)]
     yield Group({}, ("powerset",), powersets, _each(_check_ultrafilters))
 
@@ -336,15 +396,26 @@ _BRUTE_FORCE_IDEALS_MAX = 4
 
 
 def _brute_force_ideals(n: int) -> set[frozenset]:
+    """Every family of subsets of n points that holds the empty set and is
+    closed downward and under pairwise union, found by testing each of the
+    2^(2^n - 1) families. A family is an int with bit s for the subset s,
+    and ``below[s]`` has the bits of the subsets of s; only the families
+    found become sets."""
+    size = 1 << n
+    below = [sum(1 << t for t in submasks(s)) for s in range(size)]
     found = set()
-    middle = [s for s in _subsets(frozenset(range(n))) if s]
-    for picks in range(1 << len(middle)):
-        fam = {frozenset()} | {s for i, s in enumerate(middle) if picks >> i & 1}
-        ok = all(a | b in fam for a in fam for b in fam) and all(
-            sub in fam for a in fam for sub in _subsets(a)
-        )
-        if ok:
-            found.add(frozenset(fam))
+    for picks in range(1 << (size - 1)):
+        family = picks << 1 | 1
+        rest = family
+        while rest:  # down-closure, member by member from the smallest mask
+            low = rest & -rest
+            if below[low.bit_length() - 1] & ~family:
+                break
+            rest ^= low
+        else:
+            members = list(iter_bits(family))
+            if all(family >> (a | b) & 1 for a in members for b in members):
+                found.add(frozenset(map(set_of, members)))
     return found
 
 
@@ -358,7 +429,7 @@ def _check_ideal_correspondence(ctx: SpaceContext, powerset: int) -> None:
     ideal_open_correspondence(powerset)
 
 
-def _suite_ideals(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+def _ideal_groups(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     largest = min(bound, BUDGETS["ideals"][0])
     brute = [(n,) for n in range(1, min(largest, _BRUTE_FORCE_IDEALS_MAX) + 1)]
     yield Group({}, ("powerset",), brute, _each(_check_ideal_enumeration))
@@ -423,7 +494,7 @@ def _check_cofinite_identities(ctx: SpaceContext, seed: int) -> dict | None:
     return None
 
 
-def _suite_cofinite(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+def _cofinite_groups(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     yield _one(_check_cofinite_family)
     yield _one(_check_cofinite_identities, seed=seed)
 
@@ -457,23 +528,41 @@ def _check_metric(ctx: SpaceContext, seed: int) -> dict | None:
     return None
 
 
-def _suite_metric(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+def _metric_groups(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
     yield _one(_check_metric, seed=seed)
 
 
-SUITES: dict[str, Callable[[SpaceContext, int, int], Iterator[Group]]] = {
-    "ux0": _suite_ux0,
-    "denso": _suite_denso,
-    "uvw": _suite_uvw,
-    "regularity": _suite_regularity,
-    "recovery": _suite_recovery,
-    "boolean": _suite_boolean,
-    "rlattice": _suite_rlattice,
-    "stone": _suite_stone,
-    "ideals": _suite_ideals,
-    "cofinite": _suite_cofinite,
-    "metric": _suite_metric,
+SUITES: dict[str, Suite] = {
+    "ux0": Suite(_space_ux0),
+    "denso": Suite(_space_denso),
+    "uvw": Suite(_space_uvw),
+    "regularity": Suite(_space_regularity),
+    "recovery": Suite(_space_recovery),
+    "boolean": Suite(_one_per_space(_check_boolean)),
+    "rlattice": Suite(_one_per_space(_check_rlattice)),
+    "stone": Suite(_one_per_space(_check_stone), _ultrafilter_groups),
+    "ideals": Suite(rest=_ideal_groups),
+    "cofinite": Suite(rest=_cofinite_groups),
+    "metric": Suite(rest=_metric_groups),
 }
+
+
+def _walk(
+    ctx: SpaceContext, chosen: Sequence[Suite], bound: int, seed: int
+) -> Iterator[tuple[int, Group | None]]:
+    """(i, group) for each group of ``chosen[i]``: for each space in turn,
+    its group of every suite, in the order of ``chosen``, then the groups
+    that need no space, suite by suite. A space without a group for suite i
+    gives (i, None). Each suite's groups come in its own order."""
+    per_space = [(i, suite.space) for i, suite in enumerate(chosen) if suite.space]
+    if per_space:
+        for t in ctx.spaces(bound):
+            for i, group_of in per_space:
+                yield i, group_of(ctx, t)
+    for i, suite in enumerate(chosen):
+        if suite.rest:
+            for group in suite.rest(ctx, bound, seed):
+                yield i, group
 
 
 def _failure(fields: dict, result: Result) -> dict:
@@ -489,6 +578,103 @@ def _failure(fields: dict, result: Result) -> dict:
     return failure
 
 
+class _Tally:
+    """One suite's share of a run: the instances it counted (``total``) and
+    checked (``count``), its failures and seconds, and, when it samples, the
+    indices of its drawn instances."""
+
+    def __init__(self):
+        self.total = self.count = self.offset = 0
+        self.failures: list[dict] = []
+        self.seconds = 0.0
+        self.drawn: list[int] | None = None
+
+    def check(self, ctx: SpaceContext, group: Group) -> None:
+        if self.drawn is not None:
+            # the drawn global indices that fall in this group's range
+            size, offset = len(group.items), self.offset
+            first = bisect.bisect_left(self.drawn, offset)
+            stop = bisect.bisect_left(self.drawn, offset + size)
+            group = group._replace(items=[group.items[i - offset] for i in self.drawn[first:stop]])
+            self.offset += size
+        items = group.items
+        if not items:
+            return
+        self.count += len(items)
+        try:
+            failed = group.check(ctx, group)
+        except RegOpenError as exc:
+            failed = [(pos, str(exc)) for pos in range(len(items))]
+        self.failures.extend(_failure(group.fields(items[pos]), result) for pos, result in failed)
+
+
+def _timed(
+    walk: Iterator[tuple[int, Group | None]], tallies: list[_Tally]
+) -> Iterator[tuple[_Tally, Group | None]]:
+    """``walk`` with each suite's tally for its index. A suite's seconds gain
+    the time from the end of the last step to the end of the caller's work on
+    its group: so the suite first to ask for a shared value of a space, or
+    first after the walk enumerates a space, carries that work."""
+    mark = time.perf_counter()
+    for i, group in walk:
+        yield tallies[i], group
+        now = time.perf_counter()
+        tallies[i].seconds += now - mark
+        mark = now
+
+
+def run_suites(
+    names: Sequence[str],
+    bound: int = 3,
+    *,
+    sample: int | None = None,
+    seed: int = 0,
+    allow_n5: bool = False,
+    context: SpaceContext | None = None,
+) -> list[SuiteReport]:
+    """Run the named suites in one walk over the enumeration up to ``bound``
+    points, and report each, in the order of ``names``.
+
+    ``bound`` and ``allow_n5`` are checked against the "verify" row of
+    ``enumeration.BUDGETS`` first. The walk visits each space once and runs
+    the group of every suite for it, sharing the space's values through
+    ``context`` (a new ``SpaceContext`` without one); the groups that need no
+    space run after it. ``sample`` draws a deterministic random subset of
+    each suite's instances: a first walk counts them, and a second hands
+    each group's check the drawn ones, in order. ``wall_time_s`` is a
+    suite's share of the time (see ``_timed``), generating its instances
+    as well as checking them. A ``RegOpenError`` that escapes a group's
+    check fails every instance the check was given, with its message; one
+    raised while generating groups propagates.
+    """
+    for name in names:
+        if name not in SUITES:
+            raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    if bound < 1:
+        raise BadSuiteArgument(f"bound must be at least 1, not {bound}")
+    if sample is not None and sample < 0:
+        raise BadSuiteArgument(f"sample size must not be negative, not {sample}")
+    check_budget("verify", bound, allow_n5)
+    if context is None:
+        context = SpaceContext()
+    chosen = [SUITES[name] for name in names]
+    tallies = [_Tally() for _ in names]
+    if sample is not None:
+        for tally, group in _timed(_walk(context, chosen, bound, seed), tallies):
+            if group is not None:
+                tally.total += len(group.items)
+        for tally in tallies:
+            if sample < tally.total:
+                tally.drawn = sorted(random.Random(seed).sample(range(tally.total), sample))
+    for tally, group in _timed(_walk(context, chosen, bound, seed), tallies):
+        if group is not None:
+            tally.check(context, group)
+    return [
+        SuiteReport(suite=name, bound=bound, instances=t.count, failures=t.failures, wall_time_s=t.seconds)
+        for name, t in zip(names, tallies)
+    ]
+
+
 def run_suite(
     name: str,
     bound: int = 3,
@@ -498,60 +684,8 @@ def run_suite(
     allow_n5: bool = False,
     context: SpaceContext | None = None,
 ) -> SuiteReport:
-    """Run one named suite over the enumeration up to ``bound`` points.
-
-    Every suite first checks ``bound`` and ``allow_n5`` against the "verify"
-    row of ``enumeration.BUDGETS``. ``sample`` draws a deterministic random
-    subset of instances: the groups are generated twice, once to count their
-    instances and once to hand each group's check the drawn ones, in order.
-    ``context`` shares spaces and lattices with other suites of the same
-    run; without one the suite makes its own.
-    ``wall_time_s`` covers generating the instances as well as checking them.
-    A ``RegOpenError`` that escapes a group's check fails every instance the
-    check was given, with its message; one raised while generating groups
-    propagates.
-    """
-    if name not in SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    if bound < 1:
-        raise BadSuiteArgument(f"bound must be at least 1, not {bound}")
-    if sample is not None and sample < 0:
-        raise BadSuiteArgument(f"sample size must not be negative, not {sample}")
-    check_budget("verify", bound, allow_n5)
-    start = time.perf_counter()
-    if context is None:
-        context = SpaceContext()
-    groups = SUITES[name](context, bound, seed)
-    drawn = None
-    if sample is not None:
-        total = sum(len(group.items) for group in groups)
-        if sample < total:
-            drawn = sorted(random.Random(seed).sample(range(total), sample))
-        groups = SUITES[name](context, bound, seed)
-    count, offset, failures = 0, 0, []
-    for group in groups:
-        if drawn is not None:
-            # the drawn global indices that fall in this group's range
-            size = len(group.items)
-            first, stop = bisect.bisect_left(drawn, offset), bisect.bisect_left(drawn, offset + size)
-            group = group._replace(items=[group.items[i - offset] for i in drawn[first:stop]])
-            offset += size
-        items = group.items
-        if not items:
-            continue
-        count += len(items)
-        try:
-            failed = group.check(context, group)
-        except RegOpenError as exc:
-            failed = [(pos, str(exc)) for pos in range(len(items))]
-        failures.extend(_failure(group.fields(items[pos]), result) for pos, result in failed)
-    return SuiteReport(
-        suite=name,
-        bound=bound,
-        instances=count,
-        failures=failures,
-        wall_time_s=time.perf_counter() - start,
-    )
+    """Run one named suite: ``run_suites([name], ...)``, with the same arguments."""
+    return run_suites([name], bound, sample=sample, seed=seed, allow_n5=allow_n5, context=context)[0]
 
 
 # -- counterexample gallery ------------------------------------------------------

@@ -24,6 +24,8 @@ from .errors import (
 )
 
 PointSet = frozenset[int]
+# cl, int and reg of every mask, each indexed by the mask: Topology.operator_tables.
+OperatorTables = tuple[list[int], list[int], list[int]]
 
 # Largest space accepted: validating k opens takes k^2 / 2 union and
 # intersection tests, and its regular-open lattice has up to k elements with
@@ -197,7 +199,7 @@ class Topology:
             table += [c | cl_x for c in table]
         return table
 
-    def operator_tables(self) -> tuple[list[int], list[int], list[int]]:
+    def operator_tables(self) -> OperatorTables:
         """cl, int and reg = int∘cl of every mask, each indexed by the mask:
         three lists of 2^n entries. int(a) is the complement of cl of the
         complement, and the complements of 0, 1, 2, … are the masks from

@@ -16,8 +16,8 @@ Every map between regular-open lattices here is built from the one trace and
 the one lift of a dense set Y, on lattices taken from one source: the rows
 of Y that ``dense_rows`` keeps, which ``DenseEmbedding`` reads one set at a
 time, and which the kernels (``restrictions_failing``,
-``separations_failing``, ``traces_losing_closure``) read together with
-tables of cl and reg built once per space.
+``separations_failing``, ``traces_losing_closure``) read together with the
+space's cl and reg tables, which their caller builds once per space.
 """
 
 from __future__ import annotations
@@ -247,19 +247,19 @@ def restriction_maps(
 
 def restrictions_failing(
     t: Topology,
+    reg: Sequence[int],
     dense: Sequence[int],
     lattice: Callable[[Topology], RegularOpenLattice],
     subspace: Callable[[Topology, int], Topology],
 ) -> list[tuple[int, str]]:
     """The restriction kernel: ``restriction_isomorphism`` for every mask Y
     in ``dense``, each already known dense in ``t``, in one call. The maps
-    come from ``restriction_maps`` over one regularize table of ``t``, and
-    ``LatticeIsoWitness`` checks each pair. ``lattice`` maps a space to its
-    lattice, and ``subspace(t, Y)`` gives the subspace on Y, as
+    come from ``restriction_maps`` over ``reg``, the regularize table of
+    ``t``, and ``LatticeIsoWitness`` checks each pair. ``lattice`` maps a
+    space to its lattice, and ``subspace(t, Y)`` gives the subspace on Y, as
     ``subspace_on`` does. Returns the positions, ascending, of the Y whose
     check raised a RegOpenError, each with its message."""
     up = lattice(t)
-    reg = t.operator_tables()[2]
     failed = []
     for pos, y in enumerate(dense):
         try:
@@ -283,15 +283,14 @@ def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bo
         raise NotOpen(f"{sorted(set_of(umask))} is not open")
     if t.closure_mask(ymask) != t.full_mask:
         raise NotDense(f"{sorted(set_of(ymask))} is not dense")
-    return not traces_losing_closure(t, [(ymask, umask)])
+    return not traces_losing_closure(t.closure_table(), [(ymask, umask)])
 
 
-def traces_losing_closure(t: Topology, pairs: Sequence[tuple[int, int]]) -> list[int]:
+def traces_losing_closure(cl: Sequence[int], pairs: Sequence[tuple[int, int]]) -> list[int]:
     """The positions, ascending, of the (Y, U) in ``pairs`` with
     cl(U & Y) != cl(U): the density kernel, for masks Y already known dense
-    and U already known open. Both closures are read from one table of cl
-    over all 2^n subsets of ``t``."""
-    cl = t.closure_table()
+    and U already known open. Both closures are read from ``cl``, the
+    closure table of the space."""
     return [i for i, (y, u) in enumerate(pairs) if cl[u & y] != cl[u]]
 
 
@@ -310,12 +309,13 @@ def separating_witness(t: Topology, u: Iterable[int], v: Iterable[int]) -> Point
     return set_of(umask & ~t.closure_mask(vmask))
 
 
-def separations_failing(t: Topology, pairs: Sequence[tuple[int, int]]) -> list[tuple[int, str]]:
+def separations_failing(
+    t: Topology, cl: Sequence[int], reg: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> list[tuple[int, str]]:
     """The separation kernel: the positions, ascending, of the (U, V) in
     ``pairs`` for which ``separating_witness`` raises, each with the
     message it raises. It checks the same conditions, reading cl and reg
-    from one pair of tables of ``t`` for all the pairs."""
-    cl, _, reg = t.operator_tables()
+    from ``cl`` and ``reg``, the tables of ``t``, for all the pairs."""
     is_open, cl_of, reg_of = t.is_open_mask, cl.__getitem__, reg.__getitem__
     failed = []
     for pos, (u, v) in enumerate(pairs):

@@ -23,6 +23,9 @@ from regopen.topology import Topology
 # sha256 of `regopen verify --suite all --n 4 --json`: the canonical reports
 # must stay byte-identical whatever the verifier does to get them faster.
 N4_REPORT_SHA256 = "7a1403676616ba4ed36c63e1fab144208d326f4b3e1b40606843cd18d5f73e86"
+# sha256 of `regopen verify --suite all --n 5 --allow-n5 --seed 1 --json`,
+# every instance of every suite over the 7331 spaces with n <= 5.
+N5_REPORT_SHA256 = "6486fd84a6b16b09fb7a4bd6beb88978be3530f2d78a3e9f53a6c17a8dc5b3d3"
 # sha256 of `regopen verify --suite all --n 5 --allow-n5 --sample 500 --seed 1
 # --json`: each suite's draw of 500 instances from the n = 5 enumeration.
 N5_SAMPLE_REPORT_SHA256 = "84b7e2d3731cb8d151ddd6b184c0c2c9a8bc316b581c3f5b5f8096e8da2ecd7a"
@@ -93,18 +96,18 @@ def test_verify_pass_and_report(tmp_path, capsys):
 def test_verify_all_enumerates_once_and_builds_one_lattice_per_space(monkeypatch, capsys):
     sizes = []
     built = []
-    init = RegularOpenLattice.__init__
+    build = RegularOpenLattice._build
 
     def counting_enumeration(spec):
         sizes.append(spec.n)
         return enumerate_topologies(spec)
 
-    def counting_init(self, topology):
+    def counting_build(self, topology, tables):
         built.append(topology)
-        init(self, topology)
+        build(self, topology, tables)
 
     monkeypatch.setattr(suites, "enumerate_topologies", counting_enumeration)
-    monkeypatch.setattr(RegularOpenLattice, "__init__", counting_init)
+    monkeypatch.setattr(RegularOpenLattice, "_build", counting_build)
     assert main(["verify", "--suite", "all", "--n", "3"]) == 0
     assert sizes == [1, 2, 3]
     spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(EnumerationSpec(n))]
@@ -132,9 +135,11 @@ def n4_verify_all(tmp_path_factory):
     law checks; the tests below read its report, output and counts."""
     out = tmp_path_factory.mktemp("n4") / "report.json"
     builds = []
-    init = RegularOpenLattice.__init__
+    build = RegularOpenLattice._build
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as stdout:
-        mp.setattr(RegularOpenLattice, "__init__", lambda self, t: builds.append(t) or init(self, t))
+        mp.setattr(
+            RegularOpenLattice, "_build", lambda self, t, tables: builds.append(t) or build(self, t, tables)
+        )
         boolean = _count_calls(mp, lattice.check_boolean_algebra)
         distributive = _count_calls(mp, lattice.check_distributive)
         inf_sup = _count_calls(mp, lattice.check_inf_sup)
@@ -158,13 +163,40 @@ def test_verify_all_n4_report_is_pinned(n4_verify_all):
     assert all(": pass [" in line for line in lines)
 
 
+def test_verify_all_n5_report_is_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "all", "--n", "5", "--allow-n5", "--seed", "1", "--json", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == N5_REPORT_SHA256
+    instances = {r["suite"]: r["instances"] for r in json.loads(out.read_text())}
+    assert instances == {
+        "boolean": 7331,
+        "cofinite": 2,
+        "denso": 638280,
+        "ideals": 9,
+        "metric": 1,
+        "recovery": 3257,
+        "regularity": 228074,
+        "rlattice": 7331,
+        "stone": 7336,
+        "uvw": 89183,
+        "ux0": 76513,
+    }
+
+
 def test_verify_all_n5_sample_report_is_pinned(tmp_path, capsys):
     out = tmp_path / "report.json"
     argv = ["verify", "--suite", "all", "--n", "5", "--allow-n5", "--sample", "500", "--seed", "1"]
     assert main(argv + ["--json", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == N5_SAMPLE_REPORT_SHA256
-    instances = {r["suite"]: r["instances"] for r in json.loads(out.read_text())}
+    reports = json.loads(out.read_text())
+    instances = {r["suite"]: r["instances"] for r in reports}
     assert instances == {name: 500 for name in suites.SUITES} | {"cofinite": 2, "ideals": 9, "metric": 1}
+    # each suite's draw from the one walk is that of the suite run alone
+    context = suites.SpaceContext()
+    for report in reports:
+        alone = run_suite(report["suite"], 5, sample=500, seed=1, allow_n5=True, context=context)
+        assert alone.to_dict() == report
 
 
 def test_verify_all_checks_each_law_once_per_lattice(n4_verify_all):
@@ -224,10 +256,10 @@ def test_verify_denso_that_checked_nothing_fails(tmp_path, capsys):
 
 
 def test_verify_law_failure_is_a_suite_failure_not_a_usage_error(monkeypatch, tmp_path, capsys):
-    def build(t):
+    def build(t, tables=None):
         if t == sierpinski():
             raise VerificationError("planted law failure")
-        return regular_open_lattice(t)
+        return regular_open_lattice(t, tables)
 
     monkeypatch.setattr(suites, "regular_open_lattice", build)
     out = tmp_path / "report.json"

@@ -2,11 +2,21 @@
 and the counterexample gallery."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from regopen import cofinite as cof
-from regopen import counterexample_search, enumeration, run_suite, sierpinski, suites, transfer, x3
+from regopen import (
+    counterexample_search,
+    enumeration,
+    run_suite,
+    run_suites,
+    sierpinski,
+    suites,
+    transfer,
+    x3,
+)
 from regopen.enumeration import (
     BUDGETS,
     EnumerationSpec,
@@ -16,10 +26,16 @@ from regopen.enumeration import (
 )
 from regopen.errors import BadSuiteArgument, SizeGuardExceeded, UnknownSuite, VerificationError
 from regopen.ideals import ideals, ultrafilters
-from regopen.lattice import find_order_isomorphisms, regular_open_lattice, transport_relation, well_inside
+from regopen.lattice import (
+    RegularOpenLattice,
+    find_order_isomorphisms,
+    regular_open_lattice,
+    transport_relation,
+    well_inside,
+)
 from regopen.serialize import space_to_dict
 from regopen.stone import StoneSpace, stone_space
-from regopen.suites import SUITES, SpaceContext
+from regopen.suites import SUITES, SpaceContext, Suite
 from regopen.topology import Topology, discrete, permute_mask, refined_open_masks, set_of
 from regopen.transfer import DenseEmbedding, closure_density_check, traces_losing_closure
 
@@ -29,6 +45,11 @@ from oracles import (
     trace_keeps_closure_oracle,
     well_inside_monotone_oracle,
 )
+
+
+def _groups(name, ctx, bound, seed):
+    """The groups of the suite ``name``, in the order a run checks them."""
+    return (group for _, group in suites._walk(ctx, [SUITES[name]], bound, seed) if group is not None)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -64,6 +85,88 @@ def test_shared_context_reports_equal_lone_runs():
     for name in sorted(SUITES):
         shared = run_suite(name, bound=3, context=context)
         assert shared.to_json() == run_suite(name, bound=3).to_json()
+
+
+# -- one walk for several suites ---------------------------------------------------
+
+
+@pytest.mark.parametrize("bound", [2, 4])
+def test_joint_run_reports_equal_lone_runs(bound):
+    # each suite's report from the one walk, byte for byte that of its own
+    # run; the sampled n = 5 run is compared in test_cli.py
+    names = sorted(SUITES)
+    joint = run_suites(names, bound)
+    assert [report.suite for report in joint] == names
+    for name, report in zip(names, joint):
+        assert report.to_json() == run_suite(name, bound).to_json()
+
+
+def test_joint_run_refuses_an_unknown_name_before_running():
+    with pytest.raises(UnknownSuite):
+        run_suites(["boolean", "nope"], 2)
+
+
+def _watching(check_each_call):
+    """The suites, each wrapped so that ``check_each_call(ctx, group)`` runs
+    before every group check."""
+
+    def watched(group):
+        if group is None:
+            return None
+
+        def check(ctx, g, check=group.check):
+            check_each_call(ctx, g)
+            return check(ctx, g)
+
+        return group._replace(check=check)
+
+    return {
+        name: Suite(
+            suite.space and (lambda ctx, t, suite=suite: watched(suite.space(ctx, t))),
+            suite.rest and (lambda ctx, b, s, suite=suite: map(watched, suite.rest(ctx, b, s))),
+        )
+        for name, suite in SUITES.items()
+    }
+
+
+def test_joint_run_holds_only_the_smaller_spaces_and_the_current_one(monkeypatch):
+    # bound 4: the 34 spaces on at most 3 points and their lattices, and of
+    # the 355 four-point spaces only the current one, with its lattice
+    seen = []
+
+    def inspect(ctx, group):
+        held = [t for layer in ctx._spaces.values() for t in layer.values()]
+        lattices = list(ctx._lattices.values()) + [
+            v for v in ctx._values.values() if isinstance(v, RegularOpenLattice)
+        ]
+        assert len(held) <= 34 and all(t.n < 4 for t in held)
+        assert len(lattices) <= 34 + 1
+        assert all(lat.topology.n < 4 or lat.topology.min_nbhd_masks == ctx._current for lat in lattices)
+        seen.append(len(lattices))
+
+    for name, suite in _watching(inspect).items():
+        monkeypatch.setitem(SUITES, name, suite)
+    assert all(report.passed for report in run_suites(sorted(SUITES), 4))
+    assert max(seen) == 34 + 1
+
+
+def test_joint_run_builds_tables_and_dense_sets_once_per_space(monkeypatch):
+    tables, dense = Counter(), Counter()
+    operator_tables, masks = Topology.operator_tables, suites.dense_masks
+
+    def counting_tables(t):
+        tables[t] += 1
+        return operator_tables(t)
+
+    def counting_dense(t):
+        dense[t] += 1
+        return masks(t)
+
+    monkeypatch.setattr(Topology, "operator_tables", counting_tables)
+    monkeypatch.setattr(suites, "dense_masks", counting_dense)
+    assert all(report.passed for report in run_suites(sorted(SUITES), 4))
+    assert set(tables.values()) == set(dense.values()) == {1}
+    assert len(tables) == len(dense) == 1 + 4 + 29 + 355
 
 
 def test_bound_below_one_is_refused_before_enumerating(monkeypatch):
@@ -113,25 +216,27 @@ def test_sampled_report_matches_the_list_based_draw(name, bound, seed, sample, p
     # instances were drawn; the recorded fields show it for every suite
     if planted:
         PLANTED[name][0](monkeypatch)
-    generate = SUITES[name]
-    drawn = sample_oracle(generate(SpaceContext(), bound, seed), sample, seed)
+    suite = SUITES[name]
+    drawn = sample_oracle(_groups(name, SpaceContext(), bound, seed), sample, seed)
     # the expected report checks each drawn instance as a group of its own
-    monkeypatch.setitem(
-        SUITES, name, lambda ctx, b, s: (group._replace(items=[item]) for group, item in drawn)
-    )
+    singles = Suite(rest=lambda ctx, b, s: (group._replace(items=[item]) for group, item in drawn))
+    monkeypatch.setitem(SUITES, name, singles)
     expected = run_suite(name, bound, seed=seed, allow_n5=True)
     checked = []
 
-    def recording(ctx, b, s):
-        for group in generate(ctx, b, s):
+    def recording(group):
+        if group is None:
+            return None
 
-            def check(ctx, g, check=group.check):
-                checked.extend(g.fields(item) for item in g.items)
-                return check(ctx, g)
+        def check(ctx, g, check=group.check):
+            checked.extend(g.fields(item) for item in g.items)
+            return check(ctx, g)
 
-            yield group._replace(check=check)
+        return group._replace(check=check)
 
-    monkeypatch.setitem(SUITES, name, recording)
+    space = suite.space and (lambda ctx, t: recording(suite.space(ctx, t)))
+    rest = suite.rest and (lambda ctx, b, s: map(recording, suite.rest(ctx, b, s)))
+    monkeypatch.setitem(SUITES, name, Suite(space, rest))
     report = run_suite(name, bound, sample=sample, seed=seed, allow_n5=True)
     assert checked == [group.fields(item) for group, item in drawn]
     assert report.to_json() == expected.to_json()
@@ -200,7 +305,7 @@ def test_context_embeddings_match_dense_embedding_on_own_spaces():
 def test_denso_instances_agree_with_closure_density_check():
     ctx = SpaceContext()
     count = 0
-    for group in suites._suite_denso(ctx, 4, 0):
+    for group in _groups("denso", ctx, 4, 0):
         failing = {pos for pos, _ in group.check(ctx, group)}
         for pos, item in enumerate(group.items):
             fields = group.fields(item)
@@ -218,7 +323,7 @@ def test_denso_group_check_matches_the_per_instance_oracle(monkeypatch):
         if plant:
             plant(monkeypatch)
         failing = []
-        for group in suites._suite_denso(ctx, 4, 0):
+        for group in _groups("denso", ctx, 4, 0):
             space = group.shared["space"]
             expected = [
                 pos for pos, (y, u) in enumerate(group.items)
@@ -237,7 +342,7 @@ def test_density_kernel_matches_the_per_instance_oracle():
     for t in ctx.spaces(4):
         pairs = [(y, u) for y in range(t.full_mask + 1) for u in t.open_masks]
         expected = [i for i, (y, u) in enumerate(pairs) if not trace_keeps_closure_oracle(t, y, u)]
-        assert traces_losing_closure(t, pairs) == expected
+        assert traces_losing_closure(t.closure_table(), pairs) == expected
         reported += len(expected)
     assert reported
     rng = random.Random(5)
@@ -245,7 +350,7 @@ def test_density_kernel_matches_the_per_instance_oracle():
     for t in rng.sample(spaces, 300):
         pairs = [(rng.randrange(32), rng.choice(t.open_masks)) for _ in range(20)]
         expected = [i for i, (y, u) in enumerate(pairs) if not trace_keeps_closure_oracle(t, y, u)]
-        assert traces_losing_closure(t, pairs) == expected
+        assert traces_losing_closure(t.closure_table(), pairs) == expected
 
 
 def test_closure_table_matches_closure_of_every_subset():
@@ -278,7 +383,7 @@ def _density_check_with_short_trace(monkeypatch):
     monkeypatch.setattr(
         suites,
         "traces_losing_closure",
-        lambda t, pairs: traces_losing_closure(t, [(y & (y - 1), u) for y, u in pairs]),
+        lambda cl, pairs: traces_losing_closure(cl, [(y & (y - 1), u) for y, u in pairs]),
     )
 
 
@@ -425,6 +530,20 @@ def test_suite_reports_planted_bug(name, monkeypatch):
     assert all(set(failure) == keys for failure in report.failures)
 
 
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_joint_run_reports_planted_bug(name, monkeypatch):
+    # caught in one walk with every suite that reads the spaces, with the
+    # report of the suite's own run; the suites without a space run after
+    # the walk, so they join only for their own plants
+    plant, keys = PLANTED[name]
+    plant(monkeypatch)
+    names = sorted({other for other, suite in SUITES.items() if suite.space} | {name})
+    report = run_suites(names, 3)[names.index(name)]
+    assert report.failures and not report.passed
+    assert all(set(failure) == keys for failure in report.failures)
+    assert report.to_json() == run_suite(name, 3).to_json()
+
+
 def test_stone_reports_a_space_with_a_point_more_than_atoms(monkeypatch):
     def wrong(lat):
         st = stone_space(lat)
@@ -495,10 +614,10 @@ def test_recovery_reports_a_basis_map_that_is_not_a_bijection(monkeypatch):
 
 
 def _lattice_law_failure_on_sierpinski(monkeypatch):
-    def build(t):
+    def build(t, tables=None):
         if t == sierpinski():
             raise VerificationError("planted law failure")
-        return regular_open_lattice(t)
+        return regular_open_lattice(t, tables)
 
     monkeypatch.setattr(suites, "regular_open_lattice", build)
 
@@ -511,13 +630,14 @@ def test_lattice_construction_failure_is_a_suite_failure(name, monkeypatch):
 
 
 def test_error_escaping_a_group_check_fails_each_instance_it_was_given(monkeypatch):
-    def kernel(t, pairs):
-        if t == sierpinski():
+    s = sierpinski()
+
+    def kernel(cl, pairs):
+        if cl == s.closure_table():
             raise VerificationError("planted kernel failure")
-        return traces_losing_closure(t, pairs)
+        return traces_losing_closure(cl, pairs)
 
     monkeypatch.setattr(suites, "traces_losing_closure", kernel)
-    s = sierpinski()
 
     def failure(y, u):
         return {
@@ -530,7 +650,7 @@ def test_error_escaping_a_group_check_fails_each_instance_it_was_given(monkeypat
     every = [failure(y, u) for y in dense_masks(s) for u in s.open_masks]
     assert run_suite("denso", bound=2).failures == every
     # sampled, the check is given only the drawn instances of its space
-    drawn = sample_oracle(SUITES["denso"](SpaceContext(), 2, 3), 6, 3)
+    drawn = sample_oracle(_groups("denso", SpaceContext(), 2, 3), 6, 3)
     expected = [failure(*item) for group, item in drawn if group.shared["space"] == s]
     assert 0 < len(expected) < len(every)
     assert run_suite("denso", bound=2, sample=6, seed=3).failures == expected

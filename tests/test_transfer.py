@@ -152,8 +152,8 @@ def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
             assert down.topology == witness.target.topology
             maps = restriction_maps(up, down, y, reg)
             assert maps == (witness.forward, witness.backward)
-        assert restrictions_failing(t, dense, ctx.lattice, ctx.subspace) == []
-        assert restrictions_failing(t, dense, regular_open_lattice, transfer.subspace_on) == []
+        assert restrictions_failing(t, reg, dense, ctx.lattice, ctx.subspace) == []
+        assert restrictions_failing(t, reg, dense, regular_open_lattice, transfer.subspace_on) == []
 
 
 def _swapping_first_two_images(monkeypatch, keep_inverse: bool) -> None:
@@ -186,7 +186,7 @@ def test_restriction_kernel_refuses_a_forward_map_with_two_images_swapped(
     refused = 0
     for t in ctx.spaces(3):
         dense = dense_masks(t)
-        failed = restrictions_failing(t, dense, ctx.lattice, ctx.subspace)
+        failed = restrictions_failing(t, ctx.tables(t)[2], dense, ctx.lattice, ctx.subspace)
         doctored = list(range(len(dense))) if ctx.lattice(t).m >= 2 else []
         assert [pos for pos, _ in failed] == doctored
         assert all(text.startswith(message) for _, text in failed)
@@ -303,7 +303,7 @@ def test_closure_density_frozen_values():
     assert closure_density_check(X3, {0, 1}, {0})
     assert closure_density_check(X3, {0, 1}, fs())
     # the kernel trusts that Y is dense: {1} is not, and misses cl({0}) = {0, 2}
-    assert traces_losing_closure(X3, [(0b011, 0b001), (0b010, 0b001), (0b011, 0)]) == [1]
+    assert traces_losing_closure(X3.closure_table(), [(0b011, 0b001), (0b010, 0b001), (0b011, 0)]) == [1]
 
 
 def test_closure_density_validates_arguments():
@@ -369,7 +369,8 @@ def test_separation_kernel_fails_where_separating_witness_raises():
         for t in enumerate_topologies(EnumerationSpec(n)):
             pairs = list(itertools.product(t.open_masks, repeat=2))
             expected = _separation_raises(t, pairs)
-            assert separations_failing(t, pairs) == expected
+            cl, _, reg = t.operator_tables()
+            assert separations_failing(t, cl, reg, pairs) == expected
             messages |= {message.split("=")[0] for _, message in expected}
     assert messages == {"U", "V", "U is contained in V; no separating witness exists"}
     rng = random.Random(23)
@@ -378,7 +379,8 @@ def test_separation_kernel_fails_where_separating_witness_raises():
         regs = t.regular_open_masks()
         pairs = [(rng.choice(regs), rng.choice(regs)) for _ in range(10)]
         pairs += [(rng.randrange(32), rng.randrange(32)) for _ in range(10)]
-        assert separations_failing(t, pairs) == _separation_raises(t, pairs)
+        cl, _, reg = t.operator_tables()
+        assert separations_failing(t, cl, reg, pairs) == _separation_raises(t, pairs)
 
 
 # -- transfer through a common core --------------------------------------------------
