@@ -10,7 +10,8 @@ drops those; the groups without a space run after the walk. It counts every
 instance, counts a ``RegOpenError`` raised inside a check as a failure, and
 reports each suite deterministically: its groups come in a fixed order, and
 its failures keep the order of its instances. ``run_suite`` runs one suite
-the same way.
+the same way. Within a run, a verdict that reads only a lattice's index
+tables is checked once per distinct table (see ``SpaceContext``).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .transfer import (
 # A failed instance's result: a message or a dict of report fields.
 Result = str | dict
 _POINT_SET_FIELDS = frozenset({"dense", "open", "u", "v", "subset"})
+_UNSEEN = object()
 
 
 class Group(NamedTuple):
@@ -167,6 +169,11 @@ class SpaceContext:
     a context may serve several runs. A finite space is determined by its
     least neighbourhoods, so spaces and lattices are keyed by them. It is
     not thread-safe.
+
+    For one run it remembers the verdicts that read only a lattice's index
+    tables (``verdict``) and the restriction maps ``LatticeIsoWitness`` has
+    passed (``witnessed``), keyed by all they read, so each is exact. What
+    reads a space, a raise and a failed witness are never remembered.
     """
 
     def __init__(self):
@@ -174,6 +181,21 @@ class SpaceContext:
         self._lattices: dict[tuple[int, ...], RegularOpenLattice] = {}
         self._current: tuple[int, ...] | None = None
         self._values: dict[str, object] = {}
+        self.forget_verdicts()
+
+    def forget_verdicts(self) -> None:
+        """Remember no verdict: ``run_suites`` calls this as each run starts."""
+        self._verdicts: dict[tuple, object] = {}
+        self.witnessed: set[tuple] = set()
+
+    def verdict(self, name: str, lat: RegularOpenLattice, check: Callable[[], object]):
+        """``check()``, a check of ``lat`` that reads at most its up, meet,
+        join and bottom tables, remembered under ``name`` and those tables."""
+        key = name, lat.up, lat.meet, lat.join, lat.bottom
+        value = self._verdicts.get(key, _UNSEEN)
+        if value is _UNSEEN:
+            value = self._verdicts[key] = check()
+        return value
 
     def spaces(self, bound: int) -> Iterator[Topology]:
         """The labeled spaces on 1..bound points, in enumeration order, each
@@ -255,7 +277,7 @@ def _regular_opens(ctx: SpaceContext, t: Topology) -> list[int]:
 def _check_ux0(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
     t = group.shared["space"]
     dense = [y for (y,) in group.items]
-    return restrictions_failing(t, ctx.tables(t)[2], dense, ctx.lattice, ctx.subspace)
+    return restrictions_failing(t, ctx.tables(t)[2], dense, ctx.lattice, ctx.subspace, ctx.witnessed)
 
 
 def _space_ux0(ctx: SpaceContext, t: Topology) -> Group:
@@ -349,7 +371,7 @@ def _check_boolean(ctx: SpaceContext, space: Topology) -> None:
 
 def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
     lat = ctx.lattice(space)
-    report = check_r_lattice(lat, ge_relation(lat))
+    report = ctx.verdict("rlattice", lat, lambda: check_r_lattice(lat, ge_relation(lat)))
     if not report.passed:
         return {"report": report.to_dict()}
     rel = well_inside(lat)
@@ -369,6 +391,11 @@ def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
 
 def _check_stone(ctx: SpaceContext, space: Topology) -> str | None:
     lat = ctx.lattice(space)
+    return ctx.verdict("stone", lat, lambda: _stone_verdict(ctx, lat))
+
+
+def _stone_verdict(ctx: SpaceContext, lat: RegularOpenLattice) -> str | None:
+    # stone_space reads the order only; the clopen lattice is discrete(k)'s
     st = stone_space(lat)
     if len(st.atoms) != len(lat.atoms()) or st.space.n != len(st.atoms):
         return "point count differs from atom count"
@@ -657,6 +684,7 @@ def run_suites(
     check_budget("verify", bound, allow_n5)
     if context is None:
         context = SpaceContext()
+    context.forget_verdicts()
     chosen = [SUITES[name] for name in names]
     tallies = [_Tally() for _ in names]
     if sample is not None:

@@ -251,20 +251,27 @@ def restrictions_failing(
     dense: Sequence[int],
     lattice: Callable[[Topology], RegularOpenLattice],
     subspace: Callable[[Topology, int], Topology],
+    witnessed: set[tuple],
 ) -> list[tuple[int, str]]:
     """The restriction kernel: ``restriction_isomorphism`` for every mask Y
     in ``dense``, each already known dense in ``t``, in one call. The maps
     come from ``restriction_maps`` over ``reg``, the regularize table of
     ``t``, and ``LatticeIsoWitness`` checks each pair. ``lattice`` maps a
     space to its lattice, and ``subspace(t, Y)`` gives the subspace on Y, as
-    ``subspace_on`` does. Returns the positions, ascending, of the Y whose
+    ``subspace_on`` does. ``witnessed`` holds the passed keys (up.up,
+    down.up, forward, backward), all a passing witness reads: a key held is
+    not checked again. Returns the positions, ascending, of the Y whose
     check raised a RegOpenError, each with its message."""
     up = lattice(t)
     failed = []
     for pos, y in enumerate(dense):
         try:
             down = lattice(subspace(t, y))
-            LatticeIsoWitness(up, down, *restriction_maps(up, down, y, reg))
+            maps = restriction_maps(up, down, y, reg)
+            key = (up.up, down.up, *maps)
+            if key not in witnessed:
+                LatticeIsoWitness(up, down, *maps)
+                witnessed.add(key)
         except RegOpenError as exc:
             failed.append((pos, str(exc)))
     return failed

@@ -24,10 +24,13 @@ from regopen.enumeration import (
     enumerate_dense_subsets,
     enumerate_topologies,
 )
-from regopen.errors import BadSuiteArgument, SizeGuardExceeded, UnknownSuite, VerificationError
+from regopen.errors import BadSuiteArgument, RegOpenError, SizeGuardExceeded, UnknownSuite, VerificationError
 from regopen.ideals import ideals, ultrafilters
 from regopen.lattice import (
+    AXIOM_NAMES,
+    AxiomResult,
     RegularOpenLattice,
+    RLatticeReport,
     find_order_isomorphisms,
     regular_open_lattice,
     transport_relation,
@@ -37,7 +40,12 @@ from regopen.serialize import space_to_dict
 from regopen.stone import StoneSpace, stone_space
 from regopen.suites import SUITES, SpaceContext, Suite
 from regopen.topology import Topology, discrete, permute_mask, refined_open_masks, set_of
-from regopen.transfer import DenseEmbedding, closure_density_check, traces_losing_closure
+from regopen.transfer import (
+    DenseEmbedding,
+    closure_density_check,
+    restriction_isomorphism,
+    traces_losing_closure,
+)
 
 from oracles import (
     closure_oracle,
@@ -361,6 +369,174 @@ def test_closure_table_matches_closure_of_every_subset():
             assert cl == t.closure_mask(a)
             points = frozenset(i for i in range(t.n) if a >> i & 1)
             assert cl == sum(1 << x for x in closure_oracle(t, points))
+
+
+# -- the per-run memo of verdicts ---------------------------------------------------
+
+_MEMO_READERS = ["rlattice", "stone", "ux0"]
+
+
+class _Unheld(set):
+    """A set of passed witness keys that never holds one."""
+
+    def add(self, key):
+        pass
+
+
+class _Forgetful(SpaceContext):
+    """A context whose memo never hits: every verdict is checked again."""
+
+    def forget_verdicts(self):
+        super().forget_verdicts()
+        self.witnessed = _Unheld()
+
+    def verdict(self, name, lat, check):
+        return check()
+
+
+def _tables(lat):
+    return lat.up, lat.meet, lat.join, lat.bottom
+
+
+def _spaces_to(bound):
+    return [t for n in range(1, bound + 1) for t in enumerate_topologies(EnumerationSpec(n))]
+
+
+def _reading_spaces(every: bool = False) -> list[str]:
+    """The suites that read spaces, or ``every`` suite: those that read no
+    space read no memo either."""
+    return sorted(name for name, suite in SUITES.items() if suite.space or every)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_memo_changes_no_report(bound):
+    # each suite's report from one walk, and each memo reader's lone
+    # report, byte for byte that of a run whose memo never hits; all
+    # eleven suites at bound 4
+    names = _reading_spaces(every=bound == 4)
+    joint = run_suites(names, bound)
+    forgetful = run_suites(names, bound, context=_Forgetful())
+    assert [r.to_json() for r in joint] == [r.to_json() for r in forgetful]
+    for name in _MEMO_READERS:
+        alone = run_suite(name, bound).to_json()
+        assert alone == run_suite(name, bound, context=_Forgetful()).to_json()
+        assert alone == joint[names.index(name)].to_json()
+
+
+def test_memo_changes_no_sampled_n5_report():
+    names = _reading_spaces()
+    args = dict(sample=500, seed=1, allow_n5=True)
+    joint = run_suites(names, 5, **args)
+    forgetful = run_suites(names, 5, context=_Forgetful(), **args)
+    assert [r.to_json() for r in joint] == [r.to_json() for r in forgetful]
+
+
+def test_memo_checks_each_distinct_table_once_per_run(monkeypatch):
+    spaces = _spaces_to(4)
+    tables = {_tables(regular_open_lattice(t)) for t in spaces}
+    passing = set()
+    for t in spaces:
+        for y in dense_masks(t):
+            w = restriction_isomorphism(DenseEmbedding(t, y))
+            passing.add((w.source.up, w.target.up, w.forward, w.backward))
+    assert len(tables) < len(spaces) and len(passing) < sum(len(dense_masks(t)) for t in spaces)
+
+    rlattice, stone, witnesses = Counter(), Counter(), Counter()
+    check, to_stone, witness = suites.check_r_lattice, suites.stone_space, transfer.LatticeIsoWitness
+
+    def counting_check(lat, rel):
+        rlattice[_tables(lat)] += 1
+        return check(lat, rel)
+
+    def counting_stone(lat):
+        stone[_tables(lat)] += 1
+        return to_stone(lat)
+
+    def counting_witness(up, down, forward, backward):
+        witnesses[up.up, down.up, forward, backward] += 1
+        return witness(up, down, forward, backward)
+
+    monkeypatch.setattr(suites, "check_r_lattice", counting_check)
+    monkeypatch.setattr(suites, "stone_space", counting_stone)
+    monkeypatch.setattr(transfer, "LatticeIsoWitness", counting_witness)
+    context = SpaceContext()
+    for runs in (1, 2):
+        # a second run on the same context remembers nothing of the first
+        assert all(r.passed for r in run_suites(_MEMO_READERS, 4, context=context))
+        assert set(rlattice) == set(stone) == tables
+        assert set(witnesses) == passing
+        assert set(rlattice.values()) == set(stone.values()) == set(witnesses.values()) == {runs}
+
+
+def test_memo_reports_an_rlattice_failure_on_every_space_sharing_its_tables(monkeypatch):
+    # the planted failure belongs to the four-element order of discrete(2)
+    planted = _tables(regular_open_lattice(discrete(2)))
+    check = suites.check_r_lattice
+
+    def wrong(lat, rel):
+        report = check(lat, rel)
+        if _tables(lat) != planted:
+            return report
+        return RLatticeReport((AxiomResult(AXIOM_NAMES[0], False, (0, 1)),) + report.axioms[1:])
+
+    monkeypatch.setattr(suites, "check_r_lattice", wrong)
+    report = run_suite("rlattice", 4)
+    sharing = [space_to_dict(t) for t in _spaces_to(4) if _tables(regular_open_lattice(t)) == planted]
+    assert len(sharing) > 1
+    assert [failure["space"] for failure in report.failures] == sharing
+    assert report.to_json() == run_suite("rlattice", 4, context=_Forgetful()).to_json()
+
+
+def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
+    # in one 3-point space, backward sends the image of element y % m to
+    # the next element, so the witness names that element; a memo keyed by
+    # the two lattices alone would pass these maps on the strength of the
+    # correct ones of earlier spaces
+    def planted(t):
+        return t.n == 3 and regular_open_lattice(t).m > 2 and len({y % 3 for y in dense_masks(t)}) > 1
+
+    target = [t for t in _spaces_to(3) if planted(t)][-1]
+    maps = transfer.restriction_maps
+
+    def wrong(up, down, y, reg):
+        forward, backward = maps(up, down, y, reg)
+        if up.topology != target:
+            return forward, backward
+        i = y % up.m
+        backward = list(backward)
+        backward[forward[i]] = (i + 1) % up.m
+        return forward, tuple(backward)
+
+    monkeypatch.setattr(transfer, "restriction_maps", wrong)
+    expected = []
+    up, reg = regular_open_lattice(target), target.operator_tables()[2]
+    for y in dense_masks(target):
+        down = regular_open_lattice(transfer.subspace_on(target, y))
+        with pytest.raises(RegOpenError) as exc:
+            transfer.LatticeIsoWitness(up, down, *wrong(up, down, y, reg))
+        expected.append({"space": space_to_dict(target), "dense": sorted(set_of(y)), "error": str(exc.value)})
+    assert len({failure["error"] for failure in expected}) > 1
+    report = run_suite("ux0", 3)
+    assert report.failures == expected
+    assert report.to_json() == run_suite("ux0", 3, context=_Forgetful()).to_json()
+
+
+def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
+    # the images of elements 0 and 1 trade places on every lattice of two
+    # or more elements: the same failing keys recur, and each fails again
+    maps = transfer.restriction_maps
+
+    def wrong(up, down, y, reg):
+        forward, backward = maps(up, down, y, reg)
+        if up.m < 2:
+            return forward, backward
+        swap = {forward[0]: forward[1], forward[1]: forward[0]}
+        return tuple(swap.get(f, f) for f in forward), tuple(backward[swap.get(j, j)] for j in range(up.m))
+
+    monkeypatch.setattr(transfer, "restriction_maps", wrong)
+    report = run_suite("ux0", 3)
+    assert len(report.failures) == sum(len(dense_masks(t)) for t in _spaces_to(3) if regular_open_lattice(t).m >= 2)
+    assert report.to_json() == run_suite("ux0", 3, context=_Forgetful()).to_json()
 
 
 # -- planted bugs: every suite reports a subtly wrong operator ----------------------

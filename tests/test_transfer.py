@@ -152,8 +152,9 @@ def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
             assert down.topology == witness.target.topology
             maps = restriction_maps(up, down, y, reg)
             assert maps == (witness.forward, witness.backward)
-        assert restrictions_failing(t, reg, dense, ctx.lattice, ctx.subspace) == []
-        assert restrictions_failing(t, reg, dense, regular_open_lattice, transfer.subspace_on) == []
+        # an empty set of passed keys each time: every instance is witnessed
+        assert restrictions_failing(t, reg, dense, ctx.lattice, ctx.subspace, set()) == []
+        assert restrictions_failing(t, reg, dense, regular_open_lattice, transfer.subspace_on, set()) == []
 
 
 def _swapping_first_two_images(monkeypatch, keep_inverse: bool) -> None:
@@ -186,7 +187,7 @@ def test_restriction_kernel_refuses_a_forward_map_with_two_images_swapped(
     refused = 0
     for t in ctx.spaces(3):
         dense = dense_masks(t)
-        failed = restrictions_failing(t, ctx.tables(t)[2], dense, ctx.lattice, ctx.subspace)
+        failed = restrictions_failing(t, ctx.tables(t)[2], dense, ctx.lattice, ctx.subspace, set())
         doctored = list(range(len(dense))) if ctx.lattice(t).m >= 2 else []
         assert [pos for pos, _ in failed] == doctored
         assert all(text.startswith(message) for _, text in failed)
