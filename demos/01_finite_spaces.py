@@ -3,7 +3,7 @@
 Run: python3 demos/01_finite_spaces.py
 """
 
-from regopen import Topology, discrete, find_homeomorphism, indiscrete, sierpinski, x3
+from regopen import Topology, canonical_open_masks, discrete, homeomorphic, indiscrete, sierpinski, x3
 
 print("== The four standard fixtures ==")
 for name, t in [
@@ -38,5 +38,6 @@ print("that subspace is the discrete pair:", sub == discrete(2))
 
 print("\n== Homeomorphism as a decision procedure ==")
 flipped = Topology(2, [0b00, 0b10, 0b11])
-print("S vs S-with-points-renamed:", find_homeomorphism(sierpinski(), flipped))
-print("S vs discrete pair:", find_homeomorphism(sierpinski(), discrete(2)))
+print("S vs S-with-points-renamed:", homeomorphic(sierpinski(), flipped))
+print("S vs discrete pair:", homeomorphic(sierpinski(), discrete(2)))
+print("canonical open family of both S and its renaming:", canonical_open_masks(flipped))

@@ -56,10 +56,8 @@ from .topology import (
     Topology,
     canonical_open_masks,
     discrete,
-    find_homeomorphism,
     homeomorphic,
     indiscrete,
-    refined_open_masks,
     sierpinski,
     x3,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "enumerate_dense_subsets",
     "enumerate_topologies",
     "extend_regular",
-    "find_homeomorphism",
     "find_order_isomorphisms",
     "ge_relation",
     "homeomorphic",
@@ -119,7 +116,6 @@ __all__ = [
     "indiscrete",
     "maximal_ideals",
     "point_recovery",
-    "refined_open_masks",
     "regular_open_lattice",
     "restrict_regular",
     "restriction_isomorphism",

@@ -5,8 +5,8 @@ Trans. AMS 123, 1966). So every space on n + 1 points is a space on n points
 with one point added, and ``enumerate_topologies`` grows the open families
 one point at a time, as Brinkmann & McKay do for posets ("Posets on up to 16
 points", Order 19, 2002). Up to homeomorphism it extends only the class
-representatives and keeps one family per class, told apart by the refined
-form; after the last point, each class is named by its canonical form.
+representatives and keeps one family per class: the canonical form of every
+candidate, taken at each step, both tells the classes apart and names them.
 
 Labeled counts are 1, 4, 29, 355, 6942 for n = 1..5; counts up to
 homeomorphism are 1, 3, 9, 33, 139.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BadEnumerationSpec, SizeGuardExceeded
-from .topology import Topology, canonical_open_masks, refined_open_masks, set_of, submasks
+from .topology import Topology, canonical_open_masks, set_of, submasks
 
 MODES = ("all", "up-to-homeomorphism")
 
@@ -27,6 +27,7 @@ MODES = ("all", "up-to-homeomorphism")
 # A space from outside input is bounded by topology.MAX_POINTS and MAX_OPENS.
 BUDGETS: dict[str, tuple[int, int | None]] = {
     "enumerate": (5, 5),
+    "classes": (7, 5),
     "verify": (5, 5),
     "counterexamples": (4, None),
     "ideals": (5, None),
@@ -47,7 +48,8 @@ class EnumerationSpec:
     """What to enumerate: ground size, labeled-vs-classes, optional cap.
 
     The sizes allowed, and the one from which ``allow_n5`` is needed, are
-    the "enumerate" row of BUDGETS.
+    the "enumerate" row of BUDGETS for labeled spaces and the "classes" row
+    up to homeomorphism.
     """
 
     n: int
@@ -62,7 +64,7 @@ class EnumerationSpec:
             raise BadEnumerationSpec("ground set must have at least one point")
         if self.limit is not None and self.limit < 0:
             raise BadEnumerationSpec(f"limit must not be negative, not {self.limit}")
-        check_budget("enumerate", self.n, self.allow_n5)
+        check_budget("classes" if self.mode == "up-to-homeomorphism" else "enumerate", self.n, self.allow_n5)
 
 
 def _extensions(n: int, opens: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -95,18 +97,16 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
     Both modes grow the families one point at a time from the one family on
     no points. Class mode extends only the class representatives: deleting
     the last point of a space leaves a subspace homeomorphic to one of them.
-    It keeps the distinct refined forms at every step and runs the n! scan of
-    ``canonical_open_masks`` only once per class, at the end."""
+    It keeps the distinct canonical forms at every step, so each family kept
+    is already the named representative of its class."""
     classes = spec.mode == "up-to-homeomorphism"
     families = {(0,)}
     for k in range(spec.n):
         grown = (f for fam in families for f in _extensions(k, fam))
         if classes:
-            families = {refined_open_masks(Topology(k + 1, f)) for f in grown}
+            families = {canonical_open_masks(Topology(k + 1, f)) for f in grown}
         else:
             families = set(grown)
-    if classes:
-        families = {canonical_open_masks(Topology(spec.n, f)) for f in families}
     families = sorted(families, key=lambda f: (len(f), f))
     if spec.limit is not None:
         families = families[: spec.limit]

@@ -123,18 +123,6 @@ class IdealOpenCorrespondence:
     ambient: int
     pairs: tuple[tuple[PointSet, IdealFamily], ...]
 
-    def ideal_for(self, w: PointSet) -> IdealFamily:
-        for open_set, ideal in self.pairs:
-            if open_set == w:
-                return ideal
-        raise KeyError(sorted(w))
-
-    def open_for(self, ideal: IdealFamily) -> PointSet:
-        for open_set, candidate in self.pairs:
-            if candidate.members == ideal.members:
-                return open_set
-        raise KeyError("ideal not in correspondence")
-
 
 def ideal_open_correspondence(n: int) -> IdealOpenCorrespondence:
     """Build and verify the correspondence for the discrete space on n points.

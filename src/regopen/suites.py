@@ -134,8 +134,9 @@ class SuiteReport:
         # A run that checked nothing has shown nothing.
         return self.instances > 0 and not self.failures
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        # Timing is volatile, so the byte-identical report leaves it out.
+        return {
             "schema": self.schema,
             "suite": self.suite,
             "bound": self.bound,
@@ -143,13 +144,9 @@ class SuiteReport:
             "failures": self.failures,
             "passed": self.passed,
         }
-        # Timing is volatile, so byte-identical reports exclude it by default.
-        if include_timing:
-            d["wall_time_s"] = self.wall_time_s
-        return d
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return canonical_json(self.to_dict(include_timing))
+    def to_json(self) -> str:
+        return canonical_json(self.to_dict())
 
 
 class SpaceContext:

@@ -6,6 +6,12 @@ operator an auditable one-liner over machine words. All values are immutable
 after construction; every derived quantity (minimal neighborhoods, the open
 family itself) is computed eagerly in ``__init__`` so instances are safe to
 share across threads.
+
+Homeomorphism has one decision: ``canonical_open_masks``, the least sorted
+encoding of the open family over all relabelings of the points. It is found
+by a search that labels the points one at a time and extends only the
+partial labellings with the least encoding so far, not by scanning all n!
+relabelings; that scan is the reference in the tests.
 """
 
 from __future__ import annotations
@@ -294,7 +300,7 @@ def x3() -> Topology:
     return Topology(3, (0b000, 0b001, 0b010, 0b011, 0b111))
 
 
-# -- homeomorphism search -----------------------------------------------------
+# -- relabelings and the canonical form -----------------------------------------
 
 
 def permute_mask(mask: int, perm: Sequence[int]) -> int:
@@ -320,69 +326,49 @@ def _carries_neighbourhoods(tx: Topology, ty: Topology, tau: Mapping[int, int]) 
     )
 
 
-def find_homeomorphism(t1: Topology, t2: Topology) -> dict[int, int] | None:
-    """Point bijection carrying opens onto opens, or None if there is none.
-
-    Scans the relabelings in lexicographic order, as ``canonical_open_masks``
-    does, and returns the first that carries each least neighbourhood of
-    ``t1`` onto that of the image point in ``t2``.
-    """
-    if t1.n != t2.n or len(t1.open_masks) != len(t2.open_masks):
-        return None
-    for perm in itertools.permutations(range(t1.n)):
-        sigma = dict(enumerate(perm))
-        if _carries_neighbourhoods(t1, t2, sigma):
-            return sigma
-    return None
-
-
 def homeomorphic(t1: Topology, t2: Topology) -> bool:
-    """Same size and the same refined open family."""
-    return t1.n == t2.n and refined_open_masks(t1) == refined_open_masks(t2)
-
-
-def _least_encoding(t: Topology, perms: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Least sorted open family of ``t`` over the relabelings ``perms``."""
-    return min(tuple(sorted(permute_mask(m, perm) for m in t.open_masks)) for perm in perms)
+    """Same size and the same canonical open family."""
+    return t1.n == t2.n and canonical_open_masks(t1) == canonical_open_masks(t2)
 
 
 def canonical_open_masks(t: Topology) -> tuple[int, ...]:
-    """Minimum lexicographic encoding of the open family over all relabelings.
+    """Least sorted encoding of the open family over all n! relabelings.
 
-    Two spaces are homeomorphic iff their canonical encodings agree. The n!
-    scan names the class representatives; ``refined_open_masks`` decides
-    homeomorphism with far fewer relabelings.
+    Two spaces are homeomorphic iff they have the same size and the same
+    canonical encoding. The search gives the new labels 0, 1, 2, … to the
+    points in turn. The entries below 2^j of an encoding are the images of
+    the opens inside the first j labelled points, so labelling point p as j
+    appends the images of the opens inside the labelled set that hold p:
+    each has bit j set and sorts after everything placed before. Only the
+    partial labellings whose appended run is least are extended, and a
+    sentinel of 2^n ends each run, so that a longer run compares as less.
+    Every least encoding extends a least prefix, so the search is exact.
     """
-    return _least_encoding(t, itertools.permutations(range(t.n)))
-
-
-def signature_blocks(t: Topology) -> list[tuple[int, ...]]:
-    """The points grouped by signature (|U_x|, |cl{x}|), in ascending order of
-    signature. U_x is the least neighbourhood of x, and cl{x} holds the y
-    whose U_y holds x. A homeomorphism keeps each point's signature."""
-    nbhd = t.min_nbhd_masks
-    sig = [(u.bit_count(), sum(v >> x & 1 for v in nbhd)) for x, u in enumerate(nbhd)]
-    order = sorted(range(t.n), key=sig.__getitem__)
-    return [tuple(block) for _, block in itertools.groupby(order, key=sig.__getitem__)]
-
-
-def refined_open_masks(t: Topology) -> tuple[int, ...]:
-    """Least encoding of the open family over the relabelings that put the
-    points in order of signature: the points of the i-th signature block
-    take the i-th run of new indices, in every order within the run.
-
-    A homeomorphism carries these relabelings of one space onto those of the
-    other, so two spaces are homeomorphic iff their refined encodings agree
-    (the first refinement step of McKay & Piperno, "Practical graph
-    isomorphism II", J. Symb. Comput. 2014). It is not the encoding of
-    ``canonical_open_masks``, which scans all n! relabelings.
-    """
-
-    def perms():
-        for arrangement in itertools.product(*map(itertools.permutations, signature_blocks(t))):
-            perm = [0] * t.n
-            for i, x in enumerate(itertools.chain.from_iterable(arrangement)):
-                perm[x] = i
-            yield perm
-
-    return _least_encoding(t, perms())
+    opens = t.open_masks
+    holders = [[k for k, o in enumerate(opens) if o >> p & 1] for p in range(t.n)]
+    sentinel = 1 << t.n
+    encoding = [0]  # the empty open, the one open inside no labelled point
+    # A partial labelling is kept as the labelled points and the image of
+    # each open's labelled part. These alone fix every later run, so
+    # labellings that agree on them are kept once.
+    level = {(0, (0,) * len(opens))}
+    for j in range(t.n):
+        bit = 1 << j
+        best, kept = None, []
+        for done, images in level:
+            for p in iter_bits(t.full_mask & ~done):
+                inside = done | 1 << p
+                run = sorted([images[k] | bit for k in holders[p] if opens[k] | inside == inside])
+                run.append(sentinel)
+                if best is None or run < best:
+                    best, kept = run, [(done, images, p)]
+                elif run == best:
+                    kept.append((done, images, p))
+        encoding += best[:-1]
+        level = set()
+        for done, images, p in kept:
+            images = list(images)
+            for k in holders[p]:
+                images[k] |= bit
+            level.add((done | 1 << p, tuple(images)))
+    return tuple(encoding)

@@ -117,6 +117,22 @@ def preorder_topologies(n: int) -> list[Topology]:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _relabel_tables(n: int) -> tuple[list[int], ...]:
+    """For each relabeling of n points, in lexicographic order, the image of
+    every mask, indexed by the mask."""
+    return tuple(
+        [sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(1 << n)]
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def canonical_open_masks_oracle(t: Topology) -> tuple[int, ...]:
+    """The n! scan: the least sorted image of the open family of ``t`` over
+    every relabeling of its points."""
+    return min(tuple(sorted([image[m] for m in t.open_masks])) for image in _relabel_tables(t.n))
+
+
 def find_homeomorphism_oracle(t1: Topology, t2: Topology) -> dict[int, int] | None:
     """The first relabeling, in lexicographic order, whose image of the
     sorted open family of ``t1`` is that of ``t2``."""

@@ -17,7 +17,6 @@ from regopen import (
     enumerate_dense_subsets,
     enumerate_topologies,
     indiscrete,
-    refined_open_masks,
     sierpinski,
 )
 from regopen import enumeration
@@ -26,15 +25,18 @@ from regopen.enumeration import dense_masks
 from regopen.errors import BadEnumerationSpec, SizeGuardExceeded
 from regopen.topology import permute_mask, set_of
 
-from oracles import brute_force_topologies, dense_oracle, preorder_topologies
+from oracles import brute_force_topologies, canonical_open_masks_oracle, dense_oracle, preorder_topologies
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
 CLASS_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33}
 
-# sha256 of `regopen enumerate --n 4 --mode M --json`, one per mode.
-N4_ENUMERATE_SHA256 = {
-    "all": "562aebf6f22554f87834b221a8ce8dce2c85eaa5cc88927fa785ee11ef4235c6",
-    "up-to-homeomorphism": "eb644d1adc159d1c4e96518ac815a5dd42f3f1be1234cf1fc95fffc4476a1060",
+# sha256 of `regopen enumerate --n N --mode M --json`, per (N, M); n = 5 and 6
+# run with --allow-n5.
+ENUMERATE_SHA256 = {
+    (4, "all"): "562aebf6f22554f87834b221a8ce8dce2c85eaa5cc88927fa785ee11ef4235c6",
+    (4, "up-to-homeomorphism"): "eb644d1adc159d1c4e96518ac815a5dd42f3f1be1234cf1fc95fffc4476a1060",
+    (5, "up-to-homeomorphism"): "c7605b45c8bfcb393fb63ab5d4a233ebaf4f285f7290c84c4fdce7a84c774bd3",
+    (6, "up-to-homeomorphism"): "62046c4d2660555bdb3e4548b3b5baec754e16f369551e690c719b5a9ae0ac8d",
 }
 
 
@@ -54,16 +56,15 @@ def test_labeled_counts_match_all_three_routes(n):
 def test_class_counts(n):
     classes = list(enumerate_topologies(EnumerationSpec(n, mode="up-to-homeomorphism")))
     assert len(classes) == CLASS_COUNTS[n]
-    # representatives are canonical and pairwise non-homeomorphic
-    keys = {refined_open_masks(t) for t in classes}
-    assert len(keys) == len(classes)
-    assert all(t.open_masks == canonical_open_masks(t) for t in classes)
+    # representatives are canonical, so distinct ones are not homeomorphic
+    assert all(t.open_masks == canonical_open_masks_oracle(t) for t in classes)
+    assert len({t.open_masks for t in classes}) == len(classes)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_classes_are_the_distinct_canonical_forms_of_all_labeled_spaces(n):
     classes = [t.open_masks for t in enumerate_topologies(EnumerationSpec(n, mode="up-to-homeomorphism"))]
-    labeled = {canonical_open_masks(t) for t in enumerate_topologies(EnumerationSpec(n))}
+    labeled = {canonical_open_masks_oracle(t) for t in enumerate_topologies(EnumerationSpec(n))}
     assert classes == sorted(labeled, key=lambda f: (len(f), f))
 
 
@@ -77,27 +78,22 @@ def _automorphisms(t: Topology) -> int:
 def test_n5_classes_are_canonical_and_their_orbits_cover_the_labeled_spaces():
     classes = list(enumerate_topologies(EnumerationSpec(5, mode="up-to-homeomorphism", allow_n5=True)))
     assert len(classes) == 139
-    assert all(t.open_masks == canonical_open_masks(t) for t in classes)
+    assert all(t.open_masks == canonical_open_masks_oracle(t) for t in classes)
     assert sum(factorial(5) // _automorphisms(t) for t in classes) == 6942
 
 
-def test_class_mode_runs_the_n_factorial_scan_once_per_class(monkeypatch):
+def test_class_mode_names_each_candidate_once(monkeypatch):
     # 736 candidates over the five growth steps, 605 of them on 5 points
-    calls = {"canonical": 0, "refined": 0}
+    calls = []
 
     def counting_canonical(t):
-        calls["canonical"] += 1
+        calls.append(t.n)
         return canonical_open_masks(t)
 
-    def counting_refined(t):
-        calls["refined"] += 1
-        return refined_open_masks(t)
-
     monkeypatch.setattr(enumeration, "canonical_open_masks", counting_canonical)
-    monkeypatch.setattr(enumeration, "refined_open_masks", counting_refined)
     classes = list(enumerate_topologies(EnumerationSpec(5, mode="up-to-homeomorphism", allow_n5=True)))
     assert len(classes) == 139
-    assert calls == {"canonical": 139, "refined": 736}
+    assert len(calls) == 736 and calls.count(5) == 605
 
 
 def test_n5_labeled_families_are_distinct():
@@ -105,11 +101,23 @@ def test_n5_labeled_families_are_distinct():
     assert len(families) == 6942
 
 
-@pytest.mark.parametrize("mode", sorted(N4_ENUMERATE_SHA256))
-def test_enumerate_n4_json_is_pinned(mode, tmp_path, capsys):
+def _enumerate_json_sha256(n, mode, tmp_path) -> str:
     out = tmp_path / "spaces.json"
-    assert cli_main(["enumerate", "--n", "4", "--mode", mode, "--json", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == N4_ENUMERATE_SHA256[mode]
+    flags = ["--allow-n5"] if n >= 5 else []
+    assert cli_main(["enumerate", "--n", str(n), "--mode", mode, *flags, "--json", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["all", "up-to-homeomorphism"])
+def test_enumerate_n4_json_is_pinned(mode, tmp_path, capsys):
+    assert _enumerate_json_sha256(4, mode, tmp_path) == ENUMERATE_SHA256[4, mode]
+
+
+@pytest.mark.parametrize("n, classes", [(5, 139), (6, 718)])
+def test_enumerate_classes_json_is_pinned(n, classes, tmp_path, capsys):
+    digest = _enumerate_json_sha256(n, "up-to-homeomorphism", tmp_path)
+    assert f"{classes} topologies on {n} points" in capsys.readouterr().out
+    assert digest == ENUMERATE_SHA256[n, "up-to-homeomorphism"]
 
 
 def test_n2_families_explicitly():

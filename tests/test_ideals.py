@@ -83,13 +83,12 @@ def test_size_guard():
 
 
 def test_correspondence_n2_examples():
-    corr = ideal_open_correspondence(2)
-    assert corr.ideal_for(frozenset({0})).members == frozenset(
-        {frozenset(), frozenset({0})}
-    )
-    assert corr.ideal_for(frozenset()).members == frozenset({frozenset()})
+    pairs = dict(ideal_open_correspondence(2).pairs)
+    assert pairs[frozenset({0})].members == frozenset({frozenset(), frozenset({0})})
+    assert pairs[frozenset()].members == frozenset({frozenset()})
     # maximal ideal down({0}) pairs with the maximal proper open {0}
-    assert corr.open_for(IdealFamily.principal(2, frozenset({0}))) == frozenset({0})
+    down_0 = IdealFamily.principal(2, frozenset({0})).members
+    assert [w for w, ideal in pairs.items() if ideal.members == down_0] == [frozenset({0})]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

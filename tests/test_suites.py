@@ -39,7 +39,7 @@ from regopen.lattice import (
 from regopen.serialize import space_to_dict
 from regopen.stone import StoneSpace, stone_space
 from regopen.suites import SUITES, SpaceContext, Suite
-from regopen.topology import Topology, discrete, permute_mask, refined_open_masks, set_of
+from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask, set_of
 from regopen.transfer import (
     DenseEmbedding,
     closure_density_check,
@@ -268,6 +268,7 @@ def test_gated_five_point_scale_with_sampling():
 # The entry point that each row of the budget table guards, called at n.
 BUDGET_ENTRY_POINTS = {
     "enumerate": lambda n, allow_n5: EnumerationSpec(n, allow_n5=allow_n5),
+    "classes": lambda n, allow_n5: EnumerationSpec(n, mode="up-to-homeomorphism", allow_n5=allow_n5),
     "verify": lambda n, allow_n5: run_suite("ideals", bound=n, allow_n5=allow_n5),
     "counterexamples": lambda n, allow_n5: counterexample_search(n),
     "ideals": lambda n, allow_n5: ideals(n),
@@ -293,7 +294,6 @@ def test_report_shape():
     assert d["schema"] == 1
     assert d["passed"] is True and d["failures"] == []
     assert "wall_time_s" not in d  # volatile field excluded from canonical form
-    assert "wall_time_s" in run_suite("boolean", bound=2).to_dict(include_timing=True)
 
 
 # -- the context's dense-set kernels against the public routes ----------------------
@@ -838,17 +838,17 @@ def test_error_escaping_a_group_check_fails_each_instance_it_was_given(monkeypat
 def test_gallery_contains_point_and_sierpinski():
     pairs = counterexample_search(2)
     keys = {
-        (p.t1.n, refined_open_masks(p.t1), p.t2.n, refined_open_masks(p.t2))
+        (p.t1.n, canonical_open_masks(p.t1), p.t2.n, canonical_open_masks(p.t2))
         for p in pairs
     }
     point = discrete(1)
     s = sierpinski()
-    assert (1, refined_open_masks(point), 2, refined_open_masks(s)) in keys
+    assert (1, canonical_open_masks(point), 2, canonical_open_masks(s)) in keys
 
 
 def test_gallery_never_pairs_homeomorphic_spaces():
     for p in counterexample_search(3):
-        assert refined_open_masks(p.t1) != refined_open_masks(p.t2) or p.t1.n != p.t2.n
+        assert canonical_open_masks(p.t1) != canonical_open_masks(p.t2) or p.t1.n != p.t2.n
 
 
 def test_gallery_isos_verify_and_relations_transport():
@@ -875,9 +875,9 @@ def test_gallery_contains_differing_relations_pair():
     # the four-element flagship: the discrete pair against the space with a
     # shared boundary point
     keys = {
-        (refined_open_masks(p.t1), refined_open_masks(p.t2)) for p in differing
+        (canonical_open_masks(p.t1), canonical_open_masks(p.t2)) for p in differing
     }
-    assert (refined_open_masks(discrete(2)), refined_open_masks(x3())) in keys
+    assert (canonical_open_masks(discrete(2)), canonical_open_masks(x3())) in keys
 
 
 def test_gallery_guard(monkeypatch):

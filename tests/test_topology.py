@@ -12,13 +12,12 @@ from regopen import (
     canonical_open_masks,
     discrete,
     enumerate_topologies,
-    find_homeomorphism,
     homeomorphic,
     indiscrete,
-    refined_open_masks,
     sierpinski,
     x3,
 )
+from regopen.enumeration import _extensions
 from regopen.errors import (
     EmptySubspace,
     IndexOutOfRange,
@@ -27,10 +26,11 @@ from regopen.errors import (
     NotClosedUnderUnion,
     SizeGuardExceeded,
 )
-from regopen.topology import MAX_OPENS, MAX_POINTS, permute_mask, set_of, signature_blocks
+from regopen.topology import MAX_OPENS, MAX_POINTS, permute_mask, set_of
 
 from oracles import (
     all_subsets,
+    canonical_open_masks_oracle,
     closure_oracle,
     dense_oracle,
     find_homeomorphism_oracle,
@@ -251,33 +251,31 @@ def test_minimal_neighborhood_is_least_open_around_point():
 
 def test_homeomorphism_relabel():
     flipped = Topology(2, [0b00, 0b10, 0b11])
-    assert find_homeomorphism(S, flipped) == {0: 1, 1: 0}
+    assert homeomorphic(S, flipped)
+    assert canonical_open_masks(flipped) == canonical_open_masks(S) == S.open_masks
 
 
 def test_homeomorphism_absent():
-    assert find_homeomorphism(S, D2) is None
-    assert find_homeomorphism(X3, D2) is None
+    assert not homeomorphic(S, D2)
+    assert not homeomorphic(X3, D2)
+    assert not homeomorphic(discrete(1), S)
 
 
 def test_homeomorphism_found_maps_opens_onto_opens():
-    t1 = Topology(3, [0b000, 0b001, 0b011, 0b111])
-    t2 = Topology(3, [0b000, 0b100, 0b110, 0b111])
-    sigma = find_homeomorphism(t1, t2)
+    # the canonical form is the open family of a relabeling of the space
+    t = Topology(3, [0b000, 0b100, 0b110, 0b111])
+    form = Topology(3, canonical_open_masks(t))
+    sigma = find_homeomorphism_oracle(t, form)
     assert sigma is not None
-    image = {frozenset(sigma[p] for p in u) for u in t1.opens}
-    assert image == set(t2.opens)
+    assert {frozenset(sigma[p] for p in u) for u in t.opens} == set(form.opens)
 
 
 def test_homeomorphism_decision_matches_canonical_forms_up_to_three_points():
     spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(EnumerationSpec(n))]
     for t1 in spaces:
         for t2 in spaces:
-            sigma = find_homeomorphism(t1, t2)
-            assert sigma == find_homeomorphism_oracle(t1, t2)
-            same = t1.n == t2.n and canonical_open_masks(t1) == canonical_open_masks(t2)
-            assert (sigma is not None) == same == homeomorphic(t1, t2)
-            if sigma is not None:
-                assert {frozenset(sigma[p] for p in u) for u in t1.opens} == set(t2.opens)
+            same = t1.n == t2.n and canonical_open_masks_oracle(t1) == canonical_open_masks_oracle(t2)
+            assert homeomorphic(t1, t2) == same == (find_homeomorphism_oracle(t1, t2) is not None)
 
 
 def test_canonical_form_is_homeomorphism_invariant():
@@ -288,58 +286,71 @@ def test_canonical_form_is_homeomorphism_invariant():
     assert canonical_open_masks(S) != canonical_open_masks(D2)
 
 
-# -- the refined form classes spaces as the n! canonical form does ---------------
+# -- the labelling search against the n! scan -----------------------------------
 
 
-def _same_classes(spaces, key) -> bool:
-    """Whether ``key`` splits ``spaces`` into the classes canonical_open_masks does."""
-    pairs = {(key(t), canonical_open_masks(t)) for t in spaces}
-    return len(pairs) == len({k for k, _ in pairs}) == len({c for _, c in pairs})
+def _mismatches(spaces, form) -> int:
+    """How many of ``spaces`` ``form`` encodes otherwise than the n! scan."""
+    return sum(form(t) != canonical_open_masks_oracle(t) for t in spaces)
 
 
-def _labeled_up_to_four():
-    return [t for n in (1, 2, 3, 4) for t in enumerate_topologies(EnumerationSpec(n))]
+def _labeled(n):
+    return list(enumerate_topologies(EnumerationSpec(n, allow_n5=True)))
 
 
-def _n5_sample(seed=5, size=300):
-    """A seeded sample of the labeled 5-point spaces, each with a randomly
-    relabeled copy, so that every sampled class has two members."""
-    rng = random.Random(seed)
-    labeled = list(enumerate_topologies(EnumerationSpec(5, allow_n5=True)))
-    out = []
-    for t in rng.sample(labeled, size):
-        perm = rng.sample(range(5), 5)
-        out += [t, Topology(5, [permute_mask(m, perm) for m in t.open_masks])]
-    return out
+def _relabeled(t, rng):
+    perm = rng.sample(range(t.n), t.n)
+    return Topology(t.n, [permute_mask(m, perm) for m in t.open_masks])
 
 
-def _ties_by_index(t):
-    """A planted bug: signature order with ties broken by point index, so one
-    relabeling only, which is not invariant under homeomorphism."""
-    perm = [0] * t.n
-    for i, x in enumerate(x for block in signature_blocks(t) for x in block):
-        perm[x] = i
-    return tuple(sorted(permute_mask(m, perm) for m in t.open_masks))
+@pytest.fixture(scope="module")
+def six_point_classes():
+    return list(enumerate_topologies(EnumerationSpec(6, mode="up-to-homeomorphism", allow_n5=True)))
 
 
-def test_refined_form_classes_every_space_up_to_four_points_as_the_oracle():
-    assert _same_classes(_labeled_up_to_four(), refined_open_masks)
+def _first_tie_only(t):
+    """A planted bug: the labelling search extending only the first least
+    partial labelling, by point index, at each depth."""
+    labels, encoding = {}, [0]
+    for j in range(t.n):
+        runs = []
+        for p in sorted(set(range(t.n)) - labels.keys()):
+            trial = {**labels, p: j}
+            run = sorted(
+                sum(1 << trial[x] for x in u)
+                for u in t.opens
+                if p in u and u <= trial.keys()
+            )
+            runs.append((run + [1 << t.n], p))
+        run, p = min(runs)
+        labels[p] = j
+        encoding += run[:-1]
+    return tuple(encoding)
 
 
-def test_refined_form_classes_a_sample_of_five_point_spaces_as_the_oracle():
-    assert _same_classes(_n5_sample(), refined_open_masks)
+def test_canonical_form_is_the_n_factorial_scan_on_every_space_up_to_five_points():
+    assert _mismatches([t for n in range(1, 6) for t in _labeled(n)], canonical_open_masks) == 0
 
 
-def test_cross_check_catches_ties_broken_by_point_index():
-    assert not _same_classes(_labeled_up_to_four(), _ties_by_index)
-    assert not _same_classes(_n5_sample(), _ties_by_index)
+def test_canonical_form_is_the_n_factorial_scan_on_relabeled_six_point_classes(six_point_classes):
+    rng = random.Random(6)
+    copies = [_relabeled(t, rng) for t in six_point_classes]
+    assert _mismatches(copies, canonical_open_masks) == 0
+    assert [canonical_open_masks(c) for c in copies] == [t.open_masks for t in six_point_classes]
 
 
-def test_signature_blocks_of_fixtures():
-    # S: point 0 has (|U_0|, |cl{0}|) = (1, 2), which sorts before point 1's (2, 1)
-    assert signature_blocks(S) == [(0,), (1,)]
-    assert signature_blocks(X3) == [(0, 1), (2,)]
-    assert signature_blocks(discrete(3)) == [(0, 1, 2)]
+def test_canonical_form_is_the_n_factorial_scan_on_sampled_seven_point_spaces(six_point_classes):
+    # every 7-point class holds a one-point extension of a 6-point class
+    rng = random.Random(7)
+    grown = [
+        Topology(7, rng.choice(list(_extensions(6, t.open_masks))))
+        for t in rng.sample(six_point_classes, 30)
+    ]
+    assert _mismatches([_relabeled(t, rng) for t in grown], canonical_open_masks) == 0
+
+
+def test_cross_check_catches_a_search_that_keeps_one_tied_labelling():
+    assert [_mismatches(_labeled(n), _first_tie_only) for n in (2, 3, 4, 5)] == [0, 4, 102, 3132]
 
 
 # -- randomized: closing any family yields a space satisfying the laws -----------
