@@ -36,11 +36,6 @@ class MalformedSpace(RegOpenError, ValueError):
     type, or a token that names neither a fixture nor a readable file."""
 
 
-class MalformedLattice(RegOpenError, ValueError):
-    """A lattice description is malformed: a missing key, a wrong type, or
-    a payload count or relation pair that does not fit its elements."""
-
-
 class EmptySubspace(RegOpenError, ValueError):
     """Subspace construction requires a nonempty point set."""
 

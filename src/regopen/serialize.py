@@ -4,30 +4,29 @@ Space format:   {"n": int, "opens": [[indices...], ...], "labels": [str]?}
 Lattice format: {"elements": int, "leq": [[i, j], ...], "gg": [[i, j], ...]?,
                  "payloads": [[indices...], ...]?}
 
-Opens and payloads are arrays of sorted unique indices; validation runs on
-load. Serialization is canonical (sorted keys, fixed separators, stable
-element ordering) so identical inputs always produce byte-identical output.
+Opens and payloads are arrays of sorted unique indices. Spaces are written,
+and read with validation; lattices are written, not read. Serialization is
+canonical (sorted keys, fixed separators, stable element ordering) so
+identical inputs always produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import MalformedLattice, MalformedSpace
+from .errors import MalformedSpace
 from .lattice import FiniteLattice, PairRelation
-from .topology import Topology, mask_of, set_of
+from .topology import Topology, set_of
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _int_lists(value, length: int | None = None) -> bool:
-    """Whether ``value`` is a list of lists of ints (bools refused), each
-    of ``length`` entries when that is given."""
+def _int_lists(value) -> bool:
+    """Whether ``value`` is a list of lists of ints (bools refused)."""
     return isinstance(value, list) and all(
-        isinstance(v, list) and length in (None, len(v)) and all(type(x) is int for x in v)
-        for v in value
+        isinstance(v, list) and all(type(x) is int for x in v) for v in value
     )
 
 
@@ -49,7 +48,7 @@ def space_from_dict(d: dict) -> Topology:
         raise MalformedSpace("'opens' must be a list of lists of point indices")
     if labels is not None and (not isinstance(labels, list) or len(labels) != n):
         raise MalformedSpace("'labels' must have one entry per point")
-    return Topology(n, [mask_of(o, n) for o in opens])
+    return Topology(n, opens)  # checks n before it encodes any open
 
 
 # -- lattices -----------------------------------------------------------------
@@ -65,31 +64,6 @@ def lattice_to_dict(l: FiniteLattice, gg: PairRelation | None = None) -> dict:
     if l.payload_masks is not None:
         d["payloads"] = [sorted(set_of(m)) for m in l.payload_masks]
     return d
-
-
-def lattice_from_dict(d: dict) -> tuple[FiniteLattice, PairRelation | None]:
-    """Validate a lattice document and build its lattice; MalformedLattice if it is not one."""
-    if not isinstance(d, dict) or type(d.get("elements")) is not int or "leq" not in d:
-        raise MalformedLattice("a lattice is a JSON object with an integer 'elements' and a 'leq' list")
-    m, payloads, gg = d["elements"], d.get("payloads"), d.get("gg")
-    if not _int_lists(d["leq"], 2) or not (gg is None or _int_lists(gg, 2)):
-        raise MalformedLattice("'leq' and 'gg' must be lists of [i, j] index pairs")
-    if not (payloads is None or _int_lists(payloads)):
-        raise MalformedLattice("'payloads' must be a list of lists of point indices")
-    masks = None
-    if payloads is not None:
-        if len(payloads) != m:
-            raise MalformedLattice("'payloads' must have one entry per element")
-        width = 1 + max((max(p, default=0) for p in payloads), default=0)
-        masks = [mask_of(p, width) for p in payloads]
-    lat = FiniteLattice.from_leq(m, [(i, j) for i, j in d["leq"]], masks)
-    if gg is not None:
-        rel = frozenset((f, g) for f, g in gg)
-        for f, g in rel:
-            if not (0 <= f < m and 0 <= g < m):
-                raise MalformedLattice(f"gg pair ({f}, {g}) out of range")
-        return lat, rel
-    return lat, None
 
 
 # -- DOT ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ drops those; the groups without a space run after the walk. It counts every
 instance, counts a ``RegOpenError`` raised inside a check as a failure, and
 reports each suite deterministically: its groups come in a fixed order, and
 its failures keep the order of its instances. ``run_suite`` runs one suite
-the same way. Within a run, a verdict that reads only a lattice's index
-tables is checked once per distinct table (see ``SpaceContext``).
+the same way. Within a run, a verdict is checked once per distinct key of
+all that its check reads (see ``SpaceContext``).
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ from .stone import stone_space
 from .topology import OperatorTables, Topology, iter_bits, set_of, submasks
 from .transfer import (
     DenseEmbedding,
+    LatticeIsoWitness,
     check_basis,
     point_recovery,
-    restrictions_failing,
+    restriction_maps,
     separations_failing,
     subspace_on,
     traces_losing_closure,
@@ -167,10 +168,10 @@ class SpaceContext:
     least neighbourhoods, so spaces and lattices are keyed by them. It is
     not thread-safe.
 
-    For one run it remembers the verdicts that read only a lattice's index
-    tables (``verdict``) and the restriction maps ``LatticeIsoWitness`` has
-    passed (``witnessed``), keyed by all they read, so each is exact. What
-    reads a space, a raise and a failed witness are never remembered.
+    For one run it remembers verdicts (``verdict``), each under a key of
+    everything its check reads, so each is exact: a lattice's index tables
+    for rlattice and stone, both order tables and both maps for ux0. It
+    keeps a verdict, never a witness or a lattice, and never a raise.
     """
 
     def __init__(self):
@@ -183,12 +184,10 @@ class SpaceContext:
     def forget_verdicts(self) -> None:
         """Remember no verdict: ``run_suites`` calls this as each run starts."""
         self._verdicts: dict[tuple, object] = {}
-        self.witnessed: set[tuple] = set()
 
-    def verdict(self, name: str, lat: RegularOpenLattice, check: Callable[[], object]):
-        """``check()``, a check of ``lat`` that reads at most its up, meet,
-        join and bottom tables, remembered under ``name`` and those tables."""
-        key = name, lat.up, lat.meet, lat.join, lat.bottom
+    def verdict(self, key: tuple, check: Callable[[], object]):
+        """``check()``, remembered for the run under ``key``, which holds
+        everything the check reads."""
         value = self._verdicts.get(key, _UNSEEN)
         if value is _UNSEEN:
             value = self._verdicts[key] = check()
@@ -272,9 +271,24 @@ def _regular_opens(ctx: SpaceContext, t: Topology) -> list[int]:
 
 
 def _check_ux0(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
+    """``restriction_isomorphism`` for every dense mask Y, reading the
+    space's reg table: a pair of maps the run has passed is not checked again."""
     t = group.shared["space"]
-    dense = [y for (y,) in group.items]
-    return restrictions_failing(t, ctx.tables(t)[2], dense, ctx.lattice, ctx.subspace, ctx.witnessed)
+    up, reg = ctx.lattice(t), ctx.tables(t)[2].__getitem__
+    failed = []
+    for pos, (y,) in enumerate(group.items):
+        try:
+            down = ctx.lattice(ctx.subspace(t, y))
+            maps = restriction_maps(up, down, y, reg)
+            ctx.verdict(("ux0", up.up, down.up, *maps), lambda: _isomorphic(up, down, maps))
+        except RegOpenError as exc:
+            failed.append((pos, str(exc)))
+    return failed
+
+
+def _isomorphic(up: RegularOpenLattice, down: RegularOpenLattice, maps: tuple) -> None:
+    """None if ``LatticeIsoWitness`` passes ``maps``, which it raises on otherwise."""
+    LatticeIsoWitness(up, down, *maps)
 
 
 def _space_ux0(ctx: SpaceContext, t: Topology) -> Group:
@@ -368,7 +382,8 @@ def _check_boolean(ctx: SpaceContext, space: Topology) -> None:
 
 def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
     lat = ctx.lattice(space)
-    report = ctx.verdict("rlattice", lat, lambda: check_r_lattice(lat, ge_relation(lat)))
+    key = "rlattice", lat.up, lat.meet, lat.join, lat.bottom
+    report = ctx.verdict(key, lambda: check_r_lattice(lat, ge_relation(lat)))
     if not report.passed:
         return {"report": report.to_dict()}
     rel = well_inside(lat)
@@ -388,7 +403,8 @@ def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
 
 def _check_stone(ctx: SpaceContext, space: Topology) -> str | None:
     lat = ctx.lattice(space)
-    return ctx.verdict("stone", lat, lambda: _stone_verdict(ctx, lat))
+    key = "stone", lat.up, lat.meet, lat.join, lat.bottom
+    return ctx.verdict(key, lambda: _stone_verdict(ctx, lat))
 
 
 def _stone_verdict(ctx: SpaceContext, lat: RegularOpenLattice) -> str | None:

@@ -12,12 +12,15 @@ The central facts made executable here, each verified instance by instance:
   basic neighborhoods, and the points with mutually-singleton recovery sets
   form subspaces on which the correspondence is a homeomorphism.
 
-Every map between regular-open lattices here is built from the one trace and
-the one lift of a dense set Y, on lattices taken from one source: the rows
-of Y that ``dense_rows`` keeps, which ``DenseEmbedding`` reads one set at a
-time, and which the kernels (``restrictions_failing``,
-``separations_failing``, ``traces_losing_closure``) read together with the
-space's cl and reg tables, which their caller builds once per space.
+Every map between regular-open lattices here is built from the trace and
+lift rows of a dense set Y, which ``dense_rows`` keeps, and the space's
+regularize: ``restriction_maps`` builds the trace and lift maps, and
+``restriction_isomorphism`` and the ux0 suite both call it, the one with
+``Topology.regularize_mask`` for one embedding, the other with the space's
+reg table for all of a space's dense sets. ``DenseEmbedding`` reads the rows
+one set at a time; the kernels ``separations_failing`` and
+``traces_losing_closure`` read the space's cl and reg tables, which their
+caller builds once per space.
 """
 
 from __future__ import annotations
@@ -197,20 +200,17 @@ class LatticeIsoWitness:
         return self.target.element(self.forward[self.source.index_of_mask[mask]])
 
 
-def restriction_isomorphism(e: DenseEmbedding, lattice=regular_open_lattice) -> LatticeIsoWitness:
+def restriction_isomorphism(e: DenseEmbedding) -> LatticeIsoWitness:
     """Verify that U -> U & Y and V -> int(cl(V)) are mutually inverse
     order isomorphisms between the regular opens upstairs and downstairs.
 
-    ``lattice`` maps a space to its regular-open lattice; a caller that
-    keeps one lattice per space passes its lookup. VerificationError names a
-    regular open whose image is not regular open on the other side;
-    LatticeIsoWitness then checks that the two maps are mutually inverse and
-    preserve order. A correct build never fails.
+    The maps come from ``restriction_maps``, which raises VerificationError
+    naming a regular open whose image is not regular open on the other
+    side; LatticeIsoWitness then checks that the two maps are mutually
+    inverse and preserve order. A correct build never fails.
     """
-    up, down = lattice(e.ambient), lattice(e.sub)
-    forward = _map_elements(up, [e.compress(u) for u in up.payload_masks], down, _TRACE_MISSED)
-    backward = _map_elements(down, [e.lift(v) for v in down.payload_masks], up, _LIFT_MISSED)
-    return LatticeIsoWitness(up, down, forward, backward)
+    up, down = regular_open_lattice(e.ambient), regular_open_lattice(e.sub)
+    return LatticeIsoWitness(up, down, *restriction_maps(up, down, e._mask, e.ambient.regularize_mask))
 
 
 _TRACE_MISSED = "trace of a regular open is not regular open in the subspace"
@@ -231,50 +231,18 @@ def _map_elements(source, images: list[int], target, message: str) -> tuple[int,
 
 
 def restriction_maps(
-    up: RegularOpenLattice, down: RegularOpenLattice, y: int, reg: Sequence[int]
+    up: RegularOpenLattice, down: RegularOpenLattice, y: int, reg: Callable[[int], int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The forward and backward maps of ``restriction_isomorphism`` onto the
     dense mask Y = ``y``, as element indices, between ``up``, the lattice of
     the ambient space, and ``down``, that of its subspace on Y. The trace of
     U is read from Y's trace row, and the lift of V is ``reg``, the ambient
-    space's regularize table, at V's entry in Y's lift row. Raises
-    VerificationError as ``restriction_isomorphism`` does."""
+    space's regularize, at V's entry in Y's lift row. VerificationError
+    names a regular open whose image is not regular open on the other side."""
     _, lift, trace = dense_rows(y)
     forward = _map_elements(up, [trace[u & y] for u in up.payload_masks], down, _TRACE_MISSED)
-    backward = _map_elements(down, [reg[lift[v]] for v in down.payload_masks], up, _LIFT_MISSED)
+    backward = _map_elements(down, [reg(lift[v]) for v in down.payload_masks], up, _LIFT_MISSED)
     return forward, backward
-
-
-def restrictions_failing(
-    t: Topology,
-    reg: Sequence[int],
-    dense: Sequence[int],
-    lattice: Callable[[Topology], RegularOpenLattice],
-    subspace: Callable[[Topology, int], Topology],
-    witnessed: set[tuple],
-) -> list[tuple[int, str]]:
-    """The restriction kernel: ``restriction_isomorphism`` for every mask Y
-    in ``dense``, each already known dense in ``t``, in one call. The maps
-    come from ``restriction_maps`` over ``reg``, the regularize table of
-    ``t``, and ``LatticeIsoWitness`` checks each pair. ``lattice`` maps a
-    space to its lattice, and ``subspace(t, Y)`` gives the subspace on Y, as
-    ``subspace_on`` does. ``witnessed`` holds the passed keys (up.up,
-    down.up, forward, backward), all a passing witness reads: a key held is
-    not checked again. Returns the positions, ascending, of the Y whose
-    check raised a RegOpenError, each with its message."""
-    up = lattice(t)
-    failed = []
-    for pos, y in enumerate(dense):
-        try:
-            down = lattice(subspace(t, y))
-            maps = restriction_maps(up, down, y, reg)
-            key = (up.up, down.up, *maps)
-            if key not in witnessed:
-                LatticeIsoWitness(up, down, *maps)
-                witnessed.add(key)
-        except RegOpenError as exc:
-            failed.append((pos, str(exc)))
-    return failed
 
 
 def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bool:

@@ -42,6 +42,7 @@ from regopen.suites import SUITES, SpaceContext, Suite
 from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask, set_of
 from regopen.transfer import (
     DenseEmbedding,
+    LatticeIsoWitness,
     closure_density_check,
     restriction_isomorphism,
     traces_losing_closure,
@@ -376,21 +377,10 @@ def test_closure_table_matches_closure_of_every_subset():
 _MEMO_READERS = ["rlattice", "stone", "ux0"]
 
 
-class _Unheld(set):
-    """A set of passed witness keys that never holds one."""
-
-    def add(self, key):
-        pass
-
-
 class _Forgetful(SpaceContext):
     """A context whose memo never hits: every verdict is checked again."""
 
-    def forget_verdicts(self):
-        super().forget_verdicts()
-        self.witnessed = _Unheld()
-
-    def verdict(self, name, lat, check):
+    def verdict(self, key, check):
         return check()
 
 
@@ -442,7 +432,7 @@ def test_memo_checks_each_distinct_table_once_per_run(monkeypatch):
     assert len(tables) < len(spaces) and len(passing) < sum(len(dense_masks(t)) for t in spaces)
 
     rlattice, stone, witnesses = Counter(), Counter(), Counter()
-    check, to_stone, witness = suites.check_r_lattice, suites.stone_space, transfer.LatticeIsoWitness
+    check, to_stone, witness = suites.check_r_lattice, suites.stone_space, suites.LatticeIsoWitness
 
     def counting_check(lat, rel):
         rlattice[_tables(lat)] += 1
@@ -458,7 +448,7 @@ def test_memo_checks_each_distinct_table_once_per_run(monkeypatch):
 
     monkeypatch.setattr(suites, "check_r_lattice", counting_check)
     monkeypatch.setattr(suites, "stone_space", counting_stone)
-    monkeypatch.setattr(transfer, "LatticeIsoWitness", counting_witness)
+    monkeypatch.setattr(suites, "LatticeIsoWitness", counting_witness)
     context = SpaceContext()
     for runs in (1, 2):
         # a second run on the same context remembers nothing of the first
@@ -496,7 +486,7 @@ def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
         return t.n == 3 and regular_open_lattice(t).m > 2 and len({y % 3 for y in dense_masks(t)}) > 1
 
     target = [t for t in _spaces_to(3) if planted(t)][-1]
-    maps = transfer.restriction_maps
+    maps = suites.restriction_maps
 
     def wrong(up, down, y, reg):
         forward, backward = maps(up, down, y, reg)
@@ -507,9 +497,9 @@ def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
         backward[forward[i]] = (i + 1) % up.m
         return forward, tuple(backward)
 
-    monkeypatch.setattr(transfer, "restriction_maps", wrong)
+    monkeypatch.setattr(suites, "restriction_maps", wrong)
     expected = []
-    up, reg = regular_open_lattice(target), target.operator_tables()[2]
+    up, reg = regular_open_lattice(target), target.operator_tables()[2].__getitem__
     for y in dense_masks(target):
         down = regular_open_lattice(transfer.subspace_on(target, y))
         with pytest.raises(RegOpenError) as exc:
@@ -524,7 +514,7 @@ def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
 def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
     # the images of elements 0 and 1 trade places on every lattice of two
     # or more elements: the same failing keys recur, and each fails again
-    maps = transfer.restriction_maps
+    maps = suites.restriction_maps
 
     def wrong(up, down, y, reg):
         forward, backward = maps(up, down, y, reg)
@@ -533,17 +523,51 @@ def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
         swap = {forward[0]: forward[1], forward[1]: forward[0]}
         return tuple(swap.get(f, f) for f in forward), tuple(backward[swap.get(j, j)] for j in range(up.m))
 
-    monkeypatch.setattr(transfer, "restriction_maps", wrong)
+    monkeypatch.setattr(suites, "restriction_maps", wrong)
     report = run_suite("ux0", 3)
     assert len(report.failures) == sum(len(dense_masks(t)) for t in _spaces_to(3) if regular_open_lattice(t).m >= 2)
     assert report.to_json() == run_suite("ux0", 3, context=_Forgetful()).to_json()
+
+
+def test_memo_holds_no_lattice():
+    # a remembered witness would pin both of its lattices for the run
+    context = SpaceContext()
+    run_suites(_MEMO_READERS, 4, context=context)
+    remembered = list(context._verdicts.values())
+    assert remembered and None in remembered
+    assert not any(isinstance(value, (LatticeIsoWitness, RegularOpenLattice)) for value in remembered)
+
+
+def test_restriction_isomorphism_and_ux0_share_one_restriction(monkeypatch):
+    # an image swap planted in restriction_maps fails the one-embedding
+    # route and the ux0 suite on the same (space, Y) pairs, with the same
+    # message
+    maps = transfer.restriction_maps
+
+    def swapped(up, down, y, reg):
+        forward, backward = maps(up, down, y, reg)
+        if up.m < 2:
+            return forward, backward
+        return (forward[1], forward[0], *forward[2:]), backward
+
+    monkeypatch.setattr(transfer, "restriction_maps", swapped)
+    monkeypatch.setattr(suites, "restriction_maps", swapped)
+    expected = []
+    for t in _spaces_to(3):
+        for y in dense_masks(t):
+            try:
+                restriction_isomorphism(DenseEmbedding(t, y))
+            except RegOpenError as exc:
+                expected.append({"space": space_to_dict(t), "dense": sorted(set_of(y)), "error": str(exc)})
+    assert expected
+    assert run_suite("ux0", 3).failures == expected
 
 
 # -- planted bugs: every suite reports a subtly wrong operator ----------------------
 
 
 def _trace_losing_last_subspace_point(monkeypatch):
-    # the trace row of Y, which the restriction kernel reads, loses Y's last point
+    # the trace row of Y, which restriction_maps reads, loses Y's last point
     rows = transfer.dense_rows
 
     def wrong(mask):

@@ -41,14 +41,14 @@ from regopen.errors import (
     VerificationError,
 )
 from regopen.enumeration import dense_masks
-from regopen.suites import SpaceContext
+from regopen.serialize import space_to_dict
+from regopen.suites import SpaceContext, run_suite
 from regopen.topology import _carries_neighbourhoods, compress_mask, permute_mask, set_of
-from regopen import transfer
+from regopen import suites, transfer
 from regopen.transfer import (
     check_basis,
     dense_rows,
     restriction_maps,
-    restrictions_failing,
     separations_failing,
     traces_losing_closure,
 )
@@ -129,20 +129,12 @@ def test_restriction_isomorphism_exhaustive_small():
                     assert w.backward[w.forward[i]] == i
 
 
-def test_restriction_isomorphism_takes_both_lattices_from_its_source():
-    ctx = SpaceContext()
-    for t in ctx.spaces(3):
-        for y in dense_masks(t):
-            e = ctx.embedding(t, y)
-            w = restriction_isomorphism(e, ctx.lattice)
-            assert w.source is ctx.lattice(t) and w.target is ctx.lattice(e.sub)
-            assert w.forward == restriction_isomorphism(e).forward
-
-
 def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
     # every (space, dense set) with n <= 4: the same forward and backward
-    # tuples, over the same lattices, and no failure
+    # tuples from the reg table as from regularize_mask, over the same
+    # lattices, and no failure in the ux0 suite, on a shared context or not
     ctx = SpaceContext()
+    instances = 0
     for t in ctx.spaces(4):
         up, reg = ctx.lattice(t), t.operator_tables()[2]
         dense = dense_masks(t)
@@ -150,15 +142,16 @@ def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
             witness = restriction_isomorphism(DenseEmbedding(t, y))
             down = ctx.lattice(ctx.subspace(t, y))
             assert down.topology == witness.target.topology
-            maps = restriction_maps(up, down, y, reg)
+            maps = restriction_maps(up, down, y, reg.__getitem__)
             assert maps == (witness.forward, witness.backward)
-        # an empty set of passed keys each time: every instance is witnessed
-        assert restrictions_failing(t, reg, dense, ctx.lattice, ctx.subspace, set()) == []
-        assert restrictions_failing(t, reg, dense, regular_open_lattice, transfer.subspace_on, set()) == []
+        instances += len(dense)
+    for context in (ctx, SpaceContext()):
+        report = run_suite("ux0", 4, context=context)
+        assert report.failures == [] and report.instances == instances
 
 
 def _swapping_first_two_images(monkeypatch, keep_inverse: bool) -> None:
-    maps = transfer.restriction_maps
+    maps = suites.restriction_maps
 
     def doctored(up, down, y, reg):
         forward, backward = maps(up, down, y, reg)
@@ -169,7 +162,7 @@ def _swapping_first_two_images(monkeypatch, keep_inverse: bool) -> None:
         b = [f.index(j) for j in range(len(f))] if keep_inverse else backward
         return tuple(f), tuple(b)
 
-    monkeypatch.setattr(transfer, "restriction_maps", doctored)
+    monkeypatch.setattr(suites, "restriction_maps", doctored)
 
 
 @pytest.mark.parametrize(
@@ -183,16 +176,17 @@ def test_restriction_kernel_refuses_a_forward_map_with_two_images_swapped(
     # inverse, the maps still break the order, since only the bottom lies
     # below everything
     _swapping_first_two_images(monkeypatch, keep_inverse)
-    ctx = SpaceContext()
-    refused = 0
-    for t in ctx.spaces(3):
-        dense = dense_masks(t)
-        failed = restrictions_failing(t, ctx.tables(t)[2], dense, ctx.lattice, ctx.subspace, set())
-        doctored = list(range(len(dense))) if ctx.lattice(t).m >= 2 else []
-        assert [pos for pos, _ in failed] == doctored
-        assert all(text.startswith(message) for _, text in failed)
-        refused += len(failed)
-    assert refused
+    doctored = [
+        (space_to_dict(t), sorted(set_of(y)))
+        for n in (1, 2, 3)
+        for t in enumerate_topologies(EnumerationSpec(n))
+        if regular_open_lattice(t).m >= 2
+        for y in dense_masks(t)
+    ]
+    failed = run_suite("ux0", 3).failures
+    assert [(f["space"], f["dense"]) for f in failed] == doctored
+    assert all(f["error"].startswith(message) for f in failed)
+    assert failed
 
 
 def test_trace_reads_only_the_dense_points_and_lift_is_int_cl():
@@ -241,27 +235,38 @@ def test_embedding_among_known_spaces():
         DenseEmbedding(X3, {2}, {(1,): discrete(1)})
 
 
+def _planted_trace_row(monkeypatch, image) -> None:
+    # the trace row of Y, which restriction_maps reads, sends each
+    # subspace index i to image(i)
+    rows = transfer.dense_rows
+
+    def wrong(mask):
+        points, lift, trace = rows(mask)
+        return points, lift, {s: image(i) for s, i in trace.items()}
+
+    monkeypatch.setattr(transfer, "dense_rows", wrong)
+
+
 def test_trace_or_lift_outside_the_regular_opens_is_a_verification_error(monkeypatch):
-    e = DenseEmbedding(X3, {0, 1})
     # built before the plants below, which would break their construction
-    lattices = {t: regular_open_lattice(t) for t in (X3, e.sub)}
+    e = DenseEmbedding(X3, {0, 1})
     with monkeypatch.context() as m:
-        m.setattr(DenseEmbedding, "compress", lambda e, mask: 0b100)  # not a subspace set
+        _planted_trace_row(m, lambda i: 0b100)  # not a subspace set
         with pytest.raises(VerificationError, match="trace") as exc:
-            restriction_isomorphism(e, lattices.__getitem__)
+            restriction_isomorphism(e)
         assert exc.value.witness == []
     monkeypatch.setattr(Topology, "regularize_mask", lambda t, a: a)  # lift is plain expansion
     with pytest.raises(VerificationError, match="extension") as exc:
-        restriction_isomorphism(e, lattices.__getitem__)
+        restriction_isomorphism(e)
     assert exc.value.witness == [0, 1]
 
 
 def test_broken_round_trip_names_the_point_set(monkeypatch):
     # a trace that loses the subspace's last point sends {1} to the empty set
-    compress = DenseEmbedding.compress
-    monkeypatch.setattr(DenseEmbedding, "compress", lambda e, mask: compress(e, mask) & ~0b10)
+    e = DenseEmbedding(X3, {0, 1})
+    _planted_trace_row(monkeypatch, lambda i: i & ~0b10)
     with pytest.raises(CompositionNotIdentity) as exc:
-        restriction_isomorphism(DenseEmbedding(X3, {0, 1}))
+        restriction_isomorphism(e)
     assert exc.value.witness == [1]
 
 
@@ -453,7 +458,7 @@ def test_transfer_matches_the_pointwise_oracle():
 def test_transfer_trace_outside_the_regular_opens_is_a_verification_error(monkeypatch):
     ex = DenseEmbedding(X3, {0, 1})
     ey = DenseEmbedding(D2, {0, 1})
-    monkeypatch.setattr(DenseEmbedding, "compress", lambda e, mask: 0b100)  # not a core set
+    _planted_trace_row(monkeypatch, lambda i: 0b100)  # not a core set
     with pytest.raises(VerificationError, match="trace") as exc:
         transfer_isomorphism(ex, ey, {0: 0, 1: 1})
     assert exc.value.witness == []
