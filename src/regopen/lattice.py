@@ -15,12 +15,23 @@ lexicographically first witness on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_
 from typing import Iterable, Sequence
 
 from .errors import NotALattice, VerificationError
 from .topology import OperatorTables, PointSet, Topology, iter_bits, set_of
 
 PairRelation = frozenset[tuple[int, int]]
+
+
+def _transpose(up: Sequence[int]) -> list[int]:
+    """The square bit matrix ``up`` transposed: bit i of row j is bit j of
+    ``up[i]``. It visits each set bit once, not every (i, j)."""
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in iter_bits(row):
+            down[j] |= 1 << i
+    return down
 
 
 class FiniteLattice:
@@ -45,9 +56,7 @@ class FiniteLattice:
     ):
         self.m = len(up)
         self.up = tuple(up)
-        self.down = tuple(
-            sum(1 << i for i in range(self.m) if up[i] >> j & 1) for j in range(self.m)
-        )
+        self.down = tuple(_transpose(up))
         self.meet = tuple(tuple(row) for row in meet)
         self.join = tuple(tuple(row) for row in join)
         self.bottom = bottom
@@ -80,7 +89,7 @@ class FiniteLattice:
             for j in range(m):
                 if up[i] >> j & 1 and up[j] & ~up[i]:
                     raise NotALattice(f"transitivity fails above ({i}, {j})")
-        down = [sum(1 << i for i in range(m) if up[i] >> j & 1) for j in range(m)]
+        down = _transpose(up)
 
         def inf(i: int, j: int) -> int:
             common = down[i] & down[j]
@@ -338,9 +347,7 @@ def _wallman_on_rows(disjoint: list[int]) -> tuple[bool, tuple | None]:
 
 def ge_relation(l: FiniteLattice) -> PairRelation:
     """The relation 'f >= g', the default choice on Boolean lattices."""
-    return frozenset(
-        (f, g) for f in range(l.m) for g in range(l.m) if l.leq(g, f)
-    )
+    return frozenset((f, g) for f, row in enumerate(l.down) for g in iter_bits(row))
 
 
 def well_inside(l: RegularOpenLattice) -> PairRelation:
@@ -382,6 +389,18 @@ def upward_kept(l: FiniteLattice, rows: Sequence[int], f: int) -> int:
     for h in iter_bits(l.up[f]):
         kept &= rows[h]
     return kept
+
+
+def _meet_groups(
+    meet_row: Sequence[int], rows: Sequence[int], live: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """The distinct k = f1 & f2 over the f2 in ``live``, given f1's row of
+    the meet table, and for each k the union of rows[f2] over its f2."""
+    union_at: dict[int, int] = {}
+    for f2 in live:
+        k = meet_row[f2]
+        union_at[k] = union_at.get(k, 0) | rows[f2]
+    return list(union_at), list(union_at.values())
 
 
 def _lowest(mask: int) -> int:
@@ -447,8 +466,17 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
     of the disjointness relation, never a scan over pairs of pairs. Every
     quantifier is still exhaustive, and the reported witness is the
     lexicographically first one, as a scan of the sorted pairs in index
-    order would find it. Besides the rows, the relation is held once more
-    as index lists, and each axiom holds at most O(m) further ints at a time.
+    order would find it.
+
+    Axiom 3 builds O(m) ints per g1 and per f1, one sum per distinct row of
+    the relation cut down to below g1, and then takes one AND per pair
+    (f1, g1) and distinct meet f1 & f2. For ge on a Boolean lattice with k
+    atoms (m = 2^k) that is O(4^k) steps of Python and 5^k ANDs in C,
+    where a scan of every pair against every element takes 6^k and a scan
+    of pairs of pairs 9^k. Besides the rows, the relation is held once more
+    as index lists; axiom 3 keeps one union per f1 and distinct meet
+    f1 & f2, at most one per pair of the order (3^k on a Boolean lattice),
+    and every other axiom holds at most O(m) further ints at a time.
     """
     rows, cols = relation_rows(l, rel)
     m, bot, meet, join = l.m, l.bottom, l.meet, l.join
@@ -467,24 +495,36 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
             break
     results.append(AxiomResult(AXIOM_NAMES[1], witness is None, witness))
 
-    # For each g1, good[k] holds the g2 with (k, g1 & g2) in rel; then
-    # (f1, g1) fails with (f2, g2) iff g2 in rows[f2] is missing from
-    # good[f1 & f2]. The sets meets_at[j] are disjoint, so a sum is their
-    # union. g1 ascends, so a later g1 can only win with a lower f1.
+    # For each g1, bad[k] holds the g2 with (k, g1 & g2) not in rel; then
+    # (f1, g1) fails with (f2, g2) iff g2 in rows[f2] is in bad[f1 & f2].
+    # g1 & g2 <= g1, so bad[k] depends on rows[k] only through
+    # rows[k] & down[g1] and is built once per distinct such mask; the sets
+    # meets_at[j] are disjoint, so a sum is their union. groups[f1] holds,
+    # for each k = f1 & f2, the union of rows[f2] over those f2, so (f1, g1)
+    # fails iff some union meets bad[k], and only then are the f2 scanned in
+    # order for the witness. g1 ascends, so a later g1 can only win with a
+    # lower f1.
     witness = None
+    groups: dict[int, tuple[list[int], list[int]]] = {}
     for g1 in range(m):
         f1s = cols[g1] if witness is None else cols[g1] & ((1 << witness[0]) - 1)
         if not f1s:
             continue
+        below = l.down[g1]
         meets_at = [0] * m
         for g2, k in enumerate(meet[g1]):
             meets_at[k] |= 1 << g2
-        good = [sum(map(meets_at.__getitem__, js)) for js in targets]
+        keys = [row & below for row in rows]
+        bad_of = {key: ~sum(map(meets_at.__getitem__, iter_bits(key))) for key in set(keys)}
+        bad = list(map(bad_of.__getitem__, keys))
         for f1 in iter_bits(f1s):
-            row = meet[f1]
-            f2 = next((f2 for f2 in live if rows[f2] & ~good[row[f2]]), None)
-            if f2 is not None:
-                witness = (f1, g1, f2, _lowest(rows[f2] & ~good[row[f2]]))
+            if f1 not in groups:
+                groups[f1] = _meet_groups(meet[f1], rows, live)
+            ks, unions = groups[f1]
+            if any(map(and_, unions, map(bad.__getitem__, ks))):
+                row = meet[f1]
+                f2 = next(f2 for f2 in live if rows[f2] & bad[row[f2]])
+                witness = (f1, g1, f2, _lowest(rows[f2] & bad[row[f2]]))
                 break
     results.append(AxiomResult(AXIOM_NAMES[2], witness is None, witness))
 

@@ -187,6 +187,19 @@ def boolean_algebra_oracle(l) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def meet_compatible_oracle(l, rel) -> tuple[bool, tuple | None]:
+    """Axiom 3 alone, scanned over sorted pairs of pairs: (f1, g1) and
+    (f2, g2) in rel imply (f1 & f2, g1 & g2) in rel. Witness (f1, g1, f2, g2)."""
+    rel = frozenset(rel)
+    pairs = sorted(rel)
+    meet = l.meet
+    for f1, g1 in pairs:
+        for f2, g2 in pairs:
+            if (meet[f1][f2], meet[g1][g2]) not in rel:
+                return False, (f1, g1, f2, g2)
+    return True, None
+
+
 def check_r_lattice_oracle(l, rel) -> RLatticeReport:
     """The six R-lattice axioms scanned over sorted pairs and pairs of pairs,
     in index order, so each witness is the lexicographically first."""
@@ -211,15 +224,7 @@ def check_r_lattice_oracle(l, rel) -> RLatticeReport:
             break
     results.append(AxiomResult(AXIOM_NAMES[1], witness is None, witness))
 
-    witness = None
-    for f1, g1 in pairs:
-        for f2, g2 in pairs:
-            if (l.meet[f1][f2], l.meet[g1][g2]) not in rel:
-                witness = (f1, g1, f2, g2)
-                break
-        if witness:
-            break
-    results.append(AxiomResult(AXIOM_NAMES[2], witness is None, witness))
+    results.append(AxiomResult(AXIOM_NAMES[2], *meet_compatible_oracle(l, rel)))
 
     witness = None
     for f, g in pairs:

@@ -1,6 +1,7 @@
 """Regular-open algebras, lattice law checks, the explicit extra relation,
 and the six R-lattice axioms."""
 
+import itertools
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     check_r_lattice_oracle,
     closure_oracle,
     interior_oracle,
+    meet_compatible_oracle,
     opens_as_sets,
     wallman_disjunction_oracle,
 )
@@ -48,6 +50,14 @@ def diamond_m3() -> FiniteLattice:
     # non-distributive (even non-modular-complement) five-element lattice
     return FiniteLattice.from_leq(
         5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
+    )
+
+
+def pentagon_n5() -> FiniteLattice:
+    # bottom 0 < 1 < 2 < top 4, and 3 beside the chain 1 < 2: the
+    # non-modular five-element lattice
+    return FiniteLattice.from_leq(
+        5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]
     )
 
 
@@ -392,6 +402,48 @@ def test_r_lattice_matches_oracle_on_seven_point_spaces():
     assert failed == set(AXIOM_NAMES) - {"wallman_disjunction"}
 
 
+def test_meet_compatibility_matches_oracle_on_64_element_lattices():
+    # lattices-n7 spaces with 64 regular opens, too large for the six-axiom
+    # oracle: axiom 3 alone, on ge, well-inside and each one's drop-one and
+    # keep-95% variants, witnesses included
+    rng = random.Random(64)
+    open_counts = set()
+    verdicts = []
+    while len(open_counts) < 2:
+        lat = regular_open_lattice(_upset_space(7, rng))
+        if lat.m != 64 or len(lat.topology.open_masks) in open_counts:
+            continue
+        open_counts.add(len(lat.topology.open_masks))
+        for base in (ge_relation(lat), well_inside(lat)):
+            pairs = sorted(base)
+            dropped = rng.choice(pairs)
+            kept = frozenset(p for p in pairs if rng.random() < 0.95)
+            for rel in (base, base - {dropped}, kept):
+                axiom = check_r_lattice(lat, rel)["meet_compatible"]
+                assert (axiom.passed, axiom.witness) == meet_compatible_oracle(lat, rel), sorted(rel)
+                verdicts.append(axiom.passed)
+    assert verdicts.count(True) >= 4 and verdicts.count(False) >= 4
+
+
+def test_r_lattice_matches_oracle_on_non_distributive_lattices():
+    # M3 and N5: every sub-relation of ge that drops one or two pairs, and
+    # the seeded variants, so meet compatibility fails at many witnesses
+    # on lattices with no distributive law to lean on
+    rng = random.Random(3)
+    failed = set()
+    for lat in (diamond_m3(), pentagon_n5()):
+        failed |= _assert_matches_oracle(lat, rng)
+        pairs = sorted(ge_relation(lat))
+        witnesses = set()
+        for i, j in itertools.combinations_with_replacement(range(len(pairs)), 2):
+            rel = frozenset(pairs) - {pairs[i], pairs[j]}
+            report = check_r_lattice(lat, rel)
+            assert report == check_r_lattice_oracle(lat, rel), (lat.m, sorted(rel))
+            witnesses.add(report["meet_compatible"].witness)
+        assert len(witnesses) > 5
+    assert "meet_compatible" in failed
+
+
 # -- order isomorphism search -------------------------------------------------------------
 
 
@@ -449,15 +501,12 @@ def test_order_isomorphisms_match_networkx_on_non_boolean_lattices():
         FiniteLattice.from_leq(k, [(i, j) for i in range(k) for j in range(i, k)])
         for k in range(1, 6)
     ]
-    pentagon = FiniteLattice.from_leq(
-        5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]
-    )
     open_set_lattices = []
     for t in enumerate_topologies(EnumerationSpec(3)):
         opens = list(enumerate(t.open_masks))
         inclusions = [(i, j) for i, a in opens for j, b in opens if a & ~b == 0]
         open_set_lattices.append(FiniteLattice.from_leq(len(opens), inclusions))
-    lattices = chains + [diamond_m3(), pentagon] + open_set_lattices
+    lattices = chains + [diamond_m3(), pentagon_n5()] + open_set_lattices
     assert _assert_isomorphisms_match_networkx(lattices) > len(lattices)
 
 
