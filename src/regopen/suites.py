@@ -29,6 +29,7 @@ from .enumeration import BUDGETS, EnumerationSpec, canonical_classes, check_budg
 from .errors import BadEnumerationSpec, BadSuiteArgument, NotABasis, RegOpenError, UnknownSuite
 from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
+    LatticeFamilies,
     PairRelation,
     RegularOpenLattice,
     check_r_lattice,
@@ -171,7 +172,11 @@ class SpaceContext:
     For one run it remembers verdicts (``verdict``), each under a key of
     everything its check reads, so each is exact: a lattice's index tables
     for rlattice and stone, both order tables and both maps for ux0. It
-    keeps a verdict, never a witness or a lattice, and never a raise.
+    keeps a verdict, never a witness or a lattice, and never a raise. It
+    also keeps, for the run, the record of each regular-open family
+    (``LatticeFamilies``): only the first space of a family gets a full
+    lattice build, and a later one whose join and complement match the
+    record shares its tables.
     """
 
     def __init__(self):
@@ -179,11 +184,13 @@ class SpaceContext:
         self._lattices: dict[tuple[int, ...], RegularOpenLattice] = {}
         self._current: tuple[int, ...] | None = None
         self._values: dict[str, object] = {}
-        self.forget_verdicts()
+        self.start_run()
 
-    def forget_verdicts(self) -> None:
-        """Remember no verdict: ``run_suites`` calls this as each run starts."""
+    def start_run(self) -> None:
+        """Remember no verdict and no family: ``run_suites`` calls this as
+        each run starts."""
         self._verdicts: dict[tuple, object] = {}
+        self._families = LatticeFamilies()
 
     def verdict(self, key: tuple, check: Callable[[], object]):
         """``check()``, remembered for the run under ``key``, which holds
@@ -232,13 +239,13 @@ class SpaceContext:
         return self._own(t, "dense", lambda: dense_masks(t))
 
     def lattice(self, t: Topology) -> RegularOpenLattice:
-        """The regular-open lattice of ``t``, built from ``tables(t)``; that
-        of a held space is kept with it. A build that fails is not kept, so
-        each request raises again."""
+        """The regular-open lattice of ``t``, from ``tables(t)`` and the
+        run's record of its family; that of a held space is kept with it. A
+        build that fails is not kept, so each request raises again."""
         key = t.min_nbhd_masks
         lat = self._lattices.get(key)
         if lat is None:
-            lat = self._own(t, "lattice", lambda: regular_open_lattice(t, self.tables(t)))
+            lat = self._own(t, "lattice", lambda: regular_open_lattice(t, self.tables(t), self._families))
             if key in self._spaces.get(t.n, ()):
                 self._lattices[key] = lat
         return lat
@@ -697,7 +704,7 @@ def run_suites(
     check_budget("verify", bound, allow_n5)
     if context is None:
         context = SpaceContext()
-    context.forget_verdicts()
+    context.start_run()
     chosen = [SUITES[name] for name in names]
     tallies = [_Tally() for _ in names]
     if sample is not None:

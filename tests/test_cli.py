@@ -93,7 +93,33 @@ def test_verify_pass_and_report(tmp_path, capsys):
 
 
 
+def _families(bound: int) -> set:
+    """The distinct regular-open families among the lone builds of every
+    labeled space with at most ``bound`` points."""
+    return {
+        regular_open_lattice(t).payload_masks
+        for n in range(1, bound + 1)
+        for t in enumerate_topologies(EnumerationSpec(n))
+    }
+
+
+def _counting_lattices(monkeypatch) -> list:
+    """Wrap the suites' ``regular_open_lattice``; the list gains each
+    (space, lattice) it gives."""
+    given = []
+
+    def counting(t, tables=None, families=None):
+        lat = regular_open_lattice(t, tables, families)
+        given.append((t, lat))
+        return lat
+
+    monkeypatch.setattr(suites, "regular_open_lattice", counting)
+    return given
+
+
 def test_verify_all_enumerates_once_and_builds_one_lattice_per_space(monkeypatch, capsys):
+    # every space gets its own lattice; only the first of each regular-open
+    # family gets a full build
     sizes = []
     built = []
     build = RegularOpenLattice._build
@@ -108,11 +134,15 @@ def test_verify_all_enumerates_once_and_builds_one_lattice_per_space(monkeypatch
 
     monkeypatch.setattr(suites, "enumerate_topologies", counting_enumeration)
     monkeypatch.setattr(RegularOpenLattice, "_build", counting_build)
+    given = _counting_lattices(monkeypatch)
     assert main(["verify", "--suite", "all", "--n", "3"]) == 0
     assert sizes == [1, 2, 3]
     spaces = [t for n in (1, 2, 3) for t in enumerate_topologies(EnumerationSpec(n))]
-    assert len(built) == len(set(built)) == len(spaces) == 34
-    assert set(built) == set(spaces)
+    lattices = {t: lat for t, lat in given if t in spaces}
+    assert len(lattices) == len(spaces) == 34
+    assert all(lat.topology is t for t, lat in given)
+    assert len(built) == len(set(built)) == len(_families(3)) == 11
+    assert {lattices[t].payload_masks for t in built} == _families(3)
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -140,6 +170,7 @@ def n4_verify_all(tmp_path_factory):
         mp.setattr(
             RegularOpenLattice, "_build", lambda self, t, tables: builds.append(t) or build(self, t, tables)
         )
+        given = _counting_lattices(mp)
         boolean = _count_calls(mp, lattice.check_boolean_algebra)
         distributive = _count_calls(mp, lattice.check_distributive)
         inf_sup = _count_calls(mp, lattice.check_inf_sup)
@@ -150,6 +181,7 @@ def n4_verify_all(tmp_path_factory):
         report=out.read_bytes(),
         lines=stdout.getvalue().splitlines(),
         counts=(len(builds), len(boolean), len(distributive)),
+        spaces_given_lattices=len({t for t, lat in given if lat.topology is t}),
         inf_sup_scans=len(inf_sup),
         table_scans=len(tables),
     )
@@ -200,15 +232,19 @@ def test_verify_all_n5_sample_report_is_pinned(tmp_path, capsys):
 
 
 def test_verify_all_checks_each_law_once_per_lattice(n4_verify_all):
-    # one Boolean test per build; the O(m^3) distributivity scan is not in verify
+    # one full build and one Boolean test per regular-open family, while
+    # each of the 389 spaces gets its lattice; the O(m^3) distributivity
+    # scan is not in verify
     assert n4_verify_all.code == 0
-    assert n4_verify_all.counts == (389, 389, 0)
+    assert n4_verify_all.counts == (len(_families(4)), 60, 0) == (60, 60, 0)
+    assert n4_verify_all.spaces_given_lattices == 389
 
 
 def test_verify_all_scans_inf_and_sup_once_per_lattice(n4_verify_all):
-    # the Boolean check inside each build; the boolean suite does not repeat it
+    # the Boolean check inside each full build; the boolean suite does not
+    # repeat it, nor does a space that shares its family's record
     assert n4_verify_all.code == 0
-    assert n4_verify_all.inf_sup_scans == 389
+    assert n4_verify_all.inf_sup_scans == 60
 
 
 def test_verify_all_runs_no_table_law_scan(n4_verify_all):
@@ -256,10 +292,10 @@ def test_verify_denso_that_checked_nothing_fails(tmp_path, capsys):
 
 
 def test_verify_law_failure_is_a_suite_failure_not_a_usage_error(monkeypatch, tmp_path, capsys):
-    def build(t, tables=None):
+    def build(t, tables=None, families=None):
         if t == sierpinski():
             raise VerificationError("planted law failure")
-        return regular_open_lattice(t, tables)
+        return regular_open_lattice(t, tables, families)
 
     monkeypatch.setattr(suites, "regular_open_lattice", build)
     out = tmp_path / "report.json"

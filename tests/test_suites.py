@@ -378,10 +378,21 @@ _MEMO_READERS = ["rlattice", "stone", "ux0"]
 
 
 class _Forgetful(SpaceContext):
-    """A context whose memo never hits: every verdict is checked again."""
+    """A context whose memo never hits: every verdict is checked again. With
+    ``families=False`` it keeps no family record either, so every lattice
+    it gives is a full build."""
+
+    def __init__(self, families: bool = True):
+        self.families = families
+        super().__init__()
 
     def verdict(self, key, check):
         return check()
+
+    def start_run(self):
+        super().start_run()
+        if not self.families:
+            self._families = None
 
 
 def _tables(lat):
@@ -405,8 +416,8 @@ def test_memo_changes_no_report(bound):
     # eleven suites at bound 4
     names = _reading_spaces(every=bound == 4)
     joint = run_suites(names, bound)
-    forgetful = run_suites(names, bound, context=_Forgetful())
-    assert [r.to_json() for r in joint] == [r.to_json() for r in forgetful]
+    for forgetful in (_Forgetful(), _Forgetful(families=False)):
+        assert [r.to_json() for r in joint] == [r.to_json() for r in run_suites(names, bound, context=forgetful)]
     for name in _MEMO_READERS:
         alone = run_suite(name, bound).to_json()
         assert alone == run_suite(name, bound, context=_Forgetful()).to_json()
@@ -417,8 +428,8 @@ def test_memo_changes_no_sampled_n5_report():
     names = _reading_spaces()
     args = dict(sample=500, seed=1, allow_n5=True)
     joint = run_suites(names, 5, **args)
-    forgetful = run_suites(names, 5, context=_Forgetful(), **args)
-    assert [r.to_json() for r in joint] == [r.to_json() for r in forgetful]
+    for forgetful in (_Forgetful(), _Forgetful(families=False)):
+        assert [r.to_json() for r in joint] == [r.to_json() for r in run_suites(names, 5, context=forgetful, **args)]
 
 
 def test_memo_checks_each_distinct_table_once_per_run(monkeypatch):
@@ -527,6 +538,66 @@ def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
     report = run_suite("ux0", 3)
     assert len(report.failures) == sum(len(dense_masks(t)) for t in _spaces_to(3) if regular_open_lattice(t).m >= 2)
     assert report.to_json() == run_suite("ux0", 3, context=_Forgetful()).to_json()
+
+
+_LATTICE_FIELDS = (
+    "m", "up", "down", "meet", "join", "complement", "top", "bottom", "payload_masks", "index_of_mask"
+)
+
+
+@pytest.mark.parametrize("bound, families", [(3, 11), (4, 60), (5, 522)])
+def test_context_lattice_is_a_lone_build_with_one_full_build_per_family(bound, families, monkeypatch):
+    built = []
+    build = RegularOpenLattice._build
+    monkeypatch.setattr(RegularOpenLattice, "_build", lambda lat, t, tables: built.append(t) or build(lat, t, tables))
+    ctx, seen, full_builds = SpaceContext(), set(), 0
+    for t in ctx.spaces(bound):
+        before = len(built)
+        lat = ctx.lattice(t)
+        full_builds += len(built) - before
+        alone = RegularOpenLattice(t)
+        assert lat.topology is t
+        assert [getattr(lat, name) for name in _LATTICE_FIELDS] == [getattr(alone, name) for name in _LATTICE_FIELDS]
+        seen.add(alone.payload_masks)
+    assert full_builds == len(seen) == families
+
+
+def test_a_space_whose_join_differs_from_its_family_record_gets_the_full_build(monkeypatch):
+    # The target is a middle space of a 3-point family: its interior table
+    # sends cl(a) to the empty set for its least nonzero regular open a, so
+    # its join of a with a differs from the record's. It alone fails, with
+    # the message of its lone full build, and the family's later spaces
+    # still share the record.
+    families = {}
+    for t in _spaces_to(3):
+        if t.n == 3:
+            families.setdefault(regular_open_lattice(t).payload_masks, []).append(t)
+    members = next(ts for masks, ts in sorted(families.items()) if len(ts) > 2 and len(masks) > 1)
+    target = members[1]
+    a = next(m for m in regular_open_lattice(target).payload_masks if m)
+    tables = Topology.operator_tables
+
+    def planted(t):
+        cl, interior, reg = tables(t)
+        if t == target:
+            interior = list(interior)
+            interior[cl[a]] = 0
+        return cl, interior, reg
+
+    monkeypatch.setattr(Topology, "operator_tables", planted)
+    with pytest.raises(VerificationError) as exc:
+        regular_open_lattice(target)
+    failure = {"space": space_to_dict(target), "error": str(exc.value)}
+    built = []
+    build = RegularOpenLattice._build
+    monkeypatch.setattr(RegularOpenLattice, "_build", lambda lat, t, tables: built.append(t) or build(lat, t, tables))
+    names = ["boolean", "rlattice", "stone", "ux0"]
+    reports = run_suites(names, 3)
+    assert [r.failures for r in reports[:3]] == [[failure]] * 3
+    assert reports[3].failures == [{**failure, "dense": sorted(set_of(y))} for y in dense_masks(target)]
+    assert members[0] in built and target in built and not set(members[2:]) & set(built)
+    never_shared = run_suites(names, 3, context=_Forgetful(families=False))
+    assert [r.to_json() for r in reports] == [r.to_json() for r in never_shared]
 
 
 def test_memo_holds_no_lattice():
@@ -814,10 +885,10 @@ def test_recovery_reports_a_basis_map_that_is_not_a_bijection(monkeypatch):
 
 
 def _lattice_law_failure_on_sierpinski(monkeypatch):
-    def build(t, tables=None):
+    def build(t, tables=None, families=None):
         if t == sierpinski():
             raise VerificationError("planted law failure")
-        return regular_open_lattice(t, tables)
+        return regular_open_lattice(t, tables, families)
 
     monkeypatch.setattr(suites, "regular_open_lattice", build)
 
