@@ -104,14 +104,14 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
     for k in range(spec.n):
         grown = (f for fam in families for f in _extensions(k, fam))
         if classes:
-            families = {canonical_open_masks(Topology(k + 1, f)) for f in grown}
+            families = {canonical_open_masks(Topology.trusted(k + 1, f)) for f in grown}
         else:
             families = set(grown)
     families = sorted(families, key=lambda f: (len(f), f))
     if spec.limit is not None:
         families = families[: spec.limit]
     for fam in families:
-        yield Topology(spec.n, fam)
+        yield Topology.trusted(spec.n, fam)
 
 
 def dense_masks(t: Topology) -> list[int]:

@@ -36,10 +36,10 @@ from .lattice import (
     find_order_isomorphisms,
     ge_relation,
     regular_open_lattice,
-    relation_rows,
     transport_relation,
     upward_kept,
     well_inside,
+    well_inside_rows,
 )
 from .metric import FiniteMetric, combine_metric, dominates
 from .serialize import canonical_json, space_to_dict
@@ -52,6 +52,7 @@ from .transfer import (
     point_recovery,
     restriction_maps,
     separations_failing,
+    subspace_key,
     subspace_on,
     traces_losing_closure,
 )
@@ -166,13 +167,15 @@ class SpaceContext:
     set of fewer points is one of them, and that on every point is the
     current space. So it holds one space of the largest size at a time, and
     a context may serve several runs. A finite space is determined by its
-    least neighbourhoods, so spaces and lattices are keyed by them. It is
-    not thread-safe.
+    least neighbourhoods, so spaces and lattices are keyed by them, and
+    ``dense_lattice`` goes from a dense set straight to the lattice held
+    under the traces of those. It is not thread-safe.
 
     For one run it remembers verdicts (``verdict``), each under a key of
     everything its check reads, so each is exact: a lattice's index tables
-    for rlattice and stone, both order tables and both maps for ux0. It
-    keeps a verdict, never a witness or a lattice, and never a raise. It
+    for rlattice's axioms and for stone, the order and the well-inside rows
+    for rlattice's monotonicity scan, both order tables and both maps for
+    ux0. It keeps a verdict, never a witness or a lattice, and never a raise. It
     also keeps, for the run, the record of each regular-open family
     (``LatticeFamilies``): only the first space of a family gets a full
     lattice build, and a later one whose join and complement match the
@@ -250,6 +253,17 @@ class SpaceContext:
                 self._lattices[key] = lat
         return lat
 
+    def dense_lattice(self, t: Topology, dense: int) -> RegularOpenLattice:
+        """``lattice(subspace(t, dense))`` in one lookup: the lattice held
+        under the subspace's least neighbourhoods, the traces of those of
+        ``t`` on ``dense``, when there is one."""
+        if dense == t.full_mask:
+            return self.lattice(t)
+        lat = self._lattices.get(subspace_key(t, dense))
+        if lat is None:
+            lat = self.lattice(self.subspace(t, dense))
+        return lat
+
     def _known(self, t: Topology, dense: int) -> dict[tuple[int, ...], Topology] | None:
         """The spaces among which the subspace of ``t`` on ``dense`` is found."""
         if dense == t.full_mask:
@@ -278,14 +292,16 @@ def _regular_opens(ctx: SpaceContext, t: Topology) -> list[int]:
 
 
 def _check_ux0(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
-    """``restriction_isomorphism`` for every dense mask Y, reading the
-    space's reg table: a pair of maps the run has passed is not checked again."""
+    """``restriction_isomorphism`` for every dense mask Y: the subspace's
+    lattice from one lookup (``SpaceContext.dense_lattice``), and the maps
+    from ``restriction_maps`` with the space's reg table. A pair of maps
+    the run has passed between the same two orders is not checked again."""
     t = group.shared["space"]
     up, reg = ctx.lattice(t), ctx.tables(t)[2].__getitem__
     failed = []
     for pos, (y,) in enumerate(group.items):
         try:
-            down = ctx.lattice(ctx.subspace(t, y))
+            down = ctx.dense_lattice(t, y)
             maps = restriction_maps(up, down, y, reg)
             ctx.verdict(("ux0", up.up, down.up, *maps), lambda: _isomorphic(up, down, maps))
         except RegOpenError as exc:
@@ -393,18 +409,28 @@ def _check_rlattice(ctx: SpaceContext, space: Topology) -> str | dict | None:
     report = ctx.verdict(key, lambda: check_r_lattice(lat, ge_relation(lat)))
     if not report.passed:
         return {"report": report.to_dict()}
-    rel = well_inside(lat)
-    rows, _ = relation_rows(lat, rel)
-    kept = [upward_kept(lat, rows, f) for f in range(lat.m)]
-    failing = [(f, g) for f, g in rel if not kept[f] >> g & 1 or lat.down[g] & ~rows[f]]
-    if failing:
-        # re-scan the first failing pair for its first witness
-        f, g = min(failing)
-        for h in range(lat.m):
-            if lat.leq(f, h) and (h, g) not in rel:
-                return f"well-inside not upward monotone at ({h},{f},{g})"
-            if lat.leq(h, g) and (f, h) not in rel:
-                return f"well-inside not downward monotone at ({f},{g},{h})"
+    # well-inside as rows from the cl table; the scan reads them and the
+    # order (down is its transpose), and its message names only indices
+    cl = ctx.tables(space)[0]
+    rows = well_inside_rows(lat, [cl[u] for u in lat.payload_masks])
+    return ctx.verdict(("well-inside", lat.up, tuple(rows)), lambda: _monotonicity(lat, rows))
+
+
+def _monotonicity(lat: RegularOpenLattice, rows: list[int]) -> str | None:
+    """The message for the first pair (f, g) of the relation with rows
+    ``rows``, in lexicographic order, that is not upward or downward
+    monotone, with its first witness h, else None."""
+    up, down = lat.up, lat.down
+    for f, row in enumerate(rows):
+        # (f, g) fails iff some h >= f lacks g or some h <= g is not in row
+        lost = row & ~upward_kept(lat, rows, f)
+        for g in iter_bits(row):
+            if lost >> g & 1 or down[g] & ~row:
+                for h in range(lat.m):
+                    if up[f] >> h & 1 and not rows[h] >> g & 1:
+                        return f"well-inside not upward monotone at ({h},{f},{g})"
+                    if down[g] >> h & 1 and not row >> h & 1:
+                        return f"well-inside not downward monotone at ({f},{g},{h})"
     return None
 
 

@@ -128,13 +128,29 @@ class Topology:
                 raise NotClosedUnderUnion(set_of(a), set_of(b))
             if a & b not in mask_set:
                 raise NotClosedUnderIntersection(set_of(a), set_of(b))
-        self.open_masks: tuple[int, ...] = tuple(masks)
+        self._fill(tuple(masks), mask_set)
+
+    @classmethod
+    def trusted(cls, n: int, masks: tuple[int, ...]) -> "Topology":
+        """The space on n points whose opens are ``masks``, sorted and
+        distinct, without the checks of ``__init__``: for a family that its
+        construction already proves a topology, as the enumeration's
+        one-point extensions are. Every space from outside input goes
+        through ``__init__``."""
+        t = cls.__new__(cls)
+        t.n = n
+        t.full_mask = (1 << n) - 1
+        t._fill(masks, frozenset(masks))
+        return t
+
+    def _fill(self, masks: tuple[int, ...], mask_set: frozenset[int]) -> None:
+        self.open_masks: tuple[int, ...] = masks
         self._open_set = mask_set
         # Finite spaces are Alexandrov: each point has a smallest open
         # neighborhood, precomputed here to keep instances immutable. The
         # opens are the unions of these n masks, so they determine the space.
         nbhd = []
-        for x in range(n):
+        for x in range(self.n):
             bit = 1 << x
             acc = self.full_mask
             for m in masks:

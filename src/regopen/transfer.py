@@ -110,12 +110,17 @@ def subspace_on(
 ) -> Topology:
     """The subspace of ``ambient`` on the nonempty ``mask``, taken from
     ``spaces``, known spaces keyed by least neighbourhoods, when it is
-    there, else built. The least neighbourhood of y in the subspace on Y is
-    the trace of U_y on Y, re-indexed, and these determine it."""
+    there, else built."""
+    return (spaces or {}).get(subspace_key(ambient, mask)) or ambient.subspace(mask)[0]
+
+
+def subspace_key(ambient: Topology, mask: int) -> tuple[int, ...]:
+    """The least neighbourhoods of the subspace of ``ambient`` on the
+    nonempty ``mask``, which determine it: that of y is the trace of U_y
+    on Y, re-indexed."""
     points, _, trace = dense_rows(mask)
     nbhd = ambient.min_nbhd_masks
-    key = tuple([trace[nbhd[p] & mask] for p in points])
-    return (spaces or {}).get(key) or ambient.subspace(mask)[0]
+    return tuple([trace[nbhd[p] & mask] for p in points])
 
 
 def restrict_regular(e: DenseEmbedding, u: Iterable[int]) -> PointSet:
@@ -217,16 +222,16 @@ _TRACE_MISSED = "trace of a regular open is not regular open in the subspace"
 _LIFT_MISSED = "extension of a regular open is not regular open upstairs"
 
 
-def _map_elements(source, images: list[int], target, message: str) -> tuple[int, ...]:
-    """The index in lattice ``target`` of each of ``images``, the images of
-    the elements of lattice ``source`` in order; VerificationError(message)
-    names the element of the first image that is not in ``target`` by its
-    points."""
+def _map_elements(source, image: Callable[[int], int], target, message: str) -> tuple[int, ...]:
+    """The index in lattice ``target`` of ``image`` of each element of
+    lattice ``source``, in order; VerificationError(message) names the
+    first element whose image is not in ``target`` by its points, mapping
+    the elements again to find it."""
     index = target.index_of_mask
     try:
-        return tuple([index[image] for image in images])
+        return tuple([index[image(mask)] for mask in source.payload_masks])
     except KeyError:
-        miss = next(m for m, image in zip(source.payload_masks, images) if image not in index)
+        miss = next(mask for mask in source.payload_masks if image(mask) not in index)
         raise VerificationError(message, sorted(set_of(miss))) from None
 
 
@@ -240,8 +245,8 @@ def restriction_maps(
     space's regularize, at V's entry in Y's lift row. VerificationError
     names a regular open whose image is not regular open on the other side."""
     _, lift, trace = dense_rows(y)
-    forward = _map_elements(up, [trace[u & y] for u in up.payload_masks], down, _TRACE_MISSED)
-    backward = _map_elements(down, [reg(lift[v]) for v in down.payload_masks], up, _LIFT_MISSED)
+    forward = _map_elements(up, lambda u: trace[u & y], down, _TRACE_MISSED)
+    backward = _map_elements(down, lambda v: reg(lift[v]), up, _LIFT_MISSED)
     return forward, backward
 
 
@@ -350,8 +355,7 @@ def transfer_isomorphism(
 
     to_x0, to_y0 = restriction_isomorphism(ex), restriction_isomorphism(ey)
     x0 = to_x0.target
-    images = [permute_mask(m, perm) for m in x0.payload_masks]
-    core = _map_elements(x0, images, to_y0.target, "core map left the regular opens")
+    core = _map_elements(x0, lambda m: permute_mask(m, perm), to_y0.target, "core map left the regular opens")
     forward = tuple(to_y0.backward[core[k]] for k in to_x0.forward)
     backward = tuple(sorted(range(len(forward)), key=forward.__getitem__))
     return LatticeIsoWitness(to_x0.source, to_y0.source, forward, backward)

@@ -273,6 +273,15 @@ def order_preserved_oracle(source, target, forward) -> None:
                 )
 
 
+def well_inside_oracle(t: Topology, l) -> frozenset[tuple[int, int]]:
+    """The pairs (f, g) of elements of ``l``, the lattice of ``t``, whose
+    U_g has its closure inside U_f, each closure from the scan of the
+    closed sets and each pair tested on point sets."""
+    elems = l.elements()
+    closures = [closure_oracle(t, e) for e in elems]
+    return frozenset((f, g) for f, u in enumerate(elems) for g, c in enumerate(closures) if c <= u)
+
+
 def well_inside_monotone_oracle(l, rel) -> str | None:
     """Scan each pair of ``rel``, in lexicographic order, against every h:
     the rlattice suite's message for the first pair not upward or downward

@@ -131,11 +131,17 @@ def test_n2_families_explicitly():
 
 
 def test_no_duplicates_and_all_validate():
-    seen = set()
-    for t in enumerate_topologies(EnumerationSpec(3)):
-        assert t.open_masks not in seen
-        seen.add(t.open_masks)
-        Topology(t.n, t.open_masks)  # re-validation must succeed
+    # the enumeration builds its spaces without validation; every family
+    # with n <= 5, in either mode, is new and passes it, with the same opens
+    # and least neighbourhoods
+    for mode in enumeration.MODES:
+        for n in (1, 2, 3, 4, 5):
+            seen = set()
+            for t in enumerate_topologies(EnumerationSpec(n, mode=mode, allow_n5=True)):
+                assert t.open_masks not in seen
+                seen.add(t.open_masks)
+                checked = Topology(t.n, t.open_masks)
+                assert (t.open_masks, t.min_nbhd_masks) == (checked.open_masks, checked.min_nbhd_masks)
 
 
 def test_deterministic_order():

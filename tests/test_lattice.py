@@ -17,6 +17,7 @@ from regopen import (
     enumerate_topologies,
     find_order_isomorphisms,
     ge_relation,
+    indiscrete,
     regular_open_lattice,
     sierpinski,
     stone_space,
@@ -27,7 +28,7 @@ from regopen import (
 )
 from regopen.enumeration import canonical_classes
 from regopen.errors import NotALattice, NotBoolean, VerificationError
-from regopen.lattice import AXIOM_NAMES
+from regopen.lattice import AXIOM_NAMES, relation_rows, well_inside_rows
 from regopen.topology import Topology
 
 from oracles import (
@@ -38,6 +39,7 @@ from oracles import (
     meet_compatible_oracle,
     opens_as_sets,
     wallman_disjunction_oracle,
+    well_inside_oracle,
 )
 
 LS = regular_open_lattice(sierpinski())
@@ -267,6 +269,29 @@ def test_well_inside_matches_literal_closure_containment():
             for g in range(lat.m):
                 literal = closure_oracle(t, elems[g]) <= elems[f]
                 assert ((f, g) in rel) == literal
+
+
+def _well_inside_oracle_spaces() -> list:
+    # every space with n <= 4, a seeded sample of the 5-point ones, and the
+    # two extremes on 6 points, with 64 elements and with 2
+    five = list(enumerate_topologies(EnumerationSpec(5, allow_n5=True)))
+    return [
+        *(t for n in (1, 2, 3, 4) for t in enumerate_topologies(EnumerationSpec(n))),
+        *random.Random(5).sample(five, 300),
+        discrete(6),
+        indiscrete(6),
+    ]
+
+
+def test_well_inside_rows_match_the_pairwise_scan():
+    # the rows rlattice reads from a space's cl table, and the pairs of
+    # well_inside, against the literal containment cl(U_g) <= U_f
+    for t in _well_inside_oracle_spaces():
+        lat = regular_open_lattice(t)
+        expected = well_inside_oracle(t, lat)
+        cl = t.closure_table()
+        assert well_inside_rows(lat, [cl[u] for u in lat.payload_masks]) == relation_rows(lat, expected)[0]
+        assert well_inside(lat) == expected
 
 
 # -- R-lattice axioms ------------------------------------------------------------------

@@ -33,8 +33,10 @@ from regopen.lattice import (
     RLatticeReport,
     find_order_isomorphisms,
     regular_open_lattice,
+    relation_rows,
     transport_relation,
     well_inside,
+    well_inside_rows,
 )
 from regopen.serialize import space_to_dict
 from regopen.stone import StoneSpace, stone_space
@@ -488,6 +490,60 @@ def test_memo_reports_an_rlattice_failure_on_every_space_sharing_its_tables(monk
     assert report.to_json() == run_suite("rlattice", 4, context=_Forgetful()).to_json()
 
 
+def _closure_of_empty_holding(tables, x):
+    """Operator tables with point ``x`` planted in cl of the empty set."""
+    cl, interior, reg = tables
+    return [1 << x, *cl[1:]], interior, reg
+
+
+def test_memo_reports_a_planted_closure_on_exactly_the_space_whose_rows_it_changes(monkeypatch):
+    # The cl table of one 3-point space puts a point x in the closure of
+    # the empty set. Its lattice stays the same, but the empty set leaves
+    # the well-inside row of every U_f that misses x, which breaks downward
+    # monotonicity. Spaces before and after it in the walk share its order
+    # and its true rows: a memo keyed without the rows would pass it on
+    # their verdict, and one that kept its failure would fail them.
+    spaces = _spaces_to(3)
+
+    def key(t, tables):
+        lat = RegularOpenLattice.from_tables(t, tables)
+        return _tables(lat), tuple(well_inside_rows(lat, [tables[0][u] for u in lat.payload_masks]))
+
+    true_keys = [key(t, t.operator_tables()) for t in spaces]
+
+    def plants():
+        for i, t in enumerate(spaces):
+            if true_keys[i] not in true_keys[:i] or true_keys[i] not in true_keys[i + 1 :]:
+                continue
+            lat = regular_open_lattice(t)
+            for x in range(t.n):
+                tables = _closure_of_empty_holding(t.operator_tables(), x)
+                try:
+                    planted = RegularOpenLattice.from_tables(t, tables)
+                except RegOpenError:
+                    continue
+                rel = frozenset(
+                    (f, g)
+                    for f, u in enumerate(lat.payload_masks)
+                    for g, v in enumerate(lat.payload_masks)
+                    if tables[0][v] & ~u == 0
+                )
+                error = well_inside_monotone_oracle(lat, rel)
+                if _tables(planted) == _tables(lat) and error:
+                    yield t, x, error
+
+    target, x, error = next(plants())
+    assert key(target, _closure_of_empty_holding(target.operator_tables(), x)) != true_keys[spaces.index(target)]
+    tables = Topology.operator_tables
+    monkeypatch.setattr(
+        Topology, "operator_tables", lambda t: _closure_of_empty_holding(tables(t), x) if t == target else tables(t)
+    )
+    report = run_suite("rlattice", 3)
+    assert report.failures == [{"space": space_to_dict(target), "error": error}]
+    for forgetful in (_Forgetful(), _Forgetful(families=False)):
+        assert report.to_json() == run_suite("rlattice", 3, context=forgetful).to_json()
+
+
 def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
     # in one 3-point space, backward sends the image of element y % m to
     # the next element, so the witness names that element; a memo keyed by
@@ -560,6 +616,26 @@ def test_context_lattice_is_a_lone_build_with_one_full_build_per_family(bound, f
         assert [getattr(lat, name) for name in _LATTICE_FIELDS] == [getattr(alone, name) for name in _LATTICE_FIELDS]
         seen.add(alone.payload_masks)
     assert full_builds == len(seen) == families
+
+
+def test_dense_lattice_is_the_lattice_of_the_subspace():
+    # the one-step lookup against the two-step route, for every (space,
+    # dense mask) with n <= 4, each route asked first in one walk
+    for one_step_first in (True, False):
+        ctx = SpaceContext()
+        for t in ctx.spaces(4):
+            for y in dense_masks(t):
+                if one_step_first:
+                    lat = ctx.dense_lattice(t, y)
+                    assert lat is ctx.lattice(ctx.subspace(t, y))
+                else:
+                    lat = ctx.lattice(ctx.subspace(t, y))
+                    assert ctx.dense_lattice(t, y) is lat
+    # outside a walk, each lattice is built again
+    ctx = SpaceContext()
+    for y in dense_masks(discrete(3)):
+        lat, alone = ctx.dense_lattice(discrete(3), y), regular_open_lattice(ctx.subspace(discrete(3), y))
+        assert [getattr(lat, name) for name in _LATTICE_FIELDS] == [getattr(alone, name) for name in _LATTICE_FIELDS]
 
 
 def test_a_space_whose_join_differs_from_its_family_record_gets_the_full_build(monkeypatch):
@@ -697,9 +773,13 @@ def _join_as_plain_union(monkeypatch):
 
 
 def _well_inside_missing_top_over_bottom(monkeypatch):
-    monkeypatch.setattr(
-        suites, "well_inside", lambda lat: well_inside(lat) - {(lat.top, lat.bottom)}
-    )
+    # the well-inside rows rlattice reads lose the pair (top, bottom)
+    def wrong(lat, closures):
+        rows = well_inside_rows(lat, closures)
+        rows[lat.top] &= ~(1 << lat.bottom)
+        return rows
+
+    monkeypatch.setattr(suites, "well_inside_rows", wrong)
 
 
 def _ultrafilters_missing_one(monkeypatch):
@@ -761,11 +841,14 @@ def test_cofinite_reports_an_intersection_that_keeps_label_zero(monkeypatch):
 
 def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):
     # well-inside, and seeded variants missing or gaining pairs: the suite
-    # reports the same first failing pair and message as the pairwise scan
+    # reports the same first failing pair and message as the pairwise scan.
+    # One context remembers every verdict. The lone pair (k, bottom), k =
+    # m // 2, has the same rows on every lattice of m elements, but its
+    # witness is the first h above k, which at n = 4 differs between them.
     rng = random.Random(11)
     ctx = SpaceContext()
     messages = set()
-    for t in ctx.spaces(3):
+    for t in ctx.spaces(4):
         lat = ctx.lattice(t)
         pairs = sorted(well_inside(lat))
         every_pair = [(f, g) for f in range(lat.m) for g in range(lat.m)]
@@ -775,9 +858,10 @@ def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):
             frozenset(pairs) | {rng.choice(every_pair)},
             frozenset(p for p in every_pair if rng.random() < 0.7),
             frozenset({(lat.top, lat.top)}),
+            frozenset({(lat.m // 2, lat.bottom)}),
         ]
         for rel in variants:
-            monkeypatch.setattr(suites, "well_inside", lambda lat, rel=rel: rel)
+            monkeypatch.setattr(suites, "well_inside_rows", lambda lat, closures, rel=rel: relation_rows(lat, rel)[0])
             expected = well_inside_monotone_oracle(lat, rel)
             assert suites._check_rlattice(ctx, t) == expected
             messages.add(expected.split(" at ")[0] if expected else None)
