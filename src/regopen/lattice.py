@@ -220,40 +220,16 @@ class RegularOpenLattice(FiniteLattice):
     Elements are exactly the regular opens, ordered by inclusion. Meet is
     intersection; join of U and V is interior(closure(U | V)); the complement
     of U is interior(full - U). Construction enumerates the regular opens of
-    the source topology and verifies all Boolean laws. A lattice that
-    ``LatticeFamilies`` gives a later space of a recorded family is not
-    constructed again: its ``topology`` is that space, and it shares every
-    table, and the verdict of the Boolean laws, with the family's record.
+    the source topology from its operator tables and verifies all Boolean
+    laws. A verify run builds one lattice per regular-open family this way;
+    the later spaces of the family share its tables (``_shared``, see
+    ``suites.SpaceContext``).
     """
 
     __slots__ = ("topology", "complement", "top", "index_of_mask")
 
     def __init__(self, topology: Topology):
-        self._build(topology, topology.operator_tables())
-
-    @classmethod
-    def from_tables(cls, topology: Topology, tables: OperatorTables) -> "RegularOpenLattice":
-        """The lattice of ``topology`` built from its cl, int and reg tables,
-        as ``Topology.operator_tables()`` returns them, for a caller that
-        holds them already. The lattice keeps no table."""
-        lat = cls.__new__(cls)
-        lat._build(topology, tables)
-        return lat
-
-    def _shared(self, topology: Topology | None) -> "RegularOpenLattice":
-        """A lattice of ``topology`` sharing every table of this one, for a
-        space with the same regular opens whose operator tables give the
-        same join and complement; with None, the record of a family (see
-        ``LatticeFamilies``)."""
-        lat = RegularOpenLattice.__new__(RegularOpenLattice)
-        lat.m, lat.payload_masks, lat.index_of_mask = self.m, self.payload_masks, self.index_of_mask
-        lat.up, lat.down, lat.meet, lat.join = self.up, self.down, self.meet, self.join
-        lat.complement, lat.top, lat.bottom = self.complement, self.top, self.bottom
-        lat.topology = topology
-        return lat
-
-    def _build(self, topology: Topology, tables: OperatorTables) -> None:
-        cl, interior, reg = tables
+        cl, interior, reg = topology.operator_tables()
         masks = tuple([m for m in topology.open_masks if reg[m] == m])
         index = {mask: i for i, mask in enumerate(masks)}
         up = [
@@ -280,6 +256,18 @@ class RegularOpenLattice(FiniteLattice):
         if not ok:
             raise VerificationError("Boolean law fails", witness)
 
+    def _shared(self, topology: Topology | None) -> "RegularOpenLattice":
+        """A lattice of ``topology`` sharing every table of this one, for a
+        space with the same regular opens whose operator tables give the
+        same join and complement (``_same_operations``); with None, the
+        record of a family, which holds no space."""
+        lat = RegularOpenLattice.__new__(RegularOpenLattice)
+        lat.m, lat.payload_masks, lat.index_of_mask = self.m, self.payload_masks, self.index_of_mask
+        lat.up, lat.down, lat.meet, lat.join = self.up, self.down, self.meet, self.join
+        lat.complement, lat.top, lat.bottom = self.complement, self.top, self.bottom
+        lat.topology = topology
+        return lat
+
     def element(self, i: int) -> PointSet:
         return set_of(self.payload_masks[i])
 
@@ -287,58 +275,9 @@ class RegularOpenLattice(FiniteLattice):
         return tuple(set_of(mask) for mask in self.payload_masks)
 
 
-def regular_open_lattice(
-    t: Topology, tables: OperatorTables | None = None, families: LatticeFamilies | None = None
-) -> RegularOpenLattice:
-    """The lattice of ``t``, from ``tables`` (cl, int, reg) when given, and
-    from the record of its family in ``families`` when that holds one."""
-    if families is not None:
-        return families.lattice(t, t.operator_tables() if tables is None else tables)
-    if tables is None:
-        return RegularOpenLattice(t)
-    return RegularOpenLattice.from_tables(t, tables)
-
-
-class LatticeFamilies:
-    """The regular-open families met in one run, each with its record: its
-    first lattice without the space (``topology`` None).
-
-    A finite RO(X) is fixed by its family of regular opens: its elements,
-    order and meet follow from the masks alone, and join and complement are
-    the sup and the complement of that order. So the lattices of a run are
-    keyed by the space's regular-open masks, read from its reg table. The
-    first space of a family gets the full build, verified by
-    ``check_boolean_algebra``, and only a build that passes is recorded. A
-    later space takes its own join, the interior of the union of closures,
-    and its own complement from its own operator tables; if both equal the
-    record's, its lattice shares every table of the record, and so the
-    record's verdict, since ``check_boolean_algebra`` reads only those
-    tables. If either differs, it gets the full build, which raises as a
-    lone build does. The record's order tables and complement are interned
-    by value: the 522 families with n <= 5 have 21 distinct shapes.
-    """
-
-    __slots__ = ("_records", "_shapes")
-
-    def __init__(self):
-        self._records: dict[tuple[int, ...], RegularOpenLattice] = {}
-        self._shapes: dict[tuple, tuple] = {}
-
-    def lattice(self, topology: Topology, tables: OperatorTables) -> RegularOpenLattice:
-        """The lattice of ``topology``, whose cl, int and reg are ``tables``."""
-        reg = tables[2]
-        masks = tuple([m for m in topology.open_masks if reg[m] == m])
-        record = self._records.get(masks)
-        if record is not None and _same_operations(record, topology.full_mask, tables):
-            return record._shared(topology)
-        lat = RegularOpenLattice.from_tables(topology, tables)
-        if record is None:
-            intern = self._shapes.setdefault
-            lat.up, lat.down = intern(lat.up, lat.up), intern(lat.down, lat.down)
-            lat.meet, lat.join = intern(lat.meet, lat.meet), intern(lat.join, lat.join)
-            lat.complement = intern(lat.complement, lat.complement)
-            self._records[masks] = lat._shared(None)
-        return lat
+def regular_open_lattice(t: Topology) -> RegularOpenLattice:
+    """The regular-open lattice of ``t``: ``RegularOpenLattice(t)``."""
+    return RegularOpenLattice(t)
 
 
 def _same_operations(record: RegularOpenLattice, full: int, tables: OperatorTables) -> bool:

@@ -26,12 +26,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cofinite as cof
 from .enumeration import BUDGETS, EnumerationSpec, canonical_classes, check_budget, dense_masks, enumerate_topologies
-from .errors import BadEnumerationSpec, BadSuiteArgument, NotABasis, RegOpenError, UnknownSuite
+from .errors import BadEnumerationSpec, BadSuiteArgument, NotABasis, NotDense, RegOpenError, UnknownSuite
 from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
-    LatticeFamilies,
     PairRelation,
     RegularOpenLattice,
+    _same_operations,
     check_r_lattice,
     find_order_isomorphisms,
     ge_relation,
@@ -46,14 +46,13 @@ from .serialize import canonical_json, space_to_dict
 from .stone import stone_space
 from .topology import OperatorTables, Topology, iter_bits, set_of, submasks
 from .transfer import (
-    DenseEmbedding,
     LatticeIsoWitness,
     check_basis,
+    dense_rows,
     point_recovery,
     restriction_maps,
     separations_failing,
     subspace_key,
-    subspace_on,
     traces_losing_closure,
 )
 
@@ -152,15 +151,25 @@ class SuiteReport:
         return canonical_json(self.to_dict())
 
 
+class _HeldTables(Topology):
+    """A copy of a space whose ``operator_tables`` are the tables a context
+    holds for it: its full lattice build reads them and builds none."""
+
+    __slots__ = ("tables",)
+
+    def operator_tables(self) -> OperatorTables:
+        return self.tables
+
+
 class SpaceContext:
     """What the suites of a run share while it walks the labeled spaces.
 
     ``spaces(bound)`` walks the spaces on 1..bound points in enumeration
     order, and the space it has yielded last is the current one. The values
     of the current space are built on first request and dropped when the
-    walk moves on: its operator tables (``tables``), its dense masks
-    (``dense``) and its lattice (``lattice``). Asked for another space, each
-    is built again and not kept.
+    walk moves on: its operator tables (``tables``), dense masks
+    (``dense``), regular opens (``regular_opens``) and lattice
+    (``lattice``). Asked for another space, each is built again, not kept.
 
     The context holds the spaces with fewer points than the bound, and
     their lattices, for the dense-subspace lookups: the subspace on a dense
@@ -168,18 +177,22 @@ class SpaceContext:
     current space. So it holds one space of the largest size at a time, and
     a context may serve several runs. A finite space is determined by its
     least neighbourhoods, so spaces and lattices are keyed by them, and
-    ``dense_lattice`` goes from a dense set straight to the lattice held
-    under the traces of those. It is not thread-safe.
+    ``subspace`` and ``dense_lattice`` find those held under their traces
+    on a dense set (``transfer.subspace_key``). It is not thread-safe.
 
     For one run it remembers verdicts (``verdict``), each under a key of
     everything its check reads, so each is exact: a lattice's index tables
     for rlattice's axioms and for stone, the order and the well-inside rows
     for rlattice's monotonicity scan, both order tables and both maps for
-    ux0. It keeps a verdict, never a witness or a lattice, and never a raise. It
-    also keeps, for the run, the record of each regular-open family
-    (``LatticeFamilies``): only the first space of a family gets a full
-    lattice build, and a later one whose join and complement match the
-    record shares its tables.
+    ux0. It keeps a verdict, never a witness or a lattice, and never a raise.
+
+    It also keeps, for the run, a record of each regular-open family (the
+    family fixes a finite RO(X)): its first passing build, without a space.
+    A later space whose join and complement, read from its tables, equal
+    the record's shares all of the record's tables, and so its Boolean
+    verdict; otherwise it gets a full build, ``RegularOpenLattice(t)``,
+    which reads the held tables. The records' tables are interned: the 522
+    families with n <= 5 have 21 shapes.
     """
 
     def __init__(self):
@@ -193,7 +206,8 @@ class SpaceContext:
         """Remember no verdict and no family: ``run_suites`` calls this as
         each run starts."""
         self._verdicts: dict[tuple, object] = {}
-        self._families = LatticeFamilies()
+        self._records: dict[tuple[int, ...], RegularOpenLattice] = {}
+        self._shapes: dict[tuple, tuple] = {}
 
     def verdict(self, key: tuple, check: Callable[[], object]):
         """``check()``, remembered for the run under ``key``, which holds
@@ -241,16 +255,41 @@ class SpaceContext:
         """The dense masks of ``t``: ``enumeration.dense_masks``."""
         return self._own(t, "dense", lambda: dense_masks(t))
 
+    def regular_opens(self, t: Topology) -> tuple[int, ...]:
+        """The regular opens of ``t``, read from its reg table: not from its
+        lattice, so that a failed lattice build fails only the suites that
+        use the lattice. They key the family records."""
+        reg = self.tables(t)[2]
+        return self._own(t, "regular opens", lambda: tuple([m for m in t.open_masks if reg[m] == m]))
+
     def lattice(self, t: Topology) -> RegularOpenLattice:
-        """The regular-open lattice of ``t``, from ``tables(t)`` and the
-        run's record of its family; that of a held space is kept with it. A
-        build that fails is not kept, so each request raises again."""
+        """The regular-open lattice of ``t``, shared with the run's record
+        of its family where that matches; that of a held space is kept with
+        it. A build that fails is not kept, so each request raises again."""
         key = t.min_nbhd_masks
         lat = self._lattices.get(key)
         if lat is None:
-            lat = self._own(t, "lattice", lambda: regular_open_lattice(t, self.tables(t), self._families))
+            lat = self._own(t, "lattice", lambda: self._family_lattice(t))
             if key in self._spaces.get(t.n, ()):
                 self._lattices[key] = lat
+        return lat
+
+    def _family_lattice(self, t: Topology) -> RegularOpenLattice:
+        """The lattice of ``t``, shared with its family's record or built."""
+        masks, tables = self.regular_opens(t), self.tables(t)
+        record = self._records.get(masks)
+        if record is not None and _same_operations(record, t.full_mask, tables):
+            return record._shared(t)
+        held = _HeldTables.trusted(t.n, t.open_masks)
+        held.tables = tables
+        lat = RegularOpenLattice(held)
+        lat.topology = t
+        if record is None:
+            intern = self._shapes.setdefault
+            lat.up, lat.down = intern(lat.up, lat.up), intern(lat.down, lat.down)
+            lat.meet, lat.join = intern(lat.meet, lat.meet), intern(lat.join, lat.join)
+            lat.complement = intern(lat.complement, lat.complement)
+            self._records[masks] = lat._shared(None)
         return lat
 
     def dense_lattice(self, t: Topology, dense: int) -> RegularOpenLattice:
@@ -259,36 +298,18 @@ class SpaceContext:
         ``t`` on ``dense``, when there is one."""
         if dense == t.full_mask:
             return self.lattice(t)
-        lat = self._lattices.get(subspace_key(t, dense))
-        if lat is None:
-            lat = self.lattice(self.subspace(t, dense))
-        return lat
-
-    def _known(self, t: Topology, dense: int) -> dict[tuple[int, ...], Topology] | None:
-        """The spaces among which the subspace of ``t`` on ``dense`` is found."""
-        if dense == t.full_mask:
-            return {t.min_nbhd_masks: t}
-        return self._spaces.get(dense.bit_count())
-
-    def embedding(self, t: Topology, dense: int) -> DenseEmbedding:
-        """The embedding of ``dense``, a mask from ``dense_masks(t)``. Its
-        subspace is a held space or ``t`` itself where there is one."""
-        return DenseEmbedding(t, dense, self._known(t, dense))
+        return self._lattices.get(subspace_key(t, dense)) or self.lattice(self.subspace(t, dense))
 
     def subspace(self, t: Topology, dense: int) -> Topology:
-        """The subspace of ``t`` on ``dense``, as ``embedding`` finds it."""
-        return subspace_on(t, dense, self._known(t, dense))
+        """The subspace of ``t`` on ``dense``, a mask from ``dense_masks(t)``:
+        ``t`` itself, else the held space with its least neighbourhoods, else new."""
+        if dense == t.full_mask:
+            return t
+        held = self._spaces.get(dense.bit_count(), {}).get(subspace_key(t, dense))
+        return held or t.subspace(dense)[0]
 
 
 # -- individual suites ---------------------------------------------------------
-
-
-def _regular_opens(ctx: SpaceContext, t: Topology) -> list[int]:
-    """The regular opens of ``t``, read from its reg table: not from its
-    lattice, so that a failed lattice build fails only the suites that use
-    the lattice."""
-    reg = ctx.tables(t)[2]
-    return [m for m in t.open_masks if reg[m] == m]
 
 
 def _check_ux0(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
@@ -339,7 +360,7 @@ def _check_uvw(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
 
 
 def _space_uvw(ctx: SpaceContext, t: Topology) -> Group:
-    pairs = [(u, v) for u, v in itertools.product(_regular_opens(ctx, t), repeat=2) if u & ~v]
+    pairs = [(u, v) for u, v in itertools.product(ctx.regular_opens(t), repeat=2) if u & ~v]
     return Group({"space": t}, ("u", "v"), pairs, _check_uvw)
 
 
@@ -369,12 +390,15 @@ def _space_regularity(ctx: SpaceContext, t: Topology) -> Group:
 
 
 def _check_recovery(ctx: SpaceContext, dense: int, space: Topology) -> str | None:
-    emb = ctx.embedding(space, dense)
+    if ctx.tables(space)[0][dense] != space.full_mask:
+        raise NotDense(f"{sorted(set_of(dense))} is not dense in the ambient space")
+    sub = ctx.subspace(space, dense)
+    points, _, trace = dense_rows(dense)
     bx = [m for m in ctx.lattice(space).payload_masks if m]
-    by = [m for m in ctx.lattice(emb.sub).payload_masks if m]
-    ph = point_recovery(space, bx, emb.sub, by, {u: emb.compress(u) for u in bx})
+    by = [m for m in ctx.lattice(sub).payload_masks if m]
+    ph = point_recovery(space, bx, sub, by, {u: trace[u & dense] for u in bx})
     for x, yy in ph.tau.items():
-        if emb.index_map.get(x) != yy:
+        if not (0 <= yy < len(points) and points[yy] == x):
             return f"recovered {x} -> {yy}, expected the dense-set inclusion"
     return None
 
@@ -387,7 +411,7 @@ def _space_recovery(ctx: SpaceContext, t: Topology) -> Group | None:
     neighbourhoods are traces of regular opens, and ``point_recovery``
     checks both bases again."""
     try:
-        check_basis(t, [m for m in _regular_opens(ctx, t) if m])
+        check_basis(t, [m for m in ctx.regular_opens(t) if m])
     except NotABasis:
         return None
     return Group({"space": t}, ("dense",), [(y,) for y in ctx.dense(t)], _each(_check_recovery))

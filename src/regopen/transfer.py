@@ -18,7 +18,8 @@ regularize: ``restriction_maps`` builds the trace and lift maps, and
 ``restriction_isomorphism`` and the ux0 suite both call it, the one with
 ``Topology.regularize_mask`` for one embedding, the other with the space's
 reg table for all of a space's dense sets. ``DenseEmbedding`` reads the rows
-one set at a time; the kernels ``separations_failing`` and
+one set at a time and builds its own subspace, which a verify run looks up
+by ``subspace_key`` instead. The kernels ``separations_failing`` and
 ``traces_losing_closure`` read the space's cl and reg tables, which their
 caller builds once per space.
 """
@@ -57,28 +58,22 @@ from .topology import (
 class DenseEmbedding:
     """A dense subset of an ambient space together with its subspace.
 
-    ``index_map`` sends ambient points of the subset to subspace indices;
-    ``points`` lists ambient points in subspace-index order. The subspace is
-    ``subspace_on(ambient, subset, spaces)``. The trace and the lift read
-    the rows of Y, which ``dense_rows`` keeps per Y.
+    ``sub`` and ``index_map``, which sends ambient points of the subset to
+    subspace indices, are ``ambient.subspace(subset)``; ``points`` lists
+    ambient points in subspace-index order. The trace and the lift read the
+    rows of Y, which ``dense_rows`` keeps per Y.
     """
 
     __slots__ = ("ambient", "sub", "index_map", "points", "_mask", "_lift", "_trace")
 
-    def __init__(
-        self,
-        ambient: Topology,
-        subset: Iterable[int] | int,
-        spaces: Mapping[tuple[int, ...], Topology] | None = None,
-    ):
+    def __init__(self, ambient: Topology, subset: Iterable[int] | int):
         mask = ambient.to_mask(subset)
         if ambient.closure_mask(mask) != ambient.full_mask:
             raise NotDense(f"{sorted(set_of(mask))} is not dense in the ambient space")
         self.ambient = ambient
         self.points, self._lift, self._trace = dense_rows(mask)
-        self.index_map = {p: i for i, p in enumerate(self.points)}
+        self.sub, self.index_map = ambient.subspace(mask)
         self._mask = mask
-        self.sub = subspace_on(ambient, mask, spaces)
 
     def compress(self, ambient_mask: int) -> int:
         """The trace U & Y of an ambient set, as a subspace mask."""
@@ -103,15 +98,6 @@ def dense_rows(mask: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, i
     """
     lift = tuple(submasks(mask))
     return tuple(iter_bits(mask)), lift, {s: i for i, s in enumerate(lift)}
-
-
-def subspace_on(
-    ambient: Topology, mask: int, spaces: Mapping[tuple[int, ...], Topology] | None = None
-) -> Topology:
-    """The subspace of ``ambient`` on the nonempty ``mask``, taken from
-    ``spaces``, known spaces keyed by least neighbourhoods, when it is
-    there, else built."""
-    return (spaces or {}).get(subspace_key(ambient, mask)) or ambient.subspace(mask)[0]
 
 
 def subspace_key(ambient: Topology, mask: int) -> tuple[int, ...]:

@@ -104,36 +104,47 @@ def _families(bound: int) -> set:
 
 
 def _counting_lattices(monkeypatch) -> list:
-    """Wrap the suites' ``regular_open_lattice``; the list gains each
-    (space, lattice) it gives."""
+    """Wrap the context's making of a lattice (shared with its family's
+    record or built); the list gains each (space, lattice) it gives."""
     given = []
+    make = suites.SpaceContext._family_lattice
 
-    def counting(t, tables=None, families=None):
-        lat = regular_open_lattice(t, tables, families)
+    def counting(ctx, t):
+        lat = make(ctx, t)
         given.append((t, lat))
         return lat
 
-    monkeypatch.setattr(suites, "regular_open_lattice", counting)
+    monkeypatch.setattr(suites.SpaceContext, "_family_lattice", counting)
     return given
+
+
+def _counting_builds(monkeypatch) -> list:
+    """Wrap ``RegularOpenLattice.__init__`` as (lat, topology), as the
+    benchmark's tracer does to count ``lattice.builds``; the list gains the
+    space of each full build."""
+    built = []
+    init = RegularOpenLattice.__init__
+
+    def counting_init(lat, topology):
+        built.append(topology)
+        init(lat, topology)
+
+    monkeypatch.setattr(RegularOpenLattice, "__init__", counting_init)
+    return built
 
 
 def test_verify_all_enumerates_once_and_builds_one_lattice_per_space(monkeypatch, capsys):
     # every space gets its own lattice; only the first of each regular-open
-    # family gets a full build
+    # family gets a full build, and each goes through the constructor, where
+    # the benchmark's build span sees it
     sizes = []
-    built = []
-    build = RegularOpenLattice._build
 
     def counting_enumeration(spec):
         sizes.append(spec.n)
         return enumerate_topologies(spec)
 
-    def counting_build(self, topology, tables):
-        built.append(topology)
-        build(self, topology, tables)
-
     monkeypatch.setattr(suites, "enumerate_topologies", counting_enumeration)
-    monkeypatch.setattr(RegularOpenLattice, "_build", counting_build)
+    built = _counting_builds(monkeypatch)
     given = _counting_lattices(monkeypatch)
     assert main(["verify", "--suite", "all", "--n", "3"]) == 0
     assert sizes == [1, 2, 3]
@@ -164,12 +175,8 @@ def n4_verify_all(tmp_path_factory):
     """One `verify --suite all --n 4 --json` run, counting lattice builds and
     law checks; the tests below read its report, output and counts."""
     out = tmp_path_factory.mktemp("n4") / "report.json"
-    builds = []
-    build = RegularOpenLattice._build
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()) as stdout:
-        mp.setattr(
-            RegularOpenLattice, "_build", lambda self, t, tables: builds.append(t) or build(self, t, tables)
-        )
+        builds = _counting_builds(mp)
         given = _counting_lattices(mp)
         boolean = _count_calls(mp, lattice.check_boolean_algebra)
         distributive = _count_calls(mp, lattice.check_distributive)
@@ -180,6 +187,7 @@ def n4_verify_all(tmp_path_factory):
         code=code,
         report=out.read_bytes(),
         lines=stdout.getvalue().splitlines(),
+        built=list(builds),
         counts=(len(builds), len(boolean), len(distributive)),
         spaces_given_lattices=len({t for t, lat in given if lat.topology is t}),
         inf_sup_scans=len(inf_sup),
@@ -232,11 +240,13 @@ def test_verify_all_n5_sample_report_is_pinned(tmp_path, capsys):
 
 
 def test_verify_all_checks_each_law_once_per_lattice(n4_verify_all):
-    # one full build and one Boolean test per regular-open family, while
-    # each of the 389 spaces gets its lattice; the O(m^3) distributivity
-    # scan is not in verify
+    # one full build, through the constructor that the benchmark's build
+    # span wraps, and one Boolean test per regular-open family, while each
+    # of the 389 spaces gets its lattice; the O(m^3) distributivity scan is
+    # not in verify
     assert n4_verify_all.code == 0
     assert n4_verify_all.counts == (len(_families(4)), 60, 0) == (60, 60, 0)
+    assert {regular_open_lattice(t).payload_masks for t in n4_verify_all.built} == _families(4)
     assert n4_verify_all.spaces_given_lattices == 389
 
 
@@ -292,12 +302,14 @@ def test_verify_denso_that_checked_nothing_fails(tmp_path, capsys):
 
 
 def test_verify_law_failure_is_a_suite_failure_not_a_usage_error(monkeypatch, tmp_path, capsys):
-    def build(t, tables=None, families=None):
+    make = suites.SpaceContext._family_lattice
+
+    def build(ctx, t):
         if t == sierpinski():
             raise VerificationError("planted law failure")
-        return regular_open_lattice(t, tables, families)
+        return make(ctx, t)
 
-    monkeypatch.setattr(suites, "regular_open_lattice", build)
+    monkeypatch.setattr(suites.SpaceContext, "_family_lattice", build)
     out = tmp_path / "report.json"
     assert main(["verify", "--suite", "all", "--n", "2", "--json", str(out)]) == 1
     lines = capsys.readouterr().out.splitlines()

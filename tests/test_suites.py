@@ -24,7 +24,7 @@ from regopen.enumeration import (
     enumerate_dense_subsets,
     enumerate_topologies,
 )
-from regopen.errors import BadSuiteArgument, RegOpenError, SizeGuardExceeded, UnknownSuite, VerificationError
+from regopen.errors import BadSuiteArgument, NotDense, RegOpenError, SizeGuardExceeded, UnknownSuite, VerificationError
 from regopen.ideals import ideals, ultrafilters
 from regopen.lattice import (
     AXIOM_NAMES,
@@ -302,15 +302,17 @@ def test_report_shape():
 # -- the context's dense-set kernels against the public routes ----------------------
 
 
-def test_context_embeddings_match_dense_embedding_on_own_spaces():
-    ctx = SpaceContext()
-    own = {t: t for t in ctx.spaces(4)}
-    for t in own:
+def test_context_subspace_is_the_held_space():
+    # every (space, dense mask) with n <= 4, in the walk: the subspace is
+    # the space walked before it with its opens, the space itself on every
+    # point, and equals the one built
+    ctx, walked = SpaceContext(), {}
+    for t in ctx.spaces(4):
+        walked[t] = t
         for y in dense_masks(t):
-            e, built = ctx.embedding(t, y), DenseEmbedding(t, y)
-            assert e.ambient is t and sum(1 << p for p in e.points) == y
-            assert (e.sub, e.index_map, e.points) == (built.sub, built.index_map, built.points)
-            assert e.sub is own[e.sub] is ctx.subspace(t, y)
+            sub = ctx.subspace(t, y)
+            assert sub is walked[sub] and (sub is t) == (y == t.full_mask)
+            assert sub == t.subspace(y)[0]
 
 
 def test_denso_instances_agree_with_closure_density_check():
@@ -391,10 +393,8 @@ class _Forgetful(SpaceContext):
     def verdict(self, key, check):
         return check()
 
-    def start_run(self):
-        super().start_run()
-        if not self.families:
-            self._families = None
+    def _family_lattice(self, t):
+        return super()._family_lattice(t) if self.families else RegularOpenLattice(t)
 
 
 def _tables(lat):
@@ -490,6 +490,13 @@ def test_memo_reports_an_rlattice_failure_on_every_space_sharing_its_tables(monk
     assert report.to_json() == run_suite("rlattice", 4, context=_Forgetful()).to_json()
 
 
+def _lattice_with_tables(t, tables):
+    """``RegularOpenLattice(t)`` built from ``tables`` as the operator tables of ``t``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Topology, "operator_tables", lambda space: tables)
+        return RegularOpenLattice(t)
+
+
 def _closure_of_empty_holding(tables, x):
     """Operator tables with point ``x`` planted in cl of the empty set."""
     cl, interior, reg = tables
@@ -506,7 +513,7 @@ def test_memo_reports_a_planted_closure_on_exactly_the_space_whose_rows_it_chang
     spaces = _spaces_to(3)
 
     def key(t, tables):
-        lat = RegularOpenLattice.from_tables(t, tables)
+        lat = _lattice_with_tables(t, tables)
         return _tables(lat), tuple(well_inside_rows(lat, [tables[0][u] for u in lat.payload_masks]))
 
     true_keys = [key(t, t.operator_tables()) for t in spaces]
@@ -519,7 +526,7 @@ def test_memo_reports_a_planted_closure_on_exactly_the_space_whose_rows_it_chang
             for x in range(t.n):
                 tables = _closure_of_empty_holding(t.operator_tables(), x)
                 try:
-                    planted = RegularOpenLattice.from_tables(t, tables)
+                    planted = _lattice_with_tables(t, tables)
                 except RegOpenError:
                     continue
                 rel = frozenset(
@@ -568,7 +575,7 @@ def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
     expected = []
     up, reg = regular_open_lattice(target), target.operator_tables()[2].__getitem__
     for y in dense_masks(target):
-        down = regular_open_lattice(transfer.subspace_on(target, y))
+        down = regular_open_lattice(target.subspace(y)[0])
         with pytest.raises(RegOpenError) as exc:
             transfer.LatticeIsoWitness(up, down, *wrong(up, down, y, reg))
         expected.append({"space": space_to_dict(target), "dense": sorted(set_of(y)), "error": str(exc.value)})
@@ -601,11 +608,18 @@ _LATTICE_FIELDS = (
 )
 
 
+def _counting_builds(monkeypatch) -> list:
+    """Wrap ``RegularOpenLattice.__init__``; the list gains the space of
+    each full build."""
+    built = []
+    init = RegularOpenLattice.__init__
+    monkeypatch.setattr(RegularOpenLattice, "__init__", lambda lat, t: built.append(t) or init(lat, t))
+    return built
+
+
 @pytest.mark.parametrize("bound, families", [(3, 11), (4, 60), (5, 522)])
 def test_context_lattice_is_a_lone_build_with_one_full_build_per_family(bound, families, monkeypatch):
-    built = []
-    build = RegularOpenLattice._build
-    monkeypatch.setattr(RegularOpenLattice, "_build", lambda lat, t, tables: built.append(t) or build(lat, t, tables))
+    built = _counting_builds(monkeypatch)
     ctx, seen, full_builds = SpaceContext(), set(), 0
     for t in ctx.spaces(bound):
         before = len(built)
@@ -664,9 +678,7 @@ def test_a_space_whose_join_differs_from_its_family_record_gets_the_full_build(m
     with pytest.raises(VerificationError) as exc:
         regular_open_lattice(target)
     failure = {"space": space_to_dict(target), "error": str(exc.value)}
-    built = []
-    build = RegularOpenLattice._build
-    monkeypatch.setattr(RegularOpenLattice, "_build", lambda lat, t, tables: built.append(t) or build(lat, t, tables))
+    built = _counting_builds(monkeypatch)
     names = ["boolean", "rlattice", "stone", "ux0"]
     reports = run_suites(names, 3)
     assert [r.failures for r in reports[:3]] == [[failure]] * 3
@@ -928,15 +940,13 @@ def test_ideals_suite_stops_at_the_ideals_row(monkeypatch):
 def test_recovery_reports_a_dense_subspace_without_a_basis(monkeypatch):
     # every 2-point dense subspace becomes the Sierpinski space, whose one
     # nonempty regular open misses the least neighbourhood {0}
-    embedding = SpaceContext.embedding
+    subspace = SpaceContext.subspace
 
     def wrong(ctx, t, dense):
-        e = embedding(ctx, t, dense)
-        if e.sub.n == 2:
-            e.sub = sierpinski()
-        return e
+        sub = subspace(ctx, t, dense)
+        return sierpinski() if sub.n == 2 else sub
 
-    monkeypatch.setattr(SpaceContext, "embedding", wrong)
+    monkeypatch.setattr(SpaceContext, "subspace", wrong)
     report = run_suite("recovery", bound=3)
     assert report.failures and not report.passed
     assert all(set(failure) == {"space", "dense", "error"} for failure in report.failures)
@@ -956,25 +966,51 @@ def test_cofinite_self_check_failure_is_a_suite_failure(monkeypatch):
 
 
 def test_recovery_reports_a_basis_map_that_is_not_a_bijection(monkeypatch):
-    # a trace that lists the subspace's points in reverse order
-    compress = DenseEmbedding.compress
-    monkeypatch.setattr(
-        DenseEmbedding,
-        "compress",
-        lambda e, mask: permute_mask(compress(e, mask), range(e.sub.n - 1, -1, -1)),
-    )
+    # Y's trace row, which recovery reads, lists the subspace's points in
+    # reverse order
+    rows = suites.dense_rows
+
+    def reversed_trace(mask):
+        points, lift, trace = rows(mask)
+        back = range(len(points) - 1, -1, -1)
+        return points, lift, {s: permute_mask(i, back) for s, i in trace.items()}
+
+    monkeypatch.setattr(suites, "dense_rows", reversed_trace)
     report = run_suite("recovery", bound=3)
     assert not report.passed
     assert "iso must be a bijection between the two bases" in {f["error"] for f in report.failures}
 
 
+def test_recovery_reports_a_set_that_is_not_dense(monkeypatch):
+    # each space's dense masks gain its first nonempty mask that is not
+    # dense: recovery fails on exactly those, with the message of the
+    # density check of a DenseEmbedding
+    def not_dense(t):
+        return next((m for m in range(1, t.full_mask) if t.closure_mask(m) != t.full_mask), None)
+
+    masks = suites.dense_masks
+    monkeypatch.setattr(suites, "dense_masks", lambda t: masks(t) + [m for m in [not_dense(t)] if m])
+    expected = []
+    for t in _spaces_to(3):
+        y = not_dense(t)
+        if y is None or suites._space_recovery(SpaceContext(), t) is None:
+            continue
+        with pytest.raises(NotDense) as exc:
+            DenseEmbedding(t, y)
+        expected.append({"space": space_to_dict(t), "dense": sorted(set_of(y)), "error": str(exc.value)})
+    assert expected
+    assert run_suite("recovery", bound=3).failures == expected
+
+
 def _lattice_law_failure_on_sierpinski(monkeypatch):
-    def build(t, tables=None, families=None):
+    make = SpaceContext._family_lattice
+
+    def build(ctx, t):
         if t == sierpinski():
             raise VerificationError("planted law failure")
-        return regular_open_lattice(t, tables, families)
+        return make(ctx, t)
 
-    monkeypatch.setattr(suites, "regular_open_lattice", build)
+    monkeypatch.setattr(SpaceContext, "_family_lattice", build)
 
 
 @pytest.mark.parametrize("name", ["boolean", "rlattice", "stone"])

@@ -220,19 +220,16 @@ def test_cached_rows_match_compress_and_permute():
     _assert_rows_match_the_bit_loops(y, [rng.randrange(1 << 16) for _ in range(5000)])
 
 
-def test_embedding_among_known_spaces():
+def test_embedding_builds_its_subspace_and_checks_density():
     for t in enumerate_topologies(EnumerationSpec(3)):
         for y in enumerate_dense_subsets(t):
-            built = DenseEmbedding(t, y)
             mask = t.to_mask(y)
-            known = DenseEmbedding(t, mask, {built.sub.min_nbhd_masks: built.sub})
-            missed = DenseEmbedding(t, mask, {})  # not found, so the subspace is built
-            assert known.sub is built.sub and missed.sub == built.sub
-            for e in (known, missed):
+            sub, index_map = t.subspace(y)
+            for e in (DenseEmbedding(t, y), DenseEmbedding(t, mask)):
                 assert e.ambient is t and sum(1 << p for p in e.points) == mask
-                assert (e.index_map, e.points) == (built.index_map, built.points)
-    with pytest.raises(NotDense):  # known spaces do not skip the density check
-        DenseEmbedding(X3, {2}, {(1,): discrete(1)})
+                assert (e.sub, e.index_map, e.points) == (sub, index_map, tuple(sorted(y)))
+    with pytest.raises(NotDense, match=r"\[2\] is not dense in the ambient space"):
+        DenseEmbedding(X3, {2})
 
 
 def _planted_trace_row(monkeypatch, image) -> None:
