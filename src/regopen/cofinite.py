@@ -64,7 +64,7 @@ _set_support = SymbolicSet.support.__set__
 def _trusted(kind: str, support: frozenset[int]) -> SymbolicSet:
     """A SymbolicSet built without the constructor's checks. The set
     operations alone call it: their results' kinds and supports come from
-    valid sets, and a cofinite-identities run builds some 380000 of them."""
+    valid sets, and the cofinite suite's window check builds 8256 of them."""
     s = _new(SymbolicSet)
     _set_kind(s, kind)
     _set_support(s, support)

@@ -21,7 +21,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cofinite as cof
@@ -41,7 +40,7 @@ from .lattice import (
     well_inside,
     well_inside_rows,
 )
-from .metric import FiniteMetric, combine_metric, dominates
+from .metric import FiniteMetric, combine_metric
 from .serialize import canonical_json, space_to_dict
 from .stone import stone_space
 from .topology import OperatorTables, Topology, iter_bits, set_of, submasks
@@ -114,12 +113,12 @@ def _one(check: Callable[..., Result | None], **shared) -> Group:
 
 class Suite(NamedTuple):
     """A suite as data. ``space(ctx, t)`` gives the group of instances of
-    the space ``t``, or None when it has none; ``rest(ctx, bound, seed)``
+    the space ``t``, or None when it has none; ``rest(ctx, bound)``
     gives the groups that need no space. A run checks each space's group
     when its walk reaches the space, and the rest after the walk."""
 
     space: Callable[[SpaceContext, Topology], Group | None] | None = None
-    rest: Callable[[SpaceContext, int, int], Iterable[Group]] | None = None
+    rest: Callable[[SpaceContext, int], Iterable[Group]] | None = None
 
 
 @dataclass
@@ -482,7 +481,7 @@ def _check_ultrafilters(ctx: SpaceContext, powerset: int) -> str | None:
     return None
 
 
-def _ultrafilter_groups(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+def _ultrafilter_groups(ctx: SpaceContext, bound: int) -> Iterator[Group]:
     powersets = [(n,) for n in range(1, BUDGETS["ideals"][0] + 1)]
     yield Group({}, ("powerset",), powersets, _each(_check_ultrafilters))
 
@@ -526,49 +525,12 @@ def _check_ideal_correspondence(ctx: SpaceContext, powerset: int) -> None:
     ideal_open_correspondence(powerset)
 
 
-def _ideal_groups(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+def _ideal_groups(ctx: SpaceContext, bound: int) -> Iterator[Group]:
     largest = min(bound, BUDGETS["ideals"][0])
     brute = [(n,) for n in range(1, min(largest, _BRUTE_FORCE_IDEALS_MAX) + 1)]
     yield Group({}, ("powerset",), brute, _each(_check_ideal_enumeration))
     powersets = [(n,) for n in range(1, largest + 1)]
     yield Group({}, ("powerset",), powersets, _each(_check_ideal_correspondence))
-
-
-_COFINITE_TRIALS = 10_000
-
-
-def _random_symbolic(rnd: random.Random) -> cof.SymbolicSet:
-    kind = cof.FINITE if rnd.random() < 0.5 else cof.COFINITE
-    support = frozenset(rnd.sample(range(10), rnd.randint(0, 5)))
-    return cof.SymbolicSet(kind, support)
-
-
-def _symbolic_identities(a, b, c) -> str | None:
-    if cof.union(a, b) != cof.union(b, a):
-        return "union commutativity"
-    if cof.intersect(a, b) != cof.intersect(b, a):
-        return "intersection commutativity"
-    if cof.union(cof.union(a, b), c) != cof.union(a, cof.union(b, c)):
-        return "union associativity"
-    if cof.intersect(cof.intersect(a, b), c) != cof.intersect(a, cof.intersect(b, c)):
-        return "intersection associativity"
-    if cof.complement(cof.complement(a)) != a:
-        return "double complement"
-    if cof.complement(cof.union(a, b)) != cof.intersect(cof.complement(a), cof.complement(b)):
-        return "De Morgan (union)"
-    if cof.complement(cof.intersect(a, b)) != cof.union(cof.complement(a), cof.complement(b)):
-        return "De Morgan (intersection)"
-    if cof.union(a, cof.intersect(a, b)) != a:
-        return "absorption"
-    if cof.intersect(a, cof.union(a, b)) != a:
-        return "absorption dual"
-    if cof.intersect(a, cof.union(b, c)) != cof.union(cof.intersect(a, b), cof.intersect(a, c)):
-        return "distributivity"
-    if cof.interior(a) != cof.complement(cof.closure(cof.complement(a))):
-        return "interior/closure duality"
-    if not cof.is_subset(cof.interior(a), a) or not cof.is_subset(a, cof.closure(a)):
-        return "interior below, closure above"
-    return None
 
 
 def _check_cofinite_family(ctx: SpaceContext) -> str | None:
@@ -581,52 +543,86 @@ def _check_cofinite_family(ctx: SpaceContext) -> str | None:
     return None
 
 
-def _check_cofinite_identities(ctx: SpaceContext, seed: int) -> dict | None:
-    rnd = random.Random(seed)
-    for trial in range(_COFINITE_TRIALS):
-        a, b, c = (_random_symbolic(rnd) for _ in range(3))
-        failed = _symbolic_identities(a, b, c)
-        if failed:
-            return {"trial": trial, "error": f"identity failed: {failed}", "sets": [repr(a), repr(b), repr(c)]}
+# The cofinite window: the 64 symbolic sets with supports in {0..4}. A set's
+# membership is a mask: bit x for the window label x, and bit _WINDOW for
+# every label outside the window at once.
+_WINDOW = 5
+_OUTSIDE = 1 << _WINDOW
+_EVERY = 2 * _OUTSIDE - 1
+
+
+def _window_set(member: int) -> cof.SymbolicSet:
+    """The set with membership ``member``: cofinite iff the outside bit is
+    set, its support the window labels whose bit differs from that bit."""
+    if member & _OUTSIDE:
+        return cof.SymbolicSet(cof.COFINITE, set_of(_EVERY ^ member))
+    return cof.SymbolicSet(cof.FINITE, set_of(member))
+
+
+def _window_results() -> Iterator[tuple]:
+    """(operation, its arguments, its result, the result membership gives)
+    for each operation on the window's sets and on each ordered pair: the
+    Boolean ones are bitwise; a finite set has interior ∅ and is its own
+    closure, a cofinite set is its own interior and has closure X."""
+    sets = [_window_set(member) for member in range(_EVERY + 1)]
+    empty, full = sets[0], sets[_EVERY]
+    for a, s in enumerate(sets):
+        cofinite = a & _OUTSIDE
+        yield "complement", (s,), cof.complement(s), sets[a ^ _EVERY]
+        yield "interior", (s,), cof.interior(s), s if cofinite else empty
+        yield "closure", (s,), cof.closure(s), full if cofinite else s
+        for b, t in enumerate(sets):
+            yield "union", (s, t), cof.union(s, t), sets[a | b]
+            yield "intersect", (s, t), cof.intersect(s, t), sets[a & b]
+            yield "is_subset", (s, t), cof.is_subset(s, t), not a & ~b
+
+
+def _check_cofinite_window(ctx: SpaceContext) -> dict | None:
+    # Results are compared by equality, so a stray label outside the window fails too.
+    for name, args, got, want in _window_results():
+        if got != want:
+            return {"error": f"{name} gives {got!r}, membership gives {want!r}", "sets": list(map(repr, args))}
     return None
 
 
-def _cofinite_groups(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
+def _cofinite_groups(ctx: SpaceContext, bound: int) -> Iterator[Group]:
     yield _one(_check_cofinite_family)
-    yield _one(_check_cofinite_identities, seed=seed)
+    yield _one(_check_cofinite_window)
 
 
-_METRIC_TRIALS = 1_000
+# The metric grid: the 24 three-point metrics with distances in {1, 2, 3},
+# each given as (d01, d02, d12). The triangle inequality binds on 1 + 1 = 2
+# and 1 + 2 = 3. _DISTINCT is the grid metric whose distances all differ.
+_GRID = tuple(d for d in itertools.product((1, 2, 3), repeat=3) if 2 * max(d) <= sum(d))
+_DISTINCT = (1, 2, 3)
 
 
-def _random_metric(rnd: random.Random, n: int) -> FiniteMetric:
-    # Distances in [1, 2] satisfy the triangle inequality automatically.
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = Fraction(16 + rnd.randint(0, 16), 16)
-            rows[i][j] = rows[j][i] = d
-    return FiniteMetric(rows)
-
-
-def _check_metric(ctx: SpaceContext, seed: int) -> dict | None:
-    rnd = random.Random(seed)
-    for trial in range(_METRIC_TRIALS):
-        dx = _random_metric(rnd, 4)
-        dy = _random_metric(rnd, 4)
-        tau = list(range(4))
-        rnd.shuffle(tau)
+def _check_metric(ctx: SpaceContext) -> dict | None:
+    """``combine_metric`` against its definition, d(i, j) = max(dx(i, j),
+    dy(τi, τj)): every pair of grid metrics with τ = id, which covers every
+    pullback dy∘τ since the grid is closed under relabelling, and every τ in
+    S₃ with dy = _DISTINCT."""
+    rows = {(a, b, c): ((0, a, b), (a, 0, c), (b, c, 0)) for a, b, c in _GRID}
+    metrics = {d: FiniteMetric(rows[d]) for d in _GRID}
+    cases = [(dx, dy, (0, 1, 2)) for dx in _GRID for dy in _GRID]
+    cases += [(dx, _DISTINCT, tau) for dx in _GRID for tau in itertools.permutations(range(3))]
+    for dx, dy, tau in cases:
         try:
-            dz = combine_metric(dx, dy, tau)  # constructor scans all axioms
+            dz = combine_metric(metrics[dx], metrics[dy], tau)  # constructor scans all axioms
         except RegOpenError as exc:
-            return {"trial": trial, "error": str(exc)}
-        if not dominates(dz, dx):
-            return {"trial": trial, "error": "combined metric does not dominate the first factor"}
+            error = str(exc)
+        else:
+            rx, ry = rows[dx], rows[dy]
+            want = tuple(tuple(max(rx[i][j], ry[tau[i]][tau[j]]) for j in range(3)) for i in range(3))
+            if dz.dist == want:
+                continue
+            error = "combined metric is not the pointwise max"
+        return {"error": error, "dx": list(dx), "dy": list(dy), "tau": list(tau)}
     return None
 
 
-def _metric_groups(ctx: SpaceContext, bound: int, seed: int) -> Iterator[Group]:
-    yield _one(_check_metric, seed=seed)
+def _metric_groups(ctx: SpaceContext, bound: int) -> Iterator[Group]:
+    yield _one(_check_metric)
 
 
 SUITES: dict[str, Suite] = {
@@ -644,9 +640,7 @@ SUITES: dict[str, Suite] = {
 }
 
 
-def _walk(
-    ctx: SpaceContext, chosen: Sequence[Suite], bound: int, seed: int
-) -> Iterator[tuple[int, Group | None]]:
+def _walk(ctx: SpaceContext, chosen: Sequence[Suite], bound: int) -> Iterator[tuple[int, Group | None]]:
     """(i, group) for each group of ``chosen[i]``: for each space in turn,
     its group of every suite, in the order of ``chosen``, then the groups
     that need no space, suite by suite. A space without a group for suite i
@@ -658,7 +652,7 @@ def _walk(
                 yield i, group_of(ctx, t)
     for i, suite in enumerate(chosen):
         if suite.rest:
-            for group in suite.rest(ctx, bound, seed):
+            for group in suite.rest(ctx, bound):
                 yield i, group
 
 
@@ -738,7 +732,8 @@ def run_suites(
     ``context`` (a new ``SpaceContext`` without one); the groups that need no
     space run after it. ``sample`` draws a deterministic random subset of
     each suite's instances: a first walk counts them, and a second hands
-    each group's check the drawn ones, in order. ``wall_time_s`` is a
+    each group's check the drawn ones, in order; ``seed`` fixes the draw,
+    and nothing else reads it. ``wall_time_s`` is a
     suite's share of the time (see ``_timed``), generating its instances
     as well as checking them. A ``RegOpenError`` that escapes a group's
     check fails every instance the check was given, with its message; one
@@ -758,13 +753,13 @@ def run_suites(
     chosen = [SUITES[name] for name in names]
     tallies = [_Tally() for _ in names]
     if sample is not None:
-        for tally, group in _timed(_walk(context, chosen, bound, seed), tallies):
+        for tally, group in _timed(_walk(context, chosen, bound), tallies):
             if group is not None:
                 tally.total += len(group.items)
         for tally in tallies:
             if sample < tally.total:
                 tally.drawn = sorted(random.Random(seed).sample(range(tally.total), sample))
-    for tally, group in _timed(_walk(context, chosen, bound, seed), tallies):
+    for tally, group in _timed(_walk(context, chosen, bound), tallies):
         if group is not None:
             tally.check(context, group)
     return [

@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately naive and shares no code with the package:
-pointwise scans and literal set arithmetic over frozensets. The one
-exception is ``intersect_oracle``, the older De Morgan spelling of symbolic
-intersection, built on the package's own complement and union.
+pointwise scans and literal set arithmetic over frozensets. The
+exceptions are the symbolic-set ones, built on the package's own
+operations: ``intersect_oracle``, the older De Morgan spelling of symbolic
+intersection, and ``symbolic_identities_oracle``, the Boolean-algebra and
+interior/closure identities.
 """
 
 import functools
@@ -13,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from regopen import Topology
-from regopen.cofinite import SymbolicSet, complement, union
+from regopen.cofinite import SymbolicSet, closure, complement, interior, intersect, is_subset, union
 from regopen.errors import CompositionNotIso, SizeGuardExceeded
 from regopen.lattice import AXIOM_NAMES, AxiomResult, RLatticeReport
 
@@ -369,6 +371,35 @@ def trace_keeps_closure_oracle(t: Topology, y: int, u: int) -> bool:
 def intersect_oracle(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     # the complement of the union of the complements
     return complement(union(complement(a), complement(b)))
+
+
+def symbolic_identities_oracle(a: SymbolicSet, b: SymbolicSet, c: SymbolicSet) -> str | None:
+    """The name of the first identity that fails on (a, b, c), or None."""
+    if union(a, b) != union(b, a):
+        return "union commutativity"
+    if intersect(a, b) != intersect(b, a):
+        return "intersection commutativity"
+    if union(union(a, b), c) != union(a, union(b, c)):
+        return "union associativity"
+    if intersect(intersect(a, b), c) != intersect(a, intersect(b, c)):
+        return "intersection associativity"
+    if complement(complement(a)) != a:
+        return "double complement"
+    if complement(union(a, b)) != intersect(complement(a), complement(b)):
+        return "De Morgan (union)"
+    if complement(intersect(a, b)) != union(complement(a), complement(b)):
+        return "De Morgan (intersection)"
+    if union(a, intersect(a, b)) != a:
+        return "absorption"
+    if intersect(a, union(a, b)) != a:
+        return "absorption dual"
+    if intersect(a, union(b, c)) != union(intersect(a, b), intersect(a, c)):
+        return "distributivity"
+    if interior(a) != complement(closure(complement(a))):
+        return "interior/closure duality"
+    if not is_subset(interior(a), a) or not is_subset(a, closure(a)):
+        return "interior below, closure above"
+    return None
 
 
 def triangle_oracle(dist) -> tuple[int, int, int] | None:

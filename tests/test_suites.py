@@ -1,6 +1,7 @@
 """The suite driver: pass/fail behaviour, determinism, instance accounting,
 and the counterexample gallery."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -24,7 +25,15 @@ from regopen.enumeration import (
     enumerate_dense_subsets,
     enumerate_topologies,
 )
-from regopen.errors import BadSuiteArgument, NotDense, RegOpenError, SizeGuardExceeded, UnknownSuite, VerificationError
+from regopen.errors import (
+    BadSuiteArgument,
+    NotAMetric,
+    NotDense,
+    RegOpenError,
+    SizeGuardExceeded,
+    UnknownSuite,
+    VerificationError,
+)
 from regopen.ideals import ideals, ultrafilters
 from regopen.lattice import (
     AXIOM_NAMES,
@@ -38,6 +47,7 @@ from regopen.lattice import (
     well_inside,
     well_inside_rows,
 )
+from regopen.metric import FiniteMetric, combine_metric
 from regopen.serialize import space_to_dict
 from regopen.stone import StoneSpace, stone_space
 from regopen.suites import SUITES, SpaceContext, Suite
@@ -58,9 +68,9 @@ from oracles import (
 )
 
 
-def _groups(name, ctx, bound, seed):
+def _groups(name, ctx, bound):
     """The groups of the suite ``name``, in the order a run checks them."""
-    return (group for _, group in suites._walk(ctx, [SUITES[name]], bound, seed) if group is not None)
+    return (group for _, group in suites._walk(ctx, [SUITES[name]], bound) if group is not None)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -134,7 +144,7 @@ def _watching(check_each_call):
     return {
         name: Suite(
             suite.space and (lambda ctx, t, suite=suite: watched(suite.space(ctx, t))),
-            suite.rest and (lambda ctx, b, s, suite=suite: map(watched, suite.rest(ctx, b, s))),
+            suite.rest and (lambda ctx, b, suite=suite: map(watched, suite.rest(ctx, b))),
         )
         for name, suite in SUITES.items()
     }
@@ -228,9 +238,9 @@ def test_sampled_report_matches_the_list_based_draw(name, bound, seed, sample, p
     if planted:
         PLANTED[name][0](monkeypatch)
     suite = SUITES[name]
-    drawn = sample_oracle(_groups(name, SpaceContext(), bound, seed), sample, seed)
+    drawn = sample_oracle(_groups(name, SpaceContext(), bound), sample, seed)
     # the expected report checks each drawn instance as a group of its own
-    singles = Suite(rest=lambda ctx, b, s: (group._replace(items=[item]) for group, item in drawn))
+    singles = Suite(rest=lambda ctx, b: (group._replace(items=[item]) for group, item in drawn))
     monkeypatch.setitem(SUITES, name, singles)
     expected = run_suite(name, bound, seed=seed, allow_n5=True)
     checked = []
@@ -246,7 +256,7 @@ def test_sampled_report_matches_the_list_based_draw(name, bound, seed, sample, p
         return group._replace(check=check)
 
     space = suite.space and (lambda ctx, t: recording(suite.space(ctx, t)))
-    rest = suite.rest and (lambda ctx, b, s: map(recording, suite.rest(ctx, b, s)))
+    rest = suite.rest and (lambda ctx, b: map(recording, suite.rest(ctx, b)))
     monkeypatch.setitem(SUITES, name, Suite(space, rest))
     report = run_suite(name, bound, sample=sample, seed=seed, allow_n5=True)
     assert checked == [group.fields(item) for group, item in drawn]
@@ -318,7 +328,7 @@ def test_context_subspace_is_the_held_space():
 def test_denso_instances_agree_with_closure_density_check():
     ctx = SpaceContext()
     count = 0
-    for group in _groups("denso", ctx, 4, 0):
+    for group in _groups("denso", ctx, 4):
         failing = {pos for pos, _ in group.check(ctx, group)}
         for pos, item in enumerate(group.items):
             fields = group.fields(item)
@@ -336,7 +346,7 @@ def test_denso_group_check_matches_the_per_instance_oracle(monkeypatch):
         if plant:
             plant(monkeypatch)
         failing = []
-        for group in _groups("denso", ctx, 4, 0):
+        for group in _groups("denso", ctx, 4):
             space = group.shared["space"]
             expected = [
                 pos for pos, (y, u) in enumerate(group.items)
@@ -811,12 +821,49 @@ def _complement_ignoring_label_zero(monkeypatch):
     monkeypatch.setattr(cof, "complement", wrong)
 
 
-def _strict_dominates(monkeypatch):
-    monkeypatch.setattr(
-        suites,
-        "dominates",
-        lambda a, b: all(a(i, j) > b(i, j) for i in range(a.n) for j in range(a.n) if i != j),
-    )
+def _union_intersect_swapped(monkeypatch):
+    union, intersect = cof.union, cof.intersect
+    monkeypatch.setattr(cof, "union", intersect)
+    monkeypatch.setattr(cof, "intersect", union)
+
+
+def _strict_triangle(monkeypatch):
+    # the axiom scan also refuses a triangle that binds, d(i, k) = d(i, j) + d(j, k)
+    init = FiniteMetric.__init__
+
+    def wrong(self, dist):
+        init(self, dist)
+        d = self.dist
+        for i, j, k in itertools.permutations(range(self.n), 3):
+            if d[i][k] >= d[i][j] + d[j][k]:
+                raise NotAMetric("triangle", (i, j, k))
+
+    monkeypatch.setattr(FiniteMetric, "__init__", wrong)
+
+
+def _metric_sum(monkeypatch):
+    def wrong(dx, dy, tau):
+        return FiniteMetric([[dx(i, j) + dy(tau[i], tau[j]) for j in range(dx.n)] for i in range(dx.n)])
+
+    monkeypatch.setattr(suites, "combine_metric", wrong)
+
+
+def _metric_first_factor(monkeypatch):
+    monkeypatch.setattr(suites, "combine_metric", lambda dx, dy, tau: dx)
+
+
+def _metric_ignoring_tau(monkeypatch):
+    monkeypatch.setattr(suites, "combine_metric", lambda dx, dy, tau: combine_metric(dx, dy, range(dx.n)))
+
+
+def _metric_with_inverse_tau(monkeypatch):
+    def wrong(dx, dy, tau):
+        inverse = [0] * dx.n
+        for i, image in enumerate(tau):
+            inverse[image] = i
+        return combine_metric(dx, dy, inverse)
+
+    monkeypatch.setattr(suites, "combine_metric", wrong)
 
 
 PLANTED = {
@@ -829,8 +876,18 @@ PLANTED = {
     "rlattice": (_well_inside_missing_top_over_bottom, {"space", "error"}),
     "stone": (_ultrafilters_missing_one, {"powerset", "error"}),
     "ideals": (_ideals_missing_one, {"powerset", "error"}),
-    "cofinite": (_complement_ignoring_label_zero, {"seed", "trial", "error", "sets"}),
-    "metric": (_strict_dominates, {"seed", "trial", "error"}),
+    "cofinite": (_complement_ignoring_label_zero, {"error", "sets"}),
+    "metric": (_strict_triangle, {"error"}),
+}
+
+# More plants, each with its suite: bugs that the exact cofinite and metric
+# checks catch, and that the earlier randomized trials passed.
+MORE_PLANTED = {
+    "cofinite-union-intersect-swapped": ("cofinite", _union_intersect_swapped, {"error", "sets"}),
+    "metric-sum": ("metric", _metric_sum, {"error", "dx", "dy", "tau"}),
+    "metric-first-factor": ("metric", _metric_first_factor, {"error", "dx", "dy", "tau"}),
+    "metric-ignoring-tau": ("metric", _metric_ignoring_tau, {"error", "dx", "dy", "tau"}),
+    "metric-inverse-tau": ("metric", _metric_with_inverse_tau, {"error", "dx", "dy", "tau"}),
 }
 
 
@@ -847,8 +904,35 @@ def test_cofinite_reports_an_intersection_that_keeps_label_zero(monkeypatch):
 
     monkeypatch.setattr(cof, "intersect", wrong)
     report = run_suite("cofinite", bound=3)
-    assert report.failures and not report.passed
-    assert all(set(failure) == {"seed", "trial", "error", "sets"} for failure in report.failures)
+    assert not report.passed
+    assert report.failures == [
+        {
+            "error": "intersect gives Finite({0}), membership gives Finite({})",
+            "sets": ["Finite({0})", "Cofinite({0,1,2,3,4})"],
+        }
+    ]
+
+
+def test_window_sets_follow_symbolic_membership():
+    # bit x of the membership mask is label x of the window; the outside bit
+    # is every label from the window's end on
+    sets = [suites._window_set(member) for member in range(64)]
+    assert len(set(sets)) == 64
+    for member, s in enumerate(sets):
+        assert s.support <= set(range(suites._WINDOW))
+        for label in range(suites._WINDOW + 3):
+            inside = (label in s.support) != (s.kind == cof.COFINITE)
+            assert inside == bool(member >> min(label, suites._WINDOW) & 1)
+
+
+@pytest.mark.parametrize("name", ["cofinite", "metric"])
+@pytest.mark.parametrize("planted", [False, True])
+def test_fixed_cost_suites_do_not_read_the_seed(name, planted, monkeypatch):
+    # with a planted bug the report lists a failure with its fields
+    if planted:
+        PLANTED[name][0](monkeypatch)
+    reports = {run_suite(name, bound=2, seed=seed).to_json() for seed in (1, 2, 9)}
+    assert len(reports) == 1
 
 
 def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):
@@ -888,9 +972,9 @@ def test_every_suite_has_a_planted_bug():
     assert sorted(PLANTED) == sorted(SUITES)
 
 
-@pytest.mark.parametrize("name", sorted(PLANTED))
-def test_suite_reports_planted_bug(name, monkeypatch):
-    plant, keys = PLANTED[name]
+@pytest.mark.parametrize("case", sorted(PLANTED) + sorted(MORE_PLANTED))
+def test_suite_reports_planted_bug(case, monkeypatch):
+    name, plant, keys = MORE_PLANTED[case] if case in MORE_PLANTED else (case, *PLANTED[case])
     plant(monkeypatch)
     report = run_suite(name, bound=3)
     assert report.failures and not report.passed
@@ -1041,7 +1125,7 @@ def test_error_escaping_a_group_check_fails_each_instance_it_was_given(monkeypat
     every = [failure(y, u) for y in dense_masks(s) for u in s.open_masks]
     assert run_suite("denso", bound=2).failures == every
     # sampled, the check is given only the drawn instances of its space
-    drawn = sample_oracle(_groups("denso", SpaceContext(), 2, 3), 6, 3)
+    drawn = sample_oracle(_groups("denso", SpaceContext(), 2), 6, 3)
     expected = [failure(*item) for group, item in drawn if group.shared["space"] == s]
     assert 0 < len(expected) < len(every)
     assert run_suite("denso", bound=2, sample=6, seed=3).failures == expected

@@ -28,7 +28,7 @@ from regopen.cofinite import (
 )
 from regopen.errors import NotOpen
 
-from oracles import intersect_oracle
+from oracles import intersect_oracle, symbolic_identities_oracle
 
 
 def test_algebra_examples():
@@ -47,6 +47,15 @@ def test_intersect_matches_de_morgan_on_small_supports():
     for a in sets:
         for b in sets:
             assert intersect(a, b) == intersect_oracle(a, b)
+
+
+def test_identities_hold_on_every_triple_of_small_supports():
+    # every finite and cofinite set with support inside range(3): 16 sets, 4096 triples
+    supports = [frozenset(c) for r in range(4) for c in itertools.combinations(range(3), r)]
+    sets = [SymbolicSet(kind, s) for kind in (FINITE, COFINITE) for s in supports]
+    assert len(sets) == 16
+    for a, b, c in itertools.product(sets, repeat=3):
+        assert symbolic_identities_oracle(a, b, c) is None, (a, b, c)
 
 
 def test_interior_closure_examples():
