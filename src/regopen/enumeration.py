@@ -15,10 +15,10 @@ homeomorphism are 1, 3, 9, 33, 139.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import BadEnumerationSpec, SizeGuardExceeded
-from .topology import Topology, canonical_open_masks, set_of, submasks
+from .topology import Topology, canonical_open_masks, set_of
 
 MODES = ("all", "up-to-homeomorphism")
 
@@ -114,22 +114,18 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
         yield Topology.trusted(spec.n, fam)
 
 
-def dense_masks(t: Topology) -> list[int]:
+def dense_masks(t: Topology, cl: Sequence[int] | None = None) -> list[int]:
     """The masks of all nonempty subsets with full closure, ascending.
 
-    A set is dense exactly when it meets every minimal nonempty open. Those
-    opens are the least neighbourhoods that hold no other least
-    neighbourhood, and they are pairwise disjoint. So a dense set is a
-    nonempty part of each of them plus any part of the points outside them,
-    and no closure is computed.
+    ``cl`` is the closure table of ``t`` (``Topology.closure_table``), read
+    once per mask: a verify run passes the table it holds for the space,
+    and without one the space's own table is built. The empty mask has
+    closure 0, so it is never listed.
     """
-    nbhds = set(t.min_nbhd_masks)
-    dense, rest = [0], t.full_mask
-    for u in nbhds:
-        if not any(v != u and v & u == v for v in nbhds):
-            rest &= ~u
-            dense = [y | s for y in dense for s in submasks(u)[1:]]
-    return sorted(y | s for y in dense for s in submasks(rest))
+    if cl is None:
+        cl = t.closure_table()
+    full = t.full_mask
+    return [y for y, c in enumerate(cl) if c == full]
 
 
 def enumerate_dense_subsets(t: Topology) -> list[frozenset[int]]:

@@ -17,6 +17,7 @@ all that its check reads (see ``SpaceContext``).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import random
 import time
@@ -48,7 +49,7 @@ from .transfer import (
     LatticeIsoWitness,
     check_basis,
     dense_rows,
-    point_recovery,
+    recover_tau,
     restriction_maps,
     separations_failing,
     subspace_key,
@@ -167,8 +168,9 @@ class SpaceContext:
     order, and the space it has yielded last is the current one. The values
     of the current space are built on first request and dropped when the
     walk moves on: its operator tables (``tables``), dense masks
-    (``dense``), regular opens (``regular_opens``) and lattice
-    (``lattice``). Asked for another space, each is built again, not kept.
+    (``dense``, read from the cl table), regular opens (``regular_opens``)
+    and lattice (``lattice``). Asked for another space, each is built
+    again, not kept.
 
     The context holds the spaces with fewer points than the bound, and
     their lattices, for the dense-subspace lookups: the subspace on a dense
@@ -183,7 +185,9 @@ class SpaceContext:
     everything its check reads, so each is exact: a lattice's index tables
     for rlattice's axioms and for stone, the order and the well-inside rows
     for rlattice's monotonicity scan, both order tables and both maps for
-    ux0. It keeps a verdict, never a witness or a lattice, and never a raise.
+    ux0, and a dense subspace's least neighbourhoods and basis for
+    recovery's basis check. It keeps a verdict, never a witness or a
+    lattice, and never a raise.
 
     It also keeps, for the run, a record of each regular-open family (the
     family fixes a finite RO(X)): its first passing build, without a space.
@@ -251,8 +255,8 @@ class SpaceContext:
         return self._own(t, "tables", t.operator_tables)
 
     def dense(self, t: Topology) -> list[int]:
-        """The dense masks of ``t``: ``enumeration.dense_masks``."""
-        return self._own(t, "dense", lambda: dense_masks(t))
+        """The dense masks of ``t``: ``enumeration.dense_masks`` on the held cl table."""
+        return self._own(t, "dense", lambda: dense_masks(t, self.tables(t)[0]))
 
     def regular_opens(self, t: Topology) -> tuple[int, ...]:
         """The regular opens of ``t``, read from its reg table: not from its
@@ -366,14 +370,24 @@ def _space_uvw(ctx: SpaceContext, t: Topology) -> Group:
 def _check_regularity(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
     t = group.shared["space"]
     cl, _, reg = ctx.tables(t)
-    opens, is_open = t.open_masks, t.is_open_mask
+    opens, open_set = t.open_masks, t._open_set
+    # every open inside c = cl(A) sits inside A iff their union does; the
+    # union depends on c alone, so the opens are scanned once per closure
+    inside: dict[int, int] = {}
     failed = []
     for pos, (a,) in enumerate(group.items):
-        if not is_open(a):
+        if a not in open_set:
             continue  # both routes ask for an open set first
         direct = reg[a] == a
         c = cl[a]
-        via_opens = all(v & ~a == 0 for v in opens if v & ~c == 0)
+        union = inside.get(c)
+        if union is None:
+            union = 0
+            for v in opens:
+                if v & ~c == 0:
+                    union |= v
+            inside[c] = union
+        via_opens = union | a == a
         if direct != via_opens:
             failed.append((pos, f"fixpoint route says {direct}, open-scan route says {via_opens}"))
     return failed
@@ -383,20 +397,30 @@ def _space_regularity(ctx: SpaceContext, t: Topology) -> Group:
     """Both routes to 'regular open' agree on every subset of the space:
     the fixpoint definition, reg(A) = A for an open A, read from the
     space's reg table, versus openness plus 'every open inside the closure
-    already sits inside the set', a scan of the opens."""
+    already sits inside the set', a scan of the opens per distinct closure."""
     subsets = [(a,) for a in range(t.full_mask + 1)]
     return Group({"space": t}, ("subset",), subsets, _check_regularity)
 
 
-def _check_recovery(ctx: SpaceContext, dense: int, space: Topology) -> str | None:
+def _check_recovery(ctx: SpaceContext, dense: int, space: Topology, basis: tuple[int, ...]) -> str | None:
+    """What ``point_recovery`` checks for the dense mask Y, on masks.
+    ``basis`` is the space's basis as ``check_basis`` returned it when the
+    group was made. The subspace's basis is checked through
+    ``SpaceContext.verdict``, once per run for each (least neighbourhoods,
+    basis); a raise is not remembered, so it fails each of its instances.
+    On every point the subspace is the space, with ``basis``. Then
+    ``recover_tau`` checks the iso, and tau must be the inclusion of Y."""
     if ctx.tables(space)[0][dense] != space.full_mask:
         raise NotDense(f"{sorted(set_of(dense))} is not dense in the ambient space")
     sub = ctx.subspace(space, dense)
     points, _, trace = dense_rows(dense)
-    bx = [m for m in ctx.lattice(space).payload_masks if m]
-    by = [m for m in ctx.lattice(sub).payload_masks if m]
-    ph = point_recovery(space, bx, sub, by, {u: trace[u & dense] for u in bx})
-    for x, yy in ph.tau.items():
+    if sub is space:
+        sub_basis = basis
+    else:
+        by = tuple([m for m in ctx.lattice(sub).payload_masks if m])
+        sub_basis = ctx.verdict(("basis", sub.min_nbhd_masks, by), lambda: check_basis(sub, by))
+    tau = recover_tau(space, basis, sub, sub_basis, {u: trace[u & dense] for u in basis})
+    for x, yy in tau.items():
         if not (0 <= yy < len(points) and points[yy] == x):
             return f"recovered {x} -> {yy}, expected the dense-set inclusion"
     return None
@@ -407,13 +431,14 @@ def _space_recovery(ctx: SpaceContext, t: Topology) -> Group | None:
     send each recovered point to its own copy. The construction quantifies
     over given bases, so the spaces are those whose nonempty regular opens
     form a basis; then so do those of each dense subspace, whose least
-    neighbourhoods are traces of regular opens, and ``point_recovery``
-    checks both bases again."""
+    neighbourhoods are traces of regular opens. The space's basis is
+    checked here, once, and handed to each instance's check."""
     try:
-        check_basis(t, [m for m in ctx.regular_opens(t) if m])
+        basis = check_basis(t, [m for m in ctx.regular_opens(t) if m])
     except NotABasis:
         return None
-    return Group({"space": t}, ("dense",), [(y,) for y in ctx.dense(t)], _each(_check_recovery))
+    check = functools.partial(_check_recovery, basis=basis)
+    return Group({"space": t}, ("dense",), [(y,) for y in ctx.dense(t)], _each(check))
 
 
 def _one_per_space(check: Callable[..., Result | None]) -> Callable[[SpaceContext, Topology], Group]:

@@ -14,7 +14,8 @@ The central facts made executable here, each verified instance by instance:
 
 Every map between regular-open lattices here is built from the trace and
 lift rows of a dense set Y, which ``dense_rows`` keeps, and the space's
-regularize: ``restriction_maps`` builds the trace and lift maps, and
+regularize: ``restriction_maps`` builds the trace and lift maps, each in
+one comprehension over the target lattice's index, and
 ``restriction_isomorphism`` and the ux0 suite both call it, the one with
 ``Topology.regularize_mask`` for one embedding, the other with the space's
 reg table for all of a space's dense sets. ``DenseEmbedding`` reads the rows
@@ -22,6 +23,11 @@ one set at a time and builds its own subspace, which a verify run looks up
 by ``subspace_key`` instead. The kernels ``separations_failing`` and
 ``traces_losing_closure`` read the space's cl and reg tables, which their
 caller builds once per space.
+
+``point_recovery`` validates both bases with ``check_basis`` and the iso's
+points, then calls ``recover_tau``, which checks the iso on masks and finds
+tau; the recovery suite calls ``recover_tau`` itself, with bases it has
+checked once.
 """
 
 from __future__ import annotations
@@ -231,8 +237,15 @@ def restriction_maps(
     space's regularize, at V's entry in Y's lift row. VerificationError
     names a regular open whose image is not regular open on the other side."""
     _, lift, trace = dense_rows(y)
-    forward = _map_elements(up, lambda u: trace[u & y], down, _TRACE_MISSED)
-    backward = _map_elements(down, lambda v: reg(lift[v]), up, _LIFT_MISSED)
+    up_index, down_index = up.index_of_mask, down.index_of_mask
+    try:
+        forward = tuple([down_index[trace[u & y]] for u in up.payload_masks])
+    except KeyError:
+        forward = _map_elements(up, lambda u: trace[u & y], down, _TRACE_MISSED)
+    try:
+        backward = tuple([up_index[reg(lift[v])] for v in down.payload_masks])
+    except KeyError:
+        backward = _map_elements(down, lambda v: reg(lift[v]), up, _LIFT_MISSED)
     return forward, backward
 
 
@@ -282,7 +295,7 @@ def separations_failing(
     ``pairs`` for which ``separating_witness`` raises, each with the
     message it raises. It checks the same conditions, reading cl and reg
     from ``cl`` and ``reg``, the tables of ``t``, for all the pairs."""
-    is_open, cl_of, reg_of = t.is_open_mask, cl.__getitem__, reg.__getitem__
+    is_open, cl_of, reg_of = t._open_set.__contains__, cl.__getitem__, reg.__getitem__
     failed = []
     for pos, (u, v) in enumerate(pairs):
         error = _separation_error(u, v, is_open, cl_of, reg_of)
@@ -399,22 +412,45 @@ def point_recovery(
     is a member and lies inside every member containing x, and iso
     preserves inclusion. X0 collects the x whose recovery set is a
     singleton {y} with recovery set {x} in return; tau maps each such x to
-    its y. The compatibility tau(x) in iso(U) iff x in U is verified for
-    every basis member and every recovered point, and tau is verified to be
-    a homeomorphism between the subspaces on X0 and Y0.
+    its y. Both bases are validated by ``check_basis``, and ``recover_tau``
+    checks iso and finds tau.
     """
     bx_masks = check_basis(tx, bx)
     by_masks = check_basis(ty, by)
     iso_masks = {tx.to_mask(u): ty.to_mask(v) for u, v in iso.items()}
-    if sorted(iso_masks) != list(bx_masks) or sorted(iso_masks.values()) != list(by_masks):
-        raise NotABijection("iso must be a bijection between the two bases")
-    for u1, u2 in ((a, b) for a in bx_masks for b in bx_masks):
-        if (u1 & u2 == u1) != (iso_masks[u1] & iso_masks[u2] == iso_masks[u1]):
-            raise NotInclusionPreserving(set_of(u1), set_of(u2))
+    tau = recover_tau(tx, bx_masks, ty, by_masks, iso_masks)
     inv_masks = {v: u for u, v in iso_masks.items()}
+    return PartialHomeomorphism(
+        frozenset(tau),
+        frozenset(tau.values()),
+        tau,
+        {x: set_of(iso_masks[u]) for x, u in enumerate(tx.min_nbhd_masks)},
+        {y: set_of(inv_masks[v]) for y, v in enumerate(ty.min_nbhd_masks)},
+    )
 
-    rx = [iso_masks[u] for u in tx.min_nbhd_masks]
-    ry = [inv_masks[v] for v in ty.min_nbhd_masks]
+
+def recover_tau(
+    tx: Topology, bx: tuple[int, ...], ty: Topology, by: tuple[int, ...], iso: Mapping[int, int]
+) -> dict[int, int]:
+    """tau of ``point_recovery`` on masks: ``bx`` and ``by`` are bases of
+    ``tx`` and ``ty`` as ``check_basis`` returns them, and ``iso`` sends
+    masks to masks. iso is verified to be a bijection from bx onto by, so
+    every mask it holds is a validated basis member, and to preserve
+    inclusion both ways. tau is verified compatible, tau(x) in iso(U) iff
+    x in U for every member U and recovered x, and a homeomorphism between
+    the subspaces on X0 and Y0.
+    """
+    if sorted(iso) != list(bx) or sorted(iso.values()) != list(by):
+        raise NotABijection("iso must be a bijection between the two bases")
+    pairs = [(u, iso[u]) for u in bx]
+    for u1, v1 in pairs:
+        for u2, v2 in pairs:
+            if (u1 & u2 == u1) != (v1 & v2 == v1):
+                raise NotInclusionPreserving(set_of(u1), set_of(u2))
+    inv = {v: u for u, v in pairs}
+
+    rx = [iso[u] for u in tx.min_nbhd_masks]
+    ry = [inv[v] for v in ty.min_nbhd_masks]
 
     tau: dict[int, int] = {}
     for x in range(tx.n):
@@ -423,21 +459,13 @@ def point_recovery(
             if ry[y] == 1 << x:
                 tau[x] = y
 
-    for u in bx_masks:
+    for u, v in pairs:
         for x, y in tau.items():
-            if bool(u >> x & 1) != bool(iso_masks[u] >> y & 1):
+            if bool(u >> x & 1) != bool(v >> y & 1):
                 raise VerificationError(
                     "recovered correspondence breaks basis compatibility",
                     (sorted(set_of(u)), x),
                 )
     if not _carries_neighbourhoods(tx, ty, tau):
         raise VerificationError("recovered correspondence is not a subspace homeomorphism")
-
-    return PartialHomeomorphism(
-        frozenset(tau),
-        frozenset(tau.values()),
-        tau,
-        {x: set_of(rx[x]) for x in range(tx.n)},
-        {y: set_of(ry[y]) for y in range(ty.n)},
-    )
-
+    return tau

@@ -368,6 +368,44 @@ def trace_keeps_closure_oracle(t: Topology, y: int, u: int) -> bool:
     return closure_oracle(t, us & ys) == closure_oracle(t, us)
 
 
+def dense_masks_oracle(t: Topology) -> list[int]:
+    """The dense masks of ``t``, ascending, without a closure: a set is
+    dense iff it meets every minimal nonempty open, and those are the least
+    neighbourhoods that hold no other one, pairwise disjoint. So a dense set
+    is a nonempty part of each of them plus any part of the points outside
+    them. Reference for ``dense_masks``, which reads a closure table."""
+
+    def parts(mask: int) -> list[int]:
+        out = [0]
+        for p in range(t.n):
+            if mask >> p & 1:
+                out += [s | 1 << p for s in out]
+        return out
+
+    nbhds = set(t.min_nbhd_masks)
+    dense, rest = [0], t.full_mask
+    for u in nbhds:
+        if not any(v != u and v & u == v for v in nbhds):
+            rest &= ~u
+            dense = [y | s for y in dense for s in parts(u)[1:]]
+    return sorted(y | s for y in dense for s in parts(rest))
+
+
+def regularity_scan_oracle(t: Topology, cl, reg, a: int) -> str | None:
+    """The regularity suite's verdict on the subset ``a`` by a scan of the
+    opens per subset: for an open A, the fixpoint route reg(A) == A, read
+    from the table ``reg``, against 'every open inside cl(A) sits inside
+    A', with cl(A) read from ``cl``. Reference for the kernel, which scans
+    the opens once per closure."""
+    if a not in t.open_masks:
+        return None
+    direct = reg[a] == a
+    via_opens = all(v & ~a == 0 for v in t.open_masks if v & ~cl[a] == 0)
+    if direct != via_opens:
+        return f"fixpoint route says {direct}, open-scan route says {via_opens}"
+    return None
+
+
 def intersect_oracle(a: SymbolicSet, b: SymbolicSet) -> SymbolicSet:
     # the complement of the union of the complements
     return complement(union(complement(a), complement(b)))

@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the package in ``src``."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,15 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cofinite_demo_fails_with_union_and_intersection_swapped(monkeypatch):
+    # the demo binds the operations as it imports them, so the swap reaches it
+    from regopen import cofinite
+
+    union, intersect = cofinite.union, cofinite.intersect
+    monkeypatch.setattr(cofinite, "union", intersect)
+    monkeypatch.setattr(cofinite, "intersect", union)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "demos" / "08_cofinite_symbolic.py"), run_name="__main__")
+    assert "should be" in str(exc.value)

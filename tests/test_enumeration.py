@@ -25,7 +25,13 @@ from regopen.enumeration import dense_masks
 from regopen.errors import BadEnumerationSpec, SizeGuardExceeded
 from regopen.topology import permute_mask, set_of
 
-from oracles import brute_force_topologies, canonical_open_masks_oracle, dense_oracle, preorder_topologies
+from oracles import (
+    brute_force_topologies,
+    canonical_open_masks_oracle,
+    dense_masks_oracle,
+    dense_oracle,
+    preorder_topologies,
+)
 
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
 CLASS_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33}
@@ -210,6 +216,12 @@ def test_dense_masks_are_the_dense_subsets_as_masks():
             masks = dense_masks(t)
             assert masks == [t.to_mask(y) for y in enumerate_dense_subsets(t)]
             assert masks == [y for y in range(1, 1 << n) if dense_oracle(t, set_of(y))]
+
+
+def test_dense_masks_from_a_closure_table_match_the_minimal_open_route():
+    spaces = [t for n in range(1, 6) for t in enumerate_topologies(EnumerationSpec(n, allow_n5=True))]
+    for t in spaces + [discrete(8), indiscrete(8)]:
+        assert dense_masks(t) == dense_masks(t, t.closure_table()) == dense_masks_oracle(t)
 
 
 def test_canonical_classes_ordering():

@@ -27,6 +27,7 @@ from regopen.enumeration import (
 )
 from regopen.errors import (
     BadSuiteArgument,
+    NotABasis,
     NotAMetric,
     NotDense,
     RegOpenError,
@@ -56,12 +57,15 @@ from regopen.transfer import (
     DenseEmbedding,
     LatticeIsoWitness,
     closure_density_check,
+    point_recovery,
     restriction_isomorphism,
     traces_losing_closure,
 )
 
 from oracles import (
+    basis_oracle,
     closure_oracle,
+    regularity_scan_oracle,
     sample_oracle,
     trace_keeps_closure_oracle,
     well_inside_monotone_oracle,
@@ -179,9 +183,9 @@ def test_joint_run_builds_tables_and_dense_sets_once_per_space(monkeypatch):
         tables[t] += 1
         return operator_tables(t)
 
-    def counting_dense(t):
+    def counting_dense(t, cl):
         dense[t] += 1
-        return masks(t)
+        return masks(t, cl)
 
     monkeypatch.setattr(Topology, "operator_tables", counting_tables)
     monkeypatch.setattr(suites, "dense_masks", counting_dense)
@@ -779,14 +783,12 @@ def _regularize_dropping_last_point(monkeypatch):
 
 
 def _recovery_off_by_one(monkeypatch):
-    recover = suites.point_recovery
+    recover = suites.recover_tau
 
     def wrong(*args):
-        ph = recover(*args)
-        ph.tau = {x: y ^ 1 for x, y in ph.tau.items()}
-        return ph
+        return {x: y ^ 1 for x, y in recover(*args).items()}
 
-    monkeypatch.setattr(suites, "point_recovery", wrong)
+    monkeypatch.setattr(suites, "recover_tau", wrong)
 
 
 def _join_as_plain_union(monkeypatch):
@@ -968,6 +970,23 @@ def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("plant", [None, _regularize_dropping_last_point], ids=["clean", "reg-dropping-last-point"])
+def test_regularity_kernel_matches_the_per_open_scan(plant, monkeypatch):
+    # the kernel scans the opens once per closure, the oracle once per subset
+    if plant:
+        plant(monkeypatch)
+    ctx = SpaceContext()
+    reported = 0
+    for t in ctx.spaces(4):
+        group = suites._space_regularity(ctx, t)
+        cl, _, reg = ctx.tables(t)
+        verdicts = [regularity_scan_oracle(t, cl, reg, a) for (a,) in group.items]
+        expected = [(pos, verdict) for pos, verdict in enumerate(verdicts) if verdict is not None]
+        assert group.check(ctx, group) == expected
+        reported += len(expected)
+    assert bool(reported) == bool(plant)
+
+
 def test_every_suite_has_a_planted_bug():
     assert sorted(PLANTED) == sorted(SUITES)
 
@@ -1021,7 +1040,7 @@ def test_ideals_suite_stops_at_the_ideals_row(monkeypatch):
     assert report.passed and report.instances == 3 + 3
 
 
-def test_recovery_reports_a_dense_subspace_without_a_basis(monkeypatch):
+def _two_point_subspaces_as_sierpinski(monkeypatch):
     # every 2-point dense subspace becomes the Sierpinski space, whose one
     # nonempty regular open misses the least neighbourhood {0}
     subspace = SpaceContext.subspace
@@ -1031,6 +1050,101 @@ def test_recovery_reports_a_dense_subspace_without_a_basis(monkeypatch):
         return sierpinski() if sub.n == 2 else sub
 
     monkeypatch.setattr(SpaceContext, "subspace", wrong)
+
+
+def _trace_rows_reversed(monkeypatch):
+    # Y's trace row, which recovery reads, lists the subspace's points in
+    # reverse order
+    rows = suites.dense_rows
+
+    def reversed_trace(mask):
+        points, lift, trace = rows(mask)
+        back = range(len(points) - 1, -1, -1)
+        return points, lift, {s: permute_mask(i, back) for s, i in trace.items()}
+
+    monkeypatch.setattr(suites, "dense_rows", reversed_trace)
+
+
+def _first_not_dense(t):
+    return next((m for m in range(1, t.full_mask) if t.closure_mask(m) != t.full_mask), None)
+
+
+def _dense_masks_with_one_not_dense(monkeypatch):
+    # each space's dense masks gain its first nonempty mask that is not dense
+    masks = suites.dense_masks
+    monkeypatch.setattr(suites, "dense_masks", lambda t, cl: masks(t, cl) + [m for m in [_first_not_dense(t)] if m])
+
+
+def _naive_recovery(bound):
+    """The recovery suite's instance count and failures by a plain loop:
+    the public ``point_recovery`` once per (space, dense set), reading the
+    dense sets, the subspace and Y's trace row through the names the suite
+    reads, so that a plant on those reaches both."""
+    ctx = SpaceContext()
+    count, failures = 0, []
+    for t in _spaces_to(bound):
+        bx = [m for m in t.regular_open_masks() if m]
+        if not basis_oracle(t, map(set_of, bx)):
+            continue
+        for y in suites.dense_masks(t, t.closure_table()):
+            count += 1
+            try:
+                DenseEmbedding(t, y)  # raises NotDense with the suite's message
+                sub = ctx.subspace(t, y)
+                points, _, trace = suites.dense_rows(y)
+                by = [m for m in sub.regular_open_masks() if m]
+                ph = point_recovery(t, bx, sub, by, {u: trace[u & y] for u in bx})
+                wrong = [(x, yy) for x, yy in ph.tau.items() if not (0 <= yy < len(points) and points[yy] == x)]
+                error = f"recovered {wrong[0][0]} -> {wrong[0][1]}, expected the dense-set inclusion" if wrong else None
+            except RegOpenError as exc:
+                error = str(exc)
+            if error is not None:
+                failures.append({"space": space_to_dict(t), "dense": sorted(set_of(y)), "error": error})
+    return count, failures
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [None, _two_point_subspaces_as_sierpinski, _trace_rows_reversed, _dense_masks_with_one_not_dense],
+    ids=lambda plant: plant.__name__.strip("_") if plant else "clean",
+)
+def test_recovery_report_matches_a_naive_loop(plant, monkeypatch):
+    if plant:
+        plant(monkeypatch)
+    count, failures = _naive_recovery(4)
+    assert bool(failures) == bool(plant)
+    report = run_suite("recovery", bound=4)
+    assert (report.instances, report.failures) == (count, failures)
+
+
+def test_recovery_checks_each_basis_once(monkeypatch):
+    # once per space, when its group is made, where it returns for the
+    # spaces with a basis and raises for the rest; and once per held
+    # subspace a dense set gives, for the run
+    returned, raised = Counter(), Counter()
+    check = suites.check_basis
+
+    def counting(t, basis):
+        try:
+            masks = check(t, basis)
+        except NotABasis:
+            raised[t.min_nbhd_masks] += 1
+            raise
+        returned[t.min_nbhd_masks] += 1
+        return masks
+
+    monkeypatch.setattr(suites, "check_basis", counting)
+    assert run_suite("recovery", bound=4).passed
+    spaces = _spaces_to(4)
+    with_basis = [t for t in spaces if basis_oracle(t, [set_of(m) for m in t.regular_open_masks() if m])]
+    held = {t.subspace(y)[0].min_nbhd_masks for t in with_basis for y in dense_masks(t) if y != t.full_mask}
+    assert held and len(with_basis) < len(spaces)
+    assert returned == Counter([t.min_nbhd_masks for t in with_basis]) + Counter(held)
+    assert raised == Counter([t.min_nbhd_masks for t in spaces if t not in with_basis])
+
+
+def test_recovery_reports_a_dense_subspace_without_a_basis(monkeypatch):
+    _two_point_subspaces_as_sierpinski(monkeypatch)
     report = run_suite("recovery", bound=3)
     assert report.failures and not report.passed
     assert all(set(failure) == {"space", "dense", "error"} for failure in report.failures)
@@ -1050,33 +1164,19 @@ def test_cofinite_self_check_failure_is_a_suite_failure(monkeypatch):
 
 
 def test_recovery_reports_a_basis_map_that_is_not_a_bijection(monkeypatch):
-    # Y's trace row, which recovery reads, lists the subspace's points in
-    # reverse order
-    rows = suites.dense_rows
-
-    def reversed_trace(mask):
-        points, lift, trace = rows(mask)
-        back = range(len(points) - 1, -1, -1)
-        return points, lift, {s: permute_mask(i, back) for s, i in trace.items()}
-
-    monkeypatch.setattr(suites, "dense_rows", reversed_trace)
+    _trace_rows_reversed(monkeypatch)
     report = run_suite("recovery", bound=3)
     assert not report.passed
     assert "iso must be a bijection between the two bases" in {f["error"] for f in report.failures}
 
 
 def test_recovery_reports_a_set_that_is_not_dense(monkeypatch):
-    # each space's dense masks gain its first nonempty mask that is not
-    # dense: recovery fails on exactly those, with the message of the
+    # recovery fails on exactly the planted masks, with the message of the
     # density check of a DenseEmbedding
-    def not_dense(t):
-        return next((m for m in range(1, t.full_mask) if t.closure_mask(m) != t.full_mask), None)
-
-    masks = suites.dense_masks
-    monkeypatch.setattr(suites, "dense_masks", lambda t: masks(t) + [m for m in [not_dense(t)] if m])
+    _dense_masks_with_one_not_dense(monkeypatch)
     expected = []
     for t in _spaces_to(3):
-        y = not_dense(t)
+        y = _first_not_dense(t)
         if y is None or suites._space_recovery(SpaceContext(), t) is None:
             continue
         with pytest.raises(NotDense) as exc:

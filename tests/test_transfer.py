@@ -513,6 +513,10 @@ def test_point_recovery_validates_inclusion_preservation():
     }
     with pytest.raises(NotInclusionPreserving):
         point_recovery(X3, bx, D2, by, bad)
+    # preserves every inclusion but does not reflect {} <= {0}
+    preserving = {fs({0}): fs(), fs({1}): fs({0}), fs({0, 1}): fs({0, 1})}
+    with pytest.raises(NotInclusionPreserving):
+        point_recovery(D2, list(preserving), sierpinski(), list(preserving.values()), preserving)
 
 
 def test_point_recovery_compatibility_exhaustive():
