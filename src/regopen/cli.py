@@ -81,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite over the enumeration")
     p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
     p.add_argument("--n", type=int, default=3, help="ground-size bound (default 3)")
-    p.add_argument("--sample", type=int, help="check only a seeded random sample of instances")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted for old command lines; no suite reads it")
     p.add_argument("--allow-n5", action="store_true")
     _add_common(p)
 
@@ -114,7 +113,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names, args.n, sample=args.sample, seed=args.seed, allow_n5=args.allow_n5)
+    reports = run_suites(names, args.n, allow_n5=args.allow_n5)
     for report in reports:
         if report.passed:
             status = "pass"

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotOpen, VerificationError
+from .errors import MalformedSpace, NotOpen, VerificationError
 
 FINITE = "finite"
 COFINITE = "cofinite"
@@ -33,16 +33,16 @@ class SymbolicSet:
 
     def __post_init__(self):
         if self.kind not in (FINITE, COFINITE):
-            raise ValueError(f"kind must be {FINITE!r} or {COFINITE!r}")
+            raise MalformedSpace(f"kind must be {FINITE!r} or {COFINITE!r}")
         support = self.support
         if type(support) is not frozenset:
             try:
                 support = frozenset(support)
             except TypeError:
-                raise ValueError(f"support must be a set of labels, not {support!r}") from None
+                raise MalformedSpace(f"support must be a set of labels, not {support!r}") from None
             object.__setattr__(self, "support", support)
         if not all(type(x) is int and x >= 0 for x in support):
-            raise ValueError("support labels must be non-negative integers")
+            raise MalformedSpace("support labels must be non-negative integers")
 
     def __repr__(self):
         body = "{" + ",".join(map(str, sorted(self.support))) + "}"

@@ -12,7 +12,8 @@ class RegOpenError(Exception):
 
 
 class IndexOutOfRange(RegOpenError, ValueError):
-    """A point index falls outside the ambient ground set {0..n-1}."""
+    """A point index falls outside the ambient ground set {0..n-1}, or an
+    element index outside its lattice."""
 
 
 class MissingEmptyOrFull(RegOpenError, ValueError):
@@ -32,8 +33,9 @@ class NotClosedUnderIntersection(RegOpenError, ValueError):
 
 
 class MalformedSpace(RegOpenError, ValueError):
-    """A space description is malformed: no points, a missing key, a wrong
-    type, or a token that names neither a fixture nor a readable file."""
+    """A space or set description is malformed: no points, a missing key, a
+    wrong type or kind, a negative label, or a token that names neither a
+    fixture nor a readable file."""
 
 
 class EmptySubspace(RegOpenError, ValueError):
@@ -54,7 +56,12 @@ class NotAMetric(RegOpenError, ValueError):
 
 
 class NotALattice(RegOpenError, ValueError):
-    """An order relation fails to be a lattice (missing inf/sup or bad order)."""
+    """An order relation fails to be a lattice (missing inf/sup or bad
+    order), or a lattice is asked for point sets it does not carry."""
+
+
+class NotAnIdeal(RegOpenError, ValueError):
+    """A family of sets is empty, not union-closed or not downward closed."""
 
 
 class NotOpen(RegOpenError, ValueError):
@@ -108,7 +115,7 @@ class UnknownSuite(RegOpenError, ValueError):
 
 
 class BadSuiteArgument(RegOpenError, ValueError):
-    """run_suite was given a bound below 1 or a negative sample size."""
+    """run_suite was given a bound below 1."""
 
 
 class VerificationError(RegOpenError):

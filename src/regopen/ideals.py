@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .enumeration import check_budget
-from .errors import VerificationError
+from .errors import BadEnumerationSpec, IndexOutOfRange, NotAnIdeal, VerificationError
 from .topology import PointSet
 
 
@@ -36,16 +36,16 @@ class IdealFamily:
 
     def __post_init__(self):
         if not self.members:
-            raise ValueError("an ideal is nonempty (it contains the empty set)")
+            raise NotAnIdeal("an ideal is nonempty (it contains the empty set)")
         for a in self.members:
             if any(p < 0 or p >= self.ambient for p in a):
-                raise ValueError(f"member {sorted(a)} outside ambient size {self.ambient}")
+                raise IndexOutOfRange(f"member {sorted(a)} outside ambient size {self.ambient}")
             for b in self.members:
                 if a | b not in self.members:
-                    raise ValueError(f"not union-closed at {sorted(a)}, {sorted(b)}")
+                    raise NotAnIdeal(f"not union-closed at {sorted(a)}, {sorted(b)}")
             for sub in _subsets(a):
                 if sub not in self.members:
-                    raise ValueError(f"not downward closed below {sorted(a)}")
+                    raise NotAnIdeal(f"not downward closed below {sorted(a)}")
 
     @classmethod
     def principal(cls, ambient: int, top: PointSet) -> "IdealFamily":
@@ -81,7 +81,7 @@ class Ultrafilter:
 
 def _guard(n: int):
     if n < 1:
-        raise ValueError("powerset size must be at least 1")
+        raise BadEnumerationSpec("powerset size must be at least 1")
     check_budget("ideals", n)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import and_
 from typing import Iterable, Sequence
 
-from .errors import NotALattice, VerificationError
+from .errors import IndexOutOfRange, NotALattice, VerificationError
 from .topology import OperatorTables, PointSet, Topology, iter_bits, set_of
 
 PairRelation = frozenset[tuple[int, int]]
@@ -125,7 +125,7 @@ class FiniteLattice:
 
     def payload(self, i: int) -> PointSet:
         if self.payload_masks is None:
-            raise ValueError("lattice carries no point-set payloads")
+            raise NotALattice("lattice carries no point-set payloads")
         return set_of(self.payload_masks[i])
 
     def atoms(self) -> tuple[int, ...]:
@@ -401,13 +401,13 @@ def relation_rows(
     l: FiniteLattice, rel: Iterable[tuple[int, int]]
 ) -> tuple[list[int], list[int]]:
     """Bitmask rows of a pair relation: ``rows[f]`` holds the g with
-    (f, g) in rel and ``cols[g]`` the f with (f, g) in rel. ValueError names
-    a pair outside the lattice."""
+    (f, g) in rel and ``cols[g]`` the f with (f, g) in rel. IndexOutOfRange
+    names a pair outside the lattice."""
     rows = [0] * l.m
     cols = [0] * l.m
     for f, g in frozenset(rel):
         if not (0 <= f < l.m and 0 <= g < l.m):
-            raise ValueError(f"relation pair ({f}, {g}) out of range for m={l.m}")
+            raise IndexOutOfRange(f"relation pair ({f}, {g}) out of range for m={l.m}")
         rows[f] |= 1 << g
         cols[g] |= 1 << f
     return rows, cols

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotABijection, NotAMetric, SizeMismatch
+from .errors import MalformedSpace, NotABijection, NotAMetric, SizeMismatch
 
 Rational = Fraction | int
 
@@ -28,7 +28,7 @@ class FiniteMetric:
     def __init__(self, dist: Sequence[Sequence[Rational]]):
         n = len(dist)
         if n < 1:
-            raise ValueError("a metric space needs at least one point")
+            raise MalformedSpace("a metric space needs at least one point")
         rows = tuple(
             tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in dist
         )

@@ -16,10 +16,8 @@ all that its check reads (see ``SpaceContext``).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
-import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -695,24 +693,14 @@ def _failure(fields: dict, result: Result) -> dict:
 
 
 class _Tally:
-    """One suite's share of a run: the instances it counted (``total``) and
-    checked (``count``), its failures and seconds, and, when it samples, the
-    indices of its drawn instances."""
+    """One suite's share of a run: its instances, failures and seconds."""
 
     def __init__(self):
-        self.total = self.count = self.offset = 0
+        self.count = 0
         self.failures: list[dict] = []
         self.seconds = 0.0
-        self.drawn: list[int] | None = None
 
     def check(self, ctx: SpaceContext, group: Group) -> None:
-        if self.drawn is not None:
-            # the drawn global indices that fall in this group's range
-            size, offset = len(group.items), self.offset
-            first = bisect.bisect_left(self.drawn, offset)
-            stop = bisect.bisect_left(self.drawn, offset + size)
-            group = group._replace(items=[group.items[i - offset] for i in self.drawn[first:stop]])
-            self.offset += size
         items = group.items
         if not items:
             return
@@ -743,8 +731,6 @@ def run_suites(
     names: Sequence[str],
     bound: int = 3,
     *,
-    sample: int | None = None,
-    seed: int = 0,
     allow_n5: bool = False,
     context: SpaceContext | None = None,
 ) -> list[SuiteReport]:
@@ -755,35 +741,23 @@ def run_suites(
     ``enumeration.BUDGETS`` first. The walk visits each space once and runs
     the group of every suite for it, sharing the space's values through
     ``context`` (a new ``SpaceContext`` without one); the groups that need no
-    space run after it. ``sample`` draws a deterministic random subset of
-    each suite's instances: a first walk counts them, and a second hands
-    each group's check the drawn ones, in order; ``seed`` fixes the draw,
-    and nothing else reads it. ``wall_time_s`` is a
-    suite's share of the time (see ``_timed``), generating its instances
-    as well as checking them. A ``RegOpenError`` that escapes a group's
-    check fails every instance the check was given, with its message; one
-    raised while generating groups propagates.
+    space run after it. ``wall_time_s`` is a suite's share of the time (see
+    ``_timed``), generating its instances as well as checking them. A
+    ``RegOpenError`` that escapes a group's check fails every instance the
+    check was given, with its message; one raised while generating groups
+    propagates.
     """
     for name in names:
         if name not in SUITES:
             raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     if bound < 1:
         raise BadSuiteArgument(f"bound must be at least 1, not {bound}")
-    if sample is not None and sample < 0:
-        raise BadSuiteArgument(f"sample size must not be negative, not {sample}")
     check_budget("verify", bound, allow_n5)
     if context is None:
         context = SpaceContext()
     context.start_run()
     chosen = [SUITES[name] for name in names]
     tallies = [_Tally() for _ in names]
-    if sample is not None:
-        for tally, group in _timed(_walk(context, chosen, bound), tallies):
-            if group is not None:
-                tally.total += len(group.items)
-        for tally in tallies:
-            if sample < tally.total:
-                tally.drawn = sorted(random.Random(seed).sample(range(tally.total), sample))
     for tally, group in _timed(_walk(context, chosen, bound), tallies):
         if group is not None:
             tally.check(context, group)
@@ -797,13 +771,11 @@ def run_suite(
     name: str,
     bound: int = 3,
     *,
-    sample: int | None = None,
-    seed: int = 0,
     allow_n5: bool = False,
     context: SpaceContext | None = None,
 ) -> SuiteReport:
     """Run one named suite: ``run_suites([name], ...)``, with the same arguments."""
-    return run_suites([name], bound, sample=sample, seed=seed, allow_n5=allow_n5, context=context)[0]
+    return run_suites([name], bound, allow_n5=allow_n5, context=context)[0]
 
 
 # -- counterexample gallery ------------------------------------------------------

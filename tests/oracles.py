@@ -10,7 +10,6 @@ interior/closure identities.
 
 import functools
 import itertools
-import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -345,19 +344,6 @@ def recovery_oracle(n: int, iso: dict, target_n: int) -> dict[int, frozenset[int
                 acc &= image
         out[x] = acc
     return out
-
-
-def sample_oracle(groups, sample: int, seed: int) -> list:
-    """The list-based draw over a suite's groups: list every group, number
-    their instances in order, and keep the (group, item) pairs at the
-    indices of ``random.Random(seed).sample(range(count), sample)``, in
-    order, or all of them when there are no more than ``sample``. Reference
-    for ``run_suite``'s two-pass sampling."""
-    groups = list(groups)
-    count = sum(len(group.items) for group in groups)
-    keep = set(random.Random(seed).sample(range(count), sample)) if sample < count else range(count)
-    instances = ((group, item) for group in groups for item in group.items)
-    return [instance for i, instance in enumerate(instances) if i in keep]
 
 
 def trace_keeps_closure_oracle(t: Topology, y: int, u: int) -> bool:

@@ -26,9 +26,6 @@ N4_REPORT_SHA256 = "7a1403676616ba4ed36c63e1fab144208d326f4b3e1b40606843cd18d5f7
 # sha256 of `regopen verify --suite all --n 5 --allow-n5 --seed 1 --json`,
 # every instance of every suite over the 7331 spaces with n <= 5.
 N5_REPORT_SHA256 = "6486fd84a6b16b09fb7a4bd6beb88978be3530f2d78a3e9f53a6c17a8dc5b3d3"
-# sha256 of `regopen verify --suite all --n 5 --allow-n5 --sample 500 --seed 1
-# --json`: each suite's draw of 500 instances from the n = 5 enumeration.
-N5_SAMPLE_REPORT_SHA256 = "84b7e2d3731cb8d151ddd6b184c0c2c9a8bc316b581c3f5b5f8096e8da2ecd7a"
 # sha256 of `regopen counterexamples --n 4 --json`, the pinned gallery.
 N4_GALLERY_SHA256 = "5882ab1fca64a2e4f2561cc4987db2ce66663cde257bcdef2a0f280724638aa1"
 
@@ -224,21 +221,6 @@ def test_verify_all_n5_report_is_pinned(tmp_path, capsys):
     }
 
 
-def test_verify_all_n5_sample_report_is_pinned(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    argv = ["verify", "--suite", "all", "--n", "5", "--allow-n5", "--sample", "500", "--seed", "1"]
-    assert main(argv + ["--json", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == N5_SAMPLE_REPORT_SHA256
-    reports = json.loads(out.read_text())
-    instances = {r["suite"]: r["instances"] for r in reports}
-    assert instances == {name: 500 for name in suites.SUITES} | {"cofinite": 2, "ideals": 9, "metric": 1}
-    # each suite's draw from the one walk is that of the suite run alone
-    context = suites.SpaceContext()
-    for report in reports:
-        alone = run_suite(report["suite"], 5, sample=500, seed=1, allow_n5=True, context=context)
-        assert alone.to_dict() == report
-
-
 def test_verify_all_checks_each_law_once_per_lattice(n4_verify_all):
     # one full build, through the constructor that the benchmark's build
     # span wraps, and one Boolean test per regular-open family, while each
@@ -278,27 +260,46 @@ def test_counterexamples_bound_below_one_is_usage_error(bound, capsys, monkeypat
     assert captured.out == "" and "at least one point" in captured.err
 
 
-def test_verify_negative_sample_is_usage_error(capsys):
-    assert main(["verify", "--suite", "boolean", "--n", "2", "--sample", "-1"]) == 2
-    assert "sample size must not be negative" in capsys.readouterr().err
+def test_verify_sample_is_usage_error(capsys):
+    # every run checks every instance: there is no sampled mode
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "boolean", "--n", "2", "--sample", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sample 5" in capsys.readouterr().err
 
 
-def _assert_checked_nothing_fails(suite, tmp_path, capsys):
+def test_verify_report_does_not_read_the_seed(tmp_path, capsys):
+    # --seed is still accepted, and no suite reads it
+    outs = [tmp_path / "seed1.json", tmp_path / "seed9.json"]
+    for seed, out in zip(("1", "9"), outs):
+        assert main(["verify", "--suite", "all", "--n", "2", "--seed", seed, "--json", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _assert_checked_nothing_fails(suite, replacement, monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(suites.SUITES, suite, replacement)
     out = tmp_path / "report.json"
-    assert main(["verify", "--suite", suite, "--n", "2", "--sample", "0", "--json", str(out)]) == 1
+    assert main(["verify", "--suite", suite, "--n", "2", "--json", str(out)]) == 1
     assert f"{suite}: FAIL (no instances checked) [0 instances" in capsys.readouterr().out
     assert out.read_text() == (
         f'{{"bound":2,"failures":[],"instances":0,"passed":false,"schema":1,"suite":"{suite}"}}\n'
     )
 
 
-def test_verify_that_checked_nothing_fails(tmp_path, capsys):
-    _assert_checked_nothing_fails("boolean", tmp_path, capsys)
+def _never_called(ctx, group):
+    pytest.fail("a group without instances was checked")
 
 
-def test_verify_denso_that_checked_nothing_fails(tmp_path, capsys):
-    # a suite checked in groups of many instances per space
-    _assert_checked_nothing_fails("denso", tmp_path, capsys)
+def test_verify_that_checked_nothing_fails(monkeypatch, tmp_path, capsys):
+    # a suite of groups that need no space, which yields none
+    nothing = suites.Suite(rest=lambda ctx, bound: iter(()))
+    _assert_checked_nothing_fails("boolean", nothing, monkeypatch, tmp_path, capsys)
+
+
+def test_verify_denso_that_checked_nothing_fails(monkeypatch, tmp_path, capsys):
+    # a suite checked in groups of many instances per space, each group empty
+    empty = suites.Suite(lambda ctx, t: suites.Group({"space": t}, ("dense", "open"), [], _never_called))
+    _assert_checked_nothing_fails("denso", empty, monkeypatch, tmp_path, capsys)
 
 
 def test_verify_law_failure_is_a_suite_failure_not_a_usage_error(monkeypatch, tmp_path, capsys):

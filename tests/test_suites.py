@@ -35,6 +35,7 @@ from regopen.errors import (
     UnknownSuite,
     VerificationError,
 )
+from regopen.cli import main
 from regopen.ideals import ideals, ultrafilters
 from regopen.lattice import (
     AXIOM_NAMES,
@@ -66,7 +67,6 @@ from oracles import (
     basis_oracle,
     closure_oracle,
     regularity_scan_oracle,
-    sample_oracle,
     trace_keeps_closure_oracle,
     well_inside_monotone_oracle,
 )
@@ -118,7 +118,7 @@ def test_shared_context_reports_equal_lone_runs():
 @pytest.mark.parametrize("bound", [2, 4])
 def test_joint_run_reports_equal_lone_runs(bound):
     # each suite's report from the one walk, byte for byte that of its own
-    # run; the sampled n = 5 run is compared in test_cli.py
+    # run; at n = 5 the memo readers are compared in test_memo_changes_no_n5_report
     names = sorted(SUITES)
     joint = run_suites(names, bound)
     assert [report.suite for report in joint] == names
@@ -201,85 +201,27 @@ def test_bound_below_one_is_refused_before_enumerating(monkeypatch):
             run_suite("ux0", bound=bound)
 
 
-def test_negative_sample_is_refused():
-    with pytest.raises(BadSuiteArgument):
-        run_suite("boolean", bound=2, sample=-1)
+def _never_called(ctx, group):
+    pytest.fail("a group without instances was checked")
 
 
-def test_run_that_checked_nothing_does_not_pass():
-    report = run_suite("boolean", bound=2, sample=0)
-    assert report.instances == 0 and report.failures == []
-    assert not report.passed
-    assert report.to_dict()["passed"] is False
+def test_run_that_checked_nothing_does_not_pass(monkeypatch):
+    # a suite whose every space has a group without items (the shape of a
+    # per-space suite such as denso), and one whose groups need no space
+    # and which yields none
+    empty_groups = Suite(lambda ctx, t: suites.Group({"space": t}, ("open",), [], _never_called))
+    no_groups = Suite(rest=lambda ctx, bound: iter(()))
+    for suite in (empty_groups, no_groups):
+        monkeypatch.setitem(SUITES, "boolean", suite)
+        report = run_suite("boolean", bound=2)
+        assert report.instances == 0 and report.failures == []
+        assert not report.passed
+        assert report.to_dict()["passed"] is False
 
 
-def test_sampling_is_deterministic():
-    a = run_suite("denso", bound=3, sample=50, seed=7)
-    b = run_suite("denso", bound=3, sample=50, seed=7)
-    assert a.instances == b.instances == 50
-    assert a.to_json() == b.to_json()
-
-
-@pytest.mark.parametrize(
-    "name, bound, seed, sample, planted",
-    [
-        ("denso", 3, 7, 50, True),
-        ("denso", 3, 1, 0, False),
-        ("ux0", 3, 2, 10**6, True),  # more than there are: every instance, in order
-        ("regularity", 3, 5, 31, True),
-        ("recovery", 4, 3, 40, True),
-        ("uvw", 3, 0, 12, True),
-        ("stone", 3, 4, 36, False),
-        ("boolean", 2, 0, 5, False),  # exactly as many as there are
-        ("cofinite", 1, 9, 1, True),  # draws the identities, where the bug shows
-        ("denso", 5, 1, 400, True),
-        ("ux0", 5, 1, 200, True),
-    ],
-)
-def test_sampled_report_matches_the_list_based_draw(name, bound, seed, sample, planted, monkeypatch):
-    # with a planted bug the reports carry failures, so they show which
-    # instances were drawn; the recorded fields show it for every suite
-    if planted:
-        PLANTED[name][0](monkeypatch)
-    suite = SUITES[name]
-    drawn = sample_oracle(_groups(name, SpaceContext(), bound), sample, seed)
-    # the expected report checks each drawn instance as a group of its own
-    singles = Suite(rest=lambda ctx, b: (group._replace(items=[item]) for group, item in drawn))
-    monkeypatch.setitem(SUITES, name, singles)
-    expected = run_suite(name, bound, seed=seed, allow_n5=True)
-    checked = []
-
-    def recording(group):
-        if group is None:
-            return None
-
-        def check(ctx, g, check=group.check):
-            checked.extend(g.fields(item) for item in g.items)
-            return check(ctx, g)
-
-        return group._replace(check=check)
-
-    space = suite.space and (lambda ctx, t: recording(suite.space(ctx, t)))
-    rest = suite.rest and (lambda ctx, b: map(recording, suite.rest(ctx, b)))
-    monkeypatch.setitem(SUITES, name, Suite(space, rest))
-    report = run_suite(name, bound, sample=sample, seed=seed, allow_n5=True)
-    assert checked == [group.fields(item) for group, item in drawn]
-    assert report.to_json() == expected.to_json()
-    assert report.instances == len(drawn)
-    assert bool(report.failures) == (planted and bool(drawn))
-
-
-def test_recovery_suite_sampled_at_four_points():
-    # exhaustive at n <= 3 elsewhere; n = 4 is spot-checked via sampling
-    report = run_suite("recovery", bound=4, sample=150, seed=3)
-    assert report.passed and report.instances == 150
-
-
-def test_gated_five_point_scale_with_sampling():
-    report = run_suite("boolean", bound=5, sample=40, seed=5, allow_n5=True)
-    assert report.passed and report.instances == 40
+def test_gated_five_point_scale():
     with pytest.raises(SizeGuardExceeded):
-        run_suite("boolean", bound=5, sample=5)
+        run_suite("boolean", bound=5)
 
 
 # The entry point that each row of the budget table guards, called at n.
@@ -440,12 +382,12 @@ def test_memo_changes_no_report(bound):
         assert alone == joint[names.index(name)].to_json()
 
 
-def test_memo_changes_no_sampled_n5_report():
-    names = _reading_spaces()
-    args = dict(sample=500, seed=1, allow_n5=True)
-    joint = run_suites(names, 5, **args)
-    for forgetful in (_Forgetful(), _Forgetful(families=False)):
-        assert [r.to_json() for r in joint] == [r.to_json() for r in run_suites(names, 5, context=forgetful, **args)]
+def test_memo_changes_no_n5_report():
+    # every instance of the memo readers at n = 5, byte for byte that of a
+    # run that shares no verdict and no family record
+    memo = run_suites(_MEMO_READERS, 5, allow_n5=True)
+    never_shared = run_suites(_MEMO_READERS, 5, allow_n5=True, context=_Forgetful(families=False))
+    assert [r.to_json() for r in memo] == [r.to_json() for r in never_shared]
 
 
 def test_memo_checks_each_distinct_table_once_per_run(monkeypatch):
@@ -929,12 +871,20 @@ def test_window_sets_follow_symbolic_membership():
 
 @pytest.mark.parametrize("name", ["cofinite", "metric"])
 @pytest.mark.parametrize("planted", [False, True])
-def test_fixed_cost_suites_do_not_read_the_seed(name, planted, monkeypatch):
-    # with a planted bug the report lists a failure with its fields
+def test_fixed_cost_suites_do_not_read_the_seed(name, planted, monkeypatch, tmp_path, capsys):
+    # run_suite takes no seed; `verify --seed` is still parsed, and the
+    # report, which lists a planted failure with its fields, is the same for
+    # every seed
     if planted:
         PLANTED[name][0](monkeypatch)
-    reports = {run_suite(name, bound=2, seed=seed).to_json() for seed in (1, 2, 9)}
+    reports = set()
+    for seed in ("1", "2", "9"):
+        out = tmp_path / f"seed{seed}.json"
+        assert main(["verify", "--suite", name, "--n", "2", "--seed", seed, "--json", str(out)]) == int(planted)
+        reports.add(out.read_bytes())
+    capsys.readouterr()
     assert len(reports) == 1
+    assert reports == {run_suite(name, bound=2).to_json().encode()}
 
 
 def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):
@@ -1224,11 +1174,6 @@ def test_error_escaping_a_group_check_fails_each_instance_it_was_given(monkeypat
 
     every = [failure(y, u) for y in dense_masks(s) for u in s.open_masks]
     assert run_suite("denso", bound=2).failures == every
-    # sampled, the check is given only the drawn instances of its space
-    drawn = sample_oracle(_groups("denso", SpaceContext(), 2), 6, 3)
-    expected = [failure(*item) for group, item in drawn if group.shared["space"] == s]
-    assert 0 < len(expected) < len(every)
-    assert run_suite("denso", bound=2, sample=6, seed=3).failures == expected
 
 
 # -- counterexample gallery -------------------------------------------------------
