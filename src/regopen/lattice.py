@@ -7,9 +7,11 @@ of V") is always explicit data: a frozenset of ordered element-index pairs.
 It is never inferred from the lattice order, because the whole point of the
 axioms is that the same order can carry different admissible relations.
 
-All axiom checks are exhaustive: they test every instance of each
-quantifier, over bitmask rows where that is faster, and report the
-lexicographically first witness on failure.
+Every axiom verdict is exact, and a failure reports the lexicographically
+first witness. The checks run over bitmask rows. Two of them, meet
+compatibility and the relative complement, are decided by lattice lemmas
+(see ``check_r_lattice``); their rows are scanned only to name a witness or
+where a lemma's hypothesis fails.
 """
 
 from __future__ import annotations
@@ -122,11 +124,6 @@ class FiniteLattice:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
-
-    def payload(self, i: int) -> PointSet:
-        if self.payload_masks is None:
-            raise NotALattice("lattice carries no point-set payloads")
-        return set_of(self.payload_masks[i])
 
     def atoms(self) -> tuple[int, ...]:
         """Minimal nonzero elements."""
@@ -374,8 +371,10 @@ def well_inside(l: RegularOpenLattice) -> PairRelation:
     relations, which is exactly what the counterexample gallery exhibits.
     """
     closure = l.topology.closure_mask
-    rows = well_inside_rows(l, [closure(mask) for mask in l.payload_masks])
-    return frozenset([(f, g) for f, row in enumerate(rows) for g in iter_bits(row)])
+    closures = [closure(mask) for mask in l.payload_masks]
+    return frozenset(
+        [(f, g) for f, u in enumerate(l.payload_masks) for g, c in enumerate(closures) if c | u == u]
+    )
 
 
 def well_inside_rows(l: RegularOpenLattice, closures: Sequence[int]) -> list[int]:
@@ -437,6 +436,63 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _meets_on_minima(l: FiniteLattice, cols: Sequence[int]) -> bool:
+    """Axiom 3 on the minimal members of the columns: for every two live
+    columns g1 and g2, each minimal a1 of cols[g1] and a2 of cols[g2] have
+    a1 & a2 in cols[g1 & g2]. When every column is an up-set and meet is
+    the inf, this holds iff axiom 3 does (see ``check_r_lattice``). The
+    inf commutes, so each unordered pair of minima is tested once."""
+    down, meet = l.down, l.meet
+    minima = [(g, a) for g, col in enumerate(cols) for a in iter_bits(col) if down[a] & col == 1 << a]
+    for i, (g1, a1) in enumerate(minima):
+        to_g, to_a = meet[g1], meet[a1]
+        if not all(cols[to_g[g2]] >> to_a[a2] & 1 for g2, a2 in minima[i:]):
+            return False
+    return True
+
+
+def _meet_witness(
+    l: FiniteLattice, rows: Sequence[int], cols: Sequence[int], live: Sequence[int]
+) -> tuple[int, int, int, int] | None:
+    """The lexicographically first witness (f1, g1, f2, g2) of axiom 3 by a
+    scan of the rows, None if the axiom holds.
+
+    For each g1, bad[k] holds the g2 with (k, g1 & g2) not in rel; then
+    (f1, g1) fails with (f2, g2) iff g2 in rows[f2] is in bad[f1 & f2].
+    g1 & g2 <= g1, so bad[k] depends on rows[k] only through
+    rows[k] & down[g1] and is built once per distinct such mask; the sets
+    meets_at[j] are disjoint, so a sum is their union. groups[f1] holds,
+    for each k = f1 & f2, the union of rows[f2] over those f2, so (f1, g1)
+    fails iff some union meets bad[k], and only then are the f2 scanned in
+    order for the witness. g1 ascends, so a later g1 can only win with a
+    lower f1.
+    """
+    m, meet = l.m, l.meet
+    witness = None
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for g1 in range(m):
+        f1s = cols[g1] if witness is None else cols[g1] & ((1 << witness[0]) - 1)
+        if not f1s:
+            continue
+        below = l.down[g1]
+        meets_at = [0] * m
+        for g2, k in enumerate(meet[g1]):
+            meets_at[k] |= 1 << g2
+        keys = [row & below for row in rows]
+        bad_of = {key: ~sum(map(meets_at.__getitem__, iter_bits(key))) for key in set(keys)}
+        bad = list(map(bad_of.__getitem__, keys))
+        for f1 in iter_bits(f1s):
+            if f1 not in groups:
+                groups[f1] = _meet_groups(meet[f1], rows, live)
+            ks, unions = groups[f1]
+            if any(map(and_, unions, map(bad.__getitem__, ks))):
+                row = meet[f1]
+                f2 = next(f2 for f2 in live if rows[f2] & bad[row[f2]])
+                witness = (f1, g1, f2, _lowest(rows[f2] & bad[row[f2]]))
+                break
+    return witness
+
+
 # -- the six R-lattice axioms ---------------------------------------------------
 
 AXIOM_NAMES = (
@@ -494,22 +550,42 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
 
     Each axiom is a test on bitmask rows of the relation, of the order and
     of the disjointness relation, never a scan over pairs of pairs. Every
-    quantifier is still exhaustive, and the reported witness is the
-    lexicographically first one, as a scan of the sorted pairs in index
-    order would find it.
+    verdict is exact, and the reported witness is the lexicographically
+    first one, as a scan of the sorted pairs in index order would find it.
 
-    Axiom 3 builds O(m) ints per g1 and per f1, one sum per distinct row of
-    the relation cut down to below g1, and then takes one AND per pair
-    (f1, g1) and distinct meet f1 & f2. For ge on a Boolean lattice with k
-    atoms (m = 2^k) that is O(4^k) steps of Python and 5^k ANDs in C,
-    where a scan of every pair against every element takes 6^k and a scan
-    of pairs of pairs 9^k. Besides the rows, the relation is held once more
-    as index lists; axiom 3 keeps one union per f1 and distinct meet
-    f1 & f2, at most one per pair of the order (3^k on a Boolean lattice),
-    and every other axiom holds at most O(m) further ints at a time.
+    Two axioms are decided by lattice lemmas. Both need the meet table to be
+    the inf of the order, which holds for every lattice the package builds:
+    ``FiniteLattice.from_leq`` computes the infs, and ``RegularOpenLattice``
+    checks them with ``check_inf_sup``.
+
+    - Axiom 3. If axiom 2 holds, every column cols[g] = {f : (f, g) in rel}
+      is an up-set, and f1 >= a1, f2 >= a2 give f1 & f2 >= a1 & a2. So the
+      axiom holds iff, for every two live columns g1 and g2, each minimal
+      a1 of cols[g1] and a2 of cols[g2] have a1 & a2 in cols[g1 & g2]
+      (``_meets_on_minima``). The row scan ``_meet_witness`` runs only when
+      that test fails, to name the witness, or when axiom 2 failed.
+    - Axiom 6. An h disjoint from g2 is disjoint from every g2' <= g2, so
+      for each (g1, f) the g2 that pass form a down-set of rows[f], and all
+      of them pass iff its maximal members do. rows[f] is scanned in index
+      order only when a maximal member fails.
+
+    For ge and well-inside every column has one minimum and every row one
+    maximum. For ge on a Boolean lattice with k atoms (m = 2^k), axiom 3
+    then takes m(m + 1)/2 lookups and axiom 6 one AND per pair (g1, f) with
+    f <= g1 (3^k in all), besides m steps per f to group the h by h | f:
+    every axiom is O(4^k) steps of Python, where a scan of every pair
+    against every element takes 6^k and a scan of pairs of pairs 9^k. The
+    row scan of axiom 3 builds O(m) ints per g1 and per f1, one sum per
+    distinct row of the relation cut down to below g1, and then takes one
+    AND per pair (f1, g1) and distinct meet f1 & f2: for ge, O(4^k) steps of
+    Python and 5^k ANDs in C. Besides the rows, the relation is held once
+    more as index lists; the row scan keeps one union per f1 and distinct
+    meet f1 & f2, at most one per pair of the order (3^k on a Boolean
+    lattice), and every other test holds at most O(m) further ints at a
+    time.
     """
     rows, cols = relation_rows(l, rel)
-    m, bot, meet, join = l.m, l.bottom, l.meet, l.join
+    m, bot, join = l.m, l.bottom, l.join
     targets = [list(iter_bits(row)) for row in rows]
     live = [f for f in range(m) if rows[f]]
     disjoint = _disjoint_rows(l)
@@ -525,37 +601,11 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
             break
     results.append(AxiomResult(AXIOM_NAMES[1], witness is None, witness))
 
-    # For each g1, bad[k] holds the g2 with (k, g1 & g2) not in rel; then
-    # (f1, g1) fails with (f2, g2) iff g2 in rows[f2] is in bad[f1 & f2].
-    # g1 & g2 <= g1, so bad[k] depends on rows[k] only through
-    # rows[k] & down[g1] and is built once per distinct such mask; the sets
-    # meets_at[j] are disjoint, so a sum is their union. groups[f1] holds,
-    # for each k = f1 & f2, the union of rows[f2] over those f2, so (f1, g1)
-    # fails iff some union meets bad[k], and only then are the f2 scanned in
-    # order for the witness. g1 ascends, so a later g1 can only win with a
-    # lower f1.
-    witness = None
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for g1 in range(m):
-        f1s = cols[g1] if witness is None else cols[g1] & ((1 << witness[0]) - 1)
-        if not f1s:
-            continue
-        below = l.down[g1]
-        meets_at = [0] * m
-        for g2, k in enumerate(meet[g1]):
-            meets_at[k] |= 1 << g2
-        keys = [row & below for row in rows]
-        bad_of = {key: ~sum(map(meets_at.__getitem__, iter_bits(key))) for key in set(keys)}
-        bad = list(map(bad_of.__getitem__, keys))
-        for f1 in iter_bits(f1s):
-            if f1 not in groups:
-                groups[f1] = _meet_groups(meet[f1], rows, live)
-            ks, unions = groups[f1]
-            if any(map(and_, unions, map(bad.__getitem__, ks))):
-                row = meet[f1]
-                f2 = next(f2 for f2 in live if rows[f2] & bad[row[f2]])
-                witness = (f1, g1, f2, _lowest(rows[f2] & bad[row[f2]]))
-                break
+    # Axiom 2 makes every column an up-set, and then the minima decide.
+    if results[1].passed and _meets_on_minima(l, cols):
+        witness = None
+    else:
+        witness = _meet_witness(l, rows, cols, live)
     results.append(AxiomResult(AXIOM_NAMES[2], witness is None, witness))
 
     witness = None
@@ -575,8 +625,10 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
     results.append(AxiomResult(AXIOM_NAMES[4], witness is None, witness))
 
     # For each f, joins_to[g1] holds the h with h | f = g1; (g1, f, g2)
-    # fails iff none of them is disjoint from g2. f ascends, so a later f
-    # can only win with a lower g1.
+    # fails iff none of them is disjoint from g2. The g2 that pass are a
+    # down-set of rows[f], so targets[f] is scanned for the first failing
+    # g2 only when a maximal member of rows[f] fails. f ascends, so a later
+    # f can only win with a lower g1.
     witness = None
     for f in live:
         g1s = cols[f] if witness is None else cols[f] & ((1 << witness[0]) - 1)
@@ -585,11 +637,11 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
         joins_to = [0] * m
         for h in range(m):
             joins_to[join[h][f]] |= 1 << h
+        tops = [disjoint[g] for g in targets[f] if l.up[g] & rows[f] == 1 << g]
         for g1 in iter_bits(g1s):
             hs = joins_to[g1]
-            g2 = next((g2 for g2 in targets[f] if not hs & disjoint[g2]), None)
-            if g2 is not None:
-                witness = (g1, f, g2)
+            if not all(map(hs.__and__, tops)):
+                witness = (g1, f, next(g2 for g2 in targets[f] if not hs & disjoint[g2]))
                 break
     results.append(AxiomResult(AXIOM_NAMES[5], witness is None, witness))
 

@@ -22,7 +22,6 @@ EMPTY, ZERO, ONE, BOTH = frozenset(), frozenset({0}), frozenset({1}), frozenset(
         pytest.param(lambda: IdealFamily(2, frozenset({ZERO})), id="ideal-not-downward-closed"),
         pytest.param(lambda: FiniteMetric([]), id="metric-no-points"),
         pytest.param(lambda: relation_rows(FiniteLattice.from_leq(2, [(0, 1)]), {(0, 5)}), id="relation-pair"),
-        pytest.param(lambda: FiniteLattice.from_leq(2, [(0, 1)]).payload(0), id="lattice-no-payload"),
         pytest.param(lambda: SymbolicSet("open", EMPTY), id="symbolic-kind"),
         pytest.param(lambda: SymbolicSet(FINITE, 5), id="symbolic-support-type"),
         pytest.param(lambda: SymbolicSet(FINITE, frozenset({-1})), id="symbolic-negative-label"),

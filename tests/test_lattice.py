@@ -26,6 +26,7 @@ from regopen import (
     well_inside,
     x3,
 )
+from regopen import lattice as lattice_module
 from regopen.enumeration import canonical_classes
 from regopen.errors import NotALattice, NotBoolean, VerificationError
 from regopen.lattice import AXIOM_NAMES, relation_rows, well_inside_rows
@@ -335,25 +336,30 @@ def test_relation_validation():
 # -- the bit-row axiom checks against the pair-of-pairs oracle ------------------------
 
 
+def _up_closure(lat: FiniteLattice, rel: frozenset) -> frozenset:
+    """The pairs (h, g) with (f, g) in rel and h >= f: axiom 2 holds."""
+    return frozenset((h, g) for f, g in rel for h in range(lat.m) if lat.leq(f, h))
+
+
 def _relations(lat: FiniteLattice, rng: random.Random) -> list[frozenset]:
     """ge, the empty relation, well-inside where the lattice has payloads, and
-    seeded variants: each base minus one pair, random sub-relations of each
-    base, and random sub-relations of all pairs."""
+    seeded variants with their up-closures: each base minus one pair, random
+    sub-relations of each base, and random sub-relations of all pairs."""
     bases = [ge_relation(lat), frozenset()]
     if lat.payload_masks is not None:
         bases.append(well_inside(lat))
-    out = list(bases)
+    variants = []
     for base in bases:
         pairs = sorted(base)
         if pairs:
             dropped = rng.choice(pairs)
-            out.append(frozenset(p for p in pairs if p != dropped))
+            variants.append(frozenset(p for p in pairs if p != dropped))
         for keep in (0.95, 0.7):
-            out.append(frozenset(p for p in pairs if rng.random() < keep))
+            variants.append(frozenset(p for p in pairs if rng.random() < keep))
     every_pair = [(f, g) for f in range(lat.m) for g in range(lat.m)]
     for keep in (0.9, 0.5):
-        out.append(frozenset(p for p in every_pair if rng.random() < keep))
-    return out
+        variants.append(frozenset(p for p in every_pair if rng.random() < keep))
+    return bases + variants + [_up_closure(lat, rel) for rel in variants]
 
 
 def _assert_matches_oracle(lat: FiniteLattice, rng: random.Random) -> set[str]:
@@ -429,8 +435,8 @@ def test_r_lattice_matches_oracle_on_seven_point_spaces():
 
 def test_meet_compatibility_matches_oracle_on_64_element_lattices():
     # lattices-n7 spaces with 64 regular opens, too large for the six-axiom
-    # oracle: axiom 3 alone, on ge, well-inside and each one's drop-one and
-    # keep-95% variants, witnesses included
+    # oracle: axiom 3 alone, on ge, well-inside and each one's drop-one,
+    # up-closed drop-one and keep-95% variants, witnesses included
     rng = random.Random(64)
     open_counts = set()
     verdicts = []
@@ -441,13 +447,32 @@ def test_meet_compatibility_matches_oracle_on_64_element_lattices():
         open_counts.add(len(lat.topology.open_masks))
         for base in (ge_relation(lat), well_inside(lat)):
             pairs = sorted(base)
+            cols = relation_rows(lat, base)[1]
             dropped = rng.choice(pairs)
             kept = frozenset(p for p in pairs if rng.random() < 0.95)
-            for rel in (base, base - {dropped}, kept):
+            # the up-closure restores a dropped pair unless it is the least of its column
+            least = rng.choice([(f, g) for f, g in pairs if lat.down[f] & cols[g] == 1 << f])
+            for rel in (base, base - {dropped}, _up_closure(lat, base - {least}), kept):
                 axiom = check_r_lattice(lat, rel)["meet_compatible"]
                 assert (axiom.passed, axiom.witness) == meet_compatible_oracle(lat, rel), sorted(rel)
                 verdicts.append(axiom.passed)
     assert verdicts.count(True) >= 4 and verdicts.count(False) >= 4
+
+
+def test_meet_row_scan_runs_only_where_the_minima_cannot_decide(monkeypatch):
+    # ge on the 128-element algebra of discrete(7) passes axiom 2, so its
+    # column minima settle axiom 3; a relation that is not up-closed fails
+    # axiom 2 and needs the scan of the rows
+    calls = []
+    scan = lattice_module._meet_witness
+    monkeypatch.setattr(lattice_module, "_meet_witness", lambda *args: calls.append(args) or scan(*args))
+    lat = regular_open_lattice(discrete(7))
+    assert check_r_lattice(lat, ge_relation(lat)).passed
+    assert calls == []
+    broken = ge_relation(LD2) - {(LD2.top, LD2.bottom)}
+    report = check_r_lattice(LD2, broken)
+    assert not report["upward_monotone"].passed and len(calls) == 1
+    assert report == check_r_lattice_oracle(LD2, broken)
 
 
 def test_r_lattice_matches_oracle_on_non_distributive_lattices():
