@@ -134,7 +134,7 @@ def _cmd_counterexamples(args) -> int:
     for p in pairs:
         tag = "same" if p.same_under_reported_iso else "DIFFERENT"
         print(
-            f"  |R|={p.t1.regular_open_masks().__len__()}  "
+            f"  |R|={len(p.iso)}  "
             f"{p.t1!r}  ~  {p.t2!r}  [well-inside {tag} under reported iso]"
         )
     if args.json:
@@ -170,13 +170,14 @@ def _cmd_regular_lattice(args) -> int:
     rel = well_inside(lat)
     print(f"space: n={t.n}, {len(t.open_masks)} opens")
     print(f"regular opens ({lat.m}):")
+    atoms = lat.atoms()
     for i in range(lat.m):
         marks = []
         if i == lat.bottom:
             marks.append("bottom")
         if i == lat.top:
             marks.append("top")
-        if i in lat.atoms():
+        if i in atoms:
             marks.append("atom")
         suffix = f"  ({', '.join(marks)})" if marks else ""
         print(f"  [{i}] {sorted(lat.element(i))}{suffix}")

@@ -11,13 +11,13 @@ Every axiom verdict is exact, and a failure reports the lexicographically
 first witness. The checks run over bitmask rows. Two of them, meet
 compatibility and the relative complement, are decided by lattice lemmas
 (see ``check_r_lattice``); their rows are scanned only to name a witness or
-where a lemma's hypothesis fails.
+where a lemma's hypothesis fails. For meet compatibility that scan is a
+plain walk over every two pairs of the relation, O(|rel|^2) steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, NotALattice, VerificationError
@@ -420,18 +420,6 @@ def upward_kept(l: FiniteLattice, rows: Sequence[int], f: int) -> int:
     return kept
 
 
-def _meet_groups(
-    meet_row: Sequence[int], rows: Sequence[int], live: Iterable[int]
-) -> tuple[list[int], list[int]]:
-    """The distinct k = f1 & f2 over the f2 in ``live``, given f1's row of
-    the meet table, and for each k the union of rows[f2] over its f2."""
-    union_at: dict[int, int] = {}
-    for f2 in live:
-        k = meet_row[f2]
-        union_at[k] = union_at.get(k, 0) | rows[f2]
-    return list(union_at), list(union_at.values())
-
-
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -452,45 +440,20 @@ def _meets_on_minima(l: FiniteLattice, cols: Sequence[int]) -> bool:
 
 
 def _meet_witness(
-    l: FiniteLattice, rows: Sequence[int], cols: Sequence[int], live: Sequence[int]
+    l: FiniteLattice, rows: Sequence[int], live: Sequence[int]
 ) -> tuple[int, int, int, int] | None:
-    """The lexicographically first witness (f1, g1, f2, g2) of axiom 3 by a
-    scan of the rows, None if the axiom holds.
-
-    For each g1, bad[k] holds the g2 with (k, g1 & g2) not in rel; then
-    (f1, g1) fails with (f2, g2) iff g2 in rows[f2] is in bad[f1 & f2].
-    g1 & g2 <= g1, so bad[k] depends on rows[k] only through
-    rows[k] & down[g1] and is built once per distinct such mask; the sets
-    meets_at[j] are disjoint, so a sum is their union. groups[f1] holds,
-    for each k = f1 & f2, the union of rows[f2] over those f2, so (f1, g1)
-    fails iff some union meets bad[k], and only then are the f2 scanned in
-    order for the witness. g1 ascends, so a later g1 can only win with a
-    lower f1.
-    """
-    m, meet = l.m, l.meet
-    witness = None
-    groups: dict[int, tuple[list[int], list[int]]] = {}
-    for g1 in range(m):
-        f1s = cols[g1] if witness is None else cols[g1] & ((1 << witness[0]) - 1)
-        if not f1s:
-            continue
-        below = l.down[g1]
-        meets_at = [0] * m
-        for g2, k in enumerate(meet[g1]):
-            meets_at[k] |= 1 << g2
-        keys = [row & below for row in rows]
-        bad_of = {key: ~sum(map(meets_at.__getitem__, iter_bits(key))) for key in set(keys)}
-        bad = list(map(bad_of.__getitem__, keys))
-        for f1 in iter_bits(f1s):
-            if f1 not in groups:
-                groups[f1] = _meet_groups(meet[f1], rows, live)
-            ks, unions = groups[f1]
-            if any(map(and_, unions, map(bad.__getitem__, ks))):
-                row = meet[f1]
-                f2 = next(f2 for f2 in live if rows[f2] & bad[row[f2]])
-                witness = (f1, g1, f2, _lowest(rows[f2] & bad[row[f2]]))
-                break
-    return witness
+    """The lexicographically first witness (f1, g1, f2, g2) of axiom 3, None
+    if the axiom holds: a scan of every two pairs of the relation in index
+    order, O(|rel|^2) steps."""
+    meet = l.meet
+    for f1 in live:
+        for g1 in iter_bits(rows[f1]):
+            for f2 in live:
+                row = rows[meet[f1][f2]]
+                for g2 in iter_bits(rows[f2]):
+                    if not row >> meet[g1][g2] & 1:
+                        return f1, g1, f2, g2
+    return None
 
 
 # -- the six R-lattice axioms ---------------------------------------------------
@@ -549,7 +512,8 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
     6. (g1, f), (f, g2) in rel imply some h with h | f = g1 and h & g2 = 0.
 
     Each axiom is a test on bitmask rows of the relation, of the order and
-    of the disjointness relation, never a scan over pairs of pairs. Every
+    of the disjointness relation; only axiom 3, where its lemma does not
+    decide, falls back to a scan over pairs of pairs (below). Every
     verdict is exact, and the reported witness is the lexicographically
     first one, as a scan of the sorted pairs in index order would find it.
 
@@ -562,8 +526,9 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
       is an up-set, and f1 >= a1, f2 >= a2 give f1 & f2 >= a1 & a2. So the
       axiom holds iff, for every two live columns g1 and g2, each minimal
       a1 of cols[g1] and a2 of cols[g2] have a1 & a2 in cols[g1 & g2]
-      (``_meets_on_minima``). The row scan ``_meet_witness`` runs only when
-      that test fails, to name the witness, or when axiom 2 failed.
+      (``_meets_on_minima``). Only where it does not decide, when it fails
+      or when axiom 2 failed, does ``_meet_witness`` scan every two pairs
+      of the relation, O(|rel|^2) steps, for the witness and the verdict.
     - Axiom 6. An h disjoint from g2 is disjoint from every g2' <= g2, so
       for each (g1, f) the g2 that pass form a down-set of rows[f], and all
       of them pass iff its maximal members do. rows[f] is scanned in index
@@ -574,15 +539,9 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
     then takes m(m + 1)/2 lookups and axiom 6 one AND per pair (g1, f) with
     f <= g1 (3^k in all), besides m steps per f to group the h by h | f:
     every axiom is O(4^k) steps of Python, where a scan of every pair
-    against every element takes 6^k and a scan of pairs of pairs 9^k. The
-    row scan of axiom 3 builds O(m) ints per g1 and per f1, one sum per
-    distinct row of the relation cut down to below g1, and then takes one
-    AND per pair (f1, g1) and distinct meet f1 & f2: for ge, O(4^k) steps of
-    Python and 5^k ANDs in C. Besides the rows, the relation is held once
-    more as index lists; the row scan keeps one union per f1 and distinct
-    meet f1 & f2, at most one per pair of the order (3^k on a Boolean
-    lattice), and every other test holds at most O(m) further ints at a
-    time.
+    against every element takes 6^k and a scan of pairs of pairs 9^k.
+    Besides the rows, the relation is held once more as index lists, and
+    every test holds at most O(m) further ints at a time.
     """
     rows, cols = relation_rows(l, rel)
     m, bot, join = l.m, l.bottom, l.join
@@ -605,7 +564,7 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
     if results[1].passed and _meets_on_minima(l, cols):
         witness = None
     else:
-        witness = _meet_witness(l, rows, cols, live)
+        witness = _meet_witness(l, rows, live)
     results.append(AxiomResult(AXIOM_NAMES[2], witness is None, witness))
 
     witness = None

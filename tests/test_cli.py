@@ -28,6 +28,8 @@ N4_REPORT_SHA256 = "7a1403676616ba4ed36c63e1fab144208d326f4b3e1b40606843cd18d5f7
 N5_REPORT_SHA256 = "6486fd84a6b16b09fb7a4bd6beb88978be3530f2d78a3e9f53a6c17a8dc5b3d3"
 # sha256 of `regopen counterexamples --n 4 --json`, the pinned gallery.
 N4_GALLERY_SHA256 = "5882ab1fca64a2e4f2561cc4987db2ce66663cde257bcdef2a0f280724638aa1"
+# sha256 of the stdout of `regopen counterexamples --n 3`.
+N3_GALLERY_STDOUT_SHA256 = "0c6a344408109cc84ca9ff0182ca5e9c35a050641f659272992454df52551845"
 
 
 def test_enumerate_prints_count(capsys):
@@ -354,6 +356,19 @@ def test_counterexamples_n4_gallery_is_pinned(tmp_path, capsys):
     assert len(json.loads(out.read_text())) == 394
 
 
+def test_counterexamples_n3_stdout_is_pinned(capsys):
+    assert main(["counterexamples", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[0] == "34 R-isomorphic non-homeomorphic pairs up to n = 3" and len(lines) == 35
+    assert lines[-1] == (
+        "  |R|=4  Topology(n=3, opens=[{},{0},{1},{0,1},{0,1,2}])  ~  "
+        "Topology(n=3, opens=[{},{0},{1},{0,1},{0,2},{0,1,2}])  "
+        "[well-inside DIFFERENT under reported iso]"
+    )
+    assert hashlib.sha256(out.encode()).hexdigest() == N3_GALLERY_STDOUT_SHA256
+
+
 def test_closed_stdout_ends_quietly():
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -442,6 +457,20 @@ def test_regular_lattice_verb_with_outputs(tmp_path, capsys):
     lat = json.loads(jpath.read_text())
     assert lat["elements"] == 4 and "gg" in lat
     assert dpath.read_text().startswith("digraph")
+
+
+def test_regular_lattice_stdout_marks_bottom_top_and_atoms(capsys):
+    assert main(["regular-lattice", "x3"]) == 0
+    assert capsys.readouterr().out == (
+        "space: n=3, 5 opens\n"
+        "regular opens (4):\n"
+        "  [0] []  (bottom)\n"
+        "  [1] [0]  (atom)\n"
+        "  [2] [1]  (atom)\n"
+        "  [3] [0, 1, 2]  (top)\n"
+        "well-inside pairs: [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3)]\n"
+        "ge pairs:          [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)]\n"
+    )
 
 
 def test_space_file_input(tmp_path, capsys):

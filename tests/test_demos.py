@@ -35,3 +35,13 @@ def test_cofinite_demo_fails_with_union_and_intersection_swapped(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(ROOT / "demos" / "08_cofinite_symbolic.py"), run_name="__main__")
     assert "should be" in str(exc.value)
+
+
+def test_metric_demo_fails_when_the_combination_ignores_the_second_metric(monkeypatch):
+    # the demo imports combine_metric from the package when it runs
+    import regopen
+
+    monkeypatch.setattr(regopen, "combine_metric", lambda dx, dy, tau: dx)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "demos" / "09_metric_combination.py"), run_name="__main__")
+    assert "should be" in str(exc.value)

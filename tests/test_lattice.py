@@ -3,6 +3,7 @@ and the six R-lattice axioms."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -362,15 +363,20 @@ def _relations(lat: FiniteLattice, rng: random.Random) -> list[frozenset]:
     return bases + variants + [_up_closure(lat, rel) for rel in variants]
 
 
-def _assert_matches_oracle(lat: FiniteLattice, rng: random.Random) -> set[str]:
+def _assert_matches_oracle(
+    lat: FiniteLattice, rng: random.Random, outcomes: Counter | None = None
+) -> set[str]:
     """Compare every relation's report, witnesses included; return the
-    names of the axioms some relation failed."""
+    names of the axioms some relation failed, and count each relation's
+    (upward_monotone, meet_compatible) verdicts in ``outcomes``."""
     assert wallman_disjunction(lat) == wallman_disjunction_oracle(lat)
     failed = set()
     for rel in _relations(lat, rng):
         report = check_r_lattice(lat, rel)
         assert report == check_r_lattice_oracle(lat, rel), (lat.m, sorted(rel))
         failed |= {a.name for a in report.axioms if not a.passed}
+        if outcomes is not None:
+            outcomes[report["upward_monotone"].passed, report["meet_compatible"].passed] += 1
     return failed
 
 
@@ -391,10 +397,14 @@ def _upset_space(n: int, rng: random.Random) -> Topology:
 def test_r_lattice_matches_oracle_on_every_lattice_up_to_four_points():
     rng = random.Random(4)
     failed = set()
+    outcomes = Counter()
     for n in (1, 2, 3, 4):
         for t in enumerate_topologies(EnumerationSpec(n)):
-            failed |= _assert_matches_oracle(regular_open_lattice(t), rng)
+            failed |= _assert_matches_oracle(regular_open_lattice(t), rng, outcomes)
     assert failed == set(AXIOM_NAMES) - {"wallman_disjunction"}  # every lattice is Boolean
+    # the minima decide where axiom 2 passed; where it failed, the scan
+    # gives both verdicts of axiom 3, so every combination must be compared
+    assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}, outcomes
 
 
 def test_r_lattice_matches_oracle_on_chains_and_open_set_lattices():
