@@ -9,6 +9,7 @@ Run: python3 demos/06_counterexample_gallery.py
 """
 
 from regopen import counterexample_search, regular_open_lattice
+from regopen.lattice import relation_pairs
 
 pairs = counterexample_search(3)
 print(f"{len(pairs)} pairs of R-isomorphic, non-homeomorphic spaces (n <= 3)\n")
@@ -28,4 +29,5 @@ for p in pairs:
         every = "under every iso" if not p.same_under_some_iso else "but some iso matches them"
         print(f"  {p.t1!r}")
         print(f"  {p.t2!r}")
-        print(f"    relations have {len(p.rel1)} vs {len(p.rel2)} pairs, differ {every}\n")
+        n1, n2 = len(relation_pairs(p.rel1)), len(relation_pairs(p.rel2))
+        print(f"    relations have {n1} vs {n2} pairs, differ {every}\n")

@@ -20,7 +20,7 @@ import sys
 from . import cofinite as cof
 from .enumeration import EnumerationSpec, enumerate_topologies
 from .errors import MalformedSpace, RegOpenError
-from .lattice import ge_relation, regular_open_lattice, well_inside
+from .lattice import ge_relation, regular_open_lattice, relation_pairs, well_inside
 from .serialize import (
     canonical_json,
     lattice_to_dict,
@@ -182,7 +182,7 @@ def _cmd_regular_lattice(args) -> int:
         suffix = f"  ({', '.join(marks)})" if marks else ""
         print(f"  [{i}] {sorted(lat.element(i))}{suffix}")
     print(f"well-inside pairs: {sorted(rel)}")
-    print(f"ge pairs:          {sorted(ge_relation(lat))}")
+    print(f"ge pairs:          {sorted(relation_pairs(ge_relation(lat)))}")
     if args.json:
         args.json.write(canonical_json(lattice_to_dict(lat, rel)))
     if args.dot:

@@ -3,16 +3,17 @@ R-lattice axioms with an explicit extra relation.
 
 The extra relation (written ``>>`` in the literature and called
 ``well_inside`` here, after its topological reading "U contains the closure
-of V") is always explicit data: a frozenset of ordered element-index pairs.
-It is never inferred from the lattice order, because the whole point of the
-axioms is that the same order can carry different admissible relations.
+of V") is always explicit data, never inferred from the lattice order: the
+same order can carry different admissible relations. It is held as bitmask
+rows, bit g of ``rows[f]`` set when (f, g) is in it. Pairs appear only where
+a relation is printed or serialized, through ``relation_pairs`` and back
+through ``relation_rows``.
 
 Every axiom verdict is exact, and a failure reports the lexicographically
-first witness. The checks run over bitmask rows. Two of them, meet
-compatibility and the relative complement, are decided by lattice lemmas
-(see ``check_r_lattice``); their rows are scanned only to name a witness or
-where a lemma's hypothesis fails. For meet compatibility that scan is a
-plain walk over every two pairs of the relation, O(|rel|^2) steps.
+first witness. Meet compatibility and the relative complement are decided
+by lattice lemmas (see ``check_r_lattice``); their rows are scanned only to
+name a witness or where a lemma's hypothesis fails. For meet compatibility
+that scan is a plain walk over every two pairs of the relation.
 """
 
 from __future__ import annotations
@@ -358,9 +359,9 @@ def _wallman_on_rows(disjoint: list[int]) -> tuple[bool, tuple | None]:
 # -- the explicit extra relation ----------------------------------------------
 
 
-def ge_relation(l: FiniteLattice) -> PairRelation:
-    """The relation 'f >= g', the default choice on Boolean lattices."""
-    return frozenset((f, g) for f, row in enumerate(l.down) for g in iter_bits(row))
+def ge_relation(l: FiniteLattice) -> tuple[int, ...]:
+    """The relation 'f >= g' as rows, ``l.down``: the default choice on Boolean lattices."""
+    return l.down
 
 
 def well_inside(l: RegularOpenLattice) -> PairRelation:
@@ -370,16 +371,12 @@ def well_inside(l: RegularOpenLattice) -> PairRelation:
     lattice; distinct spaces with isomorphic lattices can induce different
     relations, which is exactly what the counterexample gallery exhibits.
     """
-    closure = l.topology.closure_mask
-    closures = [closure(mask) for mask in l.payload_masks]
-    return frozenset(
-        [(f, g) for f, u in enumerate(l.payload_masks) for g, c in enumerate(closures) if c | u == u]
-    )
+    return relation_pairs(well_inside_rows(l, list(map(l.topology.closure_mask, l.payload_masks))))
 
 
 def well_inside_rows(l: RegularOpenLattice, closures: Sequence[int]) -> list[int]:
-    """``well_inside`` as bitmask rows: ``rows[f]`` holds the g whose
-    closure, ``closures[g]``, lies inside U_f.
+    """The well-inside relation as bitmask rows: ``rows[f]`` holds the g
+    whose closure, ``closures[g]``, lies inside U_f.
 
     It tests each of the m^2 pairs with one union and one compare, which
     for the lattices of up to 32 elements that a run at n <= 5 meets is
@@ -396,20 +393,20 @@ def well_inside_rows(l: RegularOpenLattice, closures: Sequence[int]) -> list[int
     return rows
 
 
-def relation_rows(
-    l: FiniteLattice, rel: Iterable[tuple[int, int]]
-) -> tuple[list[int], list[int]]:
+def relation_rows(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> list[int]:
     """Bitmask rows of a pair relation: ``rows[f]`` holds the g with
-    (f, g) in rel and ``cols[g]`` the f with (f, g) in rel. IndexOutOfRange
-    names a pair outside the lattice."""
+    (f, g) in rel. IndexOutOfRange names a pair outside the lattice."""
     rows = [0] * l.m
-    cols = [0] * l.m
-    for f, g in frozenset(rel):
+    for f, g in rel:
         if not (0 <= f < l.m and 0 <= g < l.m):
             raise IndexOutOfRange(f"relation pair ({f}, {g}) out of range for m={l.m}")
         rows[f] |= 1 << g
-        cols[g] |= 1 << f
-    return rows, cols
+    return rows
+
+
+def relation_pairs(rows: Sequence[int]) -> PairRelation:
+    """The pairs (f, g) with bit g of ``rows[f]`` set: ``relation_rows`` inverted."""
+    return frozenset((f, g) for f, row in enumerate(rows) for g in iter_bits(row))
 
 
 def upward_kept(l: FiniteLattice, rows: Sequence[int], f: int) -> int:
@@ -500,8 +497,10 @@ class RLatticeReport:
         return {"passed": self.passed, "axioms": [a.to_dict() for a in self.axioms]}
 
 
-def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLatticeReport:
-    """Evaluate the six axioms of a distributive-lattice-with-relation triple.
+def check_r_lattice(l: FiniteLattice, rows: Sequence[int]) -> RLatticeReport:
+    """Evaluate the six axioms of a distributive-lattice-with-relation
+    triple, the relation rel given by its rows: (f, g) is in rel when bit g
+    of ``rows[f]`` is set. IndexOutOfRange refuses all but m ints below 2^m.
 
     1. Wallman disjunction (order only).
     2. h >= f and (f, g) in rel imply (h, g) in rel.
@@ -511,11 +510,10 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
        (f, g2) in rel.
     6. (g1, f), (f, g2) in rel imply some h with h | f = g1 and h & g2 = 0.
 
-    Each axiom is a test on bitmask rows of the relation, of the order and
-    of the disjointness relation; only axiom 3, where its lemma does not
-    decide, falls back to a scan over pairs of pairs (below). Every
-    verdict is exact, and the reported witness is the lexicographically
-    first one, as a scan of the sorted pairs in index order would find it.
+    Each axiom is a test on the rows of the relation, of the order and of
+    disjointness; only axiom 3 may fall back to a scan of pairs of pairs
+    (below). Each witness is the lexicographically first, as a scan of the
+    sorted pairs in index order would find it.
 
     Two axioms are decided by lattice lemmas. Both need the meet table to be
     the inf of the order, which holds for every lattice the package builds:
@@ -540,12 +538,12 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
     f <= g1 (3^k in all), besides m steps per f to group the h by h | f:
     every axiom is O(4^k) steps of Python, where a scan of every pair
     against every element takes 6^k and a scan of pairs of pairs 9^k.
-    Besides the rows, the relation is held once more as index lists, and
-    every test holds at most O(m) further ints at a time.
+    The columns are the rows transposed; a test holds O(m) more ints.
     """
-    rows, cols = relation_rows(l, rel)
     m, bot, join = l.m, l.bottom, l.join
-    targets = [list(iter_bits(row)) for row in rows]
+    if len(rows) != m or not all(0 <= row < 1 << m for row in rows):
+        raise IndexOutOfRange(f"a relation on m={m} elements is {m} rows below 2^{m}, not {list(rows)}")
+    cols = _transpose(rows)
     live = [f for f in range(m) if rows[f]]
     disjoint = _disjoint_rows(l)
     results = [AxiomResult(AXIOM_NAMES[0], *_wallman_on_rows(disjoint))]
@@ -569,7 +567,7 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
 
     witness = None
     for f in live:
-        g = next((g for g in targets[f] if not rows[f] & cols[g]), None)
+        g = next((g for g in iter_bits(rows[f]) if not rows[f] & cols[g]), None)
         if g is not None:
             witness = (f, g)
             break
@@ -585,7 +583,7 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
 
     # For each f, joins_to[g1] holds the h with h | f = g1; (g1, f, g2)
     # fails iff none of them is disjoint from g2. The g2 that pass are a
-    # down-set of rows[f], so targets[f] is scanned for the first failing
+    # down-set of rows[f], so rows[f] is scanned for the first failing
     # g2 only when a maximal member of rows[f] fails. f ascends, so a later
     # f can only win with a lower g1.
     witness = None
@@ -596,11 +594,11 @@ def check_r_lattice(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> RLattic
         joins_to = [0] * m
         for h in range(m):
             joins_to[join[h][f]] |= 1 << h
-        tops = [disjoint[g] for g in targets[f] if l.up[g] & rows[f] == 1 << g]
+        tops = [disjoint[g] for g in iter_bits(rows[f]) if l.up[g] & rows[f] == 1 << g]
         for g1 in iter_bits(g1s):
             hs = joins_to[g1]
             if not all(map(hs.__and__, tops)):
-                witness = (g1, f, next(g2 for g2 in targets[f] if not hs & disjoint[g2]))
+                witness = (g1, f, next(g2 for g2 in iter_bits(rows[f]) if not hs & disjoint[g2]))
                 break
     results.append(AxiomResult(AXIOM_NAMES[5], witness is None, witness))
 
@@ -653,6 +651,8 @@ def find_order_isomorphisms(l1: FiniteLattice, l2: FiniteLattice) -> list[tuple[
     return out
 
 
-def transport_relation(rel: PairRelation, phi: Sequence[int]) -> PairRelation:
-    """Push a pair relation through an element bijection."""
-    return frozenset((phi[f], phi[g]) for f, g in rel)
+def transport_relation(rows: Sequence[int], phi: Sequence[int]) -> tuple[int, ...]:
+    """The rows of a relation pushed through an element bijection: (f, g)
+    goes to (phi[f], phi[g])."""
+    moved = {phi[f]: sum(1 << phi[g] for g in iter_bits(row)) for f, row in enumerate(rows)}
+    return tuple(moved[f] for f in range(len(rows)))

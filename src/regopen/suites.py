@@ -27,16 +27,15 @@ from .enumeration import BUDGETS, EnumerationSpec, canonical_classes, check_budg
 from .errors import BadEnumerationSpec, BadSuiteArgument, NotABasis, NotDense, RegOpenError, UnknownSuite
 from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
-    PairRelation,
     RegularOpenLattice,
     _same_operations,
     check_r_lattice,
     find_order_isomorphisms,
     ge_relation,
     regular_open_lattice,
+    relation_pairs,
     transport_relation,
     upward_kept,
-    well_inside,
     well_inside_rows,
 )
 from .metric import FiniteMetric, combine_metric
@@ -786,15 +785,15 @@ class CounterexamplePair:
     """Two non-homeomorphic spaces with order-isomorphic regular-open lattices.
 
     ``iso`` is the lexicographically first order isomorphism; the two
-    topologically induced well-inside relations are reported along with
-    whether the iso (or any iso) carries one onto the other.
+    topologically induced well-inside relations, as rows, are reported
+    along with whether the iso (or any iso) carries one onto the other.
     """
 
     t1: Topology
     t2: Topology
     iso: tuple[int, ...]
-    rel1: PairRelation
-    rel2: PairRelation
+    rel1: tuple[int, ...]
+    rel2: tuple[int, ...]
     same_under_reported_iso: bool
     same_under_some_iso: bool
 
@@ -803,8 +802,8 @@ class CounterexamplePair:
             "space1": space_to_dict(self.t1),
             "space2": space_to_dict(self.t2),
             "iso": list(self.iso),
-            "well_inside_1": sorted([f, g] for f, g in self.rel1),
-            "well_inside_2": sorted([f, g] for f, g in self.rel2),
+            "well_inside_1": sorted([f, g] for f, g in relation_pairs(self.rel1)),
+            "well_inside_2": sorted([f, g] for f, g in relation_pairs(self.rel2)),
             "same_under_reported_iso": self.same_under_reported_iso,
             "same_under_some_iso": self.same_under_some_iso,
         }
@@ -818,7 +817,8 @@ def counterexample_search(max_n: int) -> list[CounterexamplePair]:
     check_budget("counterexamples", max_n)
     reps = canonical_classes(max_n)
     lats = [regular_open_lattice(t) for t in reps]
-    rels = [well_inside(lat) for lat in lats]
+    closures = [[t.closure_mask(u) for u in lat.payload_masks] for t, lat in zip(reps, lats)]
+    rels = [tuple(well_inside_rows(lat, cl)) for lat, cl in zip(lats, closures)]
     out = []
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):

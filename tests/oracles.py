@@ -283,6 +283,11 @@ def well_inside_oracle(t: Topology, l) -> frozenset[tuple[int, int]]:
     return frozenset((f, g) for f, u in enumerate(elems) for g, c in enumerate(closures) if c <= u)
 
 
+def transport_relation_oracle(rel, phi) -> frozenset[tuple[int, int]]:
+    """Push a pair relation through an element bijection, pair by pair."""
+    return frozenset((phi[f], phi[g]) for f, g in rel)
+
+
 def well_inside_monotone_oracle(l, rel) -> str | None:
     """Scan each pair of ``rel``, in lexicographic order, against every h:
     the rlattice suite's message for the first pair not upward or downward

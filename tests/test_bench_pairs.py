@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py: the summary of paired runs."""
+"""tools/bench_pairs.py: where paired runs run, and their summary."""
 
 import importlib.util
 from pathlib import Path
@@ -21,3 +21,23 @@ def test_summary_counts_wins_in_the_metric_s_better_direction():
     assert (higher["b_wins"], higher["b_losses"], higher["ties"]) == (1, 2, 1)
     assert lower["a"]["median"] == 2.05 and lower["b"]["median"] == 1.8
     assert lower["a"]["q1"] <= lower["a"]["median"] <= lower["a"]["q3"]
+
+
+def test_every_run_of_both_sides_runs_from_one_root_on_its_own_tree(monkeypatch, tmp_path):
+    trees = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for side, tree in trees.items():
+        tree.mkdir()
+        (tree / "REV").write_text(side)
+    seen = []
+
+    def run_once(root, command):
+        seen.append((root, (root / "REV").read_text(), command[0]))
+        return {"metrics": {}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    root = tmp_path / "run"
+    runs = bench_pairs.run_pairs(trees, {side: [side] for side in bench_pairs.SIDES}, 3, root)
+    assert [run["first"] for run in runs] == ["a", "b", "a"]
+    assert {r for r, _, _ in seen} == {root}
+    assert [rev for _, rev, _ in seen] == [command for _, _, command in seen] == list("abbaab")
+    assert not root.exists() and all((tree / "REV").read_text() == side for side, tree in trees.items())

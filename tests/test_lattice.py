@@ -14,6 +14,7 @@ from regopen import (
     check_distributive,
     check_lattice_tables,
     check_r_lattice,
+    counterexample_search,
     discrete,
     enumerate_topologies,
     find_order_isomorphisms,
@@ -30,7 +31,7 @@ from regopen import (
 from regopen import lattice as lattice_module
 from regopen.enumeration import canonical_classes
 from regopen.errors import NotALattice, NotBoolean, VerificationError
-from regopen.lattice import AXIOM_NAMES, relation_rows, well_inside_rows
+from regopen.lattice import AXIOM_NAMES, relation_pairs, relation_rows, well_inside_rows
 from regopen.topology import Topology
 
 from oracles import (
@@ -40,6 +41,7 @@ from oracles import (
     interior_oracle,
     meet_compatible_oracle,
     opens_as_sets,
+    transport_relation_oracle,
     wallman_disjunction_oracle,
     well_inside_oracle,
 )
@@ -238,7 +240,7 @@ def test_wallman_disjunction():
 
 
 def test_well_inside_on_discrete_equals_ge():
-    assert well_inside(LD2) == ge_relation(LD2)
+    assert well_inside(LD2) == relation_pairs(ge_relation(LD2))
 
 
 def test_well_inside_on_x3_frozen():
@@ -292,8 +294,18 @@ def test_well_inside_rows_match_the_pairwise_scan():
         lat = regular_open_lattice(t)
         expected = well_inside_oracle(t, lat)
         cl = t.closure_table()
-        assert well_inside_rows(lat, [cl[u] for u in lat.payload_masks]) == relation_rows(lat, expected)[0]
+        assert well_inside_rows(lat, [cl[u] for u in lat.payload_masks]) == relation_rows(lat, expected)
         assert well_inside(lat) == expected
+
+
+def test_relation_pairs_and_rows_round_trip_on_every_lattice_up_to_four_points():
+    # ge and well-inside, as rows, survive the trip to pairs and back
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            lat = regular_open_lattice(t)
+            cl = t.closure_table()
+            for rows in (ge_relation(lat), well_inside_rows(lat, [cl[u] for u in lat.payload_masks])):
+                assert relation_rows(lat, relation_pairs(rows)) == list(rows)
 
 
 # -- R-lattice axioms ------------------------------------------------------------------
@@ -305,11 +317,11 @@ def test_powerset_with_ge_is_r_lattice():
 
 
 def test_discrete_well_inside_is_r_lattice():
-    assert check_r_lattice(LD2, well_inside(LD2)).passed
+    assert check_r_lattice(LD2, relation_rows(LD2, well_inside(LD2))).passed
 
 
 def test_empty_relation_fails_existence_only():
-    report = check_r_lattice(two_chain(), frozenset())
+    report = check_r_lattice(two_chain(), [0, 0])
     failed = [a.name for a in report.axioms if not a.passed]
     assert failed == ["existence"]
     assert report["existence"].witness == (1,)
@@ -325,13 +337,13 @@ def test_axiom_witnesses_are_reported():
     )
     # remove the top pair to break axiom 2: atom <= top but (top, bottom)
     broken = frozenset(p for p in rel if p != (lat.top, lat.bottom))
-    report = check_r_lattice(lat, broken)
+    report = check_r_lattice(lat, relation_rows(lat, broken))
     assert not report["upward_monotone"].passed
 
 
 def test_relation_validation():
     with pytest.raises(ValueError):
-        check_r_lattice(two_chain(), {(0, 5)})
+        check_r_lattice(two_chain(), [0, 1 << 5])
 
 
 # -- the bit-row axiom checks against the pair-of-pairs oracle ------------------------
@@ -346,7 +358,7 @@ def _relations(lat: FiniteLattice, rng: random.Random) -> list[frozenset]:
     """ge, the empty relation, well-inside where the lattice has payloads, and
     seeded variants with their up-closures: each base minus one pair, random
     sub-relations of each base, and random sub-relations of all pairs."""
-    bases = [ge_relation(lat), frozenset()]
+    bases = [relation_pairs(ge_relation(lat)), frozenset()]
     if lat.payload_masks is not None:
         bases.append(well_inside(lat))
     variants = []
@@ -372,7 +384,7 @@ def _assert_matches_oracle(
     assert wallman_disjunction(lat) == wallman_disjunction_oracle(lat)
     failed = set()
     for rel in _relations(lat, rng):
-        report = check_r_lattice(lat, rel)
+        report = check_r_lattice(lat, relation_rows(lat, rel))
         assert report == check_r_lattice_oracle(lat, rel), (lat.m, sorted(rel))
         failed |= {a.name for a in report.axioms if not a.passed}
         if outcomes is not None:
@@ -455,15 +467,15 @@ def test_meet_compatibility_matches_oracle_on_64_element_lattices():
         if lat.m != 64 or len(lat.topology.open_masks) in open_counts:
             continue
         open_counts.add(len(lat.topology.open_masks))
-        for base in (ge_relation(lat), well_inside(lat)):
+        for base in (relation_pairs(ge_relation(lat)), well_inside(lat)):
             pairs = sorted(base)
-            cols = relation_rows(lat, base)[1]
+            cols = relation_rows(lat, {(g, f) for f, g in base})  # the converse's rows
             dropped = rng.choice(pairs)
             kept = frozenset(p for p in pairs if rng.random() < 0.95)
             # the up-closure restores a dropped pair unless it is the least of its column
             least = rng.choice([(f, g) for f, g in pairs if lat.down[f] & cols[g] == 1 << f])
             for rel in (base, base - {dropped}, _up_closure(lat, base - {least}), kept):
-                axiom = check_r_lattice(lat, rel)["meet_compatible"]
+                axiom = check_r_lattice(lat, relation_rows(lat, rel))["meet_compatible"]
                 assert (axiom.passed, axiom.witness) == meet_compatible_oracle(lat, rel), sorted(rel)
                 verdicts.append(axiom.passed)
     assert verdicts.count(True) >= 4 and verdicts.count(False) >= 4
@@ -479,8 +491,8 @@ def test_meet_row_scan_runs_only_where_the_minima_cannot_decide(monkeypatch):
     lat = regular_open_lattice(discrete(7))
     assert check_r_lattice(lat, ge_relation(lat)).passed
     assert calls == []
-    broken = ge_relation(LD2) - {(LD2.top, LD2.bottom)}
-    report = check_r_lattice(LD2, broken)
+    broken = relation_pairs(ge_relation(LD2)) - {(LD2.top, LD2.bottom)}
+    report = check_r_lattice(LD2, relation_rows(LD2, broken))
     assert not report["upward_monotone"].passed and len(calls) == 1
     assert report == check_r_lattice_oracle(LD2, broken)
 
@@ -493,11 +505,11 @@ def test_r_lattice_matches_oracle_on_non_distributive_lattices():
     failed = set()
     for lat in (diamond_m3(), pentagon_n5()):
         failed |= _assert_matches_oracle(lat, rng)
-        pairs = sorted(ge_relation(lat))
+        pairs = sorted(relation_pairs(ge_relation(lat)))
         witnesses = set()
         for i, j in itertools.combinations_with_replacement(range(len(pairs)), 2):
             rel = frozenset(pairs) - {pairs[i], pairs[j]}
-            report = check_r_lattice(lat, rel)
+            report = check_r_lattice(lat, relation_rows(lat, rel))
             assert report == check_r_lattice_oracle(lat, rel), (lat.m, sorted(rel))
             witnesses.add(report["meet_compatible"].witness)
         assert len(witnesses) > 5
@@ -572,9 +584,26 @@ def test_order_isomorphisms_match_networkx_on_non_boolean_lattices():
 
 def test_transport_relation():
     phi = find_order_isomorphisms(LX3, LD2)[0]
-    moved = transport_relation(well_inside(LX3), phi)
+    moved = relation_pairs(transport_relation(relation_rows(LX3, well_inside(LX3)), phi))
     assert len(moved) == len(well_inside(LX3))
     assert moved != well_inside(LD2)  # the gallery's diagnosis, in miniature
+
+
+def test_transport_relation_matches_oracle_on_every_gallery_isomorphism():
+    # every order isomorphism of every gallery pair with n <= 4 moves ge,
+    # well-inside and a seeded sub-relation as the pairwise relabeling does
+    rng = random.Random(31)
+    isos = 0
+    for p in counterexample_search(4):
+        l1, l2 = regular_open_lattice(p.t1), regular_open_lattice(p.t2)
+        rels = [relation_pairs(ge_relation(l1)), well_inside(l1)]
+        rels.append(frozenset(pair for pair in rels[0] if rng.random() < 0.5))
+        for phi in find_order_isomorphisms(l1, l2):
+            isos += 1
+            for rel in rels:
+                moved = transport_relation(relation_rows(l1, rel), phi)
+                assert relation_pairs(moved) == transport_relation_oracle(rel, phi), (phi, sorted(rel))
+    assert isos == 597
 
 
 # -- every enumerated R(X) is a distributive Boolean algebra -------------------------------

@@ -7,7 +7,7 @@ import pytest
 from regopen import discrete, regular_open_lattice, well_inside, x3
 from regopen import serialize, topology
 from regopen.errors import MissingEmptyOrFull, SizeGuardExceeded
-from regopen.lattice import FiniteLattice, ge_relation
+from regopen.lattice import FiniteLattice, ge_relation, relation_pairs
 from regopen.serialize import (
     canonical_json,
     lattice_to_dict,
@@ -75,7 +75,7 @@ def test_lattice_round_trip_with_payloads_and_relation():
 def test_lattice_without_payloads_supports_order_checks():
     lat = FiniteLattice.from_leq(2, [(0, 1)])
     assert lat.payload_masks is None
-    assert ge_relation(lat) == frozenset({(0, 0), (1, 0), (1, 1)})
+    assert relation_pairs(ge_relation(lat)) == frozenset({(0, 0), (1, 0), (1, 1)})
     assert not hasattr(lat, "element")  # only a RegularOpenLattice names its points
     assert lattice_to_dict(lat) == {"elements": 2, "leq": [[0, 1]]}
 
