@@ -5,8 +5,9 @@ Trans. AMS 123, 1966). So every space on n + 1 points is a space on n points
 with one point added, and ``enumerate_topologies`` grows the open families
 one point at a time, as Brinkmann & McKay do for posets ("Posets on up to 16
 points", Order 19, 2002). Up to homeomorphism it extends only the class
-representatives and keeps one family per class: the canonical form of every
-candidate, taken at each step, both tells the classes apart and names them.
+representatives, names only the candidates whose new point has the least
+rank, and keeps one family per class: the canonical form of each candidate
+named, taken at each step, both tells the classes apart and names them.
 
 Labeled counts are 1, 4, 29, 355, 6942 for n = 1..5; counts up to
 homeomorphism are 1, 3, 9, 33, 139.
@@ -27,7 +28,7 @@ MODES = ("all", "up-to-homeomorphism")
 # A space from outside input is bounded by topology.MAX_POINTS and MAX_OPENS.
 BUDGETS: dict[str, tuple[int, int | None]] = {
     "enumerate": (5, 5),
-    "classes": (7, 5),
+    "classes": (8, 5),
     "verify": (5, 5),
     "counterexamples": (4, None),
     "ideals": (5, None),
@@ -67,15 +68,15 @@ class EnumerationSpec:
         check_budget("classes" if self.mode == "up-to-homeomorphism" else "enumerate", self.n, self.allow_n5)
 
 
-def _extensions(n: int, opens: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every open family on n + 1 points whose trace on points 0..n-1 is ``opens``.
+def _choices(n: int, opens: tuple[int, ...]) -> Iterator[tuple[int, int, list[int]]]:
+    """Every way to add the point n to the space on 0..n-1 whose opens are
+    ``opens``.
 
-    The new point p gets the least neighbourhood {p} | U for an open U. It
+    The new point gets the least neighbourhood {n} | U for an open U. It
     lies in the least neighbourhood of each point of a closed set D whose
     points x all have U inside U_x; so the complement V of D is an open that
-    holds every open not containing U. The new opens are the old opens inside
-    V and, with p added, the old opens containing U. Deleting p gives back
-    (opens, U, D), so each family arises exactly once.
+    holds every open not containing U. Yields each such (U, V) with the new
+    opens holding n: the old opens containing U, with n added.
     """
     p = 1 << n
     for u in opens:
@@ -86,7 +87,44 @@ def _extensions(n: int, opens: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
                 must_hold |= o
         for v in opens:
             if v & must_hold == must_hold:
-                yield tuple(sorted([o for o in opens if o & v == o] + with_p))
+                yield u, v, with_p
+
+
+def _extension(opens: tuple[int, ...], v: int, with_p: list[int]) -> tuple[int, ...]:
+    """The open family that a choice (U, V) of ``_choices`` gives: the old
+    opens inside V, then ``with_p``. Both lists ascend, and every open of
+    the second holds the new point, the highest bit, so the family comes
+    out sorted."""
+    return tuple([o for o in opens if o & v == o] + with_p)
+
+
+def _extensions(n: int, opens: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every open family on n + 1 points whose trace on points 0..n-1 is
+    ``opens``. Deleting the new point gives back (opens, U, D), so each
+    family arises exactly once."""
+    for _, v, with_p in _choices(n, opens):
+        yield _extension(opens, v, with_p)
+
+
+def _least_rank_extensions(n: int, opens: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The families of ``_extensions`` in which no point has a smaller rank
+    than the new point n. The rank of a point p is (|U_p|, |cl{p}|), where
+    cl{p} is the set of points x with p in U_x.
+
+    Adding n with the choice (U, V) gives n the rank (|U| + 1, |D| + 1),
+    and it adds 1 to |U_x| for each old point x in D and to |cl{x}| for
+    each x in U; so the ranks come from those of ``opens`` without building
+    the family.
+    """
+    full = (1 << n) - 1
+    nbhd = Topology.trusted(n, opens).min_nbhd_masks
+    sizes = [u.bit_count() for u in nbhd]
+    seen = [sum(u >> x & 1 for u in nbhd) for x in range(n)]
+    for u, v, with_p in _choices(n, opens):
+        d = full & ~v
+        new = (u.bit_count() + 1, d.bit_count() + 1)
+        if all((sizes[x] + (d >> x & 1), seen[x] + (u >> x & 1)) >= new for x in range(n)):
+            yield _extension(opens, v, with_p)
 
 
 def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
@@ -95,18 +133,25 @@ def enumerate_topologies(spec: EnumerationSpec) -> Iterator[Topology]:
     up-to-homeomorphism mode, one canonical representative per class.
 
     Both modes grow the families one point at a time from the one family on
-    no points. Class mode extends only the class representatives: deleting
-    the last point of a space leaves a subspace homeomorphic to one of them.
-    It keeps the distinct canonical forms at every step, so each family kept
-    is already the named representative of its class."""
+    no points. Class mode extends only the class representatives, and of
+    their extensions it names only those whose new point has the least
+    rank (``_least_rank_extensions``), as in McKay's canonical construction
+    path ("Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    This misses no class: let q be a point of least rank in a space C on
+    k + 1 points. C - q is homeomorphic to a representative P on k points;
+    relabel C so that C - q carries P's labels and q carries label k. The
+    result is an extension of P whose new point, q, has the least rank, as
+    rank does not depend on labels. Class mode keeps the distinct canonical
+    forms of the extensions named, so each family kept is already the
+    representative of its class."""
     classes = spec.mode == "up-to-homeomorphism"
     families = {(0,)}
     for k in range(spec.n):
-        grown = (f for fam in families for f in _extensions(k, fam))
         if classes:
+            grown = (f for fam in families for f in _least_rank_extensions(k, fam))
             families = {canonical_open_masks(Topology.trusted(k + 1, f)) for f in grown}
         else:
-            families = set(grown)
+            families = {f for fam in families for f in _extensions(k, fam)}
     families = sorted(families, key=lambda f: (len(f), f))
     if spec.limit is not None:
         families = families[: spec.limit]

@@ -356,12 +356,40 @@ def canonical_open_masks(t: Topology) -> tuple[int, ...]:
     the opens inside the first j labelled points, so labelling point p as j
     appends the images of the opens inside the labelled set that hold p:
     each has bit j set and sorts after everything placed before. Only the
-    partial labellings whose appended run is least are extended, and a
-    sentinel of 2^n ends each run, so that a longer run compares as less.
+    partial labellings whose appended run is least are extended; an empty
+    run is greater than any other, as the entry after it has a higher bit.
     Every least encoding extends a least prefix, so the search is exact.
+
+    Runs are compared by their heads alone, with a sentinel of 2^n for an
+    empty run. Every open holding p contains U_p, the least open holding p,
+    and labelling preserves inclusion, so the head of p's run is the image
+    of U_p's labelled part with bit j; when U_p does not fit inside the
+    labelled points and p, no open does, and the run is empty. A run with
+    a greater head is greater, and runs with the same head are the same
+    run, so one lookup per (partial labelling, p) finds the least run, and
+    it is built once.
+
+    Runs with the same head are the same run. Let C be the class of p, the
+    points whose least neighbourhood is U_p. A depth at which every run is
+    empty extends every labelling by every point. Say r such depths come
+    just before depth j, after a depth that left an open O labelled, with
+    the labels below j - r (every depth with a head leaves O | U_p). If p
+    has a head, each point y of U_p outside O but p is one of the r points
+    labelled since O: it was labelled with an empty run, so U_y, inside
+    U_p, holds a point labelled after y; from the last one labelled back,
+    each has p in U_y, so all lie in C. So U_p minus O is C, and C is
+    maximal outside O; such a class of s points gives a head after s - 1
+    empty depths from O, so C minus p is the r points. No open inside the
+    labelled points meets C, so they are the opens inside O, and p's run
+    is each entry of the encoding so far that contains the image of
+    U_p & O, joined with bit j and the labels j - r..j - 1 of C minus p.
+    The head is that image joined with the same labels, so it fixes the
+    run.
     """
     opens = t.open_masks
     holders = [[k for k, o in enumerate(opens) if o >> p & 1] for p in range(t.n)]
+    nbhd = t.min_nbhd_masks
+    least = [opens.index(u) for u in nbhd]
     sentinel = 1 << t.n
     encoding = [0]  # the empty open, the one open inside no labelled point
     # A partial labelling is kept as the labelled points and the image of
@@ -370,17 +398,18 @@ def canonical_open_masks(t: Topology) -> tuple[int, ...]:
     level = {(0, (0,) * len(opens))}
     for j in range(t.n):
         bit = 1 << j
-        best, kept = None, []
+        best, kept = sentinel, []
         for done, images in level:
             for p in iter_bits(t.full_mask & ~done):
-                inside = done | 1 << p
-                run = sorted([images[k] | bit for k in holders[p] if opens[k] | inside == inside])
-                run.append(sentinel)
-                if best is None or run < best:
-                    best, kept = run, [(done, images, p)]
-                elif run == best:
+                head = images[least[p]] | bit if nbhd[p] & ~done == 1 << p else sentinel
+                if head < best:
+                    best, kept = head, [(done, images, p)]
+                elif head == best:
                     kept.append((done, images, p))
-        encoding += best[:-1]
+        if best != sentinel:
+            done, images, p = kept[0]
+            inside = done | 1 << p
+            encoding += sorted([images[k] | bit for k in holders[p] if opens[k] | inside == inside])
         level = set()
         for done, images, p in kept:
             images = list(images)

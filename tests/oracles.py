@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code with the package:
 pointwise scans and literal set arithmetic over frozensets. The
-exceptions are the symbolic-set ones, built on the package's own
-operations: ``intersect_oracle``, the older De Morgan spelling of symbolic
+exceptions are built on the package's own operations: ``classes_oracle``,
+the class enumeration without its rank filter, and the symbolic-set ones,
+``intersect_oracle``, the older De Morgan spelling of symbolic
 intersection, and ``symbolic_identities_oracle``, the Boolean-algebra and
 interior/closure identities.
 """
@@ -13,8 +14,9 @@ import itertools
 from fractions import Fraction
 from itertools import combinations
 
-from regopen import Topology
+from regopen import Topology, canonical_open_masks
 from regopen.cofinite import SymbolicSet, closure, complement, interior, intersect, is_subset, union
+from regopen.enumeration import _extensions
 from regopen.errors import CompositionNotIso, SizeGuardExceeded
 from regopen.lattice import AXIOM_NAMES, AxiomResult, RLatticeReport
 
@@ -116,6 +118,18 @@ def preorder_topologies(n: int) -> list[Topology]:
         (Topology(n, f) for f in families),
         key=lambda t: (len(t.open_masks), t.open_masks),
     )
+
+
+def classes_oracle(n: int) -> list[tuple[int, ...]]:
+    """The class representatives on n points, ordered by (open count,
+    encoding), by the route without a rank filter: at each growth step, the
+    distinct canonical forms of every one-point extension of every
+    representative. Built on the package's ``_extensions`` and
+    ``canonical_open_masks``, each checked against its own oracle."""
+    families = {(0,)}
+    for k in range(n):
+        families = {canonical_open_masks(Topology.trusted(k + 1, f)) for fam in families for f in _extensions(k, fam)}
+    return sorted(families, key=lambda f: (len(f), f))
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,6 +4,7 @@ size guards."""
 
 import hashlib
 import itertools
+import os
 from math import factorial
 
 import pytest
@@ -28,6 +29,7 @@ from regopen.topology import permute_mask, set_of
 from oracles import (
     brute_force_topologies,
     canonical_open_masks_oracle,
+    classes_oracle,
     dense_masks_oracle,
     dense_oracle,
     preorder_topologies,
@@ -36,13 +38,15 @@ from oracles import (
 LABELED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
 CLASS_COUNTS = {1: 1, 2: 3, 3: 9, 4: 33}
 
-# sha256 of `regopen enumerate --n N --mode M --json`, per (N, M); n = 5 and 6
+# sha256 of `regopen enumerate --n N --mode M --json`, per (N, M); n = 5 to 8
 # run with --allow-n5.
 ENUMERATE_SHA256 = {
     (4, "all"): "562aebf6f22554f87834b221a8ce8dce2c85eaa5cc88927fa785ee11ef4235c6",
     (4, "up-to-homeomorphism"): "eb644d1adc159d1c4e96518ac815a5dd42f3f1be1234cf1fc95fffc4476a1060",
     (5, "up-to-homeomorphism"): "c7605b45c8bfcb393fb63ab5d4a233ebaf4f285f7290c84c4fdce7a84c774bd3",
     (6, "up-to-homeomorphism"): "62046c4d2660555bdb3e4548b3b5baec754e16f369551e690c719b5a9ae0ac8d",
+    (7, "up-to-homeomorphism"): "f2bab8447856acf606cb38acb8affafc1bc81f98f17bffc94255b2604278eaec",
+    (8, "up-to-homeomorphism"): "d9b0e9d99172baec8d5b17092159299bd87fc8419e14354a66f4e7c97a032741",
 }
 
 
@@ -89,7 +93,7 @@ def test_n5_classes_are_canonical_and_their_orbits_cover_the_labeled_spaces():
 
 
 def test_class_mode_names_each_candidate_once(monkeypatch):
-    # 736 candidates over the five growth steps, 605 of them on 5 points
+    # 199 of the 736 candidates over the five growth steps, 152 of the 605 on 5 points
     calls = []
 
     def counting_canonical(t):
@@ -99,7 +103,70 @@ def test_class_mode_names_each_candidate_once(monkeypatch):
     monkeypatch.setattr(enumeration, "canonical_open_masks", counting_canonical)
     classes = list(enumerate_topologies(EnumerationSpec(5, mode="up-to-homeomorphism", allow_n5=True)))
     assert len(classes) == 139
-    assert len(calls) == 736 and calls.count(5) == 605
+    assert len(calls) == 199 and calls.count(5) == 152
+
+
+def _classes(n):
+    return [t.open_masks for t in enumerate_topologies(EnumerationSpec(n, mode="up-to-homeomorphism", allow_n5=True))]
+
+
+@pytest.fixture(scope="module")
+def unfiltered_classes():
+    return {n: classes_oracle(n) for n in range(1, 7)}
+
+
+def test_class_lists_are_those_of_the_route_without_the_rank_filter(unfiltered_classes):
+    assert [len(unfiltered_classes[n]) for n in range(1, 7)] == [1, 3, 9, 33, 139, 718]
+    assert all(_classes(n) == unfiltered_classes[n] for n in range(1, 7))
+
+
+def _rank(t, p):
+    """(|U_p|, |cl{p}|), read off the built space."""
+    return (t.min_nbhd_masks[p].bit_count(), sum(u >> p & 1 for u in t.min_nbhd_masks))
+
+
+def _least_rank_filter(rank, strict=False):
+    """``_least_rank_extensions`` rebuilt from ``_extensions``: the families
+    whose new point has the least ``rank``, or with ``strict`` a rank below
+    every other point's, computed on each family's built space."""
+
+    def extensions(n, opens):
+        for f in enumeration._extensions(n, opens):
+            t = Topology.trusted(n + 1, f)
+            new = rank(t, n)
+            if all(new < rank(t, x) if strict else new <= rank(t, x) for x in range(n)):
+                yield f
+
+    return extensions
+
+
+def test_rank_filter_reads_the_ranks_of_each_built_extension(unfiltered_classes):
+    built = _least_rank_filter(_rank)
+    parents = [(0,)] + [f for n in range(1, 6) for f in unfiltered_classes[n]]
+    for fam in parents:
+        n = max(fam).bit_count()
+        assert list(enumeration._least_rank_extensions(n, fam)) == list(built(n, fam))
+
+
+def _closure_mask_rank(t, p):
+    """A planted bug: the closure of {p} as a mask, not its size, so two
+    points that a homeomorphism swaps can rank differently."""
+    return (t.min_nbhd_masks[p].bit_count(), t.closure_mask(1 << p))
+
+
+@pytest.mark.parametrize(
+    "plant, counts",
+    [
+        (_least_rank_filter(_rank, strict=True), [1, 1, 2, 4, 14, 57]),
+        (_least_rank_filter(_closure_mask_rank), [1, 2, 5, 13, 36, 108]),
+    ],
+    ids=["strict-filter-drops-ties", "rank-reads-labels"],
+)
+def test_cross_check_catches_a_rank_filter_that_loses_classes(plant, counts, unfiltered_classes, monkeypatch):
+    monkeypatch.setattr(enumeration, "_least_rank_extensions", plant)
+    found = {n: _classes(n) for n in range(1, 7)}
+    assert [len(found[n]) for n in range(1, 7)] == counts
+    assert all(set(found[n]) < set(unfiltered_classes[n]) for n in range(2, 7))
 
 
 def test_n5_labeled_families_are_distinct():
@@ -119,7 +186,21 @@ def test_enumerate_n4_json_is_pinned(mode, tmp_path, capsys):
     assert _enumerate_json_sha256(4, mode, tmp_path) == ENUMERATE_SHA256[4, mode]
 
 
-@pytest.mark.parametrize("n, classes", [(5, 139), (6, 718)])
+@pytest.mark.parametrize(
+    "n, classes",
+    [
+        (5, 139),
+        (6, 718),
+        (7, 4535),
+        pytest.param(
+            8,
+            35979,
+            marks=pytest.mark.skipif(
+                not os.environ.get("REGOPEN_SLOW"), reason="about 15 s and 320 MB; run with REGOPEN_SLOW=1"
+            ),
+        ),
+    ],
+)
 def test_enumerate_classes_json_is_pinned(n, classes, tmp_path, capsys):
     digest = _enumerate_json_sha256(n, "up-to-homeomorphism", tmp_path)
     assert f"{classes} topologies on {n} points" in capsys.readouterr().out
