@@ -19,6 +19,7 @@ that scan is a plain walk over every two pairs of the relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, NotALattice, VerificationError
@@ -180,13 +181,21 @@ def check_lattice_tables(l: FiniteLattice) -> tuple[bool, tuple | None]:
 
 
 def check_inf_sup(l: FiniteLattice) -> tuple[bool, tuple | None]:
-    """Meet is the inf and join the sup of the stored order, on every pair."""
+    """Meet is the inf and join the sup of the stored order, on every pair.
+
+    The witness is the first failing pair (i, j) in row-major order, meet
+    before join. When both tables are symmetric, (i, j) fails iff (j, i)
+    does, so that first pair has i <= j and only those pairs are scanned:
+    m(m + 1)/2 instead of m^2. Symmetry is tested one transposed row at a
+    time."""
     down, up, meet, join = l.down, l.up, l.meet, l.join
+    symmetric = all(map(eq, zip(*meet), meet)) and all(map(eq, zip(*join), join))
     for i in range(l.m):
-        for j in range(l.m):
-            if down[meet[i][j]] != down[i] & down[j]:
+        meet_i, join_i, down_i, up_i = meet[i], join[i], down[i], up[i]
+        for j in range(i if symmetric else 0, l.m):
+            if down[meet_i[j]] != down_i & down[j]:
                 return False, ("meet-not-inf", i, j)
-            if up[join[i][j]] != up[i] & up[j]:
+            if up[join_i[j]] != up_i & up[j]:
                 return False, ("join-not-sup", i, j)
     return True, None
 
@@ -219,9 +228,11 @@ class RegularOpenLattice(FiniteLattice):
     intersection; join of U and V is interior(closure(U | V)); the complement
     of U is interior(full - U). Construction enumerates the regular opens of
     the source topology from its operator tables and verifies all Boolean
-    laws. A verify run builds one lattice per regular-open family this way;
-    the later spaces of the family share its tables (``_shared``, see
-    ``suites.SpaceContext``).
+    laws. The order row of U is the AND, over the points p of U, of the
+    bitmask of the regular opens holding p: O(m n) big-int ANDs for n
+    points, not a test of every pair. A verify run builds one lattice per
+    regular-open family this way; the later spaces of the family share its
+    tables (``_shared``, see ``suites.SpaceContext``).
     """
 
     __slots__ = ("topology", "complement", "top", "index_of_mask")
@@ -230,10 +241,18 @@ class RegularOpenLattice(FiniteLattice):
         cl, interior, reg = topology.operator_tables()
         masks = tuple([m for m in topology.open_masks if reg[m] == m])
         index = {mask: i for i, mask in enumerate(masks)}
-        up = [
-            sum(1 << j for j, b in enumerate(masks) if a & b == a)
-            for a in masks
-        ]
+        # holding[p] is the bitmask of the j with p in masks[j], so the
+        # supersets of a are the AND of holding[p] over the points of a
+        holding = [0] * topology.n
+        for j, b in enumerate(masks):
+            for p in iter_bits(b):
+                holding[p] |= 1 << j
+        up = []
+        for a in masks:
+            row = (1 << len(masks)) - 1
+            for p in iter_bits(a):
+                row &= holding[p]
+            up.append(row)
         # cl(A | B) = cl(A) | cl(B), so each join is one interior of two
         # closures taken once per regular open.
         closures = [cl[a] for a in masks]
@@ -529,16 +548,19 @@ def check_r_lattice(l: FiniteLattice, rows: Sequence[int]) -> RLatticeReport:
       of the relation, O(|rel|^2) steps, for the witness and the verdict.
     - Axiom 6. An h disjoint from g2 is disjoint from every g2' <= g2, so
       for each (g1, f) the g2 that pass form a down-set of rows[f], and all
-      of them pass iff its maximal members do. rows[f] is scanned in index
-      order only when a maximal member fails.
+      of them pass iff its maximal members do. (g1, f, g) fails iff no h
+      disjoint from g has h | f = g1, so at a maximal g the failing g1 of
+      cols[f] are those outside the reach {h | f : h in disjoint[g]}. Only
+      for the lowest failing g1 are the h with h | f = g1 collected, in m
+      steps, and rows[f] scanned in index order for the first failing g2.
 
     For ge and well-inside every column has one minimum and every row one
     maximum. For ge on a Boolean lattice with k atoms (m = 2^k), axiom 3
-    then takes m(m + 1)/2 lookups and axiom 6 one AND per pair (g1, f) with
-    f <= g1 (3^k in all), besides m steps per f to group the h by h | f:
-    every axiom is O(4^k) steps of Python, where a scan of every pair
-    against every element takes 6^k and a scan of pairs of pairs 9^k.
-    The columns are the rows transposed; a test holds O(m) more ints.
+    then takes m(m + 1)/2 lookups, and axiom 6 one join per f and h
+    disjoint from f, 3^k in all: every axiom is O(4^k) steps of Python,
+    where a scan of every pair against every element takes 6^k and a scan
+    of pairs of pairs 9^k. The columns are the rows transposed; a test
+    holds O(m) more ints.
     """
     m, bot, join = l.m, l.bottom, l.join
     if len(rows) != m or not all(0 <= row < 1 << m for row in rows):
@@ -581,25 +603,25 @@ def check_r_lattice(l: FiniteLattice, rows: Sequence[int]) -> RLatticeReport:
             break
     results.append(AxiomResult(AXIOM_NAMES[4], witness is None, witness))
 
-    # For each f, joins_to[g1] holds the h with h | f = g1; (g1, f, g2)
-    # fails iff none of them is disjoint from g2. The g2 that pass are a
-    # down-set of rows[f], so rows[f] is scanned for the first failing
-    # g2 only when a maximal member of rows[f] fails. f ascends, so a later
-    # f can only win with a lower g1.
+    # The g1 that fail at f are those outside the reach of some maximal g
+    # of rows[f] (see the docstring). f ascends, so a later f can only win
+    # with a lower g1.
     witness = None
     for f in live:
         g1s = cols[f] if witness is None else cols[f] & ((1 << witness[0]) - 1)
         if not g1s:
             continue
-        joins_to = [0] * m
-        for h in range(m):
-            joins_to[join[h][f]] |= 1 << h
-        tops = [disjoint[g] for g in iter_bits(rows[f]) if l.up[g] & rows[f] == 1 << g]
-        for g1 in iter_bits(g1s):
-            hs = joins_to[g1]
-            if not all(map(hs.__and__, tops)):
-                witness = (g1, f, next(g2 for g2 in iter_bits(rows[f]) if not hs & disjoint[g2]))
-                break
+        lost = 0
+        for g in iter_bits(rows[f]):
+            if l.up[g] & rows[f] == 1 << g:
+                reach = 0
+                for h in iter_bits(disjoint[g]):
+                    reach |= 1 << join[h][f]
+                lost |= g1s & ~reach
+        if lost:
+            g1 = _lowest(lost)
+            hs = sum(1 << h for h, row in enumerate(join) if row[f] == g1)
+            witness = (g1, f, next(g2 for g2 in iter_bits(rows[f]) if not hs & disjoint[g2]))
     results.append(AxiomResult(AXIOM_NAMES[5], witness is None, witness))
 
     return RLatticeReport(tuple(results))

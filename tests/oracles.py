@@ -175,18 +175,28 @@ def wallman_disjunction_oracle(l) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def boolean_algebra_oracle(l) -> tuple[bool, tuple | None]:
-    """The pairwise Boolean-law scan: meet and join are the inf and sup of
-    the stored order, and involution, the complement laws and De Morgan
-    hold, each over every element or pair. It accepts MO2, so it is a
-    reference for those laws, not a Boolean test."""
-    down, up, meet, join, comp = l.down, l.up, l.meet, l.join, l.complement
+def check_inf_sup_oracle(l) -> tuple[bool, tuple | None]:
+    """Meet is the inf and join the sup of the stored order, scanned over
+    every pair (i, j) in row-major order, meet before join."""
+    down, up, meet, join = l.down, l.up, l.meet, l.join
     for i in range(l.m):
         for j in range(l.m):
             if down[meet[i][j]] != down[i] & down[j]:
                 return False, ("meet-not-inf", i, j)
             if up[join[i][j]] != up[i] & up[j]:
                 return False, ("join-not-sup", i, j)
+    return True, None
+
+
+def boolean_algebra_oracle(l) -> tuple[bool, tuple | None]:
+    """The pairwise Boolean-law scan: meet and join are the inf and sup of
+    the stored order, and involution, the complement laws and De Morgan
+    hold, each over every element or pair. It accepts MO2, so it is a
+    reference for those laws, not a Boolean test."""
+    ok, witness = check_inf_sup_oracle(l)
+    if not ok:
+        return ok, witness
+    meet, join, comp = l.meet, l.join, l.complement
     for i in range(l.m):
         if comp[comp[i]] != i:
             return False, ("involution", i)
@@ -212,6 +222,21 @@ def meet_compatible_oracle(l, rel) -> tuple[bool, tuple | None]:
         for f2, g2 in pairs:
             if (meet[f1][f2], meet[g1][g2]) not in rel:
                 return False, (f1, g1, f2, g2)
+    return True, None
+
+
+def relative_complement_oracle(l, rel) -> tuple[bool, tuple | None]:
+    """Axiom 6 alone, scanned over sorted pairs of pairs: (g1, f) and
+    (f, g2) in rel imply some h with h | f = g1 and h & g2 = bottom, each h
+    tried in turn. Witness (g1, f, g2)."""
+    pairs = sorted(frozenset(rel))
+    bot = l.bottom
+    for g1, f in pairs:
+        for ff, g2 in pairs:
+            if ff != f:
+                continue
+            if not any(l.join[h][f] == g1 and l.meet[h][g2] == bot for h in range(l.m)):
+                return False, (g1, f, g2)
     return True, None
 
 
@@ -259,19 +284,7 @@ def check_r_lattice_oracle(l, rel) -> RLatticeReport:
             break
     results.append(AxiomResult(AXIOM_NAMES[4], witness is None, witness))
 
-    witness = None
-    for g1, f in pairs:
-        for ff, g2 in pairs:
-            if ff != f:
-                continue
-            if not any(
-                l.join[h][f] == g1 and l.meet[h][g2] == bot for h in range(l.m)
-            ):
-                witness = (g1, f, g2)
-                break
-        if witness:
-            break
-    results.append(AxiomResult(AXIOM_NAMES[5], witness is None, witness))
+    results.append(AxiomResult(AXIOM_NAMES[5], *relative_complement_oracle(l, rel)))
 
     return RLatticeReport(tuple(results))
 

@@ -31,16 +31,18 @@ from regopen import (
 from regopen import lattice as lattice_module
 from regopen.enumeration import canonical_classes
 from regopen.errors import NotALattice, NotBoolean, VerificationError
-from regopen.lattice import AXIOM_NAMES, relation_pairs, relation_rows, well_inside_rows
+from regopen.lattice import AXIOM_NAMES, check_inf_sup, relation_pairs, relation_rows, well_inside_rows
 from regopen.topology import Topology
 
 from oracles import (
     boolean_algebra_oracle,
+    check_inf_sup_oracle,
     check_r_lattice_oracle,
     closure_oracle,
     interior_oracle,
     meet_compatible_oracle,
     opens_as_sets,
+    relative_complement_oracle,
     transport_relation_oracle,
     wallman_disjunction_oracle,
     well_inside_oracle,
@@ -151,6 +153,39 @@ def test_boolean_checks_pass_on_every_lattice_up_to_four_points():
             assert boolean_algebra_oracle(lat) == (True, None)
             assert check_distributive(lat) == (True, None)
             assert check_lattice_tables(lat) == (True, None)
+
+
+def test_inf_sup_check_matches_oracle_on_every_lattice_up_to_four_points():
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            lat = regular_open_lattice(t)
+            assert check_inf_sup(lat) == check_inf_sup_oracle(lat) == (True, None)
+
+
+def test_inf_sup_check_matches_oracle_on_doctored_tables():
+    # a meet or join entry changed together with its mirror keeps the table
+    # symmetric, so one triangle is scanned; a change below the diagonal
+    # alone breaks the symmetry, and the full scan must find it there
+    rng = random.Random(15)
+    spaces = [t for n in (2, 3, 4) for t in enumerate_topologies(EnumerationSpec(n))]
+    seen = Counter()
+    for _ in range(3000):
+        lat = regular_open_lattice(rng.choice(spaces))
+        table, symmetric = rng.choice(("meet", "join")), rng.random() < 0.5
+        i, j = sorted(rng.sample(range(lat.m), 2))
+        if symmetric:
+            i = rng.randint(0, j)
+        rows = [list(row) for row in getattr(lat, table)]
+        rows[j][i] = rng.choice([k for k in range(lat.m) if k != rows[j][i]])
+        if symmetric:
+            rows[i][j] = rows[j][i]
+        setattr(lat, table, tuple(map(tuple, rows)))
+        # only the pairs (i, j) and (j, i) read a changed entry
+        kind = "meet-not-inf" if table == "meet" else "join-not-sup"
+        expected = (False, (kind, i, j) if symmetric else (kind, j, i))
+        assert check_inf_sup(lat) == check_inf_sup_oracle(lat) == expected
+        seen[table, symmetric] += 1
+    assert len(seen) == 4, seen
 
 
 def _doctored(lat, rng: random.Random) -> str:
@@ -375,20 +410,30 @@ def _relations(lat: FiniteLattice, rng: random.Random) -> list[frozenset]:
     return bases + variants + [_up_closure(lat, rel) for rel in variants]
 
 
+def _most_maxima(lat: FiniteLattice, rows) -> int:
+    """The largest number of maximal members of one row."""
+    return max(sum(lat.up[g] & row == 1 << g for g in range(lat.m) if row >> g & 1) for row in rows)
+
+
 def _assert_matches_oracle(
-    lat: FiniteLattice, rng: random.Random, outcomes: Counter | None = None
+    lat: FiniteLattice, rng: random.Random, outcomes: Counter | None = None, complements: Counter | None = None
 ) -> set[str]:
     """Compare every relation's report, witnesses included; return the
-    names of the axioms some relation failed, and count each relation's
-    (upward_monotone, meet_compatible) verdicts in ``outcomes``."""
+    names of the axioms some relation failed, count each relation's
+    (upward_monotone, meet_compatible) verdicts in ``outcomes``, and its
+    relative_complement verdict, with whether a row has two or more
+    maximal members, in ``complements``."""
     assert wallman_disjunction(lat) == wallman_disjunction_oracle(lat)
     failed = set()
     for rel in _relations(lat, rng):
-        report = check_r_lattice(lat, relation_rows(lat, rel))
+        rows = relation_rows(lat, rel)
+        report = check_r_lattice(lat, rows)
         assert report == check_r_lattice_oracle(lat, rel), (lat.m, sorted(rel))
         failed |= {a.name for a in report.axioms if not a.passed}
         if outcomes is not None:
             outcomes[report["upward_monotone"].passed, report["meet_compatible"].passed] += 1
+        if complements is not None:
+            complements[report["relative_complement"].passed, _most_maxima(lat, rows) >= 2] += 1
     return failed
 
 
@@ -409,14 +454,37 @@ def _upset_space(n: int, rng: random.Random) -> Topology:
 def test_r_lattice_matches_oracle_on_every_lattice_up_to_four_points():
     rng = random.Random(4)
     failed = set()
-    outcomes = Counter()
+    outcomes, complements = Counter(), Counter()
     for n in (1, 2, 3, 4):
         for t in enumerate_topologies(EnumerationSpec(n)):
-            failed |= _assert_matches_oracle(regular_open_lattice(t), rng, outcomes)
+            failed |= _assert_matches_oracle(regular_open_lattice(t), rng, outcomes, complements)
     assert failed == set(AXIOM_NAMES) - {"wallman_disjunction"}  # every lattice is Boolean
     # the minima decide where axiom 2 passed; where it failed, the scan
     # gives both verdicts of axiom 3, so every combination must be compared
     assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}, outcomes
+    # axiom 6 ORs the failures over each row's maximal members, so both of
+    # its verdicts must be compared where some row has more than one
+    assert {(True, True), (False, True)} <= set(complements), complements
+
+
+def test_relative_complement_matches_oracle_where_a_later_maximal_member_fails():
+    # ge without the rows of some sinks, plus pairs (a, b) with b a sink.
+    # A sink's row is empty, so no pair (g1, b) with g1 not above b fails
+    # axiom 6; it fails only where g1 - f meets a sink that is a maximal
+    # member of rows[f], while f, the other maximal member, never fails
+    rng = random.Random(6)
+    verdicts = Counter()
+    for n in (2, 3, 4):
+        for t in enumerate_topologies(EnumerationSpec(n)):
+            lat = regular_open_lattice(t)
+            for _ in range(3):
+                sinks = {b for b in range(lat.m) if b != lat.bottom and rng.random() < 0.3}
+                rel = {(f, g) for f, g in relation_pairs(ge_relation(lat)) if f not in sinks}
+                rel |= {(a, b) for a in range(lat.m) for b in sinks if a not in sinks and rng.random() < 0.5}
+                axiom = check_r_lattice(lat, relation_rows(lat, rel))["relative_complement"]
+                assert (axiom.passed, axiom.witness) == relative_complement_oracle(lat, rel), sorted(rel)
+                verdicts[axiom.passed] += 1
+    assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
 
 
 def test_r_lattice_matches_oracle_on_chains_and_open_set_lattices():
@@ -479,6 +547,39 @@ def test_meet_compatibility_matches_oracle_on_64_element_lattices():
                 assert (axiom.passed, axiom.witness) == meet_compatible_oracle(lat, rel), sorted(rel)
                 verdicts.append(axiom.passed)
     assert verdicts.count(True) >= 4 and verdicts.count(False) >= 4
+
+
+def test_relative_complement_matches_oracle_on_64_and_128_element_lattices():
+    # axiom 6 alone, witnesses included, on two lattices-n7 spaces with 64
+    # regular opens and on discrete(7): ge, well-inside and each one's
+    # drop-one, up-closed drop-one and keep-95% variants. Axiom 6 holds on
+    # every sub-relation of ge, so each base also gains a pair (f, g) with
+    # g not below f, which fails it, plain and up-closed. discrete(7) skips
+    # the plain drop-one: it fails axiom 2 and passes axiom 3, so its
+    # pair-of-pairs scan for axiom 3 alone would take 0.3 s.
+    rng = random.Random(65)
+    lattices, open_counts = [regular_open_lattice(discrete(7))], set()
+    while len(open_counts) < 2:
+        lat = regular_open_lattice(_upset_space(7, rng))
+        if lat.m == 64 and len(lat.topology.open_masks) not in open_counts:
+            open_counts.add(len(lat.topology.open_masks))
+            lattices.append(lat)
+    verdicts = Counter()
+    for lat in lattices:
+        above = [(f, g) for f in range(lat.m) for g in range(lat.m) if f != lat.bottom and not lat.leq(g, f)]
+        for base in {relation_pairs(ge_relation(lat)), well_inside(lat)}:
+            pairs = sorted(base)
+            dropped = base - {rng.choice(pairs)}
+            kept = frozenset(p for p in pairs if rng.random() < 0.95)
+            gained = base | {rng.choice(above)}
+            variants = [_up_closure(lat, dropped), kept, gained, _up_closure(lat, gained)]
+            if lat.m < 128:
+                variants.append(dropped)
+            for rel in (base, *variants):
+                axiom = check_r_lattice(lat, relation_rows(lat, rel))["relative_complement"]
+                assert (axiom.passed, axiom.witness) == relative_complement_oracle(lat, rel), sorted(rel)
+                verdicts[axiom.passed] += 1
+    assert verdicts[True] >= 4 and verdicts[False] >= 4, verdicts
 
 
 def test_meet_row_scan_runs_only_where_the_minima_cannot_decide(monkeypatch):
