@@ -12,12 +12,18 @@ reports each suite deterministically: its groups come in a fixed order, and
 its failures keep the order of its instances. ``run_suite`` runs one suite
 the same way. Within a run, a verdict is checked once per distinct key of
 all that its check reads (see ``SpaceContext``).
+
+A passing instance costs only the reads its claim needs: the per-space
+checks read their items from columns (``_Product``) and the space's
+tables, and build an item's tuple and its report fields only when it
+fails.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -65,9 +71,10 @@ class Group(NamedTuple):
 
     ``shared`` holds the fields they share, ``names`` the names of each
     instance's own fields and ``items`` their values, one tuple per
-    instance, in order. The check returns the failing items as (position in
-    ``items``, result) pairs, positions ascending. Point-set fields are
-    bitmasks; a failure lists their points.
+    instance, in order: a list, or a ``_Product`` of value columns whose
+    tuples are made only when asked for. The check returns the failing
+    items as (position in ``items``, result) pairs, positions ascending.
+    Point-set fields are bitmasks; a failure lists their points.
     """
 
     shared: dict
@@ -80,6 +87,34 @@ class Group(NamedTuple):
 
 
 GroupCheck = Callable[["SpaceContext", Group], list[tuple[int, Result]]]
+
+
+class _Product:
+    """The tuples of ``itertools.product(*columns)`` as a sequence, in
+    row-major order, each made only when it is asked for: a group check
+    reads the ``columns``, and a report reads the tuples of failed items."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns: Sequence[int]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.columns))
+
+    def __getitem__(self, pos: int) -> tuple:
+        size = len(self)
+        if not -size <= pos < size:
+            raise IndexError("item index out of range")
+        pos %= size
+        item = []
+        for column in reversed(self.columns):
+            pos, i = divmod(pos, len(column))
+            item.append(column[i])
+        return tuple(reversed(item))
+
+    def __iter__(self) -> Iterator[tuple]:
+        return itertools.product(*self.columns)
 
 
 def _each(check: Callable[..., Result | None]) -> GroupCheck:
@@ -104,9 +139,12 @@ def _each(check: Callable[..., Result | None]) -> GroupCheck:
     return check_each
 
 
+_ONE_ITEM = ((),)
+
+
 def _one(check: Callable[..., Result | None], **shared) -> Group:
     """A group of the single instance with fields ``shared``."""
-    return Group(shared, (), [()], _each(check))
+    return Group(shared, (), _ONE_ITEM, _each(check))
 
 
 class Suite(NamedTuple):
@@ -175,8 +213,8 @@ class SpaceContext:
     current space. So it holds one space of the largest size at a time, and
     a context may serve several runs. A finite space is determined by its
     least neighbourhoods, so spaces and lattices are keyed by them, and
-    ``subspace`` and ``dense_lattice`` find those held under their traces
-    on a dense set (``transfer.subspace_key``). It is not thread-safe.
+    ``subspace`` and the ux0 check find those held under their traces on
+    a dense set (``transfer.subspace_key``). It is not thread-safe.
 
     For one run it remembers verdicts (``verdict``), each under a key of
     everything its check reads, so each is exact: a lattice's index tables
@@ -292,20 +330,13 @@ class SpaceContext:
             self._records[masks] = lat._shared(None)
         return lat
 
-    def dense_lattice(self, t: Topology, dense: int) -> RegularOpenLattice:
-        """``lattice(subspace(t, dense))`` in one lookup: the lattice held
-        under the subspace's least neighbourhoods, the traces of those of
-        ``t`` on ``dense``, when there is one."""
-        if dense == t.full_mask:
-            return self.lattice(t)
-        return self._lattices.get(subspace_key(t, dense)) or self.lattice(self.subspace(t, dense))
-
     def subspace(self, t: Topology, dense: int) -> Topology:
         """The subspace of ``t`` on ``dense``, a mask from ``dense_masks(t)``:
         ``t`` itself, else the held space with its least neighbourhoods, else new."""
         if dense == t.full_mask:
             return t
-        held = self._spaces.get(dense.bit_count(), {}).get(subspace_key(t, dense))
+        key = subspace_key(t, dense, dense_rows(dense))
+        held = self._spaces.get(dense.bit_count(), {}).get(key)
         return held or t.subspace(dense)[0]
 
 
@@ -313,30 +344,37 @@ class SpaceContext:
 
 
 def _check_ux0(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
-    """``restriction_isomorphism`` for every dense mask Y: the subspace's
-    lattice from one lookup (``SpaceContext.dense_lattice``), and the maps
-    from ``restriction_maps`` with the space's reg table. A pair of maps
-    the run has passed between the same two orders is not checked again."""
+    """``restriction_isomorphism`` for every dense mask Y, with one read of
+    Y's rows (``transfer.dense_rows``) for the subspace's key and the maps.
+    The subspace's lattice is that of the space on Y = X, else the lattice
+    held under the key, else ``ctx.lattice(ctx.subspace(t, Y))``; the maps
+    come from ``restriction_maps`` with the space's reg table. A pair of
+    maps the run has passed between the same two orders is not checked
+    again: the verdict is remembered as ``SpaceContext.verdict`` does."""
     t = group.shared["space"]
-    up, reg = ctx.lattice(t), ctx.tables(t)[2].__getitem__
+    up, reg = ctx.lattice(t), ctx.tables(t)[2]
+    full, held, verdicts = t.full_mask, ctx._lattices, ctx._verdicts
+    (dense,) = group.items.columns
     failed = []
-    for pos, (y,) in enumerate(group.items):
+    for pos, y in enumerate(dense):
         try:
-            down = ctx.dense_lattice(t, y)
-            maps = restriction_maps(up, down, y, reg)
-            ctx.verdict(("ux0", up.up, down.up, *maps), lambda: _isomorphic(up, down, maps))
+            rows = dense_rows(y)
+            if y == full:
+                down = up
+            else:
+                down = held.get(subspace_key(t, y, rows)) or ctx.lattice(ctx.subspace(t, y))
+            forward, backward = restriction_maps(up, down, y, rows, reg)
+            key = "ux0", up.up, down.up, forward, backward
+            if key not in verdicts:
+                LatticeIsoWitness(up, down, forward, backward)
+                verdicts[key] = None
         except RegOpenError as exc:
             failed.append((pos, str(exc)))
     return failed
 
 
-def _isomorphic(up: RegularOpenLattice, down: RegularOpenLattice, maps: tuple) -> None:
-    """None if ``LatticeIsoWitness`` passes ``maps``, which it raises on otherwise."""
-    LatticeIsoWitness(up, down, *maps)
-
-
 def _space_ux0(ctx: SpaceContext, t: Topology) -> Group:
-    return Group({"space": t}, ("dense",), [(y,) for y in ctx.dense(t)], _check_ux0)
+    return Group({"space": t}, ("dense",), _Product(ctx.dense(t)), _check_ux0)
 
 
 def _check_denso(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
@@ -344,13 +382,12 @@ def _check_denso(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
     cl = ctx.tables(group.shared["space"])[0]
     return [
         (pos, "closure of the open differs from closure of its dense trace")
-        for pos in traces_losing_closure(cl, group.items)
+        for pos in traces_losing_closure(cl, *group.items.columns)
     ]
 
 
 def _space_denso(ctx: SpaceContext, t: Topology) -> Group:
-    pairs = list(itertools.product(ctx.dense(t), t.open_masks))
-    return Group({"space": t}, ("dense", "open"), pairs, _check_denso)
+    return Group({"space": t}, ("dense", "open"), _Product(ctx.dense(t), t.open_masks), _check_denso)
 
 
 def _check_uvw(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
@@ -367,14 +404,14 @@ def _space_uvw(ctx: SpaceContext, t: Topology) -> Group:
 def _check_regularity(ctx: SpaceContext, group: Group) -> list[tuple[int, Result]]:
     t = group.shared["space"]
     cl, _, reg = ctx.tables(t)
-    opens, open_set = t.open_masks, t._open_set
+    opens = t.open_masks
     # every open inside c = cl(A) sits inside A iff their union does; the
     # union depends on c alone, so the opens are scanned once per closure
     inside: dict[int, int] = {}
     failed = []
-    for pos, (a,) in enumerate(group.items):
-        if a not in open_set:
-            continue  # both routes ask for an open set first
+    # both routes ask for an open set first, so a subset that is not open
+    # passes; the subsets are the masks in order, so A's position is A
+    for a in opens:
         direct = reg[a] == a
         c = cl[a]
         union = inside.get(c)
@@ -386,7 +423,7 @@ def _check_regularity(ctx: SpaceContext, group: Group) -> list[tuple[int, Result
             inside[c] = union
         via_opens = union | a == a
         if direct != via_opens:
-            failed.append((pos, f"fixpoint route says {direct}, open-scan route says {via_opens}"))
+            failed.append((a, f"fixpoint route says {direct}, open-scan route says {via_opens}"))
     return failed
 
 
@@ -395,8 +432,7 @@ def _space_regularity(ctx: SpaceContext, t: Topology) -> Group:
     the fixpoint definition, reg(A) = A for an open A, read from the
     space's reg table, versus openness plus 'every open inside the closure
     already sits inside the set', a scan of the opens per distinct closure."""
-    subsets = [(a,) for a in range(t.full_mask + 1)]
-    return Group({"space": t}, ("subset",), subsets, _check_regularity)
+    return Group({"space": t}, ("subset",), _Product(range(t.full_mask + 1)), _check_regularity)
 
 
 def _check_recovery(ctx: SpaceContext, dense: int, space: Topology, basis: tuple[int, ...]) -> str | None:
@@ -435,12 +471,13 @@ def _space_recovery(ctx: SpaceContext, t: Topology) -> Group | None:
     except NotABasis:
         return None
     check = functools.partial(_check_recovery, basis=basis)
-    return Group({"space": t}, ("dense",), [(y,) for y in ctx.dense(t)], _each(check))
+    return Group({"space": t}, ("dense",), _Product(ctx.dense(t)), _each(check))
 
 
 def _one_per_space(check: Callable[..., Result | None]) -> Callable[[SpaceContext, Topology], Group]:
     """The ``Suite.space`` whose group is the one instance ``check(ctx, space=t)``."""
-    return lambda ctx, t: _one(check, space=t)
+    each = _each(check)
+    return lambda ctx, t: Group({"space": t}, (), _ONE_ITEM, each)
 
 
 def _check_boolean(ctx: SpaceContext, space: Topology) -> None:
@@ -701,14 +738,16 @@ class _Tally:
 
     def check(self, ctx: SpaceContext, group: Group) -> None:
         items = group.items
-        if not items:
+        count = len(items)
+        if not count:
             return
-        self.count += len(items)
+        self.count += count
         try:
             failed = group.check(ctx, group)
         except RegOpenError as exc:
-            failed = [(pos, str(exc)) for pos in range(len(items))]
-        self.failures.extend(_failure(group.fields(items[pos]), result) for pos, result in failed)
+            failed = [(pos, str(exc)) for pos in range(count)]
+        if failed:
+            self.failures.extend(_failure(group.fields(items[pos]), result) for pos, result in failed)
 
 
 def _timed(

@@ -14,15 +14,18 @@ The central facts made executable here, each verified instance by instance:
 
 Every map between regular-open lattices here is built from the trace and
 lift rows of a dense set Y, which ``dense_rows`` keeps, and the space's
-regularize: ``restriction_maps`` builds the trace and lift maps, each in
-one comprehension over the target lattice's index, and
-``restriction_isomorphism`` and the ux0 suite both call it, the one with
-``Topology.regularize_mask`` for one embedding, the other with the space's
-reg table for all of a space's dense sets. ``DenseEmbedding`` reads the rows
-one set at a time and builds its own subspace, which a verify run looks up
-by ``subspace_key`` instead. The kernels ``separations_failing`` and
-``traces_losing_closure`` read the space's cl and reg tables, which their
-caller builds once per space.
+regularize as a table: ``restriction_maps`` takes Y's rows and builds the
+trace and lift maps, each in one comprehension over the target lattice's
+index. ``restriction_isomorphism`` calls it with the regularize of the
+lifts its one embedding needs, and the ux0 suite with the space's reg
+table, reading Y's rows once for the maps and ``subspace_key``.
+``DenseEmbedding`` reads the rows one set at a time and builds its own
+subspace, which a verify run looks up by ``subspace_key`` instead. The
+kernels ``separations_failing`` and ``traces_losing_closure`` read the
+space's cl and reg tables, which their caller builds once per space. Each
+tests a passing instance inline and does more only to name a failure: the
+density kernel compares one list of closures per Y, and the separation
+kernel asks ``_separation_error`` for a failing pair's message.
 
 ``point_recovery`` validates both bases with ``check_basis`` and the iso's
 points, then calls ``recover_tau``, which checks the iso on masks and finds
@@ -90,10 +93,13 @@ class DenseEmbedding:
         return self.ambient.regularize_mask(self._lift[sub_mask])
 
 
+DenseRows = tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]
+
+
 # Holds the rows of every mask on up to 6 points (63 nonempty masks); the
 # rows of a 16-point mask have 65536 entries each.
 @functools.lru_cache(maxsize=64)
-def dense_rows(mask: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
+def dense_rows(mask: int) -> DenseRows:
     """The points of ``mask`` ascending, its lift row and its trace row.
 
     The lift row lists the submasks of Y = ``mask`` in ascending order; the
@@ -106,11 +112,11 @@ def dense_rows(mask: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, i
     return tuple(iter_bits(mask)), lift, {s: i for i, s in enumerate(lift)}
 
 
-def subspace_key(ambient: Topology, mask: int) -> tuple[int, ...]:
+def subspace_key(ambient: Topology, mask: int, rows: DenseRows) -> tuple[int, ...]:
     """The least neighbourhoods of the subspace of ``ambient`` on the
     nonempty ``mask``, which determine it: that of y is the trace of U_y
-    on Y, re-indexed."""
-    points, _, trace = dense_rows(mask)
+    on Y, re-indexed, read from ``rows``, Y's ``dense_rows``."""
+    points, _, trace = rows
     nbhd = ambient.min_nbhd_masks
     return tuple([trace[nbhd[p] & mask] for p in points])
 
@@ -201,13 +207,18 @@ def restriction_isomorphism(e: DenseEmbedding) -> LatticeIsoWitness:
     """Verify that U -> U & Y and V -> int(cl(V)) are mutually inverse
     order isomorphisms between the regular opens upstairs and downstairs.
 
-    The maps come from ``restriction_maps``, which raises VerificationError
-    naming a regular open whose image is not regular open on the other
-    side; LatticeIsoWitness then checks that the two maps are mutually
-    inverse and preserve order. A correct build never fails.
+    The maps come from ``restriction_maps``, with Y's rows and the ambient
+    regularize of the lift of each regular open downstairs; it raises
+    VerificationError naming a regular open whose image is not regular
+    open on the other side. LatticeIsoWitness then checks that the two
+    maps are mutually inverse and preserve order. A correct build never
+    fails.
     """
     up, down = regular_open_lattice(e.ambient), regular_open_lattice(e.sub)
-    return LatticeIsoWitness(up, down, *restriction_maps(up, down, e._mask, e.ambient.regularize_mask))
+    rows = dense_rows(e._mask)
+    lift, regularize = rows[1], e.ambient.regularize_mask
+    reg = {lift[v]: regularize(lift[v]) for v in down.payload_masks}
+    return LatticeIsoWitness(up, down, *restriction_maps(up, down, e._mask, rows, reg))
 
 
 _TRACE_MISSED = "trace of a regular open is not regular open in the subspace"
@@ -228,24 +239,31 @@ def _map_elements(source, image: Callable[[int], int], target, message: str) -> 
 
 
 def restriction_maps(
-    up: RegularOpenLattice, down: RegularOpenLattice, y: int, reg: Callable[[int], int]
+    up: RegularOpenLattice,
+    down: RegularOpenLattice,
+    y: int,
+    rows: DenseRows,
+    reg: Mapping[int, int] | Sequence[int],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The forward and backward maps of ``restriction_isomorphism`` onto the
     dense mask Y = ``y``, as element indices, between ``up``, the lattice of
-    the ambient space, and ``down``, that of its subspace on Y. The trace of
-    U is read from Y's trace row, and the lift of V is ``reg``, the ambient
-    space's regularize, at V's entry in Y's lift row. VerificationError
-    names a regular open whose image is not regular open on the other side."""
-    _, lift, trace = dense_rows(y)
+    the ambient space, and ``down``, that of its subspace on Y. ``rows`` are
+    Y's ``dense_rows``: the trace of U is read from Y's trace row, and the
+    lift of V is ``reg``, the ambient space's regularize as a table, at V's
+    entry in Y's lift row. ``reg`` holds at least those entries: the ux0
+    suite passes the space's reg table, ``restriction_isomorphism`` the
+    entries for its one Y. VerificationError names a regular open whose
+    image is not regular open on the other side."""
+    _, lift, trace = rows
     up_index, down_index = up.index_of_mask, down.index_of_mask
     try:
         forward = tuple([down_index[trace[u & y]] for u in up.payload_masks])
     except KeyError:
         forward = _map_elements(up, lambda u: trace[u & y], down, _TRACE_MISSED)
     try:
-        backward = tuple([up_index[reg(lift[v])] for v in down.payload_masks])
+        backward = tuple([up_index[reg[lift[v]]] for v in down.payload_masks])
     except KeyError:
-        backward = _map_elements(down, lambda v: reg(lift[v]), up, _LIFT_MISSED)
+        backward = _map_elements(down, lambda v: reg[lift[v]], up, _LIFT_MISSED)
     return forward, backward
 
 
@@ -262,15 +280,24 @@ def closure_density_check(t: Topology, y: Iterable[int], u: Iterable[int]) -> bo
         raise NotOpen(f"{sorted(set_of(umask))} is not open")
     if t.closure_mask(ymask) != t.full_mask:
         raise NotDense(f"{sorted(set_of(ymask))} is not dense")
-    return not traces_losing_closure(t.closure_table(), [(ymask, umask)])
+    return not traces_losing_closure(t.closure_table(), [ymask], [umask])
 
 
-def traces_losing_closure(cl: Sequence[int], pairs: Sequence[tuple[int, int]]) -> list[int]:
-    """The positions, ascending, of the (Y, U) in ``pairs`` with
-    cl(U & Y) != cl(U): the density kernel, for masks Y already known dense
-    and U already known open. Both closures are read from ``cl``, the
-    closure table of the space."""
-    return [i for i, (y, u) in enumerate(pairs) if cl[u & y] != cl[u]]
+def traces_losing_closure(cl: Sequence[int], ys: Sequence[int], opens: Sequence[int]) -> list[int]:
+    """The positions, ascending, of the pairs (Y, U) with cl(U & Y) !=
+    cl(U) among the pairs of ``ys`` × ``opens`` in row-major order, the
+    pair (ys[i], opens[j]) at position i * len(opens) + j: the density
+    kernel, for masks Y already known dense and U already known open. Both
+    closures are read from ``cl``, the closure table of the space. Each Y
+    compares its row of closures with that of the opens as one list, and
+    a row that differs is scanned to name its positions."""
+    closures = [cl[u] for u in opens]
+    failed: list[int] = []
+    for row, y in enumerate(ys):
+        if [cl[u & y] for u in opens] != closures:
+            start = row * len(opens)
+            failed += [start + j for j, u in enumerate(opens) if cl[u & y] != closures[j]]
+    return failed
 
 
 def separating_witness(t: Topology, u: Iterable[int], v: Iterable[int]) -> PointSet:
@@ -293,14 +320,19 @@ def separations_failing(
 ) -> list[tuple[int, str]]:
     """The separation kernel: the positions, ascending, of the (U, V) in
     ``pairs`` for which ``separating_witness`` raises, each with the
-    message it raises. It checks the same conditions, reading cl and reg
-    from ``cl`` and ``reg``, the tables of ``t``, for all the pairs."""
-    is_open, cl_of, reg_of = t._open_set.__contains__, cl.__getitem__, reg.__getitem__
+    message it raises. It tests the same conditions on each pair, reading
+    cl and reg from ``cl`` and ``reg``, the tables of ``t``, and asks
+    ``_separation_error`` for the message of a pair that fails them."""
+    opens = t._open_set
     failed = []
     for pos, (u, v) in enumerate(pairs):
-        error = _separation_error(u, v, is_open, cl_of, reg_of)
-        if error is not None:
-            failed.append((pos, str(error)))
+        if (
+            u in opens and reg[u] == u and v in opens and reg[v] == v and u & ~v
+            and (w := u & ~cl[v]) and w in opens and reg[w] == w and not (w & ~u or w & v)
+        ):
+            continue
+        error = _separation_error(u, v, opens.__contains__, cl.__getitem__, reg.__getitem__)
+        failed.append((pos, str(error)))
     return failed
 
 

@@ -1,6 +1,7 @@
 """The suite driver: pass/fail behaviour, determinism, instance accounting,
 and the counterexample gallery."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -60,6 +61,7 @@ from regopen.transfer import (
     closure_density_check,
     point_recovery,
     restriction_isomorphism,
+    separating_witness,
     traces_losing_closure,
 )
 
@@ -293,33 +295,33 @@ def test_denso_group_check_matches_the_per_instance_oracle(monkeypatch):
             plant(monkeypatch)
         failing = []
         for group in _groups("denso", ctx, 4):
-            space = group.shared["space"]
-            expected = [
-                pos for pos, (y, u) in enumerate(group.items)
-                if not trace_keeps_closure_oracle(space, y & (y - 1) if plant else y, u)
-            ]
-            assert [pos for pos, _ in group.check(ctx, group)] == expected
+            expected = _denso_oracle(group.shared["space"], group, bool(plant))
+            assert group.check(ctx, group) == expected
             failing += expected
         assert bool(failing) == bool(plant)
 
 
 def test_density_kernel_matches_the_per_instance_oracle():
     # any Y, dense or not, so that the kernel has pairs to report: every
-    # (subset, open) pair with n <= 4, then a seeded sample of n = 5 pairs
+    # (subset, open) pair with n <= 4, then a seeded sample of n = 5 pairs,
+    # each the pairs of 5 subsets and 4 opens, in row-major order
     ctx = SpaceContext()
     reported = 0
     for t in ctx.spaces(4):
-        pairs = [(y, u) for y in range(t.full_mask + 1) for u in t.open_masks]
+        ys = range(t.full_mask + 1)
+        pairs = itertools.product(ys, t.open_masks)
         expected = [i for i, (y, u) in enumerate(pairs) if not trace_keeps_closure_oracle(t, y, u)]
-        assert traces_losing_closure(t.closure_table(), pairs) == expected
+        assert traces_losing_closure(t.closure_table(), ys, t.open_masks) == expected
         reported += len(expected)
     assert reported
     rng = random.Random(5)
     spaces = list(enumerate_topologies(EnumerationSpec(5, allow_n5=True)))
     for t in rng.sample(spaces, 300):
-        pairs = [(rng.randrange(32), rng.choice(t.open_masks)) for _ in range(20)]
+        ys = [rng.randrange(32) for _ in range(5)]
+        opens = [rng.choice(t.open_masks) for _ in range(4)]
+        pairs = itertools.product(ys, opens)
         expected = [i for i, (y, u) in enumerate(pairs) if not trace_keeps_closure_oracle(t, y, u)]
-        assert traces_losing_closure(t.closure_table(), pairs) == expected
+        assert traces_losing_closure(t.closure_table(), ys, opens) == expected
 
 
 def test_closure_table_matches_closure_of_every_subset():
@@ -337,17 +339,25 @@ def test_closure_table_matches_closure_of_every_subset():
 _MEMO_READERS = ["rlattice", "stone", "ux0"]
 
 
+class _NeverKept(dict):
+    """A dict that keeps nothing stored in it."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class _Forgetful(SpaceContext):
-    """A context whose memo never hits: every verdict is checked again. With
-    ``families=False`` it keeps no family record either, so every lattice
-    it gives is a full build."""
+    """A context whose memo never hits: it keeps no verdict, so every
+    verdict is checked again. With ``families=False`` it keeps no family
+    record either, so every lattice it gives is a full build."""
 
     def __init__(self, families: bool = True):
         self.families = families
         super().__init__()
 
-    def verdict(self, key, check):
-        return check()
+    def start_run(self):
+        super().start_run()
+        self._verdicts = _NeverKept()
 
     def _family_lattice(self, t):
         return super()._family_lattice(t) if self.families else RegularOpenLattice(t)
@@ -518,8 +528,8 @@ def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
     target = [t for t in _spaces_to(3) if planted(t)][-1]
     maps = suites.restriction_maps
 
-    def wrong(up, down, y, reg):
-        forward, backward = maps(up, down, y, reg)
+    def wrong(up, down, y, rows, reg):
+        forward, backward = maps(up, down, y, rows, reg)
         if up.topology != target:
             return forward, backward
         i = y % up.m
@@ -529,11 +539,11 @@ def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
 
     monkeypatch.setattr(suites, "restriction_maps", wrong)
     expected = []
-    up, reg = regular_open_lattice(target), target.operator_tables()[2].__getitem__
+    up, reg = regular_open_lattice(target), target.operator_tables()[2]
     for y in dense_masks(target):
         down = regular_open_lattice(target.subspace(y)[0])
         with pytest.raises(RegOpenError) as exc:
-            transfer.LatticeIsoWitness(up, down, *wrong(up, down, y, reg))
+            transfer.LatticeIsoWitness(up, down, *wrong(up, down, y, transfer.dense_rows(y), reg))
         expected.append({"space": space_to_dict(target), "dense": sorted(set_of(y)), "error": str(exc.value)})
     assert len({failure["error"] for failure in expected}) > 1
     report = run_suite("ux0", 3)
@@ -546,8 +556,8 @@ def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
     # or more elements: the same failing keys recur, and each fails again
     maps = suites.restriction_maps
 
-    def wrong(up, down, y, reg):
-        forward, backward = maps(up, down, y, reg)
+    def wrong(up, down, y, rows, reg):
+        forward, backward = maps(up, down, y, rows, reg)
         if up.m < 2:
             return forward, backward
         swap = {forward[0]: forward[1], forward[1]: forward[0]}
@@ -588,23 +598,37 @@ def test_context_lattice_is_a_lone_build_with_one_full_build_per_family(bound, f
     assert full_builds == len(seen) == families
 
 
-def test_dense_lattice_is_the_lattice_of_the_subspace():
-    # the one-step lookup against the two-step route, for every (space,
-    # dense mask) with n <= 4, each route asked first in one walk
-    for one_step_first in (True, False):
-        ctx = SpaceContext()
-        for t in ctx.spaces(4):
-            for y in dense_masks(t):
-                if one_step_first:
-                    lat = ctx.dense_lattice(t, y)
-                    assert lat is ctx.lattice(ctx.subspace(t, y))
-                else:
-                    lat = ctx.lattice(ctx.subspace(t, y))
-                    assert ctx.dense_lattice(t, y) is lat
+def _ux0_lattices(ctx, monkeypatch, groups) -> list:
+    """Check each of ``groups`` with ux0's check on ``ctx``, and return
+    (space, Y, the subspace lattice the check read, the lattice of the
+    subspace on the context) for each of its instances, in order."""
+    read = []
+    maps = suites.restriction_maps
+
+    def recording(up, down, y, rows, reg):
+        t = up.topology
+        read.append((t, y, down, ctx.lattice(ctx.subspace(t, y))))
+        return maps(up, down, y, rows, reg)
+
+    monkeypatch.setattr(suites, "restriction_maps", recording)
+    for group in groups:
+        assert group.check(ctx, group) == []
+    return read
+
+
+def test_ux0_reads_the_lattice_of_each_dense_subspace(monkeypatch):
+    # ux0's lookup from Y, the space itself on every point and else the
+    # held lattice under the subspace key, against the two-step route
+    # ``lattice(subspace(t, Y))``, for every (space, dense mask) with
+    # n <= 4, in one walk
+    ctx = SpaceContext()
+    read = _ux0_lattices(ctx, monkeypatch, _groups("ux0", ctx, 4))
+    assert [(t, y) for t, y, _, _ in read] == [(t, y) for t in _spaces_to(4) for y in dense_masks(t)]
+    assert all(lat is two_step for _, _, lat, two_step in read)
     # outside a walk, each lattice is built again
     ctx = SpaceContext()
-    for y in dense_masks(discrete(3)):
-        lat, alone = ctx.dense_lattice(discrete(3), y), regular_open_lattice(ctx.subspace(discrete(3), y))
+    for t, y, lat, _ in _ux0_lattices(ctx, monkeypatch, [suites._space_ux0(ctx, discrete(3))]):
+        alone = regular_open_lattice(ctx.subspace(t, y))
         assert [getattr(lat, name) for name in _LATTICE_FIELDS] == [getattr(alone, name) for name in _LATTICE_FIELDS]
 
 
@@ -659,8 +683,8 @@ def test_restriction_isomorphism_and_ux0_share_one_restriction(monkeypatch):
     # message
     maps = transfer.restriction_maps
 
-    def swapped(up, down, y, reg):
-        forward, backward = maps(up, down, y, reg)
+    def swapped(up, down, y, rows, reg):
+        forward, backward = maps(up, down, y, rows, reg)
         if up.m < 2:
             return forward, backward
         return (forward[1], forward[0], *forward[2:]), backward
@@ -682,7 +706,8 @@ def test_restriction_isomorphism_and_ux0_share_one_restriction(monkeypatch):
 
 
 def _trace_losing_last_subspace_point(monkeypatch):
-    # the trace row of Y, which restriction_maps reads, loses Y's last point
+    # the trace row of Y, which ux0 reads for the subspace key and the
+    # maps, loses Y's last point
     rows = transfer.dense_rows
 
     def wrong(mask):
@@ -691,6 +716,7 @@ def _trace_losing_last_subspace_point(monkeypatch):
         return points, lift, {s: i & ~last for s, i in trace.items()}
 
     monkeypatch.setattr(transfer, "dense_rows", wrong)
+    monkeypatch.setattr(suites, "dense_rows", wrong)
 
 
 def _density_check_with_short_trace(monkeypatch):
@@ -698,7 +724,7 @@ def _density_check_with_short_trace(monkeypatch):
     monkeypatch.setattr(
         suites,
         "traces_losing_closure",
-        lambda cl, pairs: traces_losing_closure(cl, [(y & (y - 1), u) for y, u in pairs]),
+        lambda cl, ys, opens: traces_losing_closure(cl, [y & (y - 1) for y in ys], opens),
     )
 
 
@@ -929,12 +955,99 @@ def test_regularity_kernel_matches_the_per_open_scan(plant, monkeypatch):
     reported = 0
     for t in ctx.spaces(4):
         group = suites._space_regularity(ctx, t)
-        cl, _, reg = ctx.tables(t)
-        verdicts = [regularity_scan_oracle(t, cl, reg, a) for (a,) in group.items]
-        expected = [(pos, verdict) for pos, verdict in enumerate(verdicts) if verdict is not None]
+        expected = _regularity_oracle(t, group, bool(plant))
         assert group.check(ctx, group) == expected
         reported += len(expected)
     assert bool(reported) == bool(plant)
+
+
+def _raised(check, items) -> list[tuple[int, str]]:
+    """(position, message) of each item on which ``check(*item)`` raises."""
+    failed = []
+    for pos, item in enumerate(items):
+        try:
+            check(*item)
+        except RegOpenError as exc:
+            failed.append((pos, str(exc)))
+    return failed
+
+
+def _denso_oracle(t, group, planted):
+    # the plant drops the lowest point of each Y
+    message = "closure of the open differs from closure of its dense trace"
+    return [
+        (pos, message)
+        for pos, (y, u) in enumerate(group.items)
+        if not trace_keeps_closure_oracle(t, y & (y - 1) if planted else y, u)
+    ]
+
+
+def _regularity_oracle(t, group, planted):
+    # every subset, open or not
+    cl, _, reg = t.operator_tables()
+    verdicts = [regularity_scan_oracle(t, cl, reg, a) for (a,) in group.items]
+    return [(pos, verdict) for pos, verdict in enumerate(verdicts) if verdict is not None]
+
+
+# Each kernel's per-instance oracle: the failing positions and messages of
+# a group of the space t.
+_KERNEL_ORACLES = {
+    "ux0": lambda t, group, planted: _raised(lambda y: restriction_isomorphism(DenseEmbedding(t, y)), group.items),
+    "uvw": lambda t, group, planted: _raised(lambda u, v: separating_witness(t, u, v), group.items),
+    "regularity": _regularity_oracle,
+    "denso": _denso_oracle,
+}
+
+
+@functools.cache
+def _n5_sample() -> list[Topology]:
+    """200 of the labeled 5-point spaces, drawn with a fixed seed."""
+    return random.Random(8).sample(list(enumerate_topologies(EnumerationSpec(5, allow_n5=True))), 200)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["clean", "planted"])
+@pytest.mark.parametrize("name", sorted(_KERNEL_ORACLES))
+def test_kernel_matches_its_oracle_on_a_seeded_n5_sample(name, planted, monkeypatch):
+    # each space's group check against one oracle call per instance, on a
+    # seeded sample of 5-point spaces, correct and under the suite's plant
+    if planted:
+        PLANTED[name][0](monkeypatch)
+    ctx, failed = SpaceContext(), 0
+    for t in _n5_sample():
+        group = SUITES[name].space(ctx, t)
+        expected = _KERNEL_ORACLES[name](t, group, planted)
+        assert group.check(ctx, group) == expected
+        failed += len(expected)
+    assert bool(failed) == planted
+
+
+def test_product_items_equal_the_lists_they_replace():
+    # every space with n <= 3: the items of each group given as a _Product
+    # against the list of tuples it replaces, and the report of each item
+    ctx = SpaceContext()
+    for t in ctx.spaces(3):
+        dense = ctx.dense(t)
+        replaced = {
+            "ux0": [(y,) for y in dense],
+            "recovery": [(y,) for y in dense],
+            "denso": list(itertools.product(dense, t.open_masks)),
+            "regularity": [(a,) for a in range(t.full_mask + 1)],
+        }
+        for name, old in replaced.items():
+            group = SUITES[name].space(ctx, t)
+            if group is None:  # recovery skips a space whose regular opens are no basis
+                continue
+            items = group.items
+            assert len(items) == len(old) and list(items) == old
+            assert [items[pos] for pos in range(len(old))] == old
+            assert items[-1] == old[-1] and items[-len(old)] == old[0]
+            for outside in (len(old), -len(old) - 1):
+                with pytest.raises(IndexError):
+                    items[outside]
+            for pos, item in enumerate(old):
+                points = {key: sorted(set_of(value)) for key, value in zip(group.names, item)}
+                want = {"space": space_to_dict(t), **points, "error": "e"}
+                assert suites._failure(group.fields(items[pos]), "e") == want
 
 
 def test_every_suite_has_a_planted_bug():
@@ -1157,10 +1270,10 @@ def test_lattice_construction_failure_is_a_suite_failure(name, monkeypatch):
 def test_error_escaping_a_group_check_fails_each_instance_it_was_given(monkeypatch):
     s = sierpinski()
 
-    def kernel(cl, pairs):
+    def kernel(cl, ys, opens):
         if cl == s.closure_table():
             raise VerificationError("planted kernel failure")
-        return traces_losing_closure(cl, pairs)
+        return traces_losing_closure(cl, ys, opens)
 
     monkeypatch.setattr(suites, "traces_losing_closure", kernel)
 

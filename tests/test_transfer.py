@@ -142,7 +142,7 @@ def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
             witness = restriction_isomorphism(DenseEmbedding(t, y))
             down = ctx.lattice(ctx.subspace(t, y))
             assert down.topology == witness.target.topology
-            maps = restriction_maps(up, down, y, reg.__getitem__)
+            maps = restriction_maps(up, down, y, dense_rows(y), reg)
             assert maps == (witness.forward, witness.backward)
         instances += len(dense)
     for context in (ctx, SpaceContext()):
@@ -153,8 +153,8 @@ def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
 def _swapping_first_two_images(monkeypatch, keep_inverse: bool) -> None:
     maps = suites.restriction_maps
 
-    def doctored(up, down, y, reg):
-        forward, backward = maps(up, down, y, reg)
+    def doctored(up, down, y, rows, reg):
+        forward, backward = maps(up, down, y, rows, reg)
         if up.m < 2:
             return forward, backward
         f = list(forward)
@@ -305,8 +305,9 @@ def test_closure_density_frozen_values():
     assert closure_density_check(S, {0}, {0, 1})
     assert closure_density_check(X3, {0, 1}, {0})
     assert closure_density_check(X3, {0, 1}, fs())
-    # the kernel trusts that Y is dense: {1} is not, and misses cl({0}) = {0, 2}
-    assert traces_losing_closure(X3.closure_table(), [(0b011, 0b001), (0b010, 0b001), (0b011, 0)]) == [1]
+    # the kernel trusts that Y is dense: {1} is not, and misses cl({0}) = {0, 2};
+    # its pairs are (011, 001), (011, 0), (010, 001), (010, 0), in that order
+    assert traces_losing_closure(X3.closure_table(), [0b011, 0b010], [0b001, 0]) == [2]
 
 
 def test_closure_density_validates_arguments():
