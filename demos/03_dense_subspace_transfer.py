@@ -10,8 +10,6 @@ from regopen import (
     discrete,
     enumerate_dense_subsets,
     enumerate_topologies,
-    extend_regular,
-    restrict_regular,
     restriction_isomorphism,
     separating_witness,
     x3,
@@ -21,15 +19,16 @@ t = x3()
 emb = DenseEmbedding(t, {0, 1})
 print("ambient: X3;  dense subset {0,1};  subspace = discrete pair")
 
-print("\nrestriction and extension, element by element:")
-for u in t.regular_opens():
-    v = restrict_regular(emb, u)
-    back = extend_regular(emb, v)
-    print(f"  {sorted(u)} -> {sorted(v)} -> back to {sorted(back)}")
-
 witness = restriction_isomorphism(emb)
+up, down = witness.source, witness.target
+
+print("\nrestriction and extension, element by element:")
+for i, u in enumerate(up.elements()):
+    back = up.element(witness.backward[witness.forward[i]])
+    print(f"  {sorted(u)} -> {sorted(witness.apply(u))} -> back to {sorted(back)}")
+
 print("\nverified: the two maps are mutually inverse order isomorphisms")
-print(f"R(X3) has {witness.source.m} elements, R(subspace) has {witness.target.m}")
+print(f"R(X3) has {up.m} elements, R(subspace) has {down.m}")
 
 print("\nseparating witnesses (U not inside V yields regular W <= U disjoint from V):")
 d3 = discrete(3)

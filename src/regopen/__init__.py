@@ -41,7 +41,7 @@ from .lattice import (
     wallman_disjunction,
     well_inside,
 )
-from .metric import FiniteMetric, combine_metric, dominates
+from .metric import FiniteMetric, combine_metric
 from .stone import StoneSpace, stone_space
 from .suites import (
     CounterexamplePair,
@@ -66,9 +66,7 @@ from .transfer import (
     LatticeIsoWitness,
     PartialHomeomorphism,
     closure_density_check,
-    extend_regular,
     point_recovery,
-    restrict_regular,
     restriction_isomorphism,
     separating_witness,
     transfer_isomorphism,
@@ -104,10 +102,8 @@ __all__ = [
     "combine_metric",
     "counterexample_search",
     "discrete",
-    "dominates",
     "enumerate_dense_subsets",
     "enumerate_topologies",
-    "extend_regular",
     "find_order_isomorphisms",
     "ge_relation",
     "homeomorphic",
@@ -117,7 +113,6 @@ __all__ = [
     "maximal_ideals",
     "point_recovery",
     "regular_open_lattice",
-    "restrict_regular",
     "restriction_isomorphism",
     "run_suite",
     "run_suites",

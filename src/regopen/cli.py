@@ -104,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_enumerate(args) -> int:
     spec = EnumerationSpec(args.n, mode=args.mode, limit=args.limit, allow_n5=args.allow_n5)
-    spaces = list(enumerate_topologies(spec))
+    spaces = [space_to_dict(t) for t in enumerate_topologies(spec)]
     print(f"{len(spaces)} topologies on {args.n} points ({args.mode})")
     if args.json:
-        args.json.write(canonical_json([space_to_dict(t) for t in spaces]))
+        args.json.write(canonical_json(spaces))
     return 0
 
 

@@ -88,11 +88,3 @@ def combine_metric(
     ]
     return FiniteMetric(rows)
 
-
-def dominates(a: FiniteMetric, b: FiniteMetric) -> bool:
-    """True iff a(i,j) >= b(i,j) for every pair."""
-    if a.n != b.n:
-        raise SizeMismatch(f"point counts differ: {a.n} vs {b.n}")
-    return all(
-        a.dist[i][j] >= b.dist[i][j] for i in range(a.n) for j in range(a.n)
-    )

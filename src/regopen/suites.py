@@ -699,22 +699,6 @@ SUITES: dict[str, Suite] = {
 }
 
 
-def _walk(ctx: SpaceContext, chosen: Sequence[Suite], bound: int) -> Iterator[tuple[int, Group | None]]:
-    """(i, group) for each group of ``chosen[i]``: for each space in turn,
-    its group of every suite, in the order of ``chosen``, then the groups
-    that need no space, suite by suite. A space without a group for suite i
-    gives (i, None). Each suite's groups come in its own order."""
-    per_space = [(i, suite.space) for i, suite in enumerate(chosen) if suite.space]
-    if per_space:
-        for t in ctx.spaces(bound):
-            for i, group_of in per_space:
-                yield i, group_of(ctx, t)
-    for i, suite in enumerate(chosen):
-        if suite.rest:
-            for group in suite.rest(ctx, bound):
-                yield i, group
-
-
 def _failure(fields: dict, result: Result) -> dict:
     """The report of a failed instance: its fields, readable, and the result."""
     failure = {}
@@ -736,7 +720,9 @@ class _Tally:
         self.failures: list[dict] = []
         self.seconds = 0.0
 
-    def check(self, ctx: SpaceContext, group: Group) -> None:
+    def check(self, ctx: SpaceContext, group: Group | None) -> None:
+        if group is None:
+            return
         items = group.items
         count = len(items)
         if not count:
@@ -749,20 +735,11 @@ class _Tally:
         if failed:
             self.failures.extend(_failure(group.fields(items[pos]), result) for pos, result in failed)
 
-
-def _timed(
-    walk: Iterator[tuple[int, Group | None]], tallies: list[_Tally]
-) -> Iterator[tuple[_Tally, Group | None]]:
-    """``walk`` with each suite's tally for its index. A suite's seconds gain
-    the time from the end of the last step to the end of the caller's work on
-    its group: so the suite first to ask for a shared value of a space, or
-    first after the walk enumerates a space, carries that work."""
-    mark = time.perf_counter()
-    for i, group in walk:
-        yield tallies[i], group
+    def charge(self, mark: float) -> float:
+        """Add the seconds since ``mark`` and return the clock's reading."""
         now = time.perf_counter()
-        tallies[i].seconds += now - mark
-        mark = now
+        self.seconds += now - mark
+        return now
 
 
 def run_suites(
@@ -777,10 +754,12 @@ def run_suites(
 
     ``bound`` and ``allow_n5`` are checked against the "verify" row of
     ``enumeration.BUDGETS`` first. The walk visits each space once and runs
-    the group of every suite for it, sharing the space's values through
-    ``context`` (a new ``SpaceContext`` without one); the groups that need no
-    space run after it. ``wall_time_s`` is a suite's share of the time (see
-    ``_timed``), generating its instances as well as checking them. A
+    the group of every suite for it, in the order of ``names``, sharing the
+    space's values through ``context`` (a new ``SpaceContext`` without one);
+    the groups that need no space run after it, suite by suite. Each group
+    is built, checked and freed before the clock is read, and a suite's
+    ``wall_time_s`` is the sum of the time since the last reading over its
+    groups, so the first suite of a space also carries enumerating it. A
     ``RegOpenError`` that escapes a group's check fails every instance the
     check was given, with its message; one raised while generating groups
     propagates.
@@ -794,14 +773,24 @@ def run_suites(
     if context is None:
         context = SpaceContext()
     context.start_run()
-    chosen = [SUITES[name] for name in names]
-    tallies = [_Tally() for _ in names]
-    for tally, group in _timed(_walk(context, chosen, bound), tallies):
-        if group is not None:
-            tally.check(context, group)
+    chosen = [(SUITES[name], _Tally()) for name in names]
+    per_space = [(suite.space, tally) for suite, tally in chosen if suite.space]
+    mark = time.perf_counter()
+    if per_space:
+        for t in context.spaces(bound):
+            for group_of, tally in per_space:
+                # The group is a temporary: it is freed when check returns.
+                tally.check(context, group_of(context, t))
+                mark = tally.charge(mark)
+    for suite, tally in chosen:
+        if suite.rest:
+            for group in suite.rest(context, bound):
+                tally.check(context, group)
+                del group
+                mark = tally.charge(mark)
     return [
         SuiteReport(suite=name, bound=bound, instances=t.count, failures=t.failures, wall_time_s=t.seconds)
-        for name, t in zip(names, tallies)
+        for name, (_, t) in zip(names, chosen)
     ]
 
 

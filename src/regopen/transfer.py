@@ -18,10 +18,10 @@ regularize as a table: ``restriction_maps`` takes Y's rows and builds the
 trace and lift maps, each in one comprehension over the target lattice's
 index. ``restriction_isomorphism`` calls it with the regularize of the
 lifts its one embedding needs, and the ux0 suite with the space's reg
-table, reading Y's rows once for the maps and ``subspace_key``.
-``DenseEmbedding`` reads the rows one set at a time and builds its own
-subspace, which a verify run looks up by ``subspace_key`` instead. The
-kernels ``separations_failing`` and ``traces_losing_closure`` read the
+table, reading Y's rows once for the maps and ``subspace_key``. No other
+code reads the trace and lift rows: ``DenseEmbedding`` only checks density
+and builds its own subspace, which a verify run looks up by
+``subspace_key`` instead. The kernels ``separations_failing`` and ``traces_losing_closure`` read the
 space's cl and reg tables, which their caller builds once per space. Each
 tests a passing instance inline and does more only to name a failure: the
 density kernel compares one list of closures per Y, and the separation
@@ -69,28 +69,20 @@ class DenseEmbedding:
 
     ``sub`` and ``index_map``, which sends ambient points of the subset to
     subspace indices, are ``ambient.subspace(subset)``; ``points`` lists
-    ambient points in subspace-index order. The trace and the lift read the
-    rows of Y, which ``dense_rows`` keeps per Y.
+    ambient points in subspace-index order. ``restriction_isomorphism``
+    gives the maps between the regular opens of the two.
     """
 
-    __slots__ = ("ambient", "sub", "index_map", "points", "_mask", "_lift", "_trace")
+    __slots__ = ("ambient", "sub", "index_map", "points", "_mask")
 
     def __init__(self, ambient: Topology, subset: Iterable[int] | int):
         mask = ambient.to_mask(subset)
         if ambient.closure_mask(mask) != ambient.full_mask:
             raise NotDense(f"{sorted(set_of(mask))} is not dense in the ambient space")
         self.ambient = ambient
-        self.points, self._lift, self._trace = dense_rows(mask)
+        self.points = dense_rows(mask)[0]
         self.sub, self.index_map = ambient.subspace(mask)
         self._mask = mask
-
-    def compress(self, ambient_mask: int) -> int:
-        """The trace U & Y of an ambient set, as a subspace mask."""
-        return self._trace[ambient_mask & self._mask]
-
-    def lift(self, sub_mask: int) -> int:
-        """int(cl(V)) upstairs of a subspace set V."""
-        return self.ambient.regularize_mask(self._lift[sub_mask])
 
 
 DenseRows = tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]
@@ -119,31 +111,6 @@ def subspace_key(ambient: Topology, mask: int, rows: DenseRows) -> tuple[int, ..
     points, _, trace = rows
     nbhd = ambient.min_nbhd_masks
     return tuple([trace[nbhd[p] & mask] for p in points])
-
-
-def restrict_regular(e: DenseEmbedding, u: Iterable[int]) -> PointSet:
-    """Trace a regular open of the ambient space on the dense subspace.
-
-    The result is verified to be regular open down there, which is the
-    well-definedness half of the restriction-isomorphism statement.
-    """
-    mask = e.ambient.to_mask(u)
-    if not e.ambient.is_regular_open_mask(mask):
-        raise NotRegularOpen(f"{sorted(set_of(mask))} is not regular open in the ambient space")
-    traced = e.compress(mask)
-    if not e.sub.is_regular_open_mask(traced):
-        raise VerificationError(
-            "trace of a regular open is not regular open in the subspace", sorted(set_of(mask))
-        )
-    return set_of(traced)
-
-
-def extend_regular(e: DenseEmbedding, v: Iterable[int]) -> PointSet:
-    """Send a regular open of the subspace to int(cl(.)) upstairs."""
-    sub_mask = e.sub.to_mask(v)
-    if not e.sub.is_regular_open_mask(sub_mask):
-        raise NotRegularOpen(f"{sorted(set_of(sub_mask))} is not regular open in the subspace")
-    return set_of(e.lift(sub_mask))
 
 
 class LatticeIsoWitness:

@@ -15,7 +15,6 @@ from regopen import (
     enumerate_topologies,
     point_recovery,
     regular_open_lattice,
-    restrict_regular,
     run_suite,
     sierpinski,
     stone_space,

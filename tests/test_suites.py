@@ -4,6 +4,7 @@ and the counterexample gallery."""
 import functools
 import itertools
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -76,7 +77,14 @@ from oracles import (
 
 def _groups(name, ctx, bound):
     """The groups of the suite ``name``, in the order a run checks them."""
-    return (group for _, group in suites._walk(ctx, [SUITES[name]], bound) if group is not None)
+    suite = SUITES[name]
+    if suite.space:
+        for t in ctx.spaces(bound):
+            group = suite.space(ctx, t)
+            if group is not None:
+                yield group
+    if suite.rest:
+        yield from suite.rest(ctx, bound)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -131,6 +139,41 @@ def test_joint_run_reports_equal_lone_runs(bound):
 def test_joint_run_refuses_an_unknown_name_before_running():
     with pytest.raises(UnknownSuite):
         run_suites(["boolean", "nope"], 2)
+
+
+def test_a_group_is_freed_before_the_clock_charges_its_suite(monkeypatch):
+    # freeing a planted group costs 1000 ticks of a fake clock, which must
+    # land in its own suite's seconds, not in those of the suite after it
+    events, now = [], [0]
+
+    class Items(list):
+        def __del__(self):
+            events.append("freed")
+            now[0] += 1000
+
+    def clock():
+        events.append("clock")
+        now[0] += 1
+        return now[0]
+
+    def planted(*_):
+        return suites.Group({}, ("x",), Items([(0,)]), lambda ctx, group: events.append("checked") or [])
+
+    def plain(*_):
+        return suites.Group({}, ("x",), [(0,)], lambda ctx, group: [])
+
+    monkeypatch.setattr(suites, "time", types.SimpleNamespace(perf_counter=clock))
+    monkeypatch.setitem(SUITES, "planted", Suite(planted, lambda ctx, bound: (planted() for _ in range(2))))
+    monkeypatch.setitem(SUITES, "plain", Suite(plain, lambda ctx, bound: iter([plain()])))
+    first, second = run_suites(["planted", "plain"], 2)
+    groups = first.instances
+    assert groups == 5 + 2  # the five spaces on at most 2 points, then the two rest groups
+    assert events.count("checked") == events.count("freed") == groups
+    for i, event in enumerate(events):
+        if event == "checked":
+            assert events[i + 1 : i + 3] == ["freed", "clock"]
+    assert first.wall_time_s >= 1000 * groups
+    assert second.wall_time_s < 1000
 
 
 def _watching(check_each_call):

@@ -16,10 +16,8 @@ from regopen import (
     discrete,
     enumerate_dense_subsets,
     enumerate_topologies,
-    extend_regular,
     point_recovery,
     regular_open_lattice,
-    restrict_regular,
     restriction_isomorphism,
     separating_witness,
     sierpinski,
@@ -78,32 +76,33 @@ def test_dense_embedding_requires_density():
 # -- restriction and extension -------------------------------------------------
 
 
+def _extend(w, v):
+    """The image of the regular open ``v`` of the subspace under the
+    inverse map ``w.backward`` of the restriction isomorphism ``w``."""
+    down = w.target
+    return w.source.element(w.backward[down.index_of_mask[down.topology.to_mask(v)]])
+
+
 def test_restrict_frozen_values():
-    e = DenseEmbedding(X3, {0, 1})
-    assert restrict_regular(e, {0}) == fs({0})
-    assert restrict_regular(e, fs()) == fs()
-    e1 = DenseEmbedding(S, {0})
-    assert restrict_regular(e1, {0, 1}) == fs({0})
+    w = restriction_isomorphism(DenseEmbedding(X3, {0, 1}))
+    assert w.apply({0}) == fs({0})
+    assert w.apply(fs()) == fs()
+    w1 = restriction_isomorphism(DenseEmbedding(S, {0}))
+    assert w1.apply({0, 1}) == fs({0})
 
 
 def test_extend_frozen_values():
-    e = DenseEmbedding(X3, {0, 1})
-    assert extend_regular(e, {0, 1}) == fs({0, 1, 2})
-    assert extend_regular(e, fs()) == fs()
-    e1 = DenseEmbedding(S, {0})
-    assert extend_regular(e1, {0}) == fs({0, 1})
+    w = restriction_isomorphism(DenseEmbedding(X3, {0, 1}))
+    assert _extend(w, {0, 1}) == fs({0, 1, 2})
+    assert _extend(w, fs()) == fs()
+    w1 = restriction_isomorphism(DenseEmbedding(S, {0}))
+    assert _extend(w1, {0}) == fs({0, 1})
 
 
 def test_restrict_rejects_non_regular():
-    e = DenseEmbedding(X3, {0, 1})
+    w = restriction_isomorphism(DenseEmbedding(X3, {0, 1}))
     with pytest.raises(NotRegularOpen):
-        restrict_regular(e, {0, 1})  # open but not regular in X3
-    # chain space whose dense subspace is Sierpinski: {0} is open but not
-    # regular down there
-    chain = Topology(3, [0b000, 0b001, 0b011, 0b111])
-    e2 = DenseEmbedding(chain, {0, 1})
-    with pytest.raises(NotRegularOpen):
-        extend_regular(e2, {0})
+        w.apply({0, 1})  # open but not regular in X3
 
 
 def test_restriction_isomorphism_x3():
@@ -194,11 +193,13 @@ def test_trace_reads_only_the_dense_points_and_lift_is_int_cl():
         for t in enumerate_topologies(EnumerationSpec(n)):
             for y in dense_masks(t):
                 e = DenseEmbedding(t, y)
+                _, lift, trace = dense_rows(y)
                 for mask in range(t.full_mask + 1):
-                    assert e.compress(mask) == e.compress(mask & y)
+                    inside = {e.index_map[p] for p in set_of(mask) if y >> p & 1}
+                    assert set_of(trace[mask & y]) == inside
                 for v in range(e.sub.full_mask + 1):
                     upstairs = frozenset(e.points[i] for i in set_of(v))
-                    assert set_of(e.lift(v)) == interior_oracle(t, closure_oracle(t, upstairs))
+                    assert set_of(t.regularize_mask(lift[v])) == interior_oracle(t, closure_oracle(t, upstairs))
 
 
 def _assert_rows_match_the_bit_loops(y: int, ambient_masks) -> None:
@@ -532,7 +533,8 @@ def test_point_recovery_compatibility_exhaustive():
                 by = [s for s in emb.sub.regular_opens() if s]
                 if not basis_oracle(emb.sub, by):
                     continue
-                iso = {u: restrict_regular(emb, u) for u in bx}
+                w = restriction_isomorphism(emb)
+                iso = {u: w.apply(u) for u in bx}
                 ph = point_recovery(t, bx, emb.sub, by, iso)
                 for x, yy in ph.tau.items():
                     assert emb.index_map[x] == yy
@@ -591,7 +593,8 @@ def test_recovery_sets_are_the_literal_intersections():
         for y in dense_masks(t):
             emb = DenseEmbedding(t, y)
             by = [s for s in emb.sub.regular_opens() if s]
-            isos.append((emb.sub, by, {u: restrict_regular(emb, u) for u in bx}))
+            w = restriction_isomorphism(emb)
+            isos.append((emb.sub, by, {u: w.apply(u) for u in bx}))
         for perm in itertools.permutations(range(t.n)):
             if sorted(permute_mask(m, perm) for m in t.open_masks) == list(t.open_masks):
                 isos.append((t, bx, {u: fs(perm[i] for i in u) for u in bx}))
