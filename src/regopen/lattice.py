@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from operator import eq
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, NotALattice, VerificationError
-from .topology import OperatorTables, PointSet, Topology, iter_bits, set_of
+from .errors import IndexOutOfRange, NotABijection, NotALattice, VerificationError
+from .topology import PointSet, Topology, iter_bits, set_of
 
 PairRelation = frozenset[tuple[int, int]]
 
@@ -230,9 +230,8 @@ class RegularOpenLattice(FiniteLattice):
     the source topology from its operator tables and verifies all Boolean
     laws. The order row of U is the AND, over the points p of U, of the
     bitmask of the regular opens holding p: O(m n) big-int ANDs for n
-    points, not a test of every pair. A verify run builds one lattice per
-    regular-open family this way; the later spaces of the family share its
-    tables (``_shared``, see ``suites.SpaceContext``).
+    points, not a test of every pair. ``_shared`` lends its tables to
+    another space, or none; ``suites.SpaceContext`` decides which.
     """
 
     __slots__ = ("topology", "complement", "top", "index_of_mask")
@@ -274,10 +273,7 @@ class RegularOpenLattice(FiniteLattice):
             raise VerificationError("Boolean law fails", witness)
 
     def _shared(self, topology: Topology | None) -> "RegularOpenLattice":
-        """A lattice of ``topology`` sharing every table of this one, for a
-        space with the same regular opens whose operator tables give the
-        same join and complement (``_same_operations``); with None, the
-        record of a family, which holds no space."""
+        """A lattice of ``topology``, or of no space, sharing every table of this one."""
         lat = RegularOpenLattice.__new__(RegularOpenLattice)
         lat.m, lat.payload_masks, lat.index_of_mask = self.m, self.payload_masks, self.index_of_mask
         lat.up, lat.down, lat.meet, lat.join = self.up, self.down, self.meet, self.join
@@ -295,21 +291,6 @@ class RegularOpenLattice(FiniteLattice):
 def regular_open_lattice(t: Topology) -> RegularOpenLattice:
     """The regular-open lattice of ``t``: ``RegularOpenLattice(t)``."""
     return RegularOpenLattice(t)
-
-
-def _same_operations(record: RegularOpenLattice, full: int, tables: OperatorTables) -> bool:
-    """Whether ``tables`` give the regular opens of ``record`` its
-    complement and join: int(full - U) and int(cl U | cl V), as indices,
-    None for a mask outside the family."""
-    cl, interior, _ = tables
-    masks, index = record.payload_masks, record.index_of_mask.get
-    if record.complement != tuple([index(interior[full ^ a]) for a in masks]):
-        return False
-    closures = [cl[a] for a in masks]
-    return all(
-        row == tuple([index(interior[ca | cb]) for cb in closures])
-        for ca, row in zip(closures, record.join)
-    )
 
 
 # -- structure checks ---------------------------------------------------------
@@ -675,6 +656,8 @@ def find_order_isomorphisms(l1: FiniteLattice, l2: FiniteLattice) -> list[tuple[
 
 def transport_relation(rows: Sequence[int], phi: Sequence[int]) -> tuple[int, ...]:
     """The rows of a relation pushed through an element bijection: (f, g)
-    goes to (phi[f], phi[g])."""
+    goes to (phi[f], phi[g]). NotABijection refuses a phi that is not one."""
+    if sorted(phi) != list(range(len(rows))):
+        raise NotABijection(f"phi must be a permutation of range({len(rows)}), not {list(phi)}")
     moved = {phi[f]: sum(1 << phi[g] for g in iter_bits(row)) for f, row in enumerate(rows)}
     return tuple(moved[f] for f in range(len(rows)))

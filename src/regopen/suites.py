@@ -34,7 +34,6 @@ from .errors import BadEnumerationSpec, BadSuiteArgument, NotABasis, NotDense, R
 from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     RegularOpenLattice,
-    _same_operations,
     check_r_lattice,
     find_order_isomorphisms,
     ge_relation,
@@ -186,14 +185,19 @@ class SuiteReport:
         return canonical_json(self.to_dict())
 
 
-class _HeldTables(Topology):
-    """A copy of a space whose ``operator_tables`` are the tables a context
-    holds for it: its full lattice build reads them and builds none."""
-
-    __slots__ = ("tables",)
-
-    def operator_tables(self) -> OperatorTables:
-        return self.tables
+def _same_operations(record: RegularOpenLattice, full: int, tables: OperatorTables) -> bool:
+    """Whether ``tables`` give the regular opens of ``record`` its
+    complement and join: int(full - U) and int(cl U | cl V), as indices,
+    None for a mask outside the family."""
+    cl, interior, _ = tables
+    masks, index = record.payload_masks, record.index_of_mask.get
+    if record.complement != tuple([index(interior[full ^ a]) for a in masks]):
+        return False
+    closures = [cl[a] for a in masks]
+    return all(
+        row == tuple([index(interior[ca | cb]) for cb in closures])
+        for ca, row in zip(closures, record.join)
+    )
 
 
 class SpaceContext:
@@ -227,10 +231,11 @@ class SpaceContext:
     It also keeps, for the run, a record of each regular-open family (the
     family fixes a finite RO(X)): its first passing build, without a space.
     A later space whose join and complement, read from its tables, equal
-    the record's shares all of the record's tables, and so its Boolean
-    verdict; otherwise it gets a full build, ``RegularOpenLattice(t)``,
-    which reads the held tables. The records' tables are interned: the 522
-    families with n <= 5 have 21 shapes.
+    the record's (``_same_operations``) shares all of the record's tables,
+    and so its Boolean verdict; otherwise it gets a full build,
+    ``RegularOpenLattice(t)``, which builds the space's tables again. The
+    records' tables are interned: the 522 families with n <= 5 have 21
+    shapes.
     """
 
     def __init__(self):
@@ -318,10 +323,7 @@ class SpaceContext:
         record = self._records.get(masks)
         if record is not None and _same_operations(record, t.full_mask, tables):
             return record._shared(t)
-        held = _HeldTables.trusted(t.n, t.open_masks)
-        held.tables = tables
-        lat = RegularOpenLattice(held)
-        lat.topology = t
+        lat = RegularOpenLattice(t)
         if record is None:
             intern = self._shapes.setdefault
             lat.up, lat.down = intern(lat.up, lat.up), intern(lat.down, lat.down)

@@ -3,9 +3,9 @@
 A space lives on the ground set {0..n-1}. Subsets are exposed as frozensets
 of indices and carried internally as integer bitmasks, which keeps every
 operator an auditable one-liner over machine words. All values are immutable
-after construction; every derived quantity (minimal neighborhoods, the open
-family itself) is computed eagerly in ``__init__`` so instances are safe to
-share across threads.
+after construction; the open family, stored once as a sorted tuple, and the
+least neighbourhoods, which decide openness, are computed eagerly in
+``__init__`` so instances are safe to share across threads.
 
 Homeomorphism has one decision: ``canonical_open_masks``, the least sorted
 encoding of the open family over all relabelings of the points. It is found
@@ -101,7 +101,7 @@ class Topology:
     SizeGuardExceeded before it is validated.
     """
 
-    __slots__ = ("n", "full_mask", "open_masks", "min_nbhd_masks", "_open_set")
+    __slots__ = ("n", "full_mask", "open_masks", "min_nbhd_masks")
 
     def __init__(self, n: int, opens: Iterable[Iterable[int]]):
         if n < 1:
@@ -128,24 +128,23 @@ class Topology:
                 raise NotClosedUnderUnion(set_of(a), set_of(b))
             if a & b not in mask_set:
                 raise NotClosedUnderIntersection(set_of(a), set_of(b))
-        self._fill(tuple(masks), mask_set)
+        self._fill(tuple(masks))
 
     @classmethod
     def trusted(cls, n: int, masks: tuple[int, ...]) -> "Topology":
         """The space on n points whose opens are ``masks``, sorted and
-        distinct, without the checks of ``__init__``: for a family that its
-        construction already proves a topology, as the enumeration's
-        one-point extensions are. Every space from outside input goes
-        through ``__init__``."""
+        distinct, kept as given beside its least neighbourhoods, without the
+        checks of ``__init__``: for a family that its construction already
+        proves a topology, as the enumeration's one-point extensions are.
+        Every space from outside input goes through ``__init__``."""
         t = cls.__new__(cls)
         t.n = n
         t.full_mask = (1 << n) - 1
-        t._fill(masks, frozenset(masks))
+        t._fill(masks)
         return t
 
-    def _fill(self, masks: tuple[int, ...], mask_set: frozenset[int]) -> None:
+    def _fill(self, masks: tuple[int, ...]) -> None:
         self.open_masks: tuple[int, ...] = masks
-        self._open_set = mask_set
         # Finite spaces are Alexandrov: each point has a smallest open
         # neighborhood, precomputed here to keep instances immutable. The
         # opens are the unions of these n masks, so they determine the space.
@@ -188,12 +187,12 @@ class Topology:
             return points
         return mask_of(points, self.n)
 
-    def is_open_mask(self, m: int) -> bool:
-        return m in self._open_set
-
     # Finite spaces are Alexandrov (Stong, Trans. AMS 123, 1966): x is
     # interior to a iff its least open neighborhood U_x fits in a, and x is in
     # the closure of a iff U_x meets a. Each is O(n), not a scan of the opens.
+
+    def is_open_mask(self, m: int) -> bool:
+        return self.interior_mask(m) == m
 
     def interior_mask(self, a: int) -> int:
         acc, bit = 0, 1
@@ -236,7 +235,8 @@ class Topology:
         return self.interior_mask(self.closure_mask(a))
 
     def is_regular_open_mask(self, m: int) -> bool:
-        return m in self._open_set and self.regularize_mask(m) == m
+        # int∘cl is always open, so a fixed point of it is open
+        return self.regularize_mask(m) == m
 
     def regular_open_masks(self) -> tuple[int, ...]:
         return tuple(m for m in self.open_masks if self.regularize_mask(m) == m)
@@ -244,7 +244,7 @@ class Topology:
     # -- public set-level operators -----------------------------------------
 
     def is_open(self, a: Iterable[int]) -> bool:
-        return self.to_mask(a) in self._open_set
+        return self.is_open_mask(self.to_mask(a))
 
     def interior(self, a: Iterable[int]) -> PointSet:
         """Largest open subset of ``a``."""

@@ -289,8 +289,10 @@ def separations_failing(
     ``pairs`` for which ``separating_witness`` raises, each with the
     message it raises. It tests the same conditions on each pair, reading
     cl and reg from ``cl`` and ``reg``, the tables of ``t``, and asks
-    ``_separation_error`` for the message of a pair that fails them."""
-    opens = t._open_set
+    ``_separation_error`` for the message of a pair that fails them.
+    Openness is a lookup in a set of ``t``'s opens, built per call, so that
+    it does not go through cl: a wrong cl table passes no non-open mask."""
+    opens = frozenset(t.open_masks)
     failed = []
     for pos, (u, v) in enumerate(pairs):
         if (
@@ -369,12 +371,15 @@ def check_basis(t: Topology, basis: Iterable[Iterable[int] | int]) -> tuple[int,
     In a finite space that is the basis property: a basic set around x
     inside U_x is U_x itself, and every open is the union of the U_x of its
     points. Returns the basis as masks, sorted. Raises NotABasis naming a
-    member that is not open or a point whose U_x is not a member.
+    member that is not open or a point whose U_x is not a member. Openness
+    is a lookup in a set of the opens, built per call: it does not go
+    through cl, and recovery runs faster than with ``is_open_mask``.
     """
     members = {t.to_mask(b) for b in basis}
     masks = tuple(sorted(members))
+    opens = set(t.open_masks)
     for b in masks:
-        if not t.is_open_mask(b):
+        if b not in opens:
             raise NotABasis(f"basis member {sorted(set_of(b))} is not open")
     for x, u in enumerate(t.min_nbhd_masks):
         if u not in members:

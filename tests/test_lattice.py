@@ -30,7 +30,7 @@ from regopen import (
 )
 from regopen import lattice as lattice_module
 from regopen.enumeration import canonical_classes
-from regopen.errors import NotALattice, NotBoolean, VerificationError
+from regopen.errors import NotABijection, NotALattice, NotBoolean, VerificationError
 from regopen.lattice import AXIOM_NAMES, check_inf_sup, relation_pairs, relation_rows, well_inside_rows
 from regopen.topology import Topology
 
@@ -688,6 +688,12 @@ def test_transport_relation():
     moved = relation_pairs(transport_relation(relation_rows(LX3, well_inside(LX3)), phi))
     assert len(moved) == len(well_inside(LX3))
     assert moved != well_inside(LD2)  # the gallery's diagnosis, in miniature
+
+
+@pytest.mark.parametrize("phi", [(0, 0), (1,), (1, 0, 2)], ids=["repeated", "short", "long"])
+def test_transport_relation_refuses_a_phi_that_is_not_a_permutation(phi):
+    with pytest.raises(NotABijection):
+        transport_relation((1, 3), phi)
 
 
 def test_transport_relation_matches_oracle_on_every_gallery_isomorphism():

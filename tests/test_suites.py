@@ -220,9 +220,11 @@ def test_joint_run_holds_only_the_smaller_spaces_and_the_current_one(monkeypatch
     assert max(seen) == 34 + 1
 
 
-def test_joint_run_builds_tables_and_dense_sets_once_per_space(monkeypatch):
-    tables, dense = Counter(), Counter()
-    operator_tables, masks = Topology.operator_tables, suites.dense_masks
+def test_joint_run_builds_dense_sets_once_and_tables_once_per_space_and_full_build(monkeypatch):
+    # a full lattice build makes its own tables: one more for the first
+    # space of each of the 60 regular-open families with n <= 4
+    tables, dense, built = Counter(), Counter(), Counter()
+    operator_tables, masks, build = Topology.operator_tables, suites.dense_masks, RegularOpenLattice.__init__
 
     def counting_tables(t):
         tables[t] += 1
@@ -232,11 +234,19 @@ def test_joint_run_builds_tables_and_dense_sets_once_per_space(monkeypatch):
         dense[t] += 1
         return masks(t, cl)
 
+    def counting_build(lat, t):
+        built[t] += 1
+        build(lat, t)
+
     monkeypatch.setattr(Topology, "operator_tables", counting_tables)
     monkeypatch.setattr(suites, "dense_masks", counting_dense)
+    monkeypatch.setattr(RegularOpenLattice, "__init__", counting_build)
     assert all(report.passed for report in run_suites(sorted(SUITES), 4))
-    assert set(tables.values()) == set(dense.values()) == {1}
+    assert set(dense.values()) == {1}
     assert len(tables) == len(dense) == 1 + 4 + 29 + 355
+    assert sum(tables.values()) == 389 + 60
+    assert set(built.values()) == {1}
+    assert {t for t, count in tables.items() if count == 2} == set(built)
 
 
 def test_bound_below_one_is_refused_before_enumerating(monkeypatch):

@@ -35,6 +35,7 @@ from oracles import (
     dense_oracle,
     find_homeomorphism_oracle,
     interior_oracle,
+    opens_as_sets,
     regular_open_oracle,
 )
 
@@ -156,6 +157,7 @@ def test_operators_match_oracles(n):
             assert t.closure(a) == closure_oracle(t, a)
             assert t.is_regular_open(a) == regular_open_oracle(t, a)
             assert t.is_dense(a) == dense_oracle(t, a)
+            assert t.is_open(a) == (a in opens_as_sets(t))
 
 
 def _assert_tables_match_the_operators(t: Topology, oracles: bool) -> None:
