@@ -58,6 +58,9 @@ def _load_space(token: str) -> Topology:
     return space_from_dict(doc)
 
 
+ALLOW_N5_HELP = "permit n = 5 and above, up to the size limit"
+
+
 def _add_common(p: argparse.ArgumentParser, dot: bool = False):
     p.add_argument("--json", metavar="PATH", help="write JSON output to PATH")
     if dot:
@@ -75,14 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("all", "up-to-homeomorphism"), default="all")
     p.add_argument("--limit", type=int)
-    p.add_argument("--allow-n5", action="store_true", help="permit the n = 5 scale")
+    p.add_argument("--allow-n5", action="store_true", help=ALLOW_N5_HELP)
     _add_common(p)
 
     p = sub.add_parser("verify", help="run a verification suite over the enumeration")
     p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
     p.add_argument("--n", type=int, default=3, help="ground-size bound (default 3)")
     p.add_argument("--seed", type=int, default=0, help="accepted for old command lines; no suite reads it")
-    p.add_argument("--allow-n5", action="store_true")
+    p.add_argument("--allow-n5", action="store_true", help=ALLOW_N5_HELP)
     _add_common(p)
 
     p = sub.add_parser("counterexamples", help="non-homeomorphic pairs with isomorphic lattices")

@@ -23,20 +23,24 @@ from .topology import Topology, canonical_open_masks, set_of
 
 MODES = ("all", "up-to-homeomorphism")
 
-# Every size limit of a run, enforced by ``check_budget`` alone: per entry
-# point, the largest n and the n from which allow_n5 is needed (None: never).
-# A space from outside input is bounded by topology.MAX_POINTS and MAX_OPENS.
+# Every size limit of a run, enforced by ``check_budget`` alone: one row per
+# walk or search, with the largest n and the n from which allow_n5 is needed
+# (None: never). "enumerate" is the labeled walk, which ``verify`` makes too;
+# "classes" the walk up to homeomorphism. A space from outside input is
+# bounded by topology.MAX_POINTS and MAX_OPENS.
 BUDGETS: dict[str, tuple[int, int | None]] = {
     "enumerate": (5, 5),
     "classes": (8, 5),
-    "verify": (5, 5),
     "counterexamples": (4, None),
     "ideals": (5, None),
 }
 
 
 def check_budget(entry: str, n: int, allow_n5: bool = False) -> None:
-    """SizeGuardExceeded if the ``entry`` row of BUDGETS refuses ``n``."""
+    """BadEnumerationSpec if ``n`` is below 1; SizeGuardExceeded if the
+    ``entry`` row of BUDGETS refuses it."""
+    if n < 1:
+        raise BadEnumerationSpec("ground set must have at least one point")
     largest, opt_in = BUDGETS[entry]
     if n > largest:
         raise SizeGuardExceeded(f"{entry} is guarded at n <= {largest}")
@@ -61,8 +65,6 @@ class EnumerationSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise BadEnumerationSpec(f"mode must be one of {MODES}")
-        if self.n < 1:
-            raise BadEnumerationSpec("ground set must have at least one point")
         if self.limit is not None and self.limit < 0:
             raise BadEnumerationSpec(f"limit must not be negative, not {self.limit}")
         check_budget("classes" if self.mode == "up-to-homeomorphism" else "enumerate", self.n, self.allow_n5)
@@ -180,7 +182,9 @@ def enumerate_dense_subsets(t: Topology) -> list[frozenset[int]]:
 
 def canonical_classes(max_n: int) -> list[Topology]:
     """Canonical representatives of all homeomorphism classes with n <= max_n,
-    ordered by (n, open count, family encoding)."""
+    ordered by (n, open count, family encoding). ``max_n`` is checked
+    against the "classes" row before any class is enumerated."""
+    check_budget("classes", max_n)
     out = []
     for n in range(1, max_n + 1):
         out.extend(enumerate_topologies(EnumerationSpec(n, mode="up-to-homeomorphism")))

@@ -106,16 +106,13 @@ class SizeGuardExceeded(RegOpenError, ValueError):
 
 
 class BadEnumerationSpec(RegOpenError, ValueError):
-    """An enumeration was asked for fewer than one point, a negative limit
-    or an unknown mode."""
+    """A run was asked for fewer than one point (``check_budget`` refuses it
+    for every entry point), or an enumeration for a negative limit or an
+    unknown mode."""
 
 
 class UnknownSuite(RegOpenError, ValueError):
     """run_suite was asked for a suite name that does not exist."""
-
-
-class BadSuiteArgument(RegOpenError, ValueError):
-    """run_suite was given a bound below 1."""
 
 
 class VerificationError(RegOpenError):

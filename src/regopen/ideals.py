@@ -1,12 +1,15 @@
 """Ideals and ultrafilters of finite powerset lattices, and the
 correspondence between ideals and open subsets of a finite discrete space.
 
-The sizes allowed are the "ideals" row of ``enumeration.BUDGETS``. A brute
-force over candidate families is doubly exponential, so only the principal
-construction below is feasible at the larger of them. That construction is
-complete: a family closed downward and under pairwise union contains the
-union of all its members, hence equals the down-set of that union. Tests
-cross-check it against a literal filter over all families at small n.
+``ideals``, ``maximal_ideals``, ``ultrafilters`` and
+``ideal_open_correspondence`` take a powerset size n and first ask
+``enumeration.check_budget`` for the "ideals" row of ``BUDGETS``, which
+refuses an n below 1 too. A brute force over candidate families is doubly
+exponential, so only the principal construction below is feasible at the
+larger sizes that row allows. That construction is complete: a family
+closed downward and under pairwise union contains the union of all its
+members, hence equals the down-set of that union. Tests cross-check it
+against a literal filter over all families at small n.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .enumeration import check_budget
-from .errors import BadEnumerationSpec, IndexOutOfRange, NotAnIdeal, VerificationError
+from .errors import IndexOutOfRange, NotAnIdeal, VerificationError
 from .topology import PointSet
 
 
@@ -79,33 +82,27 @@ class Ultrafilter:
             raise VerificationError("ultrafilter is not principal at its point", self.point)
 
 
-def _guard(n: int):
-    if n < 1:
-        raise BadEnumerationSpec("powerset size must be at least 1")
-    check_budget("ideals", n)
-
-
 def ideals(n: int) -> list[IdealFamily]:
     """Every ideal of the powerset lattice on n points, sorted by maximum.
 
     All ideals of a finite powerset are principal (see module docstring), so
     there are exactly 2**n of them.
     """
-    _guard(n)
+    check_budget("ideals", n)
     ground = frozenset(range(n))
     return [IdealFamily.principal(n, s) for s in _subsets(ground)]
 
 
 def maximal_ideals(n: int) -> list[IdealFamily]:
     """Maximal proper ideals: the down-sets of the n co-singletons."""
-    _guard(n)
+    check_budget("ideals", n)
     ground = frozenset(range(n))
     return [IdealFamily.principal(n, ground - {x}) for x in range(n)]
 
 
 def ultrafilters(n: int) -> list[Ultrafilter]:
     """Complements of the maximal ideals; all principal at finite scale."""
-    _guard(n)
+    check_budget("ideals", n)
     all_sets = frozenset(_subsets(frozenset(range(n))))
     out = []
     for x, ideal in enumerate(maximal_ideals(n)):
@@ -132,7 +129,7 @@ def ideal_open_correspondence(n: int) -> IdealOpenCorrespondence:
     it matches maximal proper ideals with the maximal proper opens (the
     complements of singletons).
     """
-    _guard(n)
+    check_budget("ideals", n)
     ground = frozenset(range(n))
     opens = _subsets(ground)
     pairs = tuple((w, IdealFamily.principal(n, w)) for w in opens)

@@ -79,8 +79,11 @@ def combine_metric(
     """
     if dx.n != dy.n:
         raise SizeMismatch(f"point counts differ: {dx.n} vs {dy.n}")
-    t = [tau[i] for i in range(dx.n)]
-    if sorted(t) != list(range(dx.n)):
+    try:
+        t = [tau[i] for i in range(dx.n)]
+    except LookupError:  # tau misses a point
+        t = None
+    if t is None or sorted(t) != list(range(dx.n)):
         raise NotABijection("tau must be a bijection of {0..n-1}")
     rows = [
         [max(dx.dist[i][j], dy.dist[t[i]][t[j]]) for j in range(dx.n)]

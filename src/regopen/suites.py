@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cofinite as cof
 from .enumeration import BUDGETS, EnumerationSpec, canonical_classes, check_budget, dense_masks, enumerate_topologies
-from .errors import BadEnumerationSpec, BadSuiteArgument, NotABasis, NotDense, RegOpenError, UnknownSuite
+from .errors import NotABasis, NotDense, RegOpenError, UnknownSuite
 from .ideals import ideal_open_correspondence, ideals, ultrafilters
 from .lattice import (
     RegularOpenLattice,
@@ -265,7 +265,8 @@ class SpaceContext:
         the current space until the next is yielded. Those on fewer than
         ``bound`` points are held; those on ``bound`` points are enumerated
         as they are walked. The specs opt in: ``run_suites`` checked
-        ``bound`` against ``enumeration.BUDGETS``."""
+        ``bound`` against the "enumerate" row of ``enumeration.BUDGETS``,
+        the row each spec checks again."""
         for n in range(1, bound + 1):
             layer = self._spaces.get(n)
             if layer is None:
@@ -714,34 +715,28 @@ def _failure(fields: dict, result: Result) -> dict:
     return failure
 
 
-class _Tally:
-    """One suite's share of a run: its instances, failures and seconds."""
+def _check(ctx: SpaceContext, group: Group | None, report: SuiteReport) -> None:
+    """Check ``group`` and add its instances and failures to ``report``."""
+    if group is None:
+        return
+    items = group.items
+    count = len(items)
+    if not count:
+        return
+    report.instances += count
+    try:
+        failed = group.check(ctx, group)
+    except RegOpenError as exc:
+        failed = [(pos, str(exc)) for pos in range(count)]
+    if failed:
+        report.failures.extend(_failure(group.fields(items[pos]), result) for pos, result in failed)
 
-    def __init__(self):
-        self.count = 0
-        self.failures: list[dict] = []
-        self.seconds = 0.0
 
-    def check(self, ctx: SpaceContext, group: Group | None) -> None:
-        if group is None:
-            return
-        items = group.items
-        count = len(items)
-        if not count:
-            return
-        self.count += count
-        try:
-            failed = group.check(ctx, group)
-        except RegOpenError as exc:
-            failed = [(pos, str(exc)) for pos in range(count)]
-        if failed:
-            self.failures.extend(_failure(group.fields(items[pos]), result) for pos, result in failed)
-
-    def charge(self, mark: float) -> float:
-        """Add the seconds since ``mark`` and return the clock's reading."""
-        now = time.perf_counter()
-        self.seconds += now - mark
-        return now
+def _charge(report: SuiteReport, mark: float) -> float:
+    """Add the seconds since ``mark`` to ``report`` and return the clock's reading."""
+    now = time.perf_counter()
+    report.wall_time_s += now - mark
+    return now
 
 
 def run_suites(
@@ -754,8 +749,9 @@ def run_suites(
     """Run the named suites in one walk over the enumeration up to ``bound``
     points, and report each, in the order of ``names``.
 
-    ``bound`` and ``allow_n5`` are checked against the "verify" row of
-    ``enumeration.BUDGETS`` first. The walk visits each space once and runs
+    ``bound`` and ``allow_n5`` are checked first against the row of the
+    walk, the "enumerate" row of ``enumeration.BUDGETS``, for every suite,
+    also those that walk no space. The walk visits each space once and runs
     the group of every suite for it, in the order of ``names``, sharing the
     space's values through ``context`` (a new ``SpaceContext`` without one);
     the groups that need no space run after it, suite by suite. Each group
@@ -769,31 +765,27 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    if bound < 1:
-        raise BadSuiteArgument(f"bound must be at least 1, not {bound}")
-    check_budget("verify", bound, allow_n5)
+    check_budget("enumerate", bound, allow_n5)
     if context is None:
         context = SpaceContext()
     context.start_run()
-    chosen = [(SUITES[name], _Tally()) for name in names]
-    per_space = [(suite.space, tally) for suite, tally in chosen if suite.space]
+    reports = [SuiteReport(suite=name, bound=bound, instances=0, failures=[]) for name in names]
+    chosen = [(SUITES[name], report) for name, report in zip(names, reports)]
+    per_space = [(suite.space, report) for suite, report in chosen if suite.space]
     mark = time.perf_counter()
     if per_space:
         for t in context.spaces(bound):
-            for group_of, tally in per_space:
-                # The group is a temporary: it is freed when check returns.
-                tally.check(context, group_of(context, t))
-                mark = tally.charge(mark)
-    for suite, tally in chosen:
+            for group_of, report in per_space:
+                # The group is a temporary: it is freed when _check returns.
+                _check(context, group_of(context, t), report)
+                mark = _charge(report, mark)
+    for suite, report in chosen:
         if suite.rest:
             for group in suite.rest(context, bound):
-                tally.check(context, group)
+                _check(context, group, report)
                 del group
-                mark = tally.charge(mark)
-    return [
-        SuiteReport(suite=name, bound=bound, instances=t.count, failures=t.failures, wall_time_s=t.seconds)
-        for name, (_, t) in zip(names, chosen)
-    ]
+                mark = _charge(report, mark)
+    return reports
 
 
 def run_suite(
@@ -842,8 +834,6 @@ class CounterexamplePair:
 def counterexample_search(max_n: int) -> list[CounterexamplePair]:
     """All pairs of homeomorphism-class representatives (n <= max_n) whose
     regular-open lattices are order isomorphic, in canonical order."""
-    if max_n < 1:
-        raise BadEnumerationSpec(f"the search needs at least one point, not {max_n}")
     check_budget("counterexamples", max_n)
     reps = canonical_classes(max_n)
     lats = [regular_open_lattice(t) for t in reps]

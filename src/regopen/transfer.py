@@ -68,19 +68,18 @@ class DenseEmbedding:
     """A dense subset of an ambient space together with its subspace.
 
     ``sub`` and ``index_map``, which sends ambient points of the subset to
-    subspace indices, are ``ambient.subspace(subset)``; ``points`` lists
-    ambient points in subspace-index order. ``restriction_isomorphism``
-    gives the maps between the regular opens of the two.
+    subspace indices, are ``ambient.subspace(subset)``.
+    ``restriction_isomorphism`` gives the maps between the regular opens of
+    the two.
     """
 
-    __slots__ = ("ambient", "sub", "index_map", "points", "_mask")
+    __slots__ = ("ambient", "sub", "index_map", "_mask")
 
     def __init__(self, ambient: Topology, subset: Iterable[int] | int):
         mask = ambient.to_mask(subset)
         if ambient.closure_mask(mask) != ambient.full_mask:
             raise NotDense(f"{sorted(set_of(mask))} is not dense in the ambient space")
         self.ambient = ambient
-        self.points = dense_rows(mask)[0]
         self.sub, self.index_map = ambient.subspace(mask)
         self._mask = mask
 
@@ -347,8 +346,11 @@ def transfer_isomorphism(
     zx, zy = ex.sub, ey.sub
     if zx.n != zy.n:
         raise CoresNotHomeomorphic(f"core sizes differ: {zx.n} vs {zy.n}")
-    perm = [core_map[i] for i in range(zx.n)]
-    if sorted(perm) != list(range(zy.n)):
+    try:
+        perm = [core_map[i] for i in range(zx.n)]
+    except LookupError:  # the map misses a point of the core
+        perm = None
+    if perm is None or sorted(perm) != list(range(zy.n)):
         raise CoresNotHomeomorphic("core map is not a bijection")
     if not _carries_neighbourhoods(zx, zy, dict(enumerate(perm))):
         raise CoresNotHomeomorphic("core map does not carry opens onto opens")

@@ -348,8 +348,8 @@ def transfer_oracle(ex, ey, core_map: dict[int, int]) -> dict[frozenset[int], fr
     out = {}
     for u in opens_as_sets(ex.ambient):
         if regular_open_oracle(ex.ambient, u):
-            core = frozenset(core_map[i] for i, p in enumerate(ex.points) if p in u)
-            upstairs = frozenset(ey.points[j] for j in core)
+            core = frozenset(core_map[i] for p, i in ex.index_map.items() if p in u)
+            upstairs = frozenset(p for p, j in ey.index_map.items() if j in core)
             out[u] = interior_oracle(ey.ambient, closure_oracle(ey.ambient, upstairs))
     return out
 

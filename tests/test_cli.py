@@ -251,7 +251,7 @@ def test_verify_all_runs_no_table_law_scan(n4_verify_all):
 def test_verify_bound_below_one_is_usage_error(bound, capsys):
     assert main(["verify", "--suite", "ux0", "--n", bound]) == 2
     captured = capsys.readouterr()
-    assert "pass" not in captured.out and "bound must be at least 1" in captured.err
+    assert captured.out == "" and captured.err == "error: ground set must have at least one point\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-2"])
@@ -259,7 +259,7 @@ def test_counterexamples_bound_below_one_is_usage_error(bound, capsys, monkeypat
     monkeypatch.setattr(suites, "canonical_classes", None)  # refused before enumerating
     assert main(["counterexamples", "--n", bound]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "at least one point" in captured.err
+    assert captured.out == "" and captured.err == "error: ground set must have at least one point\n"
 
 
 def test_verify_sample_is_usage_error(capsys):

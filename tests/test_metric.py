@@ -97,6 +97,12 @@ def test_non_bijection_rejected():
         combine_metric(ZERO_ONE, ZERO_ONE, [0, 0])
 
 
+@pytest.mark.parametrize("tau", [{0: 1}, [1]], ids=["dict", "list"])
+def test_a_tau_that_misses_a_point_is_not_a_bijection(tau):
+    with pytest.raises(NotABijection, match="tau must be a bijection"):
+        combine_metric(ZERO_ONE, ZERO_ONE, tau)
+
+
 def test_exact_fractions_survive():
     d = FiniteMetric([[0, Fraction(1, 3)], [Fraction(1, 3), 0]])
     assert combine_metric(d, ZERO_ONE, [0, 1])(0, 1) == 1

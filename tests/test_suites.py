@@ -23,12 +23,13 @@ from regopen import (
 from regopen.enumeration import (
     BUDGETS,
     EnumerationSpec,
+    canonical_classes,
     dense_masks,
     enumerate_dense_subsets,
     enumerate_topologies,
 )
 from regopen.errors import (
-    BadSuiteArgument,
+    BadEnumerationSpec,
     NotABasis,
     NotAMetric,
     NotDense,
@@ -38,7 +39,7 @@ from regopen.errors import (
     VerificationError,
 )
 from regopen.cli import main
-from regopen.ideals import ideals, ultrafilters
+from regopen.ideals import ideal_open_correspondence, ideals, maximal_ideals, ultrafilters
 from regopen.lattice import (
     AXIOM_NAMES,
     AxiomResult,
@@ -252,7 +253,7 @@ def test_joint_run_builds_dense_sets_once_and_tables_once_per_space_and_full_bui
 def test_bound_below_one_is_refused_before_enumerating(monkeypatch):
     monkeypatch.setattr(suites, "enumerate_topologies", None)  # enumerating would raise TypeError
     for bound in (0, -1):
-        with pytest.raises(BadSuiteArgument):
+        with pytest.raises(BadEnumerationSpec, match="^ground set must have at least one point$"):
             run_suite("ux0", bound=bound)
 
 
@@ -279,28 +280,75 @@ def test_gated_five_point_scale():
         run_suite("boolean", bound=5)
 
 
-# The entry point that each row of the budget table guards, called at n.
+# An entry point per row of the budget table, and run_suite for the labeled
+# row too, as a verify run makes the labeled walk: the row each checks, and
+# a call at n.
 BUDGET_ENTRY_POINTS = {
-    "enumerate": lambda n, allow_n5: EnumerationSpec(n, allow_n5=allow_n5),
-    "classes": lambda n, allow_n5: EnumerationSpec(n, mode="up-to-homeomorphism", allow_n5=allow_n5),
-    "verify": lambda n, allow_n5: run_suite("ideals", bound=n, allow_n5=allow_n5),
-    "counterexamples": lambda n, allow_n5: counterexample_search(n),
-    "ideals": lambda n, allow_n5: ideals(n),
+    "enumerate": ("enumerate", lambda n, allow_n5: EnumerationSpec(n, allow_n5=allow_n5)),
+    "classes": ("classes", lambda n, allow_n5: EnumerationSpec(n, mode="up-to-homeomorphism", allow_n5=allow_n5)),
+    "verify": ("enumerate", lambda n, allow_n5: run_suite("ideals", bound=n, allow_n5=allow_n5)),
+    "counterexamples": ("counterexamples", lambda n, allow_n5: counterexample_search(n)),
+    "ideals": ("ideals", lambda n, allow_n5: ideals(n)),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(BUDGETS))
+def test_every_budget_row_has_an_entry_point():
+    assert {row for row, _ in BUDGET_ENTRY_POINTS.values()} == set(BUDGETS)
+
+
+@pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
 def test_budget_row(entry, monkeypatch):
-    call = BUDGET_ENTRY_POINTS[entry]
-    largest, opt_in = BUDGETS[entry]
+    row, call = BUDGET_ENTRY_POINTS[entry]
+    largest, opt_in = BUDGETS[row]
     call(largest, allow_n5=opt_in is not None)
     monkeypatch.setattr(suites, "enumerate_topologies", None)  # enumerating would raise TypeError
     monkeypatch.setattr(enumeration, "enumerate_topologies", None)
     if opt_in is not None:
         with pytest.raises(SizeGuardExceeded, match="requires the explicit allow_n5 flag"):
             call(opt_in, allow_n5=False)
-    with pytest.raises(SizeGuardExceeded, match=f"{entry} is guarded at n <= {largest}"):
+    with pytest.raises(SizeGuardExceeded, match=f"{row} is guarded at n <= {largest}"):
         call(largest + 1, allow_n5=True)
+
+
+# Every entry point that takes a run's size: the row of the budget table it
+# is checked against, and either a call at n, opting in to n = 5 where it
+# can, or a command line that takes "--n n".
+SIZE_ENTRY_POINTS = {
+    "cli-enumerate": ("enumerate", ["enumerate", "--allow-n5"]),
+    "cli-verify": ("enumerate", ["verify", "--suite", "all", "--allow-n5"]),
+    "cli-counterexamples": ("counterexamples", ["counterexamples"]),
+    "EnumerationSpec": ("enumerate", lambda n: EnumerationSpec(n, allow_n5=True)),
+    "EnumerationSpec-classes": ("classes", lambda n: EnumerationSpec(n, mode="up-to-homeomorphism", allow_n5=True)),
+    "run_suites": ("enumerate", lambda n: run_suites(sorted(SUITES), n, allow_n5=True)),
+    "counterexample_search": ("counterexamples", counterexample_search),
+    "canonical_classes": ("classes", canonical_classes),
+    "ideals": ("ideals", ideals),
+    "maximal_ideals": ("ideals", maximal_ideals),
+    "ultrafilters": ("ideals", ultrafilters),
+    "ideal_open_correspondence": ("ideals", ideal_open_correspondence),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SIZE_ENTRY_POINTS))
+def test_every_entry_point_refuses_its_size_through_one_guard(entry, monkeypatch, capsys):
+    # n < 1 gets one error and one message everywhere, and one above the row
+    # is refused before any space is enumerated
+    row, call = SIZE_ENTRY_POINTS[entry]
+    largest = BUDGETS[row][0]
+    monkeypatch.setattr(suites, "enumerate_topologies", None)  # enumerating would raise TypeError
+    monkeypatch.setattr(enumeration, "enumerate_topologies", None)
+    refusals = [
+        (0, BadEnumerationSpec, "ground set must have at least one point"),
+        (-1, BadEnumerationSpec, "ground set must have at least one point"),
+        (largest + 1, SizeGuardExceeded, f"{row} is guarded at n <= {largest}"),
+    ]
+    for n, error, message in refusals:
+        if isinstance(call, list):
+            assert main(call + ["--n", str(n)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+        else:
+            with pytest.raises(error, match=f"^{message}$"):
+                call(n)
 
 
 def test_report_shape():

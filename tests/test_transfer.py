@@ -193,12 +193,12 @@ def test_trace_reads_only_the_dense_points_and_lift_is_int_cl():
         for t in enumerate_topologies(EnumerationSpec(n)):
             for y in dense_masks(t):
                 e = DenseEmbedding(t, y)
-                _, lift, trace = dense_rows(y)
+                points, lift, trace = dense_rows(y)
                 for mask in range(t.full_mask + 1):
                     inside = {e.index_map[p] for p in set_of(mask) if y >> p & 1}
                     assert set_of(trace[mask & y]) == inside
                 for v in range(e.sub.full_mask + 1):
-                    upstairs = frozenset(e.points[i] for i in set_of(v))
+                    upstairs = frozenset(points[i] for i in set_of(v))
                     assert set_of(t.regularize_mask(lift[v])) == interior_oracle(t, closure_oracle(t, upstairs))
 
 
@@ -227,8 +227,8 @@ def test_embedding_builds_its_subspace_and_checks_density():
             mask = t.to_mask(y)
             sub, index_map = t.subspace(y)
             for e in (DenseEmbedding(t, y), DenseEmbedding(t, mask)):
-                assert e.ambient is t and sum(1 << p for p in e.points) == mask
-                assert (e.sub, e.index_map, e.points) == (sub, index_map, tuple(sorted(y)))
+                assert e.ambient is t and (e.sub, e.index_map) == (sub, index_map)
+                assert sorted(e.index_map, key=e.index_map.get) == sorted(y)
     with pytest.raises(NotDense, match=r"\[2\] is not dense in the ambient space"):
         DenseEmbedding(X3, {2})
 
@@ -432,6 +432,13 @@ def test_transfer_rejects_non_homeomorphic_cores():
         transfer_isomorphism(ex, ey, {0: 0, 1: 1})
     with pytest.raises(CoresNotHomeomorphic):
         transfer_isomorphism(DenseEmbedding(X3, {0, 1}), ey, {0: 0, 1: 0})
+
+
+@pytest.mark.parametrize("core_map", [{}, {0: 1}], ids=["empty", "one-point"])
+def test_transfer_rejects_a_core_map_that_misses_a_point(core_map):
+    e = DenseEmbedding(X3, {0, 1})
+    with pytest.raises(CoresNotHomeomorphic, match="^core map is not a bijection$"):
+        transfer_isomorphism(e, e, core_map)
 
 
 def test_transfer_matches_the_pointwise_oracle():
