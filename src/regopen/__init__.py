@@ -45,7 +45,6 @@ from .metric import FiniteMetric, combine_metric
 from .stone import StoneSpace, stone_space
 from .suites import (
     CounterexamplePair,
-    SpaceContext,
     SuiteReport,
     counterexample_search,
     run_suite,
@@ -86,7 +85,6 @@ __all__ = [
     "PointSet",
     "RLatticeReport",
     "RegularOpenLattice",
-    "SpaceContext",
     "StoneSpace",
     "SuiteReport",
     "SymbolicSet",

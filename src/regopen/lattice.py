@@ -67,17 +67,15 @@ class FiniteLattice:
         self.payload_masks = payload_masks
 
     @classmethod
-    def from_leq(
-        cls,
-        m: int,
-        leq_pairs: Iterable[tuple[int, int]],
-        payload_masks: Sequence[int] | None = None,
-    ) -> "FiniteLattice":
+    def from_leq(cls, m: int, leq_pairs: Iterable[tuple[int, int]]) -> "FiniteLattice":
         """Build from an explicit order relation, validating lattice-hood.
 
         ``leq_pairs`` lists the ordered pairs (i, j) with i <= j; reflexive
         pairs may be omitted. Raises NotALattice if the relation is not a
-        partial order or some pair lacks an inf or sup.
+        partial order or some pair lacks an inf or sup, naming the first
+        such pair in row-major order, infs before sups. In a partial order
+        the inf of i and j is the one element whose down-set is their
+        common down-set, so it is found by lookup, and the sup likewise.
         """
         up = [1 << i for i in range(m)]
         for i, j in leq_pairs:
@@ -95,32 +93,20 @@ class FiniteLattice:
                     raise NotALattice(f"transitivity fails above ({i}, {j})")
         down = _transpose(up)
 
-        def inf(i: int, j: int) -> int:
-            common = down[i] & down[j]
-            for k in range(m):
-                if common >> k & 1 and down[k] == common:
-                    return k
-            raise NotALattice(f"pair ({i}, {j}) has no greatest lower bound")
+        def table(rows: list[int], bound: str) -> list[list[int]]:
+            index = {row: k for k, row in enumerate(rows)}
+            try:
+                return [[index[ri & rj] for rj in rows] for ri in rows]
+            except KeyError:
+                i, j = next((i, j) for i in range(m) for j in range(m) if rows[i] & rows[j] not in index)
+                raise NotALattice(f"pair ({i}, {j}) has no {bound}") from None
 
-        def sup(i: int, j: int) -> int:
-            common = up[i] & up[j]
-            for k in range(m):
-                if common >> k & 1 and up[k] == common:
-                    return k
-            raise NotALattice(f"pair ({i}, {j}) has no least upper bound")
-
-        meet = [[inf(i, j) for j in range(m)] for i in range(m)]
-        join = [[sup(i, j) for j in range(m)] for i in range(m)]
+        meet = table(down, "greatest lower bound")
+        join = table(up, "least upper bound")
         bottoms = [i for i in range(m) if up[i].bit_count() == m]
         if len(bottoms) != 1:
             raise NotALattice("lattice must have a unique least element")
-        return cls(
-            up,
-            meet,
-            join,
-            bottoms[0],
-            tuple(payload_masks) if payload_masks is not None else None,
-        )
+        return cls(up, meet, join, bottoms[0])
 
     # -- basic queries -------------------------------------------------------
 

@@ -83,7 +83,7 @@ def combine_metric(
         t = [tau[i] for i in range(dx.n)]
     except LookupError:  # tau misses a point
         t = None
-    if t is None or sorted(t) != list(range(dx.n)):
+    if t is None or len(tau) != dx.n or sorted(t) != list(range(dx.n)):
         raise NotABijection("tau must be a bijection of {0..n-1}")
     rows = [
         [max(dx.dist[i][j], dy.dist[t[i]][t[j]]) for j in range(dx.n)]

@@ -10,8 +10,9 @@ drops those; the groups without a space run after the walk. It counts every
 instance, counts a ``RegOpenError`` raised inside a check as a failure, and
 reports each suite deterministically: its groups come in a fixed order, and
 its failures keep the order of its instances. ``run_suite`` runs one suite
-the same way. Within a run, a verdict is checked once per distinct key of
-all that its check reads (see ``SpaceContext``).
+the same way. Each call makes one ``SpaceContext``, which holds what the
+run shares and is dropped when the call returns: within it, a verdict is
+checked once per distinct key of all that its check reads.
 
 A passing instance costs only the reads its claim needs: the per-space
 checks read their items from columns (``_Product``) and the space's
@@ -141,9 +142,9 @@ def _each(check: Callable[..., Result | None]) -> GroupCheck:
 _ONE_ITEM = ((),)
 
 
-def _one(check: Callable[..., Result | None], **shared) -> Group:
-    """A group of the single instance with fields ``shared``."""
-    return Group(shared, (), _ONE_ITEM, _each(check))
+def _one(check: Callable[..., Result | None]) -> Group:
+    """A group of the single instance ``check(ctx)``, with no fields."""
+    return Group({}, (), _ONE_ITEM, _each(check))
 
 
 class Suite(NamedTuple):
@@ -163,7 +164,6 @@ class SuiteReport:
     instances: int
     failures: list[dict]
     wall_time_s: float = 0.0
-    schema: int = 1
 
     @property
     def passed(self) -> bool:
@@ -173,7 +173,7 @@ class SuiteReport:
     def to_dict(self) -> dict:
         # Timing is volatile, so the byte-identical report leaves it out.
         return {
-            "schema": self.schema,
+            "schema": 1,
             "suite": self.suite,
             "bound": self.bound,
             "instances": self.instances,
@@ -201,7 +201,8 @@ def _same_operations(record: RegularOpenLattice, full: int, tables: OperatorTabl
 
 
 class SpaceContext:
-    """What the suites of a run share while it walks the labeled spaces.
+    """What the suites of one run share while it walks the labeled spaces.
+    ``run_suites`` makes one per call and drops it when the call returns.
 
     ``spaces(bound)`` walks the spaces on 1..bound points in enumeration
     order, and the space it has yielded last is the current one. The values
@@ -214,47 +215,41 @@ class SpaceContext:
     The context holds the spaces with fewer points than the bound, and
     their lattices, for the dense-subspace lookups: the subspace on a dense
     set of fewer points is one of them, and that on every point is the
-    current space. So it holds one space of the largest size at a time, and
-    a context may serve several runs. A finite space is determined by its
-    least neighbourhoods, so spaces and lattices are keyed by them, and
-    ``subspace`` and the ux0 check find those held under their traces on
-    a dense set (``transfer.subspace_key``). It is not thread-safe.
+    current space. So it holds one space of the largest size at a time. A
+    finite space is determined by its least neighbourhoods, so spaces and
+    lattices are keyed by them, and ``subspace`` and the ux0 check find
+    those held under their traces on a dense set
+    (``transfer.subspace_key``). It is not thread-safe.
 
-    For one run it remembers verdicts (``verdict``), each under a key of
-    everything its check reads, so each is exact: a lattice's index tables
-    for rlattice's axioms and for stone, the order and the well-inside rows
-    for rlattice's monotonicity scan, both order tables and both maps for
-    ux0, and a dense subspace's least neighbourhoods and basis for
-    recovery's basis check. It keeps a verdict, never a witness or a
-    lattice, and never a raise.
+    It remembers verdicts (``verdict``), each under a key of everything its
+    check reads, so each is exact: a lattice's index tables for rlattice's
+    axioms and for stone, the order and the well-inside rows for rlattice's
+    monotonicity scan, both order tables and both maps for ux0, and a dense
+    subspace's least neighbourhoods and basis for recovery's basis check.
+    It keeps a verdict, never a witness or a lattice, and never a raise.
 
-    It also keeps, for the run, a record of each regular-open family (the
-    family fixes a finite RO(X)): its first passing build, without a space.
-    A later space whose join and complement, read from its tables, equal
-    the record's (``_same_operations``) shares all of the record's tables,
-    and so its Boolean verdict; otherwise it gets a full build,
+    It also keeps a record of each regular-open family (the family fixes a
+    finite RO(X)): its first passing build, without a space. A later space
+    whose join and complement, read from its tables, equal the record's
+    (``_same_operations``) shares all of the record's tables, and so its
+    Boolean verdict; otherwise it gets a full build,
     ``RegularOpenLattice(t)``, which builds the space's tables again. The
     records' tables are interned: the 522 families with n <= 5 have 21
     shapes.
     """
 
     def __init__(self):
-        self._spaces: dict[int, dict[tuple[int, ...], Topology]] = {}
+        self._spaces: dict[tuple[int, ...], Topology] = {}
         self._lattices: dict[tuple[int, ...], RegularOpenLattice] = {}
         self._current: tuple[int, ...] | None = None
         self._values: dict[str, object] = {}
-        self.start_run()
-
-    def start_run(self) -> None:
-        """Remember no verdict and no family: ``run_suites`` calls this as
-        each run starts."""
         self._verdicts: dict[tuple, object] = {}
         self._records: dict[tuple[int, ...], RegularOpenLattice] = {}
         self._shapes: dict[tuple, tuple] = {}
 
     def verdict(self, key: tuple, check: Callable[[], object]):
-        """``check()``, remembered for the run under ``key``, which holds
-        everything the check reads."""
+        """``check()``, remembered under ``key``, which holds everything
+        the check reads."""
         value = self._verdicts.get(key, _UNSEEN)
         if value is _UNSEEN:
             value = self._verdicts[key] = check()
@@ -262,19 +257,17 @@ class SpaceContext:
 
     def spaces(self, bound: int) -> Iterator[Topology]:
         """The labeled spaces on 1..bound points, in enumeration order, each
-        the current space until the next is yielded. Those on fewer than
-        ``bound`` points are held; those on ``bound`` points are enumerated
-        as they are walked. The specs opt in: ``run_suites`` checked
+        the current space until the next is yielded. Each is enumerated as
+        it is walked, and those on fewer than ``bound`` points are held.
+        The specs opt in: ``run_suites`` checked
         ``bound`` against the "enumerate" row of ``enumeration.BUDGETS``,
         the row each spec checks again."""
         for n in range(1, bound + 1):
-            layer = self._spaces.get(n)
-            if layer is None:
-                layer = enumerate_topologies(EnumerationSpec(n, allow_n5=True))
+            for t in enumerate_topologies(EnumerationSpec(n, allow_n5=True)):
+                key = t.min_nbhd_masks
                 if n < bound:
-                    layer = self._spaces[n] = {t.min_nbhd_masks: t for t in layer}
-            for t in layer.values() if isinstance(layer, dict) else layer:
-                self._visit(t.min_nbhd_masks)
+                    self._spaces[key] = t
+                self._visit(key)
                 yield t
         self._visit(None)
 
@@ -314,7 +307,7 @@ class SpaceContext:
         lat = self._lattices.get(key)
         if lat is None:
             lat = self._own(t, "lattice", lambda: self._family_lattice(t))
-            if key in self._spaces.get(t.n, ()):
+            if key in self._spaces:
                 self._lattices[key] = lat
         return lat
 
@@ -339,8 +332,7 @@ class SpaceContext:
         if dense == t.full_mask:
             return t
         key = subspace_key(t, dense, dense_rows(dense))
-        held = self._spaces.get(dense.bit_count(), {}).get(key)
-        return held or t.subspace(dense)[0]
+        return self._spaces.get(key) or t.subspace(dense)[0]
 
 
 # -- individual suites ---------------------------------------------------------
@@ -739,13 +731,7 @@ def _charge(report: SuiteReport, mark: float) -> float:
     return now
 
 
-def run_suites(
-    names: Sequence[str],
-    bound: int = 3,
-    *,
-    allow_n5: bool = False,
-    context: SpaceContext | None = None,
-) -> list[SuiteReport]:
+def run_suites(names: Sequence[str], bound: int = 3, *, allow_n5: bool = False) -> list[SuiteReport]:
     """Run the named suites in one walk over the enumeration up to ``bound``
     points, and report each, in the order of ``names``.
 
@@ -753,8 +739,9 @@ def run_suites(
     walk, the "enumerate" row of ``enumeration.BUDGETS``, for every suite,
     also those that walk no space. The walk visits each space once and runs
     the group of every suite for it, in the order of ``names``, sharing the
-    space's values through ``context`` (a new ``SpaceContext`` without one);
-    the groups that need no space run after it, suite by suite. Each group
+    space's values through one new ``SpaceContext``, which the call drops
+    when it returns; the groups that need no space run after the walk,
+    suite by suite, on the same context. Each group
     is built, checked and freed before the clock is read, and a suite's
     ``wall_time_s`` is the sum of the time since the last reading over its
     groups, so the first suite of a space also carries enumerating it. A
@@ -766,9 +753,7 @@ def run_suites(
         if name not in SUITES:
             raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     check_budget("enumerate", bound, allow_n5)
-    if context is None:
-        context = SpaceContext()
-    context.start_run()
+    context = SpaceContext()
     reports = [SuiteReport(suite=name, bound=bound, instances=0, failures=[]) for name in names]
     chosen = [(SUITES[name], report) for name, report in zip(names, reports)]
     per_space = [(suite.space, report) for suite, report in chosen if suite.space]
@@ -788,15 +773,9 @@ def run_suites(
     return reports
 
 
-def run_suite(
-    name: str,
-    bound: int = 3,
-    *,
-    allow_n5: bool = False,
-    context: SpaceContext | None = None,
-) -> SuiteReport:
+def run_suite(name: str, bound: int = 3, *, allow_n5: bool = False) -> SuiteReport:
     """Run one named suite: ``run_suites([name], ...)``, with the same arguments."""
-    return run_suites([name], bound, allow_n5=allow_n5, context=context)[0]
+    return run_suites([name], bound, allow_n5=allow_n5)[0]
 
 
 # -- counterexample gallery ------------------------------------------------------

@@ -117,7 +117,8 @@ class LatticeIsoWitness:
 
     Construction verifies that forward and backward are mutually inverse
     bijections preserving order in both directions; a failure names the
-    offending element(s) by their sorted point sets.
+    offending element(s) by their sorted point sets. Maps that are not each
+    m indices of the m elements raise NotABijection first.
     """
 
     __slots__ = ("source", "target", "forward", "backward")
@@ -131,6 +132,11 @@ class LatticeIsoWitness:
     ):
         if source.m != target.m:
             raise CompositionNotIso("lattice sizes differ", (source.m, target.m))
+        m = source.m
+        if not len(forward) == len(backward) == m or not all(
+            type(i) is int and 0 <= i < m for i in (*forward, *backward)
+        ):
+            raise NotABijection(f"forward and backward must each be {m} element indices in range({m})")
         # With equal sizes, backward(forward(i)) == i for every i makes forward
         # a bijection with inverse backward, so no second round trip is owed.
         for i in range(source.m):
@@ -350,7 +356,7 @@ def transfer_isomorphism(
         perm = [core_map[i] for i in range(zx.n)]
     except LookupError:  # the map misses a point of the core
         perm = None
-    if perm is None or sorted(perm) != list(range(zy.n)):
+    if perm is None or len(core_map) != zx.n or sorted(perm) != list(range(zy.n)):
         raise CoresNotHomeomorphic("core map is not a bijection")
     if not _carries_neighbourhoods(zx, zy, dict(enumerate(perm))):
         raise CoresNotHomeomorphic("core map does not carry opens onto opens")

@@ -188,6 +188,28 @@ def check_inf_sup_oracle(l) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def meet_join_oracle(m: int, leq: set[tuple[int, int]]) -> tuple[list, list] | str:
+    """The meet and join tables of the partial order ``leq`` on m elements
+    (all its pairs (i, j) with i <= j, reflexive ones too), by definition:
+    the inf of i and j is the lower bound above every lower bound, the sup
+    dually. Else the message of the first pair without one, in row-major
+    order, infs before sups."""
+
+    def bound(i, j, below, name):
+        common = [k for k in range(m) if below(k, i) and below(k, j)]
+        best = [k for k in common if all(below(c, k) for c in common)]
+        if not best:
+            raise LookupError(f"pair ({i}, {j}) has no {name}")
+        return best[0]
+
+    try:
+        meet = [[bound(i, j, lambda a, b: (a, b) in leq, "greatest lower bound") for j in range(m)] for i in range(m)]
+        join = [[bound(i, j, lambda a, b: (b, a) in leq, "least upper bound") for j in range(m)] for i in range(m)]
+    except LookupError as exc:
+        return str(exc.args[0])
+    return meet, join
+
+
 def boolean_algebra_oracle(l) -> tuple[bool, tuple | None]:
     """The pairwise Boolean-law scan: meet and join are the inf and sup of
     the stored order, and involution, the complement laws and De Morgan

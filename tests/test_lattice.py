@@ -41,6 +41,7 @@ from oracles import (
     closure_oracle,
     interior_oracle,
     meet_compatible_oracle,
+    meet_join_oracle,
     opens_as_sets,
     relative_complement_oracle,
     transport_relation_oracle,
@@ -104,11 +105,38 @@ def test_atoms():
 
 
 def test_from_leq_rejects_non_lattices():
-    with pytest.raises(NotALattice):
+    with pytest.raises(NotALattice, match=r"^pair \(1, 2\) has no least upper bound$"):
         # two maximal elements, no join
         FiniteLattice.from_leq(3, [(0, 1), (0, 2)])
     with pytest.raises(NotALattice):
         FiniteLattice.from_leq(2, [(0, 1), (1, 0)])
+
+
+def test_from_leq_matches_the_definition_on_random_orders():
+    # seeded partial orders on up to 6 elements, each the transitive
+    # closure of random pairs i < j: from_leq's tables, or its message for
+    # the first pair without an inf or sup, against the definition
+    rng = random.Random(8)
+    refused = 0
+    for _ in range(400):
+        m = rng.randint(1, 6)
+        leq = {(i, i) for i in range(m)} | {(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.5}
+        while True:
+            closed = leq | {(i, k) for i, j in leq for j2, k in leq if j == j2}
+            if closed == leq:
+                break
+            leq = closed
+        expected = meet_join_oracle(m, leq)
+        if isinstance(expected, str):
+            refused += 1
+            with pytest.raises(NotALattice) as exc:
+                FiniteLattice.from_leq(m, leq)
+            assert str(exc.value) == expected
+        else:
+            lat = FiniteLattice.from_leq(m, leq)
+            assert [list(row) for row in lat.meet] == expected[0]
+            assert [list(row) for row in lat.join] == expected[1]
+    assert 0 < refused < 400
 
 
 # -- structure checks --------------------------------------------------------------

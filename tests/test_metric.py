@@ -97,7 +97,11 @@ def test_non_bijection_rejected():
         combine_metric(ZERO_ONE, ZERO_ONE, [0, 0])
 
 
-@pytest.mark.parametrize("tau", [{0: 1}, [1]], ids=["dict", "list"])
+@pytest.mark.parametrize(
+    "tau",
+    [{0: 1}, [1], [0, 1, 7], {0: 0, 1: 1, 5: 9}],
+    ids=["dict", "list", "list-beyond-n", "dict-beyond-n"],
+)
 def test_a_tau_that_misses_a_point_is_not_a_bijection(tau):
     with pytest.raises(NotABijection, match="tau must be a bijection"):
         combine_metric(ZERO_ONE, ZERO_ONE, tau)

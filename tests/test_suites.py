@@ -116,11 +116,14 @@ def test_reports_are_byte_identical_across_runs():
     assert a == b
 
 
-def test_shared_context_reports_equal_lone_runs():
-    context = SpaceContext()
-    for name in sorted(SUITES):
-        shared = run_suite(name, bound=3, context=context)
-        assert shared.to_json() == run_suite(name, bound=3).to_json()
+def test_shared_context_reports_equal_lone_runs(monkeypatch):
+    # successive runs share no context: each builds exactly one new one,
+    # and its report is that of the suite run alone
+    lone = {name: run_suite(name, bound=3).to_json() for name in sorted(SUITES)}
+    made = _recording_contexts(monkeypatch)
+    for runs, name in enumerate(sorted(SUITES), 1):
+        assert run_suite(name, bound=3).to_json() == lone[name]
+        assert len(made) == len(set(map(id, made))) == runs
 
 
 # -- one walk for several suites ---------------------------------------------------
@@ -206,7 +209,7 @@ def test_joint_run_holds_only_the_smaller_spaces_and_the_current_one(monkeypatch
     seen = []
 
     def inspect(ctx, group):
-        held = [t for layer in ctx._spaces.values() for t in layer.values()]
+        held = list(ctx._spaces.values())
         lattices = list(ctx._lattices.values()) + [
             v for v in ctx._values.values() if isinstance(v, RegularOpenLattice)
         ]
@@ -453,15 +456,36 @@ class _Forgetful(SpaceContext):
     record either, so every lattice it gives is a full build."""
 
     def __init__(self, families: bool = True):
-        self.families = families
         super().__init__()
-
-    def start_run(self):
-        super().start_run()
+        self.families = families
         self._verdicts = _NeverKept()
 
     def _family_lattice(self, t):
         return super()._family_lattice(t) if self.families else RegularOpenLattice(t)
+
+
+def _forgetful_runs(names, bound, families: bool = True, allow_n5: bool = False) -> list:
+    """``run_suites(names, bound)`` with each run's context a ``_Forgetful``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "SpaceContext", functools.partial(_Forgetful, families))
+        return run_suites(names, bound, allow_n5=allow_n5)
+
+
+def _forgetful_json(name, bound, families: bool = True) -> str:
+    return _forgetful_runs([name], bound, families)[0].to_json()
+
+
+def _recording_contexts(monkeypatch) -> list:
+    """Make each run's context record itself; the list gains every context made."""
+    made = []
+
+    class Recording(SpaceContext):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(suites, "SpaceContext", Recording)
+    return made
 
 
 def _tables(lat):
@@ -485,11 +509,11 @@ def test_memo_changes_no_report(bound):
     # eleven suites at bound 4
     names = _reading_spaces(every=bound == 4)
     joint = run_suites(names, bound)
-    for forgetful in (_Forgetful(), _Forgetful(families=False)):
-        assert [r.to_json() for r in joint] == [r.to_json() for r in run_suites(names, bound, context=forgetful)]
+    for families in (True, False):
+        assert [r.to_json() for r in joint] == [r.to_json() for r in _forgetful_runs(names, bound, families)]
     for name in _MEMO_READERS:
         alone = run_suite(name, bound).to_json()
-        assert alone == run_suite(name, bound, context=_Forgetful()).to_json()
+        assert alone == _forgetful_json(name, bound)
         assert alone == joint[names.index(name)].to_json()
 
 
@@ -497,7 +521,7 @@ def test_memo_changes_no_n5_report():
     # every instance of the memo readers at n = 5, byte for byte that of a
     # run that shares no verdict and no family record
     memo = run_suites(_MEMO_READERS, 5, allow_n5=True)
-    never_shared = run_suites(_MEMO_READERS, 5, allow_n5=True, context=_Forgetful(families=False))
+    never_shared = _forgetful_runs(_MEMO_READERS, 5, families=False, allow_n5=True)
     assert [r.to_json() for r in memo] == [r.to_json() for r in never_shared]
 
 
@@ -529,10 +553,9 @@ def test_memo_checks_each_distinct_table_once_per_run(monkeypatch):
     monkeypatch.setattr(suites, "check_r_lattice", counting_check)
     monkeypatch.setattr(suites, "stone_space", counting_stone)
     monkeypatch.setattr(suites, "LatticeIsoWitness", counting_witness)
-    context = SpaceContext()
     for runs in (1, 2):
-        # a second run on the same context remembers nothing of the first
-        assert all(r.passed for r in run_suites(_MEMO_READERS, 4, context=context))
+        # a second run, on its own context, remembers nothing of the first
+        assert all(r.passed for r in run_suites(_MEMO_READERS, 4))
         assert set(rlattice) == set(stone) == tables
         assert set(witnesses) == passing
         assert set(rlattice.values()) == set(stone.values()) == set(witnesses.values()) == {runs}
@@ -554,7 +577,7 @@ def test_memo_reports_an_rlattice_failure_on_every_space_sharing_its_tables(monk
     sharing = [space_to_dict(t) for t in _spaces_to(4) if _tables(regular_open_lattice(t)) == planted]
     assert len(sharing) > 1
     assert [failure["space"] for failure in report.failures] == sharing
-    assert report.to_json() == run_suite("rlattice", 4, context=_Forgetful()).to_json()
+    assert report.to_json() == _forgetful_json("rlattice", 4)
 
 
 def _lattice_with_tables(t, tables):
@@ -614,8 +637,8 @@ def test_memo_reports_a_planted_closure_on_exactly_the_space_whose_rows_it_chang
     )
     report = run_suite("rlattice", 3)
     assert report.failures == [{"space": space_to_dict(target), "error": error}]
-    for forgetful in (_Forgetful(), _Forgetful(families=False)):
-        assert report.to_json() == run_suite("rlattice", 3, context=forgetful).to_json()
+    for families in (True, False):
+        assert report.to_json() == _forgetful_json("rlattice", 3, families)
 
 
 def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
@@ -649,7 +672,7 @@ def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
     assert len({failure["error"] for failure in expected}) > 1
     report = run_suite("ux0", 3)
     assert report.failures == expected
-    assert report.to_json() == run_suite("ux0", 3, context=_Forgetful()).to_json()
+    assert report.to_json() == _forgetful_json("ux0", 3)
 
 
 def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
@@ -667,7 +690,7 @@ def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
     monkeypatch.setattr(suites, "restriction_maps", wrong)
     report = run_suite("ux0", 3)
     assert len(report.failures) == sum(len(dense_masks(t)) for t in _spaces_to(3) if regular_open_lattice(t).m >= 2)
-    assert report.to_json() == run_suite("ux0", 3, context=_Forgetful()).to_json()
+    assert report.to_json() == _forgetful_json("ux0", 3)
 
 
 _LATTICE_FIELDS = (
@@ -765,14 +788,15 @@ def test_a_space_whose_join_differs_from_its_family_record_gets_the_full_build(m
     assert [r.failures for r in reports[:3]] == [[failure]] * 3
     assert reports[3].failures == [{**failure, "dense": sorted(set_of(y))} for y in dense_masks(target)]
     assert members[0] in built and target in built and not set(members[2:]) & set(built)
-    never_shared = run_suites(names, 3, context=_Forgetful(families=False))
+    never_shared = _forgetful_runs(names, 3, families=False)
     assert [r.to_json() for r in reports] == [r.to_json() for r in never_shared]
 
 
-def test_memo_holds_no_lattice():
+def test_memo_holds_no_lattice(monkeypatch):
     # a remembered witness would pin both of its lattices for the run
-    context = SpaceContext()
-    run_suites(_MEMO_READERS, 4, context=context)
+    made = _recording_contexts(monkeypatch)
+    run_suites(_MEMO_READERS, 4)
+    (context,) = made
     remembered = list(context._verdicts.values())
     assert remembered and None in remembered
     assert not any(isinstance(value, (LatticeIsoWitness, RegularOpenLattice)) for value in remembered)

@@ -131,7 +131,7 @@ def test_restriction_isomorphism_exhaustive_small():
 def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
     # every (space, dense set) with n <= 4: the same forward and backward
     # tuples from the reg table as from regularize_mask, over the same
-    # lattices, and no failure in the ux0 suite, on a shared context or not
+    # lattices, and no failure in the ux0 suite
     ctx = SpaceContext()
     instances = 0
     for t in ctx.spaces(4):
@@ -144,9 +144,8 @@ def test_restriction_kernel_maps_are_those_of_restriction_isomorphism():
             maps = restriction_maps(up, down, y, dense_rows(y), reg)
             assert maps == (witness.forward, witness.backward)
         instances += len(dense)
-    for context in (ctx, SpaceContext()):
-        report = run_suite("ux0", 4, context=context)
-        assert report.failures == [] and report.instances == instances
+    report = run_suite("ux0", 4)
+    assert report.failures == [] and report.instances == instances
 
 
 def _swapping_first_two_images(monkeypatch, keep_inverse: bool) -> None:
@@ -292,6 +291,23 @@ def test_order_check_matches_the_pairwise_scan():
     assert 0 < refused < len(cases)
 
 
+@pytest.mark.parametrize(
+    "forward, backward",
+    [
+        ((0, 1, 2, 9), (0, 1, 2, 3)),
+        ((0, 1, 2), (0, 1, 2, 3)),
+        ((-1, 0, 1, 2), (0, 1, 2, 3)),
+        ((0, 1, 2, 3), (0, 1, 2, 3, 99)),
+    ],
+    ids=["index-beyond-m", "too-short", "negative-index", "backward-too-long"],
+)
+def test_witness_refuses_maps_that_are_not_m_indices(forward, backward):
+    lat = regular_open_lattice(X3)
+    assert lat.m == 4
+    with pytest.raises(NotABijection, match="^forward and backward must each be 4 element indices in range"):
+        LatticeIsoWitness(lat, lat, forward, backward)
+
+
 def test_apply_refuses_a_set_that_is_not_regular_open():
     w = restriction_isomorphism(DenseEmbedding(X3, {0, 1}))
     assert w.apply({0}) == fs({0})
@@ -434,7 +450,9 @@ def test_transfer_rejects_non_homeomorphic_cores():
         transfer_isomorphism(DenseEmbedding(X3, {0, 1}), ey, {0: 0, 1: 0})
 
 
-@pytest.mark.parametrize("core_map", [{}, {0: 1}], ids=["empty", "one-point"])
+@pytest.mark.parametrize(
+    "core_map", [{}, {0: 1}, {0: 0, 1: 1, 2: 5}], ids=["empty", "one-point", "beyond-the-core"]
+)
 def test_transfer_rejects_a_core_map_that_misses_a_point(core_map):
     e = DenseEmbedding(X3, {0, 1})
     with pytest.raises(CoresNotHomeomorphic, match="^core map is not a bijection$"):

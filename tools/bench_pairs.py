@@ -13,9 +13,10 @@ moved to one fixed directory and moved back afterwards, so both sides run
 from the same path: verify-n5's peak RSS has been seen to move by about
 1 MB, the size of its 5% bound, with the path of the checkout alone. The
 end-to-end metrics of every run go to BENCH_<workload>.json in the current
-directory, with each side's median and quartiles per metric and the number
-of pairs in which REV_B reads better, worse or the same. The script changes
-nothing in either revision's benchmark.
+directory, with each side's median and quartiles per metric, the number
+of pairs in which REV_B reads better, worse or the same, and whether REV_B's
+median is within the metric's bound of REV_A's. The script changes nothing
+in either revision's benchmark.
 """
 
 from __future__ import annotations
@@ -80,20 +81,27 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the
-    pairs in which side b reads better, worse or the same as side a."""
+    """Per end-to-end metric: each side's median and quartiles, the pairs
+    in which side b reads better, worse or the same as side a, ``change``,
+    b's median relative to a's, positive where b reads better (None when
+    a's is 0), and ``within_bound``, whether b's median is worse than a's
+    by no more than ``bound`` times a's."""
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         values = {side: [run[side]["metrics"][name]["value"] for run in runs] for side in SIDES}
         gaps = [sign * (a - b) for a, b in zip(values["a"], values["b"])]
+        spreads = {side: spread(values[side]) for side in SIDES}
+        a, b = spreads["a"]["median"], spreads["b"]["median"]
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            **{side: spread(values[side]) for side in SIDES},
+            **spreads,
             "b_wins": sum(gap > 0 for gap in gaps),
             "b_losses": sum(gap < 0 for gap in gaps),
             "ties": sum(gap == 0 for gap in gaps),
+            "change": sign * (a - b) / abs(a) if a else None,
+            "within_bound": sign * (b - a) <= metric["bound"] * abs(a),
         }
     return out
 
