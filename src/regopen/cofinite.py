@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import MalformedSpace, NotOpen, VerificationError
+from .errors import MalformedSpace, VerificationError
 
 FINITE = "finite"
 COFINITE = "cofinite"
@@ -51,10 +51,6 @@ class SymbolicSet:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "support": sorted(self.support)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SymbolicSet":
-        return cls(d["kind"], d["support"])
-
 
 _new = object.__new__
 _set_kind = SymbolicSet.kind.__set__
@@ -81,6 +77,8 @@ def cofinite(labels: Iterable[int] = ()) -> SymbolicSet:
 
 EMPTY = finite()
 FULL = cofinite()
+# the opens whose regularization ``regular_opens`` traces: every one is open
+_SAMPLE_OPENS = (EMPTY, FULL, cofinite({0}), cofinite({0, 1}), cofinite(range(5)))
 
 
 def complement(a: SymbolicSet) -> SymbolicSet:
@@ -164,29 +162,16 @@ def trace_regularize(a: SymbolicSet) -> RegularizationTrace:
     return RegularizationTrace(a, closure(a), reg, is_open(a) and reg == a)
 
 
-def regular_opens(
-    sample_opens: Iterable[SymbolicSet] | None = None,
-) -> tuple[tuple[SymbolicSet, SymbolicSet], tuple[RegularizationTrace, ...]]:
+def regular_opens() -> tuple[tuple[SymbolicSet, SymbolicSet], tuple[RegularizationTrace, ...]]:
     """The two-element regular-open family, plus a regularization trace.
 
-    The trace shows, for each sampled open, its closure and regularization:
-    every nonempty proper open (a cofinite set with nonempty support)
-    regularizes to the full set and is therefore not regular.
+    The trace shows, for each open of ``_SAMPLE_OPENS``, its closure and
+    regularization: every nonempty proper open (a cofinite set with
+    nonempty support) regularizes to the full set and is therefore not
+    regular.
     """
-    if sample_opens is None:
-        sample_opens = (
-            EMPTY,
-            FULL,
-            cofinite({0}),
-            cofinite({0, 1}),
-            cofinite(range(5)),
-        )
-    traces = []
-    for a in sample_opens:
-        if not is_open(a):
-            raise NotOpen(f"{a!r} is not open in the cofinite topology")
-        traces.append(trace_regularize(a))
+    traces = tuple(map(trace_regularize, _SAMPLE_OPENS))
     for tr in traces:
         if tr.regular != (tr.queried in (EMPTY, FULL)):
             raise VerificationError(f"regularity of {tr.queried!r} disagrees with the two-element family")
-    return (EMPTY, FULL), tuple(traces)
+    return (EMPTY, FULL), traces

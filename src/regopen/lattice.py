@@ -1,5 +1,13 @@
-"""Finite lattices, the regular-open Boolean algebra of a space, and the
-R-lattice axioms with an explicit extra relation.
+"""Finite lattices, the regular-open Boolean algebra of a space, its order
+isomorphisms, and the R-lattice axioms with an explicit extra relation.
+
+A lattice is Boolean when its atom map, each element to the set of atoms
+below it, is an order isomorphism onto the powerset of the atoms
+(``_atom_sets``). That one test is the Boolean decision of the package:
+``check_boolean_algebra`` runs it on every regular-open lattice it builds,
+``boolean_atom_masks`` raises NotBoolean where it fails, and the order
+isomorphisms of two Boolean lattices are the permutations of their atoms
+(``find_order_isomorphisms``).
 
 The extra relation (written ``>>`` in the literature and called
 ``well_inside`` here, after its topological reading "U contains the closure
@@ -18,12 +26,13 @@ that scan is a plain walk over every two pairs of the relation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import eq
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, NotABijection, NotALattice, VerificationError
-from .topology import PointSet, Topology, iter_bits, set_of
+from .errors import IndexOutOfRange, NotABijection, NotALattice, NotBoolean, VerificationError
+from .topology import PointSet, Topology, iter_bits, permute_mask, set_of
 
 PairRelation = frozenset[tuple[int, int]]
 
@@ -79,7 +88,7 @@ class FiniteLattice:
         """
         up = [1 << i for i in range(m)]
         for i, j in leq_pairs:
-            if not (0 <= i < m and 0 <= j < m):
+            if not (type(i) is int and type(j) is int and 0 <= i < m and 0 <= j < m):
                 raise NotALattice(f"element index out of range in pair ({i}, {j})")
             up[i] |= 1 << j
         # partial order: antisymmetry and transitivity
@@ -205,6 +214,15 @@ def _atom_sets(l: FiniteLattice) -> tuple[list[int], tuple | None]:
         if above != l.up[u]:
             return masks, ("atom-map-not-monotone", u, _lowest(above ^ l.up[u]))
     return masks, None
+
+
+def boolean_atom_masks(l: FiniteLattice) -> list[int]:
+    """The atom masks of ``_atom_sets``; NotBoolean, with its witness, unless
+    the atom map is an order isomorphism onto the powerset of the atoms."""
+    masks, witness = _atom_sets(l)
+    if witness is not None:
+        raise NotBoolean(f"atom map is not an order isomorphism onto the powerset: {witness}")
+    return masks
 
 
 class RegularOpenLattice(FiniteLattice):
@@ -384,7 +402,7 @@ def relation_rows(l: FiniteLattice, rel: Iterable[tuple[int, int]]) -> list[int]
     (f, g) in rel. IndexOutOfRange names a pair outside the lattice."""
     rows = [0] * l.m
     for f, g in rel:
-        if not (0 <= f < l.m and 0 <= g < l.m):
+        if not (type(f) is int and type(g) is int and 0 <= f < l.m and 0 <= g < l.m):
             raise IndexOutOfRange(f"relation pair ({f}, {g}) out of range for m={l.m}")
         rows[f] |= 1 << g
     return rows
@@ -530,7 +548,7 @@ def check_r_lattice(l: FiniteLattice, rows: Sequence[int]) -> RLatticeReport:
     holds O(m) more ints.
     """
     m, bot, join = l.m, l.bottom, l.join
-    if len(rows) != m or not all(0 <= row < 1 << m for row in rows):
+    if len(rows) != m or not all(type(row) is int and 0 <= row < 1 << m for row in rows):
         raise IndexOutOfRange(f"a relation on m={m} elements is {m} rows below 2^{m}, not {list(rows)}")
     cols = _transpose(rows)
     live = [f for f in range(m) if rows[f]]
@@ -594,56 +612,33 @@ def check_r_lattice(l: FiniteLattice, rows: Sequence[int]) -> RLatticeReport:
     return RLatticeReport(tuple(results))
 
 
-# -- order isomorphism search ---------------------------------------------------
-
-
-def _order_signature(l: FiniteLattice, i: int) -> tuple[int, int]:
-    return (l.down[i].bit_count(), l.up[i].bit_count())
+# -- order isomorphisms of Boolean lattices -------------------------------------
 
 
 def find_order_isomorphisms(l1: FiniteLattice, l2: FiniteLattice) -> list[tuple[int, ...]]:
     """All bijections phi with i <= j iff phi(i) <= phi(j), lexicographic.
 
-    Backtracking over element images, pruned by (down-set size, up-set size)
-    signatures and partial order consistency.
+    Lattices of different sizes have none. Otherwise both must be Boolean
+    (``boolean_atom_masks``), and then each atom map is an order isomorphism
+    onto the powerset of the k atoms, so the order isomorphisms are the k!
+    maps sending the element with atom mask A to the element of ``l2``
+    with atom mask sigma(A), one per permutation sigma of the atoms.
     """
     if l1.m != l2.m:
         return []
-    m = l1.m
-    sig1 = [_order_signature(l1, i) for i in range(m)]
-    sig2 = [_order_signature(l2, i) for i in range(m)]
-    if sorted(sig1) != sorted(sig2):
-        return []
-    out: list[tuple[int, ...]] = []
-    image: list[int] = [-1] * m
-    used = [False] * m
-
-    def backtrack(i: int):
-        if i == m:
-            out.append(tuple(image))
-            return
-        for y in range(m):
-            if used[y] or sig1[i] != sig2[y]:
-                continue
-            if any(
-                l1.leq(a, i) != l2.leq(image[a], y) or l1.leq(i, a) != l2.leq(y, image[a])
-                for a in range(i)
-            ):
-                continue
-            image[i] = y
-            used[y] = True
-            backtrack(i + 1)
-            used[y] = False
-            image[i] = -1
-
-    backtrack(0)
-    return out
+    masks1 = boolean_atom_masks(l1)
+    index2 = {mask: u for u, mask in enumerate(boolean_atom_masks(l2))}
+    k = l1.m.bit_length() - 1
+    return sorted(
+        tuple(index2[permute_mask(mask, sigma)] for mask in masks1)
+        for sigma in itertools.permutations(range(k))
+    )
 
 
 def transport_relation(rows: Sequence[int], phi: Sequence[int]) -> tuple[int, ...]:
     """The rows of a relation pushed through an element bijection: (f, g)
     goes to (phi[f], phi[g]). NotABijection refuses a phi that is not one."""
-    if sorted(phi) != list(range(len(rows))):
+    if any(type(x) is not int for x in phi) or sorted(phi) != list(range(len(rows))):
         raise NotABijection(f"phi must be a permutation of range({len(rows)}), not {list(phi)}")
     moved = {phi[f]: sum(1 << phi[g] for g in iter_bits(row)) for f, row in enumerate(rows)}
     return tuple(moved[f] for f in range(len(rows)))

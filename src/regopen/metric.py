@@ -83,7 +83,8 @@ def combine_metric(
         t = [tau[i] for i in range(dx.n)]
     except LookupError:  # tau misses a point
         t = None
-    if t is None or len(tau) != dx.n or sorted(t) != list(range(dx.n)):
+    ints = t is not None and all(type(x) is int for x in t)  # bools and floats refused
+    if not ints or len(tau) != dx.n or sorted(t) != list(range(dx.n)):
         raise NotABijection("tau must be a bijection of {0..n-1}")
     rows = [
         [max(dx.dist[i][j], dy.dist[t[i]][t[j]]) for j in range(dx.n)]

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotBoolean
-from .lattice import RegularOpenLattice, _atom_sets
+from .lattice import RegularOpenLattice, boolean_atom_masks
 from .topology import PointSet, Topology, discrete, set_of
 
 # One validated discrete space per atom count; MAX_OPENS keeps that to k <= 10.
@@ -33,8 +32,6 @@ def stone_space(b: RegularOpenLattice) -> StoneSpace:
     which sends each element to the set of atoms below it: NotBoolean, with
     the witness of ``check_boolean_algebra``'s test, unless it is an order
     isomorphism onto the powerset of the atoms. It reads the order only."""
-    masks, witness = _atom_sets(b)
-    if witness is not None:
-        raise NotBoolean(f"atom map is not an order isomorphism onto the powerset: {witness}")
+    masks = boolean_atom_masks(b)
     atoms = b.atoms()
     return StoneSpace(_discrete(len(atoms)), atoms, tuple(map(set_of, masks)))

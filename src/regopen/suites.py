@@ -45,7 +45,7 @@ from .lattice import (
     well_inside_rows,
 )
 from .metric import FiniteMetric, combine_metric
-from .serialize import canonical_json, space_to_dict
+from .serialize import space_to_dict
 from .stone import stone_space
 from .topology import OperatorTables, Topology, iter_bits, set_of, submasks
 from .transfer import (
@@ -180,9 +180,6 @@ class SuiteReport:
             "failures": self.failures,
             "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
 
 
 def _same_operations(record: RegularOpenLattice, full: int, tables: OperatorTables) -> bool:
@@ -787,7 +784,8 @@ class CounterexamplePair:
 
     ``iso`` is the lexicographically first order isomorphism; the two
     topologically induced well-inside relations, as rows, are reported
-    along with whether the iso (or any iso) carries one onto the other.
+    along with whether the iso (or any of the k! isos, one per
+    permutation of the k atoms) carries one onto the other.
     """
 
     t1: Topology
@@ -812,7 +810,10 @@ class CounterexamplePair:
 
 def counterexample_search(max_n: int) -> list[CounterexamplePair]:
     """All pairs of homeomorphism-class representatives (n <= max_n) whose
-    regular-open lattices are order isomorphic, in canonical order."""
+    regular-open lattices are order isomorphic, in canonical order. Those
+    are the pairs whose lattices have the same size: each is Boolean, so
+    two of 2^k elements are isomorphic through each permutation of the k
+    atoms (``find_order_isomorphisms``)."""
     check_budget("counterexamples", max_n)
     reps = canonical_classes(max_n)
     lats = [regular_open_lattice(t) for t in reps]
@@ -824,8 +825,6 @@ def counterexample_search(max_n: int) -> list[CounterexamplePair]:
             if lats[i].m != lats[j].m:
                 continue
             isos = find_order_isomorphisms(lats[i], lats[j])
-            if not isos:
-                continue
             reported = isos[0]
             same_reported = transport_relation(rels[i], reported) == rels[j]
             same_some = any(transport_relation(rels[i], phi) == rels[j] for phi in isos)

@@ -45,7 +45,7 @@ def mask_of(points: Iterable[int], n: int) -> int:
     """Encode a subset of {0..n-1} as a bitmask, validating every index."""
     m = 0
     for p in points:
-        if not 0 <= p < n:
+        if type(p) is not int or not 0 <= p < n:
             raise IndexOutOfRange(f"point {p} outside ground set of size {n}")
         m |= 1 << p
     return m

@@ -356,7 +356,8 @@ def transfer_isomorphism(
         perm = [core_map[i] for i in range(zx.n)]
     except LookupError:  # the map misses a point of the core
         perm = None
-    if perm is None or len(core_map) != zx.n or sorted(perm) != list(range(zy.n)):
+    ints = perm is not None and all(type(y) is int for y in perm)  # bools and floats refused
+    if not ints or len(core_map) != zx.n or sorted(perm) != list(range(zy.n)):
         raise CoresNotHomeomorphic("core map is not a bijection")
     if not _carries_neighbourhoods(zx, zy, dict(enumerate(perm))):
         raise CoresNotHomeomorphic("core map does not carry opens onto opens")

@@ -18,6 +18,7 @@ from regopen.cli import main
 from regopen.enumeration import EnumerationSpec, enumerate_topologies
 from regopen.errors import VerificationError
 from regopen.lattice import RegularOpenLattice, regular_open_lattice
+from regopen.serialize import canonical_json
 from regopen.topology import Topology
 
 # sha256 of `regopen verify --suite all --n 4 --json`: the canonical reports
@@ -429,7 +430,7 @@ def test_finished_run_replaces_a_longer_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     out.write_text("x" * 4096)
     assert main(["verify", "--suite", "boolean", "--n", "2", "--json", str(out)]) == 0
-    assert out.read_text() == run_suite("boolean", 2).to_json()
+    assert out.read_text() == canonical_json(run_suite("boolean", 2).to_dict())
 
 
 def test_python_dash_m_runs_the_cli():

@@ -645,7 +645,7 @@ def test_r_lattice_matches_oracle_on_non_distributive_lattices():
     assert "meet_compatible" in failed
 
 
-# -- order isomorphism search -------------------------------------------------------------
+# -- order isomorphisms ------------------------------------------------------------------
 
 
 def test_isomorphisms_between_four_element_algebras():
@@ -697,7 +697,7 @@ def test_order_isomorphisms_match_networkx_on_class_lattices_up_to_four_points()
     assert _assert_isomorphisms_match_networkx(lattices) == 834
 
 
-def test_order_isomorphisms_match_networkx_on_non_boolean_lattices():
+def _chains_m3_n5_and_open_set_lattices() -> list[FiniteLattice]:
     chains = [
         FiniteLattice.from_leq(k, [(i, j) for i in range(k) for j in range(i, k)])
         for k in range(1, 6)
@@ -707,8 +707,35 @@ def test_order_isomorphisms_match_networkx_on_non_boolean_lattices():
         opens = list(enumerate(t.open_masks))
         inclusions = [(i, j) for i, a in opens for j, b in opens if a & ~b == 0]
         open_set_lattices.append(FiniteLattice.from_leq(len(opens), inclusions))
-    lattices = chains + [diamond_m3(), pentagon_n5()] + open_set_lattices
-    assert _assert_isomorphisms_match_networkx(lattices) > len(lattices)
+    return chains + [diamond_m3(), pentagon_n5()] + open_set_lattices
+
+
+def test_order_isomorphisms_refuse_every_lattice_whose_atom_map_is_rejected():
+    lattices = _chains_m3_n5_and_open_set_lattices()
+    rejected = [l for l in lattices if lattice_module._atom_sets(l)[1] is not None]
+    assert 0 < len(rejected) < len(lattices)
+    for l1 in rejected:
+        for l2 in lattices:
+            if l2.m == l1.m:
+                for pair in ((l1, l2), (l2, l1)):
+                    with pytest.raises(NotBoolean):
+                        find_order_isomorphisms(*pair)
+
+
+def test_order_isomorphisms_match_networkx_on_the_lattices_whose_atom_map_is_accepted():
+    lattices = _chains_m3_n5_and_open_set_lattices()
+    accepted = [l for l in lattices if lattice_module._atom_sets(l)[1] is None]
+    assert _assert_isomorphisms_match_networkx(accepted) > len(accepted)
+
+
+def test_stone_space_and_order_isomorphisms_refuse_m3_with_one_message():
+    m3 = diamond_m3()
+    with pytest.raises(NotBoolean) as stone:
+        stone_space(m3)
+    with pytest.raises(NotBoolean) as isos:
+        find_order_isomorphisms(m3, m3)
+    assert str(stone.value) == str(isos.value)
+    assert "atom-map-not-bijective" in str(stone.value)
 
 
 def test_transport_relation():

@@ -53,7 +53,7 @@ from regopen.lattice import (
     well_inside_rows,
 )
 from regopen.metric import FiniteMetric, combine_metric
-from regopen.serialize import space_to_dict
+from regopen.serialize import canonical_json, space_to_dict
 from regopen.stone import StoneSpace, stone_space
 from regopen.suites import SUITES, SpaceContext, Suite
 from regopen.topology import Topology, canonical_open_masks, discrete, permute_mask, set_of
@@ -74,6 +74,11 @@ from oracles import (
     trace_keeps_closure_oracle,
     well_inside_monotone_oracle,
 )
+
+
+def _texts(reports) -> list[str]:
+    """The canonical report text of each suite report."""
+    return [canonical_json(r.to_dict()) for r in reports]
 
 
 def _groups(name, ctx, bound):
@@ -111,18 +116,18 @@ def test_ux0_instance_count_matches_dense_oracle():
 
 
 def test_reports_are_byte_identical_across_runs():
-    a = run_suite("uvw", bound=3).to_json()
-    b = run_suite("uvw", bound=3).to_json()
+    a = canonical_json(run_suite("uvw", bound=3).to_dict())
+    b = canonical_json(run_suite("uvw", bound=3).to_dict())
     assert a == b
 
 
 def test_shared_context_reports_equal_lone_runs(monkeypatch):
     # successive runs share no context: each builds exactly one new one,
     # and its report is that of the suite run alone
-    lone = {name: run_suite(name, bound=3).to_json() for name in sorted(SUITES)}
+    lone = {name: canonical_json(run_suite(name, bound=3).to_dict()) for name in sorted(SUITES)}
     made = _recording_contexts(monkeypatch)
     for runs, name in enumerate(sorted(SUITES), 1):
-        assert run_suite(name, bound=3).to_json() == lone[name]
+        assert canonical_json(run_suite(name, bound=3).to_dict()) == lone[name]
         assert len(made) == len(set(map(id, made))) == runs
 
 
@@ -137,7 +142,7 @@ def test_joint_run_reports_equal_lone_runs(bound):
     joint = run_suites(names, bound)
     assert [report.suite for report in joint] == names
     for name, report in zip(names, joint):
-        assert report.to_json() == run_suite(name, bound).to_json()
+        assert canonical_json(report.to_dict()) == canonical_json(run_suite(name, bound).to_dict())
 
 
 def test_joint_run_refuses_an_unknown_name_before_running():
@@ -472,7 +477,7 @@ def _forgetful_runs(names, bound, families: bool = True, allow_n5: bool = False)
 
 
 def _forgetful_json(name, bound, families: bool = True) -> str:
-    return _forgetful_runs([name], bound, families)[0].to_json()
+    return canonical_json(_forgetful_runs([name], bound, families)[0].to_dict())
 
 
 def _recording_contexts(monkeypatch) -> list:
@@ -510,11 +515,11 @@ def test_memo_changes_no_report(bound):
     names = _reading_spaces(every=bound == 4)
     joint = run_suites(names, bound)
     for families in (True, False):
-        assert [r.to_json() for r in joint] == [r.to_json() for r in _forgetful_runs(names, bound, families)]
+        assert _texts(joint) == _texts(_forgetful_runs(names, bound, families))
     for name in _MEMO_READERS:
-        alone = run_suite(name, bound).to_json()
+        alone = canonical_json(run_suite(name, bound).to_dict())
         assert alone == _forgetful_json(name, bound)
-        assert alone == joint[names.index(name)].to_json()
+        assert alone == canonical_json(joint[names.index(name)].to_dict())
 
 
 def test_memo_changes_no_n5_report():
@@ -522,7 +527,7 @@ def test_memo_changes_no_n5_report():
     # run that shares no verdict and no family record
     memo = run_suites(_MEMO_READERS, 5, allow_n5=True)
     never_shared = _forgetful_runs(_MEMO_READERS, 5, families=False, allow_n5=True)
-    assert [r.to_json() for r in memo] == [r.to_json() for r in never_shared]
+    assert _texts(memo) == _texts(never_shared)
 
 
 def test_memo_checks_each_distinct_table_once_per_run(monkeypatch):
@@ -577,7 +582,7 @@ def test_memo_reports_an_rlattice_failure_on_every_space_sharing_its_tables(monk
     sharing = [space_to_dict(t) for t in _spaces_to(4) if _tables(regular_open_lattice(t)) == planted]
     assert len(sharing) > 1
     assert [failure["space"] for failure in report.failures] == sharing
-    assert report.to_json() == _forgetful_json("rlattice", 4)
+    assert canonical_json(report.to_dict()) == _forgetful_json("rlattice", 4)
 
 
 def _lattice_with_tables(t, tables):
@@ -638,7 +643,7 @@ def test_memo_reports_a_planted_closure_on_exactly_the_space_whose_rows_it_chang
     report = run_suite("rlattice", 3)
     assert report.failures == [{"space": space_to_dict(target), "error": error}]
     for families in (True, False):
-        assert report.to_json() == _forgetful_json("rlattice", 3, families)
+        assert canonical_json(report.to_dict()) == _forgetful_json("rlattice", 3, families)
 
 
 def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
@@ -672,7 +677,7 @@ def test_memo_keeps_each_failing_restriction_its_own_message(monkeypatch):
     assert len({failure["error"] for failure in expected}) > 1
     report = run_suite("ux0", 3)
     assert report.failures == expected
-    assert report.to_json() == _forgetful_json("ux0", 3)
+    assert canonical_json(report.to_dict()) == _forgetful_json("ux0", 3)
 
 
 def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
@@ -690,7 +695,7 @@ def test_memo_checks_a_failing_restriction_again_each_time(monkeypatch):
     monkeypatch.setattr(suites, "restriction_maps", wrong)
     report = run_suite("ux0", 3)
     assert len(report.failures) == sum(len(dense_masks(t)) for t in _spaces_to(3) if regular_open_lattice(t).m >= 2)
-    assert report.to_json() == _forgetful_json("ux0", 3)
+    assert canonical_json(report.to_dict()) == _forgetful_json("ux0", 3)
 
 
 _LATTICE_FIELDS = (
@@ -789,7 +794,7 @@ def test_a_space_whose_join_differs_from_its_family_record_gets_the_full_build(m
     assert reports[3].failures == [{**failure, "dense": sorted(set_of(y))} for y in dense_masks(target)]
     assert members[0] in built and target in built and not set(members[2:]) & set(built)
     never_shared = _forgetful_runs(names, 3, families=False)
-    assert [r.to_json() for r in reports] == [r.to_json() for r in never_shared]
+    assert _texts(reports) == _texts(never_shared)
 
 
 def test_memo_holds_no_lattice(monkeypatch):
@@ -1035,7 +1040,7 @@ def test_fixed_cost_suites_do_not_read_the_seed(name, planted, monkeypatch, tmp_
         reports.add(out.read_bytes())
     capsys.readouterr()
     assert len(reports) == 1
-    assert reports == {run_suite(name, bound=2).to_json().encode()}
+    assert reports == {canonical_json(run_suite(name, bound=2).to_dict()).encode()}
 
 
 def test_rlattice_monotonicity_scan_matches_oracle(monkeypatch):
@@ -1199,7 +1204,7 @@ def test_joint_run_reports_planted_bug(name, monkeypatch):
     report = run_suites(names, 3)[names.index(name)]
     assert report.failures and not report.passed
     assert all(set(failure) == keys for failure in report.failures)
-    assert report.to_json() == run_suite(name, 3).to_json()
+    assert canonical_json(report.to_dict()) == canonical_json(run_suite(name, 3).to_dict())
 
 
 def test_stone_reports_a_space_with_a_point_more_than_atoms(monkeypatch):
