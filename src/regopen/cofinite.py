@@ -14,35 +14,32 @@ so the only regular opens are the empty set and the whole space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import MalformedSpace, VerificationError
+from .record import Record
 
 FINITE = "finite"
 COFINITE = "cofinite"
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolicSet:
+class SymbolicSet(Record):
     """A set of the symbolic ground set. The constructor validates its
     arguments; the set operations build their results through ``_trusted``."""
 
-    kind: str
-    support: frozenset[int]
+    __slots__ = ("kind", "support")
 
-    def __post_init__(self):
-        if self.kind not in (FINITE, COFINITE):
+    def __init__(self, kind: str, support: frozenset[int]):
+        if kind not in (FINITE, COFINITE):
             raise MalformedSpace(f"kind must be {FINITE!r} or {COFINITE!r}")
-        support = self.support
         if type(support) is not frozenset:
             try:
                 support = frozenset(support)
             except TypeError:
                 raise MalformedSpace(f"support must be a set of labels, not {support!r}") from None
-            object.__setattr__(self, "support", support)
         if not all(type(x) is int and x >= 0 for x in support):
             raise MalformedSpace("support labels must be non-negative integers")
+        self._set(kind, support)
 
     def __repr__(self):
         body = "{" + ",".join(map(str, sorted(self.support))) + "}"
@@ -149,8 +146,7 @@ def is_dense(a: SymbolicSet) -> bool:
     return closure(a) == FULL
 
 
-@dataclass(frozen=True)
-class RegularizationTrace:
+class RegularizationTrace(NamedTuple):
     queried: SymbolicSet
     closure: SymbolicSet
     regularization: SymbolicSet

@@ -15,10 +15,10 @@ homeomorphism are 1, 3, 9, 33, 139.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import BadEnumerationSpec, SizeGuardExceeded
+from .record import Record
 from .topology import Topology, canonical_open_masks, set_of
 
 MODES = ("all", "up-to-homeomorphism")
@@ -37,8 +37,10 @@ BUDGETS: dict[str, tuple[int, int | None]] = {
 
 
 def check_budget(entry: str, n: int, allow_n5: bool = False) -> None:
-    """BadEnumerationSpec if ``n`` is below 1; SizeGuardExceeded if the
-    ``entry`` row of BUDGETS refuses it."""
+    """BadEnumerationSpec if ``n`` is not an int or is below 1;
+    SizeGuardExceeded if the ``entry`` row of BUDGETS refuses it."""
+    if type(n) is not int:  # bools and floats refused
+        raise BadEnumerationSpec(f"ground set size must be an int, not {n!r}")
     if n < 1:
         raise BadEnumerationSpec("ground set must have at least one point")
     largest, opt_in = BUDGETS[entry]
@@ -48,8 +50,7 @@ def check_budget(entry: str, n: int, allow_n5: bool = False) -> None:
         raise SizeGuardExceeded(f"{entry} at n = {n} requires the explicit allow_n5 flag")
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class EnumerationSpec(Record):
     """What to enumerate: ground size, labeled-vs-classes, optional cap.
 
     The sizes allowed, and the one from which ``allow_n5`` is needed, are
@@ -57,17 +58,18 @@ class EnumerationSpec:
     up to homeomorphism.
     """
 
-    n: int
-    mode: str = "all"
-    limit: int | None = None
-    allow_n5: bool = False
+    __slots__ = ("n", "mode", "limit", "allow_n5")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
+    def __init__(self, n: int, mode: str = "all", limit: int | None = None, allow_n5: bool = False):
+        if mode not in MODES:
             raise BadEnumerationSpec(f"mode must be one of {MODES}")
-        if self.limit is not None and self.limit < 0:
-            raise BadEnumerationSpec(f"limit must not be negative, not {self.limit}")
-        check_budget("classes" if self.mode == "up-to-homeomorphism" else "enumerate", self.n, self.allow_n5)
+        if limit is not None:
+            if type(limit) is not int:
+                raise BadEnumerationSpec(f"limit must be an int, not {limit!r}")
+            if limit < 0:
+                raise BadEnumerationSpec(f"limit must not be negative, not {limit}")
+        check_budget("classes" if mode == "up-to-homeomorphism" else "enumerate", n, allow_n5)
+        self._set(n, mode, limit, allow_n5)
 
 
 def _choices(n: int, opens: tuple[int, ...]) -> Iterator[tuple[int, int, list[int]]]:

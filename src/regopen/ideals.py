@@ -15,10 +15,11 @@ against a literal filter over all families at small n.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .enumeration import check_budget
 from .errors import IndexOutOfRange, NotAnIdeal, VerificationError
+from .record import Record
 from .topology import PointSet
 
 
@@ -30,25 +31,24 @@ def _subsets(points: PointSet) -> list[PointSet]:
     return out
 
 
-@dataclass(frozen=True)
-class IdealFamily:
+class IdealFamily(Record):
     """A downward-closed, pairwise-union-closed family of subsets of {0..n-1}."""
 
-    ambient: int
-    members: frozenset[PointSet]
+    __slots__ = ("ambient", "members")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, ambient: int, members: frozenset[PointSet]):
+        if not members:
             raise NotAnIdeal("an ideal is nonempty (it contains the empty set)")
-        for a in self.members:
-            if any(p < 0 or p >= self.ambient for p in a):
-                raise IndexOutOfRange(f"member {sorted(a)} outside ambient size {self.ambient}")
-            for b in self.members:
-                if a | b not in self.members:
+        for a in members:
+            if any(p < 0 or p >= ambient for p in a):
+                raise IndexOutOfRange(f"member {sorted(a)} outside ambient size {ambient}")
+            for b in members:
+                if a | b not in members:
                     raise NotAnIdeal(f"not union-closed at {sorted(a)}, {sorted(b)}")
             for sub in _subsets(a):
-                if sub not in self.members:
+                if sub not in members:
                     raise NotAnIdeal(f"not downward closed below {sorted(a)}")
+        self._set(ambient, members)
 
     @classmethod
     def principal(cls, ambient: int, top: PointSet) -> "IdealFamily":
@@ -66,20 +66,16 @@ class IdealFamily:
         return self.members <= other.members
 
 
-@dataclass(frozen=True)
-class Ultrafilter:
+class Ultrafilter(Record):
     """A principal ultrafilter on {0..n-1}: all sets containing one point."""
 
-    ambient: int
-    members: frozenset[PointSet]
-    point: int
+    __slots__ = ("ambient", "members", "point")
 
-    def __post_init__(self):
-        expected = frozenset(
-            s for s in _subsets(frozenset(range(self.ambient))) if self.point in s
-        )
-        if self.members != expected:
-            raise VerificationError("ultrafilter is not principal at its point", self.point)
+    def __init__(self, ambient: int, members: frozenset[PointSet], point: int):
+        expected = frozenset(s for s in _subsets(frozenset(range(ambient))) if point in s)
+        if members != expected:
+            raise VerificationError("ultrafilter is not principal at its point", point)
+        self._set(ambient, members, point)
 
 
 def ideals(n: int) -> list[IdealFamily]:
@@ -111,8 +107,7 @@ def ultrafilters(n: int) -> list[Ultrafilter]:
     return out
 
 
-@dataclass(frozen=True)
-class IdealOpenCorrespondence:
+class IdealOpenCorrespondence(NamedTuple):
     """The verified inclusion-preserving bijection W -> {I : I subset of W}
     between the opens of the discrete space on n points and the ideals of
     its powerset lattice."""

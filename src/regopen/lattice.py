@@ -27,11 +27,11 @@ that scan is a plain walk over every two pairs of the relation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import eq
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IndexOutOfRange, NotABijection, NotALattice, NotBoolean, VerificationError
+from .record import Record
 from .topology import PointSet, Topology, iter_bits, permute_mask, set_of
 
 PairRelation = frozenset[tuple[int, int]]
@@ -469,8 +469,7 @@ AXIOM_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class AxiomResult:
+class AxiomResult(NamedTuple):
     name: str
     passed: bool
     witness: tuple | None
@@ -483,9 +482,11 @@ class AxiomResult:
         }
 
 
-@dataclass(frozen=True)
-class RLatticeReport:
-    axioms: tuple[AxiomResult, ...]
+class RLatticeReport(Record):
+    __slots__ = ("axioms",)
+
+    def __init__(self, axioms: tuple[AxiomResult, ...]):
+        self._set(axioms)
 
     @property
     def passed(self) -> bool:

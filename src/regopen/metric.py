@@ -1,18 +1,20 @@
 """Finite metric spaces over exact rationals and the max-combination of two metrics.
 
 Distances are ``fractions.Fraction`` values so the metric axioms can be
-checked exactly, never within a floating tolerance.
+checked exactly, never within a floating tolerance. ``fractions`` (which
+loads ``decimal``) is imported by the first ``FiniteMetric`` built, not
+with the package, so the commands that build no metric do not pay for it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import MalformedSpace, NotABijection, NotAMetric, SizeMismatch
 
-Rational = Fraction | int
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class FiniteMetric:
@@ -25,7 +27,9 @@ class FiniteMetric:
 
     __slots__ = ("n", "dist")
 
-    def __init__(self, dist: Sequence[Sequence[Rational]]):
+    def __init__(self, dist: Sequence[Sequence[Fraction | int]]):
+        from fractions import Fraction
+
         n = len(dist)
         if n < 1:
             raise MalformedSpace("a metric space needs at least one point")

@@ -7,8 +7,8 @@ atom, so the Stone space is the discrete space on the atoms and the clopen
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .lattice import RegularOpenLattice, boolean_atom_masks
 from .topology import PointSet, Topology, discrete, set_of
@@ -17,8 +17,7 @@ from .topology import PointSet, Topology, discrete, set_of
 _discrete = lru_cache(maxsize=None)(discrete)
 
 
-@dataclass(frozen=True)
-class StoneSpace:
+class StoneSpace(NamedTuple):
     """Discrete space on the atoms of a Boolean algebra, plus the
     element -> clopen-set isomorphism witnessing the duality."""
 

@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import cofinite as cof
@@ -45,6 +44,7 @@ from .lattice import (
     well_inside_rows,
 )
 from .metric import FiniteMetric, combine_metric
+from .record import Record
 from .serialize import space_to_dict
 from .stone import stone_space
 from .topology import OperatorTables, Topology, iter_bits, set_of, submasks
@@ -157,13 +157,16 @@ class Suite(NamedTuple):
     rest: Callable[[SpaceContext, int], Iterable[Group]] | None = None
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    bound: int
-    instances: int
-    failures: list[dict]
-    wall_time_s: float = 0.0
+class SuiteReport(Record):
+    """A suite's result; ``run_suites`` adds to its counts as it checks."""
+
+    __slots__ = ("suite", "bound", "instances", "failures", "wall_time_s")
+    # The counts change during the run, so a report is assignable and unhashable.
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, bound: int, instances: int, failures: list[dict], wall_time_s: float = 0.0):
+        self._set(suite, bound, instances, failures, wall_time_s)
 
     @property
     def passed(self) -> bool:
@@ -778,8 +781,7 @@ def run_suite(name: str, bound: int = 3, *, allow_n5: bool = False) -> SuiteRepo
 # -- counterexample gallery ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexamplePair:
+class CounterexamplePair(NamedTuple):
     """Two non-homeomorphic spaces with order-isomorphic regular-open lattices.
 
     ``iso`` is the lexicographically first order isomorphism; the two

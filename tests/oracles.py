@@ -89,6 +89,26 @@ def brute_force_topologies(n: int) -> list[Topology]:
     return sorted(out, key=lambda t: (len(t.open_masks), t.open_masks))
 
 
+def topology_error_oracle(n: int, family) -> tuple[str, str] | None:
+    """None if the family of point sets is a topology on n points, else the
+    name and message of the error ``Topology`` raises for it.
+
+    Literal frozenset arithmetic over every pair: the first pair, in the
+    order of the sets' masks, whose union or intersection is missing. No
+    least neighbourhood, mask or regopen check is used.
+    """
+    opens = sorted(set(family), key=lambda s: sum(1 << p for p in s))
+    members = set(opens)
+    if frozenset() not in members or frozenset(range(n)) not in members:
+        return "MissingEmptyOrFull", f"open family on {n} points must contain the empty and full sets"
+    for a, b in combinations(opens, 2):
+        if a | b not in members:
+            return "NotClosedUnderUnion", f"family lacks the union of {sorted(a)} and {sorted(b)}"
+        if a & b not in members:
+            return "NotClosedUnderIntersection", f"family lacks the intersection of {sorted(a)} and {sorted(b)}"
+    return None
+
+
 def preorder_topologies(n: int) -> list[Topology]:
     """Second independent route: up-set families of all preorders on n points."""
     if n < 1:

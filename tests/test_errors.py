@@ -3,11 +3,13 @@
 
 import pytest
 
-from regopen import FiniteMetric, combine_metric, ideals
+from regopen import EnumerationSpec, FiniteMetric, canonical_classes, combine_metric, ideals, run_suites
 from regopen.cofinite import FINITE, SymbolicSet
 from regopen.errors import (
+    BadEnumerationSpec,
     CoresNotHomeomorphic,
     IndexOutOfRange,
+    MalformedSpace,
     NotABijection,
     NotALattice,
     RegOpenError,
@@ -72,6 +74,18 @@ D2 = regular_open_lattice(discrete(2))
         pytest.param(lambda: mask_of([1.0], 3), IndexOutOfRange, id="mask-float"),
         pytest.param(lambda: mask_of([True], 3), IndexOutOfRange, id="mask-bool"),
         pytest.param(lambda: Topology(2, [[], [0.0], [0, 1]]), IndexOutOfRange, id="open-float"),
+        pytest.param(lambda: Topology(2, [False, 1, 3]), MalformedSpace, id="open-mask-bool"),
+        pytest.param(lambda: Topology(2, [0, 1.0, 3]), MalformedSpace, id="open-mask-float"),
+        pytest.param(lambda: Topology(2, [0, None, 3]), MalformedSpace, id="open-mask-none"),
+        pytest.param(lambda: Topology(2.0, [0, 3]), MalformedSpace, id="space-size-float"),
+        pytest.param(lambda: Topology(True, [0, 1]), MalformedSpace, id="space-size-bool"),
+        pytest.param(lambda: discrete(2).to_mask(True), MalformedSpace, id="to-mask-bool"),
+        pytest.param(lambda: discrete(2).minimal_neighborhood(1.0), IndexOutOfRange, id="nbhd-point-float"),
+        pytest.param(lambda: EnumerationSpec(2.0), BadEnumerationSpec, id="spec-size-float"),
+        pytest.param(lambda: EnumerationSpec(True), BadEnumerationSpec, id="spec-size-bool"),
+        pytest.param(lambda: EnumerationSpec(3, limit=1.5), BadEnumerationSpec, id="spec-limit-float"),
+        pytest.param(lambda: canonical_classes(2.0), BadEnumerationSpec, id="classes-size-float"),
+        pytest.param(lambda: run_suites(["ux0"], 2.0), BadEnumerationSpec, id="suites-bound-float"),
     ],
 )
 def test_an_index_that_is_not_an_int_raises_the_documented_error(make, error):

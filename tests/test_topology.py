@@ -1,6 +1,7 @@
 """Core space operators against frozen values and the pointwise oracles."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from regopen.errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
+    RegOpenError,
     SizeGuardExceeded,
 )
 from regopen.topology import MAX_OPENS, MAX_POINTS, permute_mask, set_of
@@ -37,6 +39,7 @@ from oracles import (
     interior_oracle,
     opens_as_sets,
     regular_open_oracle,
+    topology_error_oracle,
 )
 
 S = sierpinski()
@@ -86,6 +89,68 @@ def test_oversized_spaces_rejected():
         discrete(11)
     with pytest.raises(SizeGuardExceeded, match="not 1000000"):
         indiscrete(10**6)
+
+
+def _verdict(n: int, masks: list[int]) -> tuple[str, str] | None:
+    """None if Topology accepts the family, else its error's name and message."""
+    try:
+        t = Topology(n, masks)
+    except RegOpenError as exc:
+        return type(exc).__name__, str(exc)
+    assert t.open_masks == tuple(sorted(set(masks)))
+    return None
+
+
+def _agree(n: int, masks: list[int]) -> tuple[str, str] | None:
+    want = topology_error_oracle(n, map(set_of, masks))
+    assert _verdict(n, masks) == want, masks
+    return want
+
+
+def test_validation_matches_the_pairwise_oracle_on_every_family_up_to_four_points():
+    accepted = Counter()
+    for n in range(1, 5):
+        full = (1 << n) - 1
+        middle = range(1, full)
+        for picks in range(1 << len(middle)):
+            masks = [0, full] + [m for i, m in enumerate(middle) if picks >> i & 1]
+            accepted[n] += _agree(n, masks) is None
+    assert [accepted[n] for n in range(1, 5)] == [1, 4, 29, 355]
+
+
+def _random_topology(rng: random.Random, n: int) -> list[int]:
+    """The up-sets of a random preorder on n points, as masks: sparse
+    relations give many opens, dense ones few."""
+    density = rng.choice((0.05, 0.15, 0.3))
+    above = [1 << x | sum(1 << y for y in range(n) if rng.random() < density) for x in range(n)]
+    for k in range(n):  # transitive closure, Warshall's order
+        for i in range(n):
+            if above[i] >> k & 1:
+                above[i] |= above[k]
+    return [s for s in range(1 << n) if all(above[x] & ~s == 0 for x in range(n) if s >> x & 1)]
+
+
+def test_validation_matches_the_pairwise_oracle_on_near_topologies_of_five_to_seven_points():
+    rng = random.Random(20)
+    verdicts = Counter()
+    for n in (5, 6, 7):
+        for _ in range(60):
+            opens = _random_topology(rng, n)
+            others = [m for m in range(1, (1 << n) - 1) if m not in opens]
+            if len(opens) > 2:
+                dropped = rng.choice(opens[1:-1])
+                verdicts[_agree(n, [m for m in opens if m != dropped]) is None] += 1
+            if others:
+                verdicts[_agree(n, opens + [rng.choice(others)]) is None] += 1
+    assert verdicts[True] and verdicts[False]  # both verdicts are reached
+
+
+def test_validation_matches_the_pairwise_oracle_at_the_open_count_limit():
+    assert _agree(10, list(range(MAX_OPENS))) is None
+    assert _agree(10, [m for m in range(MAX_OPENS) if m != 0b11]) == (
+        "NotClosedUnderUnion",
+        "family lacks the union of [0] and [1]",
+    )
 
 
 def test_fixture_encodings():
